@@ -119,7 +119,7 @@ def _need(params: dict, *names: str) -> list:
         if nm not in params:
             raise PreconditionError(f"bound formula needs parameter {nm!r}")
         v = params[nm]
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise PreconditionError(f"parameter {nm!r} must be a nonnegative int")
         out.append(v)
     return out
@@ -130,6 +130,8 @@ def _need(params: dict, *names: str) -> list:
 
 def _erdos_rado(p: dict) -> BoundFormula:
     s, k = _need(p, "s", "k")
+    if s < 2:
+        raise PreconditionError("need s >= 2")
     return BoundFormula(
         "erdos-rado", {"s": s, "k": k},
         Fraction(factorial(k) * (s - 1) ** k),

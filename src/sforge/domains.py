@@ -270,24 +270,36 @@ class Domain:
         return {"kind": self.kind, **self.params}
 
 
+def _int(v, key: str) -> int:
+    if type(v) is not int:  # JSON true/false are not integers here
+        raise ParseError(f"domain parameter {key!r} must be an integer", value=v)
+    return v
+
+
+def _list_of(v, key: str, item=_int) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"domain parameter {key!r} must be a list", value=v)
+    return [item(x, key) for x in v]
+
+
 def domain_from_json_obj(obj) -> Domain:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("domain spec must be an object with a 'kind' key")
     kind = obj["kind"]
     try:
         if kind == "binomial":
-            return Domain.binomial(int(obj["n"]), int(obj["k"]))
+            return Domain.binomial(_int(obj["n"], "n"), _int(obj["k"], "k"))
         if kind == "sequences":
-            return Domain.sequences(int(obj["n"]), int(obj["k"]))
+            return Domain.sequences(_int(obj["n"], "n"), _int(obj["k"], "k"))
         if kind == "kpartite_product":
-            return Domain.kpartite_product(int(obj["n"]), list(obj["parts"]))
+            return Domain.kpartite_product(_int(obj["n"], "n"), _list_of(obj["parts"], "parts"))
         if kind == "permutations":
-            return Domain.permutations(int(obj["n"]))
+            return Domain.permutations(_int(obj["n"], "n"))
         if kind == "complex_layer":
-            faces = obj["maximal_faces"]
-            n = obj.get("n") or max((max(f) for f in faces if f), default=1)
-            fam = SetFamily.from_sets(int(n), faces)
-            return Domain.complex_layer(fam, int(obj["k"]))
+            faces = _list_of(obj["maximal_faces"], "maximal_faces", item=_list_of)
+            n = _int(obj["n"], "n") if "n" in obj else max((max(f) for f in faces if f), default=1)
+            fam = SetFamily.from_sets(n, faces)
+            return Domain.complex_layer(fam, _int(obj["k"], "k"))
     except KeyError as exc:
         raise ParseError(f"domain spec missing key {exc}", kind=kind)
     raise ParseError(f"unknown domain kind {kind!r}")

@@ -23,7 +23,7 @@ def mask_of(elements: Iterable[int], n: int | None = None) -> int:
     """Bitmask for a collection of 1-based element labels."""
     m = 0
     for e in elements:
-        if not isinstance(e, int) or e < 1 or e > MAX_GROUND:
+        if type(e) is not int or e < 1 or e > MAX_GROUND:
             raise ParseError(f"element {e!r} is not an integer in 1..{MAX_GROUND}")
         if n is not None and e > n:
             raise ParseError(f"element {e} outside ground set of size {n}")
@@ -197,12 +197,6 @@ def family_minus(F: SetFamily, G: SetFamily) -> SetFamily:
     return F.replace_members(m for m in F.members if m not in drop)
 
 
-def family_union(F: SetFamily, G: SetFamily) -> SetFamily:
-    if F.ground.n != G.ground.n:
-        raise PreconditionError("union requires matching ground sets")
-    return F.replace_members(F.members + G.members)
-
-
 def shadow(F: SetFamily, h: int) -> SetFamily:
     """All h-element subsets of members of F."""
     if not F.members:
@@ -355,7 +349,7 @@ def family_from_json_obj(obj) -> SetFamily:
         sets = obj["sets"]
     except KeyError as exc:
         raise ParseError(f"family JSON missing key {exc}")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ParseError("family JSON key 'n' must be an integer")
     if not isinstance(sets, list) or any(not isinstance(s, list) for s in sets):
         raise ParseError("family JSON key 'sets' must be a list of lists")
@@ -410,14 +404,3 @@ def load_family(path: str) -> SetFamily:
     if stripped.startswith("{"):
         return family_from_json(text)
     return family_from_hex(text)
-
-
-def save_family(F: SetFamily, path: str, fmt: str = "json") -> None:
-    if fmt == "json":
-        payload = family_to_json(F)
-    elif fmt == "hex":
-        payload = family_to_hex(F)
-    else:
-        raise ParseError(f"unknown family format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)

@@ -211,22 +211,29 @@ class SearchResult:
         return rep
 
 
-def _new_sunflower_with(members: list[int], new: int, pred: CorePredicate) -> bool:
-    """Does adding ``new`` to a pred-free family create a forbidden sunflower?"""
-    if pred.degenerate_small_sets and new.bit_count() <= pred.bound:  # type: ignore[operator]
-        return True
-    cores = set()
-    for f in members:
-        c = f & new
-        if pred.admits_core_size(c.bit_count()):
-            cores.add(c)
-    for core in cores:
-        above = [m & ~core for m in members if m & core == core]
-        above.append(new & ~core)
-        if len(above) >= pred.s:
-            if len(max_disjoint(above, stop_at=pred.s)) >= pred.s:
-                return True
-    return False
+def _survivors(
+    fam: list[int], x: int, cands: list[tuple[int, int]], admits: list[bool], s: int
+) -> list[tuple[int, int]]:
+    """The ``(index, mask)`` pairs of ``cands`` whose mask c keeps fam + x + c free.
+
+    Both fam + x and fam + c are free, so a forbidden sunflower in fam + x + c
+    has x and c among its petals: its core is x & c, and its other s - 2
+    petals are members f of fam with f & (x | c) == x & c whose petals
+    f & ~core are pairwise disjoint.
+    """
+    out = []
+    for j, c in cands:
+        core = x & c
+        if not admits[core.bit_count()]:
+            out.append((j, c))
+            continue
+        if s == 2:
+            continue
+        union = x | c
+        petals = [f & ~core for f in fam if f & union == core]
+        if len(petals) < s - 2 or (s > 3 and len(max_disjoint(petals, stop_at=s - 2)) < s - 2):
+            out.append((j, c))
+    return out
 
 
 def max_sunflower_free(
@@ -244,15 +251,24 @@ def max_sunflower_free(
     canonical representative of every isomorphism class survives that
     pruning, so the optimum is preserved.
 
+    Each node carries the later candidates c that keep its family free and,
+    on adding x, filters them with one core per candidate, x & c: fam + x
+    and fam + c are free, so any new forbidden sunflower has x and c as
+    petals.  The bound counts raw indices, so the nodes and the witness are
+    those of testing each candidate against the whole family.
+
     Exhausting ``budget`` search nodes downgrades the result to an
     uncertified incumbent rather than raising.
     """
     members = list(candidates.members)
     best_fam: list[list[int]] = [[]]
     state = {"nodes": 0, "certified": True}
-    n = candidates.ground.n
+    admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
+    roots = list(enumerate(members))
+    if pred.degenerate_small_sets:
+        roots = [(j, m) for j, m in roots if m.bit_count() > pred.bound]  # type: ignore[operator]
 
-    def dfs(start: int, fam: list[int], used_prefix: int):
+    def dfs(start: int, fam: list[int], used_prefix: int, cands: list[tuple[int, int]]):
         state["nodes"] += 1
         if state["nodes"] > budget:
             state["certified"] = False
@@ -261,25 +277,23 @@ def max_sunflower_free(
             best_fam[0] = list(fam)
         if len(fam) + (len(members) - start) <= len(best_fam[0]):
             return
-        for idx in range(start, len(members)):
+        for pos, (idx, m) in enumerate(cands):
             if not state["certified"]:
                 return
             if len(fam) + (len(members) - idx) <= len(best_fam[0]):
                 return
-            m = members[idx]
             new_prefix = used_prefix
             if symmetry == "full":
                 fresh = m >> used_prefix
                 if fresh & (fresh + 1):
                     continue  # fresh labels not a contiguous next block
                 new_prefix = used_prefix + fresh.bit_length()
-            if _new_sunflower_with(fam, m, pred):
-                continue
+            rest = _survivors(fam, m, cands[pos + 1:], admits, pred.s)
             fam.append(m)
-            dfs(idx + 1, fam, new_prefix)
+            dfs(idx + 1, fam, new_prefix, rest)
             fam.pop()
 
-    dfs(0, [], 0)
+    dfs(0, [], 0, roots)
     witness = candidates.replace_members(best_fam[0])
     return SearchResult(
         optimum=len(best_fam[0]),

@@ -121,6 +121,10 @@ class TestBoundRhs:
             bound_rhs("erdos-rado", {"s": 3})
         with pytest.raises(PreconditionError, match="nonnegative int"):
             bound_rhs("erdos-rado", {"s": 3, "k": 2.5})
+        with pytest.raises(PreconditionError, match="nonnegative int"):
+            bound_rhs("erdos-rado", {"s": True, "k": 3})
+        with pytest.raises(PreconditionError, match="s >= 2"):
+            bound_rhs("erdos-rado", {"s": 1, "k": 3})
 
     def test_evaluation_is_deterministic(self):
         p = {"n": 14, "k": 4, "s": 3, "t": 2}

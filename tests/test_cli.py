@@ -29,6 +29,13 @@ def report_of(result) -> dict:
     return json.loads(result.output)
 
 
+def error_of(result) -> dict:
+    """The one canonical JSON error line a failing command writes to stderr."""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    return json.loads(lines[0])
+
+
 TRIPLES = json.dumps({"n": 6, "sets": [[1, 2, 3], [1, 4, 5], [2, 4, 6]]})
 STAR = json.dumps({"n": 6, "sets": [[1, 2], [1, 3], [1, 4], [1, 5]]})
 BLOCKS = json.dumps({"n": 8, "sets": [[1, 2], [3, 4], [5, 6], [7, 8]]})
@@ -82,6 +89,13 @@ class TestFamilyCommands:
 
     def test_missing_file_exits_2(self):
         invoke("family", "info", "/nonexistent/fam.json", expect=2)
+
+    @pytest.mark.parametrize("text", [
+        '{"n":5,"sets":[[1,2],[1,true]]}',
+        '{"n":true,"sets":[[1]]}',
+    ])
+    def test_json_booleans_exit_2(self, text):
+        assert error_of(invoke("family", "info", text, expect=2))["error"] == "ParseError"
 
 
 class TestSunflowerCommands:
@@ -166,6 +180,19 @@ class TestDomainsCommands:
 
     def test_build_unknown_kind_exits_2(self):
         invoke("domains", "build", '{"kind":"mystery"}', expect=2)
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"binomial","n":[1],"k":2}',
+        '{"kind":"binomial","n":true,"k":1}',
+        '{"kind":"sequences","n":3,"k":"2"}',
+        '{"kind":"kpartite_product","n":3,"parts":[1,true]}',
+        '{"kind":"permutations","n":3.0}',
+        '{"kind":"complex_layer","maximal_faces":[[1,2,3]],"k":false}',
+        '{"kind":"complex_layer","maximal_faces":[[1,"2"]],"k":1}',
+        '{"kind":"complex_layer","maximal_faces":7,"k":1}',
+    ])
+    def test_build_non_integer_params_exit_2(self, spec):
+        assert error_of(invoke("domains", "build", spec, expect=2))["error"] == "ParseError"
 
     def test_check_rt_spread(self):
         rep = report_of(
@@ -288,6 +315,12 @@ class TestBoundsCommands:
 
     def test_bad_params_json_exits_2(self):
         invoke("bounds", "eval", "--name", "erdos-rado", "--params", "not json", expect=2)
+
+    @pytest.mark.parametrize("params", ['{"s":1,"k":3}', '{"s":true,"k":3}', '{"s":3,"k":false}'])
+    def test_erdos_rado_bad_params_exit_1(self, params):
+        result = invoke("bounds", "eval", "--name", "erdos-rado", "--params", params, expect=1)
+        assert result.stdout == ""
+        assert error_of(result)["error"] == "PreconditionError"
 
 
 class TestVerifyCommand:

@@ -95,6 +95,10 @@ class TestConstruction:
             domain_from_json_obj({"kind": "binomial", "n": 5})
         with pytest.raises(ParseError):
             domain_from_json_obj("binomial")
+        with pytest.raises(ParseError):
+            domain_from_json_obj({"kind": "binomial", "n": [1], "k": 2})
+        with pytest.raises(ParseError):
+            domain_from_json_obj({"kind": "binomial", "n": True, "k": 1})
 
 
 class TestLinkCount:

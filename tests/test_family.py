@@ -262,6 +262,10 @@ def test_json_errors():
         family_from_json(json.dumps({"n": 4}))
     with pytest.raises(ParseError):
         family_from_json(json.dumps({"n": "4", "sets": []}))
+    with pytest.raises(ParseError):
+        family_from_json(json.dumps({"n": True, "sets": []}))
+    with pytest.raises(ParseError):
+        family_from_json(json.dumps({"n": 5, "sets": [[1, 2], [1, True]]}))
     with pytest.raises(CapacityError):
         family_from_json(json.dumps({"n": 100, "sets": []}))
 

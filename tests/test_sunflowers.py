@@ -3,6 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sforge.bounds import verify_instance
+from sforge.domains import Domain
 from sforge.errors import CapacityError, PreconditionError
 from sforge.family import SetFamily, mask_of
 from sforge.sunflowers import (
@@ -158,6 +160,58 @@ def test_max_free_matches_oracle(n, s, t, expect):
     res = max_sunflower_free(fam, pred, symmetry="full")
     assert res.certified
     assert res.optimum == oracle_max_sunflower_free(fam, pred) == expect
+
+
+# Node counts enter CLI and scenario reports, so the forward-checking filter
+# must visit exactly the nodes of testing each candidate against the whole
+# partial family; these are that search's values.
+@pytest.mark.parametrize("n,k,pred,symmetry,budget,expect", [
+    (7, 2, CorePredicate(3, CoreMode.AT_MOST, 0), None, 2_000_000, (11, 7855, True)),
+    (6, 3, CorePredicate(3, CoreMode.ANY), "full", 2_000_000, (10, 788, True)),
+    (6, 2, CorePredicate(4, CoreMode.ANY), "full", 2_000_000, (9, 347, True)),
+    (7, 3, CorePredicate(3, CoreMode.AT_MOST, 1), None, 1000, (20, 1001, False)),
+])
+def test_max_free_node_counts_pinned(n, k, pred, symmetry, budget, expect):
+    res = max_sunflower_free(binomial_family(n, k), pred, budget=budget, symmetry=symmetry)
+    assert (res.optimum, res.nodes, res.certified) == expect
+    assert brute_force_find(res.witness, pred) is None
+
+
+def test_phi_and_verify_node_counts_pinned():
+    res = phi_exact(3, 2, support_bound=14)
+    assert (res.value, res.nodes, res.certified) == (6, 64, True)
+    rep = verify_instance(Domain.binomial(8, 2), 3, 1)
+    assert (rep["optimum"], rep["search_nodes"], rep["optimum_certified"]) == (13, 5230, True)
+
+
+def test_max_free_packs_petals_for_four():
+    # The whole family is 4-sunflower-free although some cores x & c have two
+    # members above them: their petals overlap, so only packing shows it.
+    fam = SetFamily.from_sets(6, [[4], [1, 4], [2, 4], [2, 5], [3, 6], [2, 4, 5], [1, 2, 3, 4, 5, 6]])
+    pred = CorePredicate(4, CoreMode.ANY)
+    assert max_sunflower_free(fam, pred).optimum == oracle_max_sunflower_free(fam, pred) == 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_max_free_matches_oracle_random(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    sets = data.draw(
+        st.lists(st.sets(st.integers(min_value=1, max_value=n)),
+                 max_size=12, unique_by=lambda s: tuple(sorted(s)))
+    )
+    fam = SetFamily.from_sets(n, [sorted(s) for s in sets])
+    s = data.draw(st.integers(min_value=2, max_value=4))
+    mode = data.draw(st.sampled_from([CoreMode.ANY, CoreMode.AT_MOST, CoreMode.EXACT]))
+    bound = None if mode is CoreMode.ANY else data.draw(st.integers(min_value=0, max_value=3))
+    degenerate = mode is CoreMode.AT_MOST and data.draw(st.booleans())
+    pred = CorePredicate(s, mode, bound, degenerate)
+    res = max_sunflower_free(fam, pred)
+    assert res.certified
+    assert res.optimum == oracle_max_sunflower_free(fam, pred)
+    assert len(res.witness) == res.optimum
+    assert all(m in fam.members for m in res.witness.members)
+    assert brute_force_find(res.witness, pred) is None
 
 
 def test_product_kernel_free():

@@ -26,27 +26,12 @@ from .family import (
     is_upward_closed,
     upper_closure,
 )
-from .spread import frac_log2_bracket
+from .spread import _LN2_LO, _as_fraction, frac_log2_bracket
 
 MEASURE_CAP = 30
 DIAGONAL_CAP = 16
 EXHAUSTIVE_CAP = 12
 POINTWISE_CAP = 12
-
-# rational lower bound on ln 2, used to certify the noise-rate gate
-_LN2_FLOOR = Fraction(693147, 1000000)
-
-
-def _as_fraction(value, name: str) -> Fraction:
-    if isinstance(value, float):
-        raise PreconditionError(
-            f"{name} must be exact (int or Fraction), got a float"
-        )
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"{name} is not a rational number: {value!r}") from exc
-
 
 def _probability(value, name: str) -> Fraction:
     p = _as_fraction(value, name)
@@ -676,7 +661,7 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
             f"hypercontractivity check capped at n={POINTWISE_CAP}, got n={n}"
         )
     log2_lo, _ = frac_log2_bracket(Fraction(q))
-    gate = log2_lo * _LN2_FLOOR / (16 * q * tf)
+    gate = log2_lo * _LN2_LO / (16 * q * tf)
     if not 0 < rf <= gate:
         raise PreconditionError(
             "rho outside the certified gate", rho=str(rf), rho_gate=str(gate)

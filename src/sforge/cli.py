@@ -1,98 +1,50 @@
-"""Command line front end.
+"""Command line front end, generated from the operation table.
 
-Families are passed as file paths (JSON or hex mask format, sniffed by
-content), inline JSON strings, or ``-`` for stdin.  Domains are passed as
+Every command but ``run`` is an entry of ``sforge.scenario.OPERATIONS``
+whose ``cmd`` names it: its options and arguments come from the entry's
+parameters, and a command computes the same report as the matching scenario
+step.  Families are passed as file paths (JSON or hex mask format, sniffed
+by content), inline JSON strings, or ``-`` for stdin.  Domains are passed as
 inline JSON or a path to a JSON file.  All reports are canonical JSON:
 sorted keys, no whitespace, one trailing newline, so byte comparison of two
 runs is meaningful.  ``verify`` can render a CSV table instead.
 
 Global flags sit in front of the subcommand: ``sforge --seed 5 spread mc``.
-The worker count comes from ``--threads``, then the SFORGE_THREADS
-environment variable, then defaults to one; it never changes report bytes.
 Process exit codes: 0 clean, 1 failed verification or violated contract,
-2 unparseable input, 3 over the supported problem size.
+2 unparseable input, 3 over the supported problem size.  Every failure
+writes one canonical JSON error line to stderr.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
-from fractions import Fraction
 
 import click
 
-from .boolean import (
-    biased_measure,
-    check_global,
-    hypercontractivity_check,
-    measure_upgrade,
-    stability,
-    verify_sharp_threshold,
-)
-from .bounds import bound_names, bound_rhs, verify_instance
-from .domains import (
-    Domain,
-    check_rt_spread,
-    check_tau_homogeneous,
-    domain_from_json_obj,
-)
+from .domains import Domain, domain_from_json_obj
 from .errors import ParseError, SforgeError
-from .family import (
-    SetFamily,
-    family_from_hex,
-    family_from_json,
-    family_to_hex,
-    family_to_json_obj,
-    shadow,
-    transversal_number,
-    upper_closure,
-)
-from .pipelines import (
-    cluster_system,
-    delta_filter,
-    down_closed_cover,
-    peel_high_uniformity,
-    reduce_intersections,
-    simplify,
-    spread_approximation,
-)
-from .scenario import canonical_report_bytes, run_scenario
-from .spread import check_spread, covering_bound_bracket, spread_lemma_mc
-from .sunflowers import (
-    CoreMode,
-    CorePredicate,
-    find_sunflower,
-    max_sunflower_free,
-    phi_exact,
-    product_kernel,
+from .family import SetFamily, load_family
+from .scenario import (
+    OPERATIONS,
+    REQUIRED,
+    Op,
+    Param,
+    canonical_report_bytes,
+    coerce,
+    run_scenario,
 )
 
-_MODES = {"any": CoreMode.ANY, "exact": CoreMode.EXACT, "at-most": CoreMode.AT_MOST}
-
-
-def _frac(text: str, label: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{label} is not a valid fraction: {text!r}")
-
-
-def _load_family(src: str) -> SetFamily:
-    if src == "-":
-        text = sys.stdin.read()
-    elif src.lstrip().startswith("{"):
-        text = src
-    else:
-        try:
-            with open(src, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read family: {exc}")
-    if text.lstrip().startswith("{"):
-        return family_from_json(text)
-    return family_from_hex(text)
+_GROUPS = {
+    "family": "Core set-family operations.",
+    "sunflower": "Find witnesses and search for extremal sizes.",
+    "spread": "Spreadness checks and the random-cover estimate.",
+    "domains": "Structured ambient domains.",
+    "boolean": "Biased-measure analysis of the indicator function.",
+    "pipeline": "Decomposition and peeling pipelines.",
+    "bounds": "Closed-form upper-bound formulas.",
+}
 
 
 def _load_domain(src: str) -> Domain:
@@ -111,18 +63,6 @@ def _load_domain(src: str) -> Domain:
     return domain_from_json_obj(obj)
 
 
-def _pred(petals: int, mode: str, core_bound: int | None, degenerate: bool) -> CorePredicate:
-    if mode not in _MODES:
-        raise ParseError(f"unknown core mode {mode!r}", known=sorted(_MODES))
-    return CorePredicate(petals, _MODES[mode], core_bound, degenerate)
-
-
-def _emit(ctx: click.Context, report: dict) -> None:
-    if ctx.obj["format"] == "csv":
-        raise ParseError("csv output is only available for the verify command")
-    _write(ctx, canonical_report_bytes(report))
-
-
 def _write(ctx: click.Context, data: bytes) -> None:
     out = ctx.obj.get("out")
     if out:
@@ -130,18 +70,6 @@ def _write(ctx: click.Context, data: bytes) -> None:
             fh.write(data)
     else:
         click.echo(data.decode(), nl=False)
-
-
-def _threads(ctx: click.Context) -> int:
-    if ctx.obj.get("threads") is not None:
-        return max(1, ctx.obj["threads"])
-    env = os.environ.get("SFORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"SFORGE_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _guarded(fn):
@@ -158,524 +86,80 @@ def _guarded(fn):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized work.")
-@click.option("--threads", type=int, default=None, help="Worker count (default: SFORGE_THREADS or 1).")
+@click.option("--seed", default="0", show_default=True, help="Seed for randomized work.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.pass_context
-def main(ctx, seed, threads, fmt, out):
+@_guarded
+def main(ctx, seed, fmt, out):
     """Exact tooling for sunflower-free set families."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, threads=threads, format=fmt, out=out)
-
-
-# ---------------------------------------------------------------------------
-# family
-
-
-@main.group()
-def family():
-    """Core set-family operations."""
-
-
-@family.command("info")
-@click.argument("src")
-@click.pass_context
-@_guarded
-def family_info(ctx, src):
-    F = _load_family(src)
-    report = {"size": len(F.members), "ground": F.ground.n, "support": bin(F.support()).count("1")}
-    if F.uniformity is not None:
-        report["uniformity"] = F.uniformity
-    _emit(ctx, report)
-
-
-@family.command("show")
-@click.argument("src")
-@click.option("--to", type=click.Choice(["json", "hex"]), default="json", show_default=True)
-@click.pass_context
-@_guarded
-def family_show(ctx, src, to):
-    F = _load_family(src)
-    if to == "hex":
-        _write(ctx, family_to_hex(F).encode())
-    else:
-        _emit(ctx, family_to_json_obj(F))
-
-
-@family.command("shadow")
-@click.argument("src")
-@click.option("--depth", type=int, required=True, help="Target uniformity of the shadow.")
-@click.pass_context
-@_guarded
-def family_shadow(ctx, src, depth):
-    F = _load_family(src)
-    _emit(ctx, family_to_json_obj(shadow(F, depth)))
-
-
-@family.command("closure")
-@click.argument("src")
-@click.pass_context
-@_guarded
-def family_closure(ctx, src):
-    F = _load_family(src)
-    up = upper_closure(F)
-    _emit(ctx, {"size": len(up.members), "ground": up.ground.n})
-
-
-@family.command("transversal")
-@click.argument("src")
-@click.pass_context
-@_guarded
-def family_transversal(ctx, src):
-    F = _load_family(src)
-    value, cover_mask = transversal_number(F)
-    elems = [i + 1 for i in range(F.ground.n) if cover_mask >> i & 1]
-    _emit(ctx, {"value": value, "transversal": elems})
-
-
-# ---------------------------------------------------------------------------
-# sunflower
-
-
-@main.group()
-def sunflower():
-    """Find witnesses and search for extremal sizes."""
-
-
-def _pred_options(fn):
-    fn = click.option("--petals", type=int, required=True)(fn)
-    fn = click.option("--mode", type=click.Choice(sorted(_MODES)), default="any", show_default=True)(fn)
-    fn = click.option("--core-bound", type=int, default=None)(fn)
-    fn = click.option("--degenerate-small", is_flag=True, default=False)(fn)
-    return fn
-
-
-@sunflower.command("find")
-@click.argument("src")
-@_pred_options
-@click.pass_context
-@_guarded
-def sunflower_find(ctx, src, petals, mode, core_bound, degenerate_small):
-    F = _load_family(src)
-    pred = _pred(petals, mode, core_bound, degenerate_small)
-    wit = find_sunflower(F, pred)
-    report = {"pred": pred.describe(), "found": wit is not None}
-    if wit is not None:
-        report["witness"] = wit.as_report()
-    _emit(ctx, report)
-
-
-@sunflower.command("max-free")
-@click.argument("src")
-@_pred_options
-@click.option("--budget", type=int, default=2_000_000, show_default=True)
-@click.option("--symmetry", type=click.Choice(["full"]), default=None)
-@click.pass_context
-@_guarded
-def sunflower_max_free(ctx, src, petals, mode, core_bound, degenerate_small, budget, symmetry):
-    F = _load_family(src)
-    pred = _pred(petals, mode, core_bound, degenerate_small)
-    res = max_sunflower_free(F, pred, budget=budget, symmetry=symmetry)
-    _emit(ctx, res.as_report())
-
-
-@sunflower.command("phi")
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--support", type=int, required=True)
-@click.option("--budget", type=int, default=50_000_000, show_default=True)
-@click.pass_context
-@_guarded
-def sunflower_phi(ctx, petals, core_size, support, budget):
-    _emit(ctx, phi_exact(petals, core_size, support, budget=budget).as_report())
-
-
-@sunflower.command("kernel")
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.pass_context
-@_guarded
-def sunflower_kernel(ctx, petals, core_size):
-    _emit(ctx, family_to_json_obj(product_kernel(petals, core_size)))
-
-
-# ---------------------------------------------------------------------------
-# spread
-
-
-@main.group()
-def spread():
-    """Spreadness checks and the random-cover estimate."""
-
-
-@spread.command("check")
-@click.argument("src")
-@click.option("--ratio", "-R", "ratio", required=True, help="Spread parameter, a fraction.")
-@click.pass_context
-@_guarded
-def spread_check_cmd(ctx, src, ratio):
-    F = _load_family(src)
-    _emit(ctx, check_spread(F, _frac(ratio, "ratio")).as_report())
-
-
-@spread.command("mc")
-@click.argument("src")
-@click.option("--ratio", "-R", "ratio", required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--delta", required=True)
-@click.option("--trials", type=int, required=True)
-@click.option("--with-exact", is_flag=True, default=False)
-@click.pass_context
-@_guarded
-def spread_mc(ctx, src, ratio, m, delta, trials, with_exact):
-    F = _load_family(src)
-    est = spread_lemma_mc(
-        F,
-        _frac(ratio, "ratio"),
-        m,
-        _frac(delta, "delta"),
-        trials,
-        seed=ctx.obj["seed"],
-        threads=_threads(ctx),
-        with_exact=with_exact,
-    )
-    _emit(ctx, est.as_report())
-
-
-@spread.command("bracket")
-@click.option("--ratio", "-R", "ratio", required=True)
-@click.option("--delta", required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--mu-norm", type=int, default=1, show_default=True)
-@click.pass_context
-@_guarded
-def spread_bracket(ctx, ratio, delta, m, mu_norm):
-    lo, hi, vacuous = covering_bound_bracket(_frac(ratio, "ratio"), _frac(delta, "delta"), m, mu_norm)
-    report = {
-        "low": None if lo is None else str(lo),
-        "high": None if hi is None else str(hi),
-        "vacuous": vacuous,
-    }
-    _emit(ctx, report)
-
-
-# ---------------------------------------------------------------------------
-# domains
-
-
-@main.group()
-def domains():
-    """Structured ambient domains."""
-
-
-@domains.command("build")
-@click.argument("spec")
-@click.pass_context
-@_guarded
-def domains_build(ctx, spec):
-    A = _load_domain(spec)
-    report = {
-        "domain": A.as_json_obj(),
-        "k": A.k,
-        "size": len(A.family.members),
-        "nominal": {k: str(v) for k, v in sorted(A.nominal_parameters().items())},
-    }
-    _emit(ctx, report)
-
-
-@domains.command("check")
-@click.argument("spec")
-@click.option("--ratio", "-r", "ratio", required=True)
-@click.option("--core-size", type=int, required=True)
-@click.pass_context
-@_guarded
-def domains_check(ctx, spec, ratio, core_size):
-    A = _load_domain(spec)
-    _emit(ctx, check_rt_spread(A, _frac(ratio, "ratio"), core_size).as_report())
-
-
-@domains.command("homogeneous")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--tau", required=True)
-@click.pass_context
-@_guarded
-def domains_homogeneous(ctx, src, domain_spec, tau):
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    _emit(ctx, check_tau_homogeneous(F, A, _frac(tau, "tau")).as_report())
-
-
-# ---------------------------------------------------------------------------
-# boolean
-
-
-@main.group()
-def boolean():
-    """Biased-measure analysis of the indicator function."""
-
-
-@boolean.command("measure")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.pass_context
-@_guarded
-def boolean_measure(ctx, src, p):
-    F = _load_family(src)
-    pf = _frac(p, "p")
-    _emit(ctx, {"p": str(pf), "value": str(biased_measure(F, pf))})
-
-
-@boolean.command("global")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.option("--tau", required=True)
-@click.pass_context
-@_guarded
-def boolean_global(ctx, src, p, tau):
-    F = _load_family(src)
-    _emit(ctx, check_global(F, _frac(p, "p"), _frac(tau, "tau")).as_report())
-
-
-@boolean.command("stab")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.option("--rho", required=True)
-@click.pass_context
-@_guarded
-def boolean_stab(ctx, src, p, rho):
-    F = _load_family(src)
-    pf, rf = _frac(p, "p"), _frac(rho, "rho")
-    _emit(ctx, {"p": str(pf), "rho": str(rf), "value": str(stability(F, pf, rf))})
-
-
-@boolean.command("threshold")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.option("--p-tilde", required=True)
-@click.option("--tau", default=None)
-@click.pass_context
-@_guarded
-def boolean_threshold(ctx, src, p, p_tilde, tau):
-    F = _load_family(src)
-    tf = _frac(tau, "tau") if tau is not None else None
-    _emit(ctx, verify_sharp_threshold(F, _frac(p, "p"), _frac(p_tilde, "p-tilde"), tf).as_report())
-
-
-@boolean.command("upgrade")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.option("--tau", required=True)
-@click.option("--z", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.pass_context
-@_guarded
-def boolean_upgrade(ctx, src, p, tau, z, m):
-    F = _load_family(src)
-    _emit(ctx, measure_upgrade(F, _frac(p, "p"), _frac(tau, "tau"), z, m).as_report())
-
-
-@boolean.command("hyper")
-@click.argument("src")
-@click.option("--p", required=True)
-@click.option("--tau", required=True)
-@click.option("--rho", required=True)
-@click.option("--q", type=int, required=True)
-@click.pass_context
-@_guarded
-def boolean_hyper(ctx, src, p, tau, rho, q):
-    F = _load_family(src)
-    rep = hypercontractivity_check(F, _frac(p, "p"), _frac(tau, "tau"), _frac(rho, "rho"), q)
-    _emit(ctx, rep.as_report())
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-
-@main.group()
-def pipeline():
-    """Decomposition and peeling pipelines."""
-
-
-@pipeline.command("approx")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--tau", required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--floor", default=None)
-@click.pass_context
-@_guarded
-def pipeline_approx(ctx, src, domain_spec, tau, q, floor):
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    floor_f = _frac(floor, "floor") if floor is not None else None
-    _emit(ctx, spread_approximation(F, A, _frac(tau, "tau"), q, floor_f).as_report())
-
-
-@pipeline.command("simplify")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--eps", required=True)
-@click.pass_context
-@_guarded
-def pipeline_simplify(ctx, src, domain_spec, petals, core_size, eps):
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    _emit(ctx, simplify(F, A, petals, core_size, _frac(eps, "eps")).as_report())
-
-
-@pipeline.command("cover")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--w", required=True)
-@click.pass_context
-@_guarded
-def pipeline_cover(ctx, src, domain_spec, petals, core_size, w):
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    _emit(ctx, down_closed_cover(F, A, petals, core_size, _frac(w, "w")).as_report())
-
-
-@pipeline.command("reduce")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--tau", required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--alpha", required=True)
-@click.pass_context
-@_guarded
-def pipeline_reduce(ctx, src, domain_spec, tau, q, petals, core_size, alpha):
-    """Decompose, then prune each block to a verified intersection system."""
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    D = spread_approximation(F, A, _frac(tau, "tau"), q)
-    U = reduce_intersections(D, A, petals, core_size, _frac(alpha, "alpha"))
-    _emit(ctx, {"decomposition": D.as_report(), "system": U.as_report()})
-
-
-@pipeline.command("cluster")
-@click.argument("src")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--tau", required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--alpha", required=True)
-@click.option("--lam", required=True)
-@click.pass_context
-@_guarded
-def pipeline_cluster(ctx, src, domain_spec, tau, q, petals, core_size, alpha, lam):
-    """Run the full chain: decompose, reduce, then cluster the cores."""
-    F = _load_family(src)
-    A = _load_domain(domain_spec)
-    D = spread_approximation(F, A, _frac(tau, "tau"), q)
-    U = reduce_intersections(D, A, petals, core_size, _frac(alpha, "alpha"))
-    C = cluster_system(U, A, _frac(lam, "lam"))
-    _emit(ctx, {"decomposition": D.as_report(), "system": U.as_report(), "clusters": C.as_report()})
-
-
-@pipeline.command("peel")
-@click.argument("src")
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.pass_context
-@_guarded
-def pipeline_peel(ctx, src, petals, core_size):
-    F = _load_family(src)
-    _emit(ctx, peel_high_uniformity(F, petals, core_size).as_report())
-
-
-@pipeline.command("delta")
-@click.argument("src")
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.pass_context
-@_guarded
-def pipeline_delta(ctx, src, petals, core_size):
-    F = _load_family(src)
-    _emit(ctx, delta_filter(F, petals, core_size).as_report())
-
-
-# ---------------------------------------------------------------------------
-# bounds
-
-
-@main.group()
-def bounds():
-    """Closed-form upper-bound formulas."""
-
-
-@bounds.command("list")
-@click.pass_context
-@_guarded
-def bounds_list(ctx):
-    _emit(ctx, {"names": bound_names()})
-
-
-@bounds.command("eval")
-@click.option("--name", required=True)
-@click.option("--params", "params_json", required=True, help="JSON object of integer parameters.")
-@click.pass_context
-@_guarded
-def bounds_eval(ctx, name, params_json):
-    try:
-        params = json.loads(params_json)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--params is not valid JSON: {exc}")
-    if not isinstance(params, dict):
-        raise ParseError("--params must be a JSON object")
-    _emit(ctx, bound_rhs(name, params).as_report())
-
-
-# ---------------------------------------------------------------------------
-# verify and run
-
-
-def _verify_csv(rep: dict) -> str:
-    lines = ["row,name,value,applicable,hypotheses"]
-    opt = "" if rep["optimum"] is None else str(rep["optimum"])
-    lines.append(f"optimum,search,{opt},{str(rep['optimum_certified']).lower()},")
-    for c in rep["constructions"]:
-        lines.append(f"construction,{c['kind']},{c['size']},{str(c['legal']).lower()},")
-    for b in rep["bounds"]:
-        value = b["value"] if b["value"] is not None else b["symbolic"]
-        lines.append(
-            f"bound,{b['name']},\"{value}\",{str(b['applicable']).lower()},"
-            f"{str(b['hypotheses_met']).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-@main.command("verify")
-@click.option("--domain", "domain_spec", required=True)
-@click.option("--petals", type=int, required=True)
-@click.option("--core-size", type=int, required=True)
-@click.option("--mode", type=click.Choice(sorted(_MODES)), default=None)
-@click.option("--core-bound", type=int, default=None)
-@click.option("--budget", type=int, default=2_000_000, show_default=True)
-@click.pass_context
-@_guarded
-def verify_cmd(ctx, domain_spec, petals, core_size, mode, core_bound, budget):
-    """Cross-check constructions, exact search, and bound formulas."""
-    A = _load_domain(domain_spec)
-    pred = None
-    if mode is not None or core_bound is not None:
-        pred = _pred(petals, mode or "any", core_bound, False)
-    rep = verify_instance(A, petals, core_size, pred=pred, budget=budget)
-    if ctx.obj["format"] == "csv":
-        _write(ctx, _verify_csv(rep).encode())
-    else:
-        _write(ctx, canonical_report_bytes(rep))
-    if rep["violations"]:
-        sys.exit(1)
+    ctx.obj = {"seed": coerce("int", seed, "option --seed", text=True), "format": fmt, "out": out}
+
+
+_METAVARS = {"int": "INTEGER", "frac": "FRACTION", "str": "TEXT", "object": "JSON"}
+
+
+def _option(p: Param, decls: list[str], name: str) -> click.Option:
+    if p.kind == "flag":
+        return click.Option([*decls, name], is_flag=True)
+    shown = None if p.default in (REQUIRED, None) else f"[default: {p.default}]"
+    metavar = "[" + "|".join(p.kind) + "]" if isinstance(p.kind, dict) else _METAVARS.get(p.kind)
+    return click.Option([*decls, name], required=p.default is REQUIRED, metavar=metavar, help=shown)
+
+
+def _value(p: Param, raw, spelling: str, ctx: click.Context):
+    if p.kind == "seed":
+        return ctx.obj["seed"]
+    label = f"option {spelling}"
+    if raw is None:
+        return None if p.default is None else coerce(p.kind, p.default, label)
+    if p.kind is SetFamily:
+        return load_family(raw)
+    if p.kind is Domain:
+        return _load_domain(raw)
+    return coerce(p.kind, raw, label, text=True)
+
+
+def _command(name: str, entry: Op) -> click.Command:
+    params, spellings = [], []
+    for i, p in enumerate(entry.params):
+        decls = ("--" + p.key if p.cli is None else p.cli).split()
+        spellings.append(decls[-1] if decls else "")
+        if not decls:
+            continue
+        if not decls[0].startswith("-"):
+            params.append(click.Argument([f"p{i}"], metavar=decls[0]))
+        else:
+            params.append(_option(p, decls, f"p{i}"))
+
+    @_guarded
+    def callback(**given):
+        ctx = click.get_current_context()
+        args = [_value(p, given.get(f"p{i}"), spellings[i], ctx)
+                for i, p in enumerate(entry.params)]
+        result = entry.run(*args)
+        report = entry.report(result) if entry.report else result
+        if isinstance(report, str):
+            return _write(ctx, report.encode())
+        if ctx.obj["format"] == "csv":
+            if entry.csv is None:
+                raise ParseError("csv output is only available for the verify command")
+            data = entry.csv(report).encode()
+        else:
+            data = canonical_report_bytes(report)
+        _write(ctx, data)
+        if report.get("violations"):
+            sys.exit(1)
+
+    return click.Command(name, params=params, callback=callback, help=entry.run.__doc__)
+
+
+for _group, _help in _GROUPS.items():
+    main.add_command(click.Group(_group, help=_help))
+for _entry in OPERATIONS:
+    if _entry.cmd:
+        *_parent, _name = _entry.cmd.split()
+        (main.commands[_parent[0]] if _parent else main).add_command(_command(_name, _entry))
 
 
 @main.command("run")
@@ -684,7 +168,7 @@ def verify_cmd(ctx, domain_spec, petals, core_size, mode, core_bound, budget):
 @_guarded
 def run_cmd(ctx, path):
     """Execute a scenario file and emit its canonical report."""
-    result = run_scenario(path, threads=_threads(ctx))
+    result = run_scenario(path)
     _write(ctx, result.canonical_bytes())
     if result.exit_code:
         sys.exit(result.exit_code)

@@ -24,8 +24,6 @@ from itertools import combinations, permutations as iter_permutations, product
 from math import comb, factorial
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapacityError, ParseError, PreconditionError, VerificationError
 from .family import (
     GroundSet,
@@ -37,16 +35,10 @@ from .family import (
     restrict,
     submasks,
 )
-from .spread import _link_counts, check_spread
+from .spread import _as_fraction, _link_counts, check_spread
 
 _MEMBER_CAP = 200_000
 _PERMUTATION_CAP = 7
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise PreconditionError("domain parameters must be exact, not float", value=x)
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,7 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
     The witness pair, if any, satisfies |A(T)(S)| > r^(-|S|) |A(T)| and is the
     canonically first such pair.
     """
-    r = _as_fraction(r)
+    r = _as_fraction(r, "r")
     if r <= 0:
         raise PreconditionError("spreadness parameter must be positive", r=str(r))
     if not (0 <= t <= A.k):
@@ -395,7 +387,7 @@ def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
     The returned worst X maximizes the ratio of the two sides (1 at X = empty);
     a verdict with worst_ratio > 1 is a violation certificate.
     """
-    tau = _as_fraction(tau)
+    tau = _as_fraction(tau, "tau")
     if tau <= 0:
         raise PreconditionError("homogeneity parameter must be positive", tau=str(tau))
     _require_subfamily(F, A)
@@ -429,7 +421,7 @@ def max_homogeneous_restriction(F: SetFamily, A: Domain, tau) -> int:
     tau-homogeneous inside A(S) for any tau >= 1; that certificate is
     re-checked before returning.
     """
-    tau = _as_fraction(tau)
+    tau = _as_fraction(tau, "tau")
     if tau < 1:
         raise PreconditionError("restriction needs tau >= 1", tau=str(tau))
     _require_subfamily(F, A)
@@ -477,8 +469,8 @@ def homogeneous_subfamily(
     an F(P) that is alpha (tau/alpha)^t homogeneous in A(P); both facts are
     re-verified exactly.
     """
-    tau = _as_fraction(tau)
-    alpha = _as_fraction(alpha)
+    tau = _as_fraction(tau, "tau")
+    alpha = _as_fraction(alpha, "alpha")
     k = A.k
     if t is None:
         t = k
@@ -560,8 +552,8 @@ def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> Homo
     tau / (1 - |X| tau / r) homogeneous and at least a (1 - |X| tau / r)
     fraction of G, both by exact re-check.
     """
-    tau = _as_fraction(tau)
-    r = _as_fraction(r)
+    tau = _as_fraction(tau, "tau")
+    r = _as_fraction(r, "r")
     xsize = X.bit_count()
     if Fraction(xsize) * tau >= r:
         raise PreconditionError(
@@ -690,27 +682,23 @@ def _density_holds(A_t: int, total: int, r: Fraction, eta_t: Fraction) -> bool:
     return lhs >= rhs
 
 
-def check_assumptions(
-    A: Domain, q: int, eta, mu, r, seed: int = 0, samples: int = 100
-) -> AssumptionsReport:
+def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     """Run the four structural checks at depth q with the given constants.
 
     * depth-q spreadness of every link at parameter r;
     * max-link density A_t >= r^(-eta t)|A| for each t in 1..q-1;
-    * the regularity identity on every S in the depth-q shadow, for every
-      singleton subfamily (sufficient by linearity), the full link, and
-      ``samples`` seeded random subfamilies per (S, h), h up to q-1 within
-      the link's uniformity;
+    * the regularity identity on every S in the depth-q shadow, for the
+      full link and every singleton subfamily (sufficient by linearity),
+      h up to q-1 within the link's uniformity;
     * the shadow-ratio floor |shadow_h A(R)| / |shadow_h A| >=
       (1 - |R|/(mu k))^h for every R in the depth-q shadow, h up to q within
       range.
 
-    Verdicts are exact; the random subfamilies only add redundancy on top of
-    the singleton sufficiency.
+    Verdicts are exact.
     """
-    eta = _as_fraction(eta)
-    mu = _as_fraction(mu)
-    r = _as_fraction(r)
+    eta = _as_fraction(eta, "eta")
+    mu = _as_fraction(mu, "mu")
+    r = _as_fraction(r, "r")
     if eta < 0 or mu <= 0:
         raise PreconditionError("eta must be >= 0 and mu > 0", eta=str(eta), mu=str(mu))
     if not (0 <= q <= A.k):
@@ -729,7 +717,6 @@ def check_assumptions(
             density_witness = {"t": t, "A_t": A_t, "family_size": total}
             break
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     regularity_ok, regularity_witness = True, None
     for S in A.shadow_upto(q):
         if not regularity_ok:
@@ -740,12 +727,6 @@ def check_assumptions(
             trial_subfamilies = [linkfam]
             for m in linkfam.members:
                 trial_subfamilies.append(linkfam.replace_members([m]))
-            lm = linkfam.members
-            for _ in range(samples):
-                pickbits = rng.random(len(lm)) < 0.5
-                chosen = [m for m, b in zip(lm, pickbits) if b]
-                if chosen:
-                    trial_subfamilies.append(linkfam.replace_members(chosen))
             for sub in trial_subfamilies:
                 if not regularity_identity_holds(A, S, sub, h):
                     regularity_ok = False
@@ -805,7 +786,7 @@ def check_assumptions(
 
 def verify_shadow_bound(F: SetFamily, A: Domain, tau, h: int) -> bool:
     """|shadow_h F| / |shadow_h A| >= tau^(-h) for a tau-homogeneous F."""
-    tau = _as_fraction(tau)
+    tau = _as_fraction(tau, "tau")
     pre = check_tau_homogeneous(F, A, tau)
     if not pre.ok:
         raise PreconditionError("family is not tau-homogeneous")
@@ -838,9 +819,9 @@ def most_subsets_homogeneous(F: SetFamily, A: Domain, h: int, tau, alpha, rho) -
     measure at least (1-rho) tau^h mu(F).  The census is exact and the
     fraction bound is asserted.
     """
-    tau = _as_fraction(tau)
-    alpha = _as_fraction(alpha)
-    rho = _as_fraction(rho)
+    tau = _as_fraction(tau, "tau")
+    alpha = _as_fraction(alpha, "alpha")
+    rho = _as_fraction(rho, "rho")
     if not (0 < alpha < 1 and 0 < rho < 1):
         raise PreconditionError("alpha and rho must lie in (0,1)")
     if not (1 <= h < A.k):

@@ -9,6 +9,7 @@ iteration order are canonical.  The empty set is a legal member.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -397,10 +398,19 @@ def family_from_hex(text: str) -> SetFamily:
     return fam
 
 
-def load_family(path: str) -> SetFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def load_family(source: str) -> SetFamily:
+    """A family from a file path, inline JSON (text starting with ``{``) or
+    ``-`` for stdin; the content is JSON or the hex mask format."""
+    if source == "-":
+        text = sys.stdin.read()
+    elif source.lstrip().startswith("{"):
+        text = source
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read family: {exc}")
+    if text.lstrip().startswith("{"):
         return family_from_json(text)
     return family_from_hex(text)

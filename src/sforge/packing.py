@@ -1,15 +1,12 @@
 """Exact packing primitives: disjoint-set matchings and system representatives.
 
 These are the small search kernels the sunflower machinery leans on.  All
-searches are exhaustive branch and bound; randomization only reorders the
-search, never the answer.
+searches are exhaustive branch and bound.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import PreconditionError
 from .family import SetFamily, canon_key
@@ -60,15 +57,12 @@ def matching_number(masks: Sequence[int], at_least: int | None = None) -> int:
 def find_disjoint_representatives(
     groups: Sequence[Sequence[int]],
     forbidden: int = 0,
-    seed: int = 0,
-    restarts: int = 64,
 ) -> list[int] | None:
     """One mask per group, pairwise disjoint and avoiding ``forbidden``.
 
-    Runs a few randomized greedy restarts first (sampling a sparse window of
-    the ground set and trying to pick representatives inside it), then falls
-    back to an exhaustive search.  A ``None`` answer is therefore an exact
-    certificate of absence, and any returned list is verified before return.
+    Exhaustive search, most-constrained group first, so a ``None`` answer is
+    an exact certificate of absence; any returned list is verified before
+    return.
     """
     if not groups:
         return []
@@ -80,43 +74,6 @@ def find_disjoint_representatives(
         cleaned.append(opts)
 
     s = len(cleaned)
-    union = 0
-    for opts in cleaned:
-        for m in opts:
-            union |= m
-    bits = []
-    u = union
-    while u:
-        low = u & -u
-        bits.append(low)
-        u ^= low
-
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    p = 1.0 / (8.0 * max(s, 1))
-    for _ in range(max(0, restarts)):
-        keep = rng.random(len(bits)) < p
-        window = 0
-        for b, k in zip(bits, keep):
-            if k:
-                window |= b
-        pick: list[int] = []
-        used = 0
-        ok = True
-        for opts in cleaned:
-            found = None
-            for m in opts:
-                if m & ~window == 0 and m & used == 0:
-                    found = m
-                    break
-            if found is None:
-                ok = False
-                break
-            pick.append(found)
-            used |= found
-        if ok:
-            return pick
-
-    # exhaustive fallback, most-constrained group first
     order = sorted(range(s), key=lambda i: len(cleaned[i]))
     chosen: list[int | None] = [None] * s
 

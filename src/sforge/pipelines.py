@@ -40,7 +40,7 @@ from .family import (
     trace_cover,
 )
 from .packing import matching_number
-from .spread import _link_counts, check_spread, frac_log2_bracket
+from .spread import _LN2_HI, _LN2_LO, _as_fraction, _link_counts, check_spread, frac_log2_bracket
 from .sunflowers import CoreMode, CorePredicate, find_sunflower, is_sunflower
 
 __all__ = [
@@ -67,20 +67,7 @@ __all__ = [
 
 # -- exact scalar plumbing ---------------------------------------------------
 
-# Certified: 0.693147 < ln 2 < 0.693148.
-_LN2_LO = Fraction(693147, 1_000_000)
-_LN2_HI = Fraction(693148, 1_000_000)
-
 _ROOT_BITS = 48
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise PreconditionError(
-            "float parameters are not accepted; pass Fraction, int, or string",
-            value=repr(x),
-        )
-    return Fraction(x)
 
 
 def _ln_bracket(x, steps: int = 96) -> tuple[Fraction, Fraction]:
@@ -451,12 +438,12 @@ def spread_approximation(
     in when present.  Every part is re-certified homogeneous in its link
     domain before returning.
     """
-    tau = _as_fraction(tau)
+    tau = _as_fraction(tau, "tau")
     if tau < 1:
         raise PreconditionError("homogeneity parameter must be at least 1", tau=str(tau))
     if q < 0:
         raise PreconditionError("depth cutoff must be nonnegative", q=q)
-    floor = None if measure_floor is None else _as_fraction(measure_floor)
+    floor = None if measure_floor is None else _as_fraction(measure_floor, "floor")
     if floor is not None and floor <= 0:
         raise PreconditionError("measure floor must be positive", floor=str(floor))
     if F.ground.n != A.family.ground.n:
@@ -644,7 +631,7 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
     round is a residual layer.  The final family is t-uniform and free of
     any s-sunflower, both verified exhaustively.
     """
-    eps = _as_fraction(eps)
+    eps = _as_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie strictly between 0 and 1", eps=str(eps))
     if s < 2 or t < 1:
@@ -843,7 +830,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
     and s-sunflower-free, and F splits exactly into the covered part and
     the residue.
     """
-    w = _as_fraction(w)
+    w = _as_fraction(w, "w")
     if w <= 0:
         raise PreconditionError("depth budget must be positive", w=str(w))
     if s < 2 or t < 1:
@@ -1148,7 +1135,7 @@ def reduce_intersections(
     shadows at every depth stay dense; all three facts are asserted.  The
     result's system properties are verified exhaustively.
     """
-    alpha = _as_fraction(alpha)
+    alpha = _as_fraction(alpha, "alpha")
     if D.tau is None:
         raise PreconditionError("needs a homogeneous (tau) decomposition")
     if D.remainder.members:
@@ -1296,7 +1283,7 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
     t-uniform family; double counting guarantees each sweep captures at
     least a lambda share.  The last few cores get an exact smallest cover.
     """
-    lam = _as_fraction(lam)
+    lam = _as_fraction(lam, "lam")
     if not 0 < lam <= 1:
         raise PreconditionError("lambda must lie in (0, 1]", lam=str(lam))
     U.verify()

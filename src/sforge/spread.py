@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapacityError, PreconditionError, VerificationError
 from .family import SetFamily, canon_key, elements_of, link, restrict, submasks
 from .packing import find_disjoint_representatives as _masks_disjoint_reps
@@ -25,13 +23,16 @@ from .sunflowers import SunflowerWitness
 _ENUM_CAP = 8_000_000
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
+def _as_fraction(value, name: str) -> Fraction:
+    """``value`` as an exact Fraction; floats and non-rationals are refused."""
+    if isinstance(value, float):
         raise PreconditionError(
-            "spreadness parameters must be exact (int, Fraction, or string), not float",
-            value=x,
+            f"{name} must be exact (int, Fraction, or string), not a float", value=value
         )
-    return Fraction(x)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"{name} is not a rational number: {value!r}") from exc
 
 
 def _link_counts(F: SetFamily) -> dict[int, int]:
@@ -65,7 +66,7 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
     with a nonempty link; the first violating X in canonical order is
     reported.  X = empty always holds with equality.
     """
-    R = _as_fraction(R)
+    R = _as_fraction(R, "R")
     if not F.members:
         raise PreconditionError("spreadness of an empty family is undefined")
     if R <= 0:
@@ -93,7 +94,7 @@ def max_spread_restriction(F: SetFamily, R) -> int:
     inside the link would have promoted X | Y above X, hence F(X) is
     R-spread; that consequence is re-checked before returning.
     """
-    R = _as_fraction(R)
+    R = _as_fraction(R, "R")
     if not F.members:
         raise PreconditionError("restriction of an empty family is undefined")
     if R <= 0:
@@ -152,7 +153,7 @@ def remove_elements_spread(F: SetFamily, R, X: int) -> RemovalCertificate:
         only computed into the certificate, the caller may verify against
         an exact transversal search).
     """
-    R = _as_fraction(R)
+    R = _as_fraction(R, "R")
     xsize = X.bit_count()
     if Fraction(xsize) >= R:
         raise PreconditionError(
@@ -184,9 +185,7 @@ def remove_elements_spread(F: SetFamily, R, X: int) -> RemovalCertificate:
     )
 
 
-def find_disjoint_representatives(
-    groups: Sequence, forbidden: int = 0, seed: int = 0, restarts: int = 64
-) -> list[int] | None:
+def find_disjoint_representatives(groups: Sequence, forbidden: int = 0) -> list[int] | None:
     """One member per group, pairwise disjoint, avoiding ``forbidden``.
 
     Accepts SetFamily or plain mask sequences per group; see the packing
@@ -200,10 +199,10 @@ def find_disjoint_representatives(
             converted.append(tuple(g))
         if not converted[-1]:
             raise PreconditionError("every group must be nonempty")
-    return _masks_disjoint_reps(converted, forbidden=forbidden, seed=seed, restarts=restarts)
+    return _masks_disjoint_reps(converted, forbidden=forbidden)
 
 
-def sunflower_via_spread(F: SetFamily, s: int, R, seed: int = 0) -> SunflowerWitness | None:
+def sunflower_via_spread(F: SetFamily, s: int, R) -> SunflowerWitness | None:
     """Sunflower search through a maximal spread restriction.
 
     Take the largest X with |F(X)| >= R^(-|X|)|F|; its link is R-spread, and
@@ -220,7 +219,7 @@ def sunflower_via_spread(F: SetFamily, s: int, R, seed: int = 0) -> SunflowerWit
     if X.bit_count() >= k:
         return None
     L = link(F, X)
-    reps = _masks_disjoint_reps([L.members] * s, forbidden=X, seed=seed)
+    reps = _masks_disjoint_reps([L.members] * s, forbidden=X)
     if reps is None:
         return None
     return SunflowerWitness(petals=tuple(X | p for p in reps), core=X)
@@ -261,6 +260,11 @@ def _round_frac(x: Fraction, down: bool, bits: int = 192) -> Fraction:
     if not down and r:
         q += 1
     return Fraction(q, scale)
+
+
+# Certified: 0.693147 < ln 2 < 0.693148.
+_LN2_LO = Fraction(693147, 1_000_000)
+_LN2_HI = Fraction(693148, 1_000_000)
 
 
 def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]:
@@ -409,17 +413,19 @@ def spread_lemma_mc(
     delta,
     trials: int,
     seed: int = 0,
-    threads: int = 1,
     with_exact: bool = False,
 ) -> SpreadLemmaEstimate:
     """Estimate P[some member inside an (m*delta)-random W] against the bound.
 
     Trials are partitioned into fixed 1024-trial blocks with hash-derived
     block seeds, so the hit count is a pure function of (family, parameters,
-    seed) no matter how many workers share the loop.
+    seed).  numpy is imported here, its only use in the package, so the
+    exact engine and the CLI start without it.
     """
-    R = _as_fraction(R)
-    delta = _as_fraction(delta)
+    import numpy as np
+
+    R = _as_fraction(R, "R")
+    delta = _as_fraction(delta, "delta")
     if m < 1 or trials < 1:
         raise PreconditionError("m and trials must be positive", m=m, trials=trials)
     p = m * delta

@@ -5,14 +5,21 @@ write reports to files with --out and compare on disk.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import sforge
 from sforge.cli import main
 from sforge.family import family_from_hex
+from sforge.scenario import canonical_report_bytes, run_scenario
 
 
 runner = CliRunner()
@@ -41,13 +48,16 @@ STAR = json.dumps({"n": 6, "sets": [[1, 2], [1, 3], [1, 4], [1, 5]]})
 BLOCKS = json.dumps({"n": 8, "sets": [[1, 2], [3, 4], [5, 6], [7, 8]]})
 PLANTED = json.dumps({"n": 8, "sets": [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6]]})
 BINOM_12_4 = json.dumps({"kind": "binomial", "n": 12, "k": 4})
+STAR12 = json.dumps(
+    {"n": 12, "sets": [sorted({1, 2} | set(c)) for c in combinations(range(3, 13), 2)]}
+)
+DICTATOR = json.dumps({"n": 3, "sets": [[1], [1, 2], [1, 3], [1, 2, 3]]})
 
 
 @pytest.fixture
 def star12(tmp_path):
-    sets = [sorted({1, 2} | set(c)) for c in combinations(range(3, 13), 2)]
     path = tmp_path / "star12.json"
-    path.write_text(json.dumps({"n": 12, "sets": sets}))
+    path.write_text(STAR12)
     return str(path)
 
 
@@ -150,22 +160,22 @@ class TestSpreadCommands:
         assert rep["trials"] == 2048
         assert 0 <= rep["hits"] <= 2048
 
-    def test_mc_bytes_thread_independent(self, tmp_path):
+    def test_mc_bytes_repeatable(self, tmp_path):
         outs = []
-        for i, threads in enumerate((1, 4)):
+        for i in range(2):
             out = tmp_path / f"mc{i}.json"
             invoke(
-                "--seed", 11, "--threads", threads, "--out", out,
+                "--seed", 11, "--out", out,
                 "spread", "mc", BLOCKS, "-R", 2, "--m", 4, "--delta", "1/8", "--trials", 4096,
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_mc_env_threads(self, tmp_path):
+    def test_mc_bytes_same_seed(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["--seed", 11, "spread", "mc", BLOCKS, "-R", 2, "--m", 4, "--delta", "1/8", "--trials", 2048]
         invoke("--out", out1, *args)
-        invoke("--out", out2, *args, env={"SFORGE_THREADS": "8"})
+        invoke("--out", out2, *args)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_mc_rejects_unspread_family(self):
@@ -222,19 +232,17 @@ class TestBooleanCommands:
         rep = report_of(invoke("boolean", "stab", STAR, "--p", "1/4", "--rho", 1))
         assert rep["value"] == measure
 
-    DICTATOR = json.dumps({"n": 3, "sets": [[1], [1, 2], [1, 3], [1, 2, 3]]})
-
     def test_threshold(self):
         # the command raises on a failed correlation inequality, so a report
         # means the certificate went through
-        rep = report_of(invoke("boolean", "threshold", self.DICTATOR, "--p", "1/8", "--p-tilde", "1/4"))
+        rep = report_of(invoke("boolean", "threshold", DICTATOR, "--p", "1/8", "--p-tilde", "1/4"))
         assert rep["mu_p"] == "1/8"
         assert rep["mu_tilde"] == "1/4"
         assert rep["upgraded"] is False
 
     def test_upgrade(self):
         rep = report_of(
-            invoke("boolean", "upgrade", self.DICTATOR, "--p", "1/512", "--tau", 2, "--z", 9, "--m", 1)
+            invoke("boolean", "upgrade", DICTATOR, "--p", "1/512", "--tau", 2, "--z", 9, "--m", 1)
         )
         assert "rounds" in rep
 
@@ -398,7 +406,7 @@ class TestRunCommand:
         assert error["error"] == "VerificationError"
         assert "witness" in error["details"]
 
-    def test_report_bytes_identical_across_threads(self, tmp_path):
+    def test_report_bytes_identical_across_runs(self, tmp_path):
         path = self.write(tmp_path, {
             "schema": 1,
             "seed": 5,
@@ -409,9 +417,9 @@ class TestRunCommand:
             ],
         })
         payloads = []
-        for i, threads in enumerate((1, 4, 8)):
+        for i in range(3):
             out = tmp_path / f"run{i}.bin"
-            invoke("--threads", threads, "--out", out, "run", path)
+            invoke("--out", out, "run", path)
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
 
@@ -444,3 +452,96 @@ class TestRunCommand:
         result = invoke("run", path, expect=1)
         rep = report_of(result)
         assert rep["steps"][-1]["error"]["message"] == "asserted check failed"
+
+
+@pytest.mark.parametrize("args", [
+    ["sunflower", "max-free", TRIPLES, "--petals", "abc"],
+    ["sunflower", "phi", "--petals", "3.5", "--core-size", 1, "--support", 8],
+    ["spread", "check", STAR, "-R", "1/0"],
+    ["spread", "check", STAR, "--ratio", "two"],
+    ["boolean", "measure", STAR, "--p", "1/2/3"],
+    ["--seed", "abc", "family", "info", STAR],
+    ["sunflower", "find", TRIPLES, "--petals", 3, "--mode", "some"],
+])
+def test_malformed_option_exit_2(args):
+    result = invoke(*args, expect=2)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "ParseError"
+
+
+B52 = '{"kind":"binomial","n":5,"k":2}'
+PAIRS4 = json.dumps({"n": 4, "sets": [list(c) for c in combinations(range(1, 5), 2)]})
+
+# (command line, scenario step, family bound as "family", domain bound as "domain")
+PARITY = [
+    (["sunflower", "find", PLANTED, "--petals", 3], {"op": "find", "petals": 3}, PLANTED, None),
+    (["sunflower", "max-free", PAIRS4, "--petals", 3, "--mode", "at-most", "--core-bound", 1],
+     {"op": "max-free", "petals": 3, "mode": "at-most", "core-bound": 1}, PAIRS4, None),
+    (["sunflower", "phi", "--petals", 4, "--core-size", 1, "--support", 8],
+     {"op": "phi", "petals": 4, "core-size": 1, "support": 8}, None, None),
+    (["spread", "check", STAR, "-R", 3], {"op": "spread-check", "R": 3}, STAR, None),
+    (["domains", "check", '{"kind":"permutations","n":4}', "-r", 1, "--core-size", 1],
+     {"op": "rt-spread", "r": 1, "core-size": 1}, None, '{"kind":"permutations","n":4}'),
+    (["domains", "homogeneous", TRIPLES, "--domain", '{"kind":"binomial","n":6,"k":3}', "--tau", 6],
+     {"op": "homogeneous", "tau": 6}, TRIPLES, '{"kind":"binomial","n":6,"k":3}'),
+    (["boolean", "measure", STAR, "--p", "1/4"], {"op": "measure", "p": "1/4"}, STAR, None),
+    (["boolean", "global", STAR, "--p", "1/4", "--tau", 4],
+     {"op": "global", "p": "1/4", "tau": 4}, STAR, None),
+    (["boolean", "stab", STAR, "--p", "1/4", "--rho", "1/2"],
+     {"op": "stability", "p": "1/4", "rho": "1/2"}, STAR, None),
+    (["boolean", "threshold", DICTATOR, "--p", "1/8", "--p-tilde", "1/4"],
+     {"op": "threshold", "p": "1/8", "p-tilde": "1/4"}, DICTATOR, None),
+    (["boolean", "upgrade", DICTATOR, "--p", "1/512", "--tau", 2, "--z", 9, "--m", 1],
+     {"op": "upgrade", "p": "1/512", "tau": 2, "z": 9, "m": 1}, DICTATOR, None),
+    (["boolean", "hyper", STAR, "--p", "1/4", "--tau", 4, "--rho", "1/200", "--q", 4],
+     {"op": "hyper", "p": "1/4", "tau": 4, "rho": "1/200", "q": 4}, STAR, None),
+    (["pipeline", "approx", STAR12, "--domain", BINOM_12_4, "--tau", 3, "--q", 2],
+     {"op": "approx", "tau": 3, "q": 2}, STAR12, BINOM_12_4),
+    (["pipeline", "simplify", STAR12, "--domain", BINOM_12_4, "--petals", 3, "--core-size", 2,
+      "--eps", "1/2"],
+     {"op": "simplify", "petals": 3, "core-size": 2, "eps": "1/2"}, STAR12, BINOM_12_4),
+    (["pipeline", "cover", STAR12, "--domain", BINOM_12_4, "--petals", 3, "--core-size", 2,
+      "--w", "5/2"],
+     {"op": "cover", "petals": 3, "core-size": 2, "w": "5/2"}, STAR12, BINOM_12_4),
+    (["pipeline", "peel", STAR12, "--petals", 3, "--core-size", 1],
+     {"op": "peel", "petals": 3, "core-size": 1}, STAR12, None),
+    (["pipeline", "delta", STAR, "--petals", 3, "--core-size", 1],
+     {"op": "delta", "petals": 3, "core-size": 1}, STAR, None),
+    (["bounds", "eval", "--name", "erdos-rado", "--params", '{"k":2,"s":3}'],
+     {"op": "bound", "bound": "erdos-rado", "params": {"k": 2, "s": 3}}, None, None),
+    (["verify", "--domain", B52, "--petals", 3, "--core-size", 1],
+     {"op": "verify-instance", "petals": 3, "core-size": 1}, None, B52),
+]
+
+
+@pytest.mark.parametrize("args,step,family,domain", PARITY, ids=[c[1]["op"] for c in PARITY])
+def test_cli_matches_scenario_step(args, step, family, domain):
+    steps = []
+    if family is not None:
+        steps.append({"op": "family", "name": "F", **json.loads(family)})
+        step = {**step, "family": "F"}
+    if domain is not None:
+        steps.append({"op": "domain", "name": "A", **json.loads(domain)})
+        step = {**step, "domain": "A"}
+    result = run_scenario({"schema": 1, "steps": steps + [step]})
+    assert result.exit_code == 0, result.report
+    expected = canonical_report_bytes(result.report["steps"][-1]["report"])
+    assert invoke(*args).stdout_bytes == expected
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(sforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, sforge.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_scenario_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert report_of(invoke("run", path))["steps"][-1]["op"] == "mc"

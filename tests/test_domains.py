@@ -219,17 +219,17 @@ class TestAssumptions:
         assert rep.regularity_ok and rep.shadow_ratio_ok
 
     def test_sequences_4_2(self):
-        rep = check_assumptions(Domain.sequences(4, 2), 2, 2, 1, 2, samples=25)
+        rep = check_assumptions(Domain.sequences(4, 2), 2, 2, 1, 2)
         assert rep.all_ok
 
     def test_eta_zero_breaks_density(self):
-        rep = check_assumptions(Domain.binomial(8, 2), 2, 0, 4, 2, samples=5)
+        rep = check_assumptions(Domain.binomial(8, 2), 2, 0, 4, 2)
         assert not rep.density_ok
         assert rep.density_witness["t"] == 1
         assert not rep.all_ok
 
     def test_report_carries_hypothesis_flags(self):
-        rep = check_assumptions(Domain.binomial(8, 2), 2, 2, 4, 2, samples=5)
+        rep = check_assumptions(Domain.binomial(8, 2), 2, 2, 4, 2)
         assert rep.nominal["n_ge_4q"] is True
         assert rep.nominal["n_gt_8k"] is False
         d = rep.as_report()

@@ -306,10 +306,10 @@ class TestSpreadLemmaMC:
         with pytest.raises(PreconditionError):
             spread_lemma_mc(F, 3, 1, Fraction(1, 4), 100)
 
-    def test_seed_determinism_and_threads(self):
+    def test_seed_determinism(self):
         F = binom_family(10, 2)
-        a = spread_lemma_mc(F, 5, 1, Fraction(1, 5), 3000, seed=7, threads=1)
-        b = spread_lemma_mc(F, 5, 1, Fraction(1, 5), 3000, seed=7, threads=4)
+        a = spread_lemma_mc(F, 5, 1, Fraction(1, 5), 3000, seed=7)
+        b = spread_lemma_mc(F, 5, 1, Fraction(1, 5), 3000, seed=7)
         assert a.hits == b.hits
         c = spread_lemma_mc(F, 5, 1, Fraction(1, 5), 3000, seed=8)
         assert a.hits != c.hits or a.hit_rate == c.hit_rate

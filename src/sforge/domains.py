@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations as iter_permutations, product
-from math import comb, factorial
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError, VerificationError

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParseError, PreconditionError
 

@@ -6,10 +6,10 @@ searches are exhaustive branch and bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
-from .family import SetFamily, canon_key
+from .family import canon_key, elements_of
 
 
 def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
@@ -18,30 +18,48 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
     Returns the masks of one maximum packing (canonical search order, so the
     result is deterministic).  If ``stop_at`` is given, the search returns as
     soon as a packing of that size is found.
+
+    Forward checking: each search node carries its candidates, the later
+    masks disjoint from its packing, as a bitset of indices into the sorted
+    masks.  A child's candidates are its parent's minus the masks that meet
+    the new one, and a child that cannot beat the incumbent even with all of
+    its candidates is not entered (it would return at once).
     """
     ms = sorted(set(masks), key=canon_key)
+    goal = len(ms) + 1 if stop_at is None else stop_at
+    elems = [elements_of(m) for m in ms]
+    holders: dict[int, int] = {}  # element -> indices of the masks holding it
+    for i, es in enumerate(elems):
+        for e in es:
+            holders[e] = holders.get(e, 0) | (1 << i)
+    clash = []  # clash[i]: indices of the masks that meet ms[i]
+    for es in elems:
+        c = 0
+        for e in es:
+            c |= holders[e]
+        clash.append(c)
     best: list[list[int]] = [[]]
 
-    def dfs(idx: int, used: int, cur: list[int]):
+    def dfs(cands: int, cur: list[int]) -> bool:
+        """Extend ``cur``; True once a packing of size ``goal`` is found."""
         if len(cur) > len(best[0]):
             best[0] = list(cur)
-        if stop_at is not None and len(best[0]) >= stop_at:
-            return
-        remaining = 0
-        for j in range(idx, len(ms)):
-            if ms[j] & used == 0:
-                remaining += 1
-        if len(cur) + remaining <= len(best[0]):
-            return
-        for j in range(idx, len(ms)):
-            m = ms[j]
-            if m & used == 0:
-                cur.append(m)
-                dfs(j + 1, used | m, cur)
+        if len(best[0]) >= goal:
+            return True
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
+            child = cands & ~clash[j]
+            if len(cur) + 1 + child.bit_count() > len(best[0]):
+                cur.append(ms[j])
+                found = dfs(child, cur)
                 cur.pop()
-                if stop_at is not None and len(best[0]) >= stop_at:
-                    return
-    dfs(0, 0, [])
+                if found:
+                    return True
+        return False
+
+    dfs((1 << len(ms)) - 1, [])
     return best[0]
 
 

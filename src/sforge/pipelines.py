@@ -1594,8 +1594,14 @@ class DeltaFilterResult:
         }
 
 
-def _delta_anchor(m: int, G: SetFamily, p: int, t: int) -> Optional[int]:
-    """The lex-least valid t-subset of m, by element tuples, or None."""
+def _delta_anchor(
+    m: int, G: SetFamily, p: int, t: int, verdicts: dict[int, bool]
+) -> Optional[int]:
+    """The lex-least valid t-subset of m, by element tuples, or None.
+
+    ``verdicts`` caches, per core E, whether E has p disjoint petals in G; it
+    must only be shared between calls on the same G.
+    """
     members = G.members
     for T in sorted(bit_subsets(m, t), key=elements_of):
         ok = True
@@ -1603,9 +1609,11 @@ def _delta_anchor(m: int, G: SetFamily, p: int, t: int) -> Optional[int]:
         for j in range(0, rest.bit_count()):
             for extra in bit_subsets(rest, j):
                 E = T | extra
-                petals = [g & ~E for g in members if g & E == E]
-                if matching_number(petals, at_least=p) < p:
-                    ok = False
+                ok = verdicts.get(E)
+                if ok is None:
+                    petals = [g & ~E for g in members if g & E == E]
+                    ok = verdicts[E] = matching_number(petals, at_least=p) >= p
+                if not ok:
                     break
             if not ok:
                 break
@@ -1638,15 +1646,17 @@ def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     rounds = 0
     while True:
         rounds += 1
-        keep = [m for m in G.members if _delta_anchor(m, G, p, t) is not None]
+        verdicts: dict[int, bool] = {}
+        keep = [m for m in G.members if _delta_anchor(m, G, p, t, verdicts) is not None]
         if len(keep) == len(G.members):
             break
         G = G.replace_members(keep)
         if not G.members:
             break
     chosen = []
+    verdicts = {}  # fresh, so the re-check does not reuse the loop's verdicts
     for m in G.members:
-        T = _delta_anchor(m, G, p, t)
+        T = _delta_anchor(m, G, p, t, verdicts)
         if T is None:
             raise VerificationError(
                 "fixed point lost a member on re-check", member=list(elements_of(m))

@@ -253,58 +253,46 @@ def exact_hit_probability(F: SetFamily, p: Fraction) -> Fraction:
     return total
 
 
-def _round_frac(x: Fraction, down: bool, bits: int = 192) -> Fraction:
-    scale = 1 << bits
-    num = x.numerator * scale
-    q, r = divmod(num, x.denominator)
-    if not down and r:
-        q += 1
-    return Fraction(q, scale)
-
-
 # Certified: 0.693147 < ln 2 < 0.693148.
 _LN2_LO = Fraction(693147, 1_000_000)
 _LN2_HI = Fraction(693148, 1_000_000)
+
+_GRID = 192  # bracket endpoints live on the grid 2^-_GRID
 
 
 def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]:
     """Rational (lo, hi) with lo <= log2(x) <= hi, via digit extraction.
 
     Interval endpoints are rounded outward to a fixed 192-bit grid at each
-    squaring, so the bracket stays sound and the integers stay small.
+    squaring, so the bracket stays sound and the integers stay small.  Each
+    endpoint is an integer numerator over 2^(_GRID + h), where h is the last
+    digit (a 1 halves both endpoints); only the result is built as Fractions.
     """
     x = Fraction(x)
     if x <= 0:
         raise PreconditionError("log2 argument must be positive", x=str(x))
-    e = 0
-    y = x
-    while y >= 2:
-        y /= 2
-        e += 1
-    while y < 1:
-        y *= 2
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    if (num << max(-e, 0)) < (den << max(e, 0)):
         e -= 1
-    lo_acc = Fraction(e)
-    hi_acc = Fraction(e)
-    ylo, yhi = y, y
-    scale = Fraction(1)
-    for _ in range(steps):
-        scale /= 2
-        ylo = _round_frac(ylo * ylo, down=True)
-        yhi = _round_frac(yhi * yhi, down=False)
-        lo_bit = ylo >= 2
-        hi_bit = yhi >= 2
-        if lo_bit != hi_bit:
+    p, q = num << max(-e, 0), den << max(e, 0)  # x / 2^e = p / q in [1, 2)
+    two = 2 << _GRID
+    digits = h = 0
+    for i in range(steps):
+        if i == 0:
+            lo, r = divmod((p * p) << _GRID, q * q)
+            hi = lo + (r > 0)
+        else:
+            shift = _GRID + 2 * h
+            lo = (lo * lo) >> shift
+            hi = -((-hi * hi) >> shift)
+        h = int(lo >= two)
+        if h != (hi >= two):
             # endpoints disagree; the bracket cannot be tightened further
-            hi_acc += 2 * scale
-            return lo_acc, hi_acc
-        if lo_bit:
-            ylo /= 2
-            yhi /= 2
-            lo_acc += scale
-            hi_acc += scale
-    hi_acc += scale  # remaining fractional part is below one more digit
-    return lo_acc, hi_acc
+            return e + Fraction(digits, 1 << i), e + Fraction(digits + 1, 1 << i)
+        digits = 2 * digits + h
+    # the remaining fractional part is below one more digit
+    return e + Fraction(digits, 1 << steps), e + Fraction(digits + 1, 1 << steps)
 
 
 def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 1):

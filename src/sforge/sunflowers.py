@@ -12,15 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
-from .family import (
-    GroundSet,
-    SetFamily,
-    canon_key,
-    elements_of,
-)
+from .family import SetFamily, canon_key, elements_of
 from .packing import max_disjoint
 
 
@@ -144,11 +139,8 @@ def find_sunflower(
                 return DegenerateWitness(m, pred.s)
     if len(members) < pred.s:
         return None
-    cores = set()
-    for a, b in combinations(members, 2):
-        c = a & b
-        if pred.admits_core_size(c.bit_count()):
-            cores.add(c)
+    admits = [pred.admits_core_size(c) for c in range(max(members).bit_length() + 1)]
+    cores = [c for c in {a & b for a, b in combinations(members, 2)} if admits[c.bit_count()]]
     for core in sorted(cores, key=canon_key):
         above = [m for m in members if m & core == core]
         if len(above) < pred.s:

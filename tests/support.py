@@ -10,8 +10,9 @@ from itertools import combinations
 from math import ceil, comb
 
 from sforge.domains import Domain
-from sforge.family import GroundSet, SetFamily
+from sforge.family import GroundSet, SetFamily, bit_subsets, canon_key, elements_of
 from sforge.spread import check_spread
+from sforge.sunflowers import DegenerateWitness, SunflowerWitness
 
 
 def binom_family(n: int, k: int) -> SetFamily:
@@ -239,3 +240,148 @@ def mc_instance(i: int):
     c = 33 + i
     F = binom_family(n, 1)
     return F, Fraction(n), Fraction(c, n)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the straightforward versions the fast kernels in the
+# package must reproduce exactly (same result, same witness, same order).
+
+
+def reference_max_disjoint(masks, stop_at=None):
+    """max_disjoint as a plain DFS that rescans the later masks at every node."""
+    ms = sorted(set(masks), key=canon_key)
+    best = [[]]
+
+    def dfs(idx, used, cur):
+        if len(cur) > len(best[0]):
+            best[0] = list(cur)
+        if stop_at is not None and len(best[0]) >= stop_at:
+            return
+        remaining = 0
+        for j in range(idx, len(ms)):
+            if ms[j] & used == 0:
+                remaining += 1
+        if len(cur) + remaining <= len(best[0]):
+            return
+        for j in range(idx, len(ms)):
+            m = ms[j]
+            if m & used == 0:
+                cur.append(m)
+                dfs(j + 1, used | m, cur)
+                cur.pop()
+                if stop_at is not None and len(best[0]) >= stop_at:
+                    return
+
+    dfs(0, 0, [])
+    return best[0]
+
+
+def reference_find_sunflower(F, pred):
+    """find_sunflower asking the predicate about every member pair's core."""
+    members = list(F.members) if isinstance(F, SetFamily) else sorted(set(F), key=canon_key)
+    if pred.degenerate_small_sets:
+        for m in members:
+            if m.bit_count() <= pred.bound:
+                return DegenerateWitness(m, pred.s)
+    if len(members) < pred.s:
+        return None
+    cores = set()
+    for a, b in combinations(members, 2):
+        c = a & b
+        if pred.admits_core_size(c.bit_count()):
+            cores.add(c)
+    for core in sorted(cores, key=canon_key):
+        above = [m for m in members if m & core == core]
+        if len(above) < pred.s:
+            continue
+        packed = reference_max_disjoint([m & ~core for m in above], stop_at=pred.s)
+        if len(packed) >= pred.s:
+            chosen = set(packed[: pred.s])
+            sets = []
+            for m in above:
+                if (m & ~core) in chosen:
+                    sets.append(m)
+                    chosen.discard(m & ~core)
+            return SunflowerWitness(tuple(sets), core)
+    return None
+
+
+def reference_frac_log2_bracket(x, steps=48):
+    """frac_log2_bracket on Fractions: square, round outward to 2^-192, compare."""
+
+    def round_frac(v, down):
+        q, r = divmod(v.numerator << 192, v.denominator)
+        if not down and r:
+            q += 1
+        return Fraction(q, 1 << 192)
+
+    x = Fraction(x)
+    e = 0
+    y = x
+    while y >= 2:
+        y /= 2
+        e += 1
+    while y < 1:
+        y *= 2
+        e -= 1
+    lo_acc = Fraction(e)
+    hi_acc = Fraction(e)
+    ylo, yhi = y, y
+    scale = Fraction(1)
+    for _ in range(steps):
+        scale /= 2
+        ylo = round_frac(ylo * ylo, down=True)
+        yhi = round_frac(yhi * yhi, down=False)
+        lo_bit = ylo >= 2
+        hi_bit = yhi >= 2
+        if lo_bit != hi_bit:
+            hi_acc += 2 * scale
+            return lo_acc, hi_acc
+        if lo_bit:
+            ylo /= 2
+            yhi /= 2
+            lo_acc += scale
+            hi_acc += scale
+    hi_acc += scale
+    return lo_acc, hi_acc
+
+
+def reference_delta_filter(F, p, t):
+    """delta_filter with every anchor test recomputing its matching numbers.
+
+    Returns (family, chosen, removed, rounds) for comparison with the
+    package's DeltaFilterResult fields.
+    """
+
+    def anchor(m, G):
+        for T in sorted(bit_subsets(m, t), key=elements_of):
+            rest = m & ~T
+            ok = True
+            for j in range(rest.bit_count()):
+                for extra in bit_subsets(rest, j):
+                    E = T | extra
+                    petals = [g & ~E for g in G.members if g & E == E]
+                    if len(reference_max_disjoint(petals, stop_at=p)) < p:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return T
+        return None
+
+    if not F.members:
+        return F, (), F, 0
+    G = F
+    rounds = 0
+    while True:
+        rounds += 1
+        keep = [m for m in G.members if anchor(m, G) is not None]
+        if len(keep) == len(G.members):
+            break
+        G = G.replace_members(keep)
+        if not G.members:
+            break
+    chosen = tuple((m, anchor(m, G)) for m in G.members)
+    removed = F.replace_members(set(F.members) - set(G.members))
+    return G, chosen, removed, rounds

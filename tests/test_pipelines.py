@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,7 +24,12 @@ from sforge.pipelines import (
 )
 from sforge.sunflowers import CorePredicate, find_sunflower
 
-from support import oracle_simplify_trace, planted_instance, simplify_fixtures
+from support import (
+    oracle_simplify_trace,
+    planted_instance,
+    reference_delta_filter,
+    simplify_fixtures,
+)
 
 
 def mask(*elems):
@@ -753,6 +759,33 @@ class TestDeltaFilter:
             delta_filter(fam(6, [[1, 2], [3, 4, 5]]), 2, 1)
         with pytest.raises(PreconditionError, match="anchor size"):
             delta_filter(fam(6, [[1, 2, 3]]), 2, 4)
+
+    @staticmethod
+    def assert_matches_reference(F, p, t):
+        res = delta_filter(F, p, t)
+        family, chosen, removed, rounds = reference_delta_filter(F, p, t)
+        assert res.family == family
+        assert res.chosen == chosen
+        assert res.removed == removed
+        assert res.rounds == rounds
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_instances_match_the_uncached_reference(self, seed):
+        # six random domain members as intruders, so some rounds remove members
+        A, F, cores, s, t, w = planted_instance(seed)
+        intruders = random.Random(seed).sample(A.family.members, 6)
+        F = F.replace_members(set(F.members) | set(intruders))
+        self.assert_matches_reference(F, s, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(1, 7), min_size=3, max_size=3), max_size=14),
+        st.sampled_from([2, 3]),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_random_uniform_families_match_the_uncached_reference(self, sets, p, t):
+        F = SetFamily.from_sets(7, [sorted(x) for x in sets])
+        self.assert_matches_reference(F, p, t)
 
     @settings(max_examples=25, deadline=None)
     @given(

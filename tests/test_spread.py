@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,13 @@ from sforge.spread import (
     _wilson_bounds,
 )
 
-from support import binom_family, mc_instance, no_small_transversal, seeded_spread_instance
+from support import (
+    binom_family,
+    mc_instance,
+    no_small_transversal,
+    reference_frac_log2_bracket,
+    seeded_spread_instance,
+)
 
 
 def fam(n, sets):
@@ -232,6 +239,43 @@ class TestLogBracket:
         lo, hi = frac_log2_bracket(Fraction(1, 3))
         assert lo < 0
         assert abs(float(hi) + 1.5849625007211562) < 1e-9
+
+    rationals = st.builds(
+        Fraction, st.integers(1, 10**30), st.integers(1, 10**30)
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, st.sampled_from([1, 10, 48, 96]))
+    def test_equals_the_fraction_implementation(self, x, steps):
+        assert frac_log2_bracket(x, steps) == reference_frac_log2_bracket(x, steps)
+
+    @pytest.mark.parametrize("steps", [1, 10, 48, 96])
+    def test_powers_of_two_and_one_equal_the_fraction_implementation(self, steps):
+        for e in range(-70, 71, 7):
+            x = Fraction(2) ** e
+            assert frac_log2_bracket(x, steps) == reference_frac_log2_bracket(x, steps)
+        assert frac_log2_bracket(Fraction(1), steps) == reference_frac_log2_bracket(1, steps)
+
+    @pytest.mark.parametrize("j", range(1, 6))
+    def test_endpoints_that_straddle_a_digit_stop_early(self, j):
+        # x just below 2^(1/2^j): the j-th squaring puts lo below 2 and hi at 2
+        v = 2 << (200 * 2**j)
+        for _ in range(j):
+            v = isqrt(v)
+        x = Fraction(v, 1 << 200)
+        lo, hi = frac_log2_bracket(x, 96)
+        assert (lo, hi) == reference_frac_log2_bracket(x, 96)
+        assert hi - lo == Fraction(1, 2 ** (j - 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals, st.integers(1, 6))
+    def test_bracket_is_sound(self, x, steps):
+        # with lo = a / 2^steps: 2^a <= x^(2^steps), and likewise x^(2^steps) <= 2^b
+        lo, hi = frac_log2_bracket(x, steps)
+        a, b = lo * 2**steps, hi * 2**steps
+        assert a.denominator == 1 and b.denominator == 1
+        power = x ** (2**steps)
+        assert Fraction(2) ** int(a) <= power <= Fraction(2) ** int(b)
 
 
 class TestPaperBound:

@@ -23,6 +23,8 @@ from sforge.sunflowers import (
     product_kernel,
 )
 
+from support import reference_find_sunflower
+
 
 def binomial_family(n, k):
     return SetFamily.from_sets(n, [list(c) for c in combinations(range(1, n + 1), k)])
@@ -103,11 +105,11 @@ def test_degenerate_small_sets_flag():
     assert find_sunflower(f, CorePredicate(3, CoreMode.AT_MOST, 1)) is None
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_find_matches_brute_force(data):
     n = data.draw(st.integers(min_value=3, max_value=8))
-    count = data.draw(st.integers(min_value=2, max_value=10))
+    count = data.draw(st.integers(min_value=2, max_value=12))
     sets = data.draw(
         st.lists(
             st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=4),
@@ -118,12 +120,17 @@ def test_find_matches_brute_force(data):
     s = data.draw(st.integers(min_value=2, max_value=4))
     mode = data.draw(st.sampled_from([CoreMode.ANY, CoreMode.AT_MOST, CoreMode.EXACT]))
     bound = None if mode is CoreMode.ANY else data.draw(st.integers(min_value=0, max_value=3))
-    pred = CorePredicate(s, mode, bound)
-    fast = find_sunflower(f, pred)
+    degenerate = mode is CoreMode.AT_MOST and data.draw(st.booleans())
+    pred = CorePredicate(s, mode, bound, degenerate)
+    # a plain mask list, unsorted, goes through the same canonical order
+    target = f if data.draw(st.booleans()) else list(reversed(f.members))
+    fast = find_sunflower(target, pred)
+    assert fast == reference_find_sunflower(target, pred)
     slow = brute_force_find(f, pred)
     assert (fast is None) == (slow is None)
-    if fast is not None:
-        assert isinstance(fast, SunflowerWitness)
+    if isinstance(fast, DegenerateWitness):
+        assert fast.member in f.members and fast.member.bit_count() <= bound
+    elif fast is not None:
         core = is_sunflower(list(fast.petals))
         assert core == fast.core and pred.admits_core_size(core.bit_count())
         assert all(p in f.members for p in fast.petals)

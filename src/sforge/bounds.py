@@ -460,9 +460,6 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
 
 # -- end-to-end instance verification ----------------------------------------
 
-_ALL_PARAM_NAMES = ("n", "k", "s", "t")
-
-
 def _formula_params(name: str, n: int, k: int, s: int, t: int) -> dict:
     if name in ("erdos-rado", "double-exp-uniform"):
         return {"s": s, "k": k}

@@ -178,7 +178,7 @@ class Domain:
     def table(self) -> dict[int, int]:
         cached = self.__dict__.get("_table")
         if cached is None:
-            cached = _link_counts(self.family)
+            cached = _link_counts(self.family.members)
             object.__setattr__(self, "_table", cached)
         return cached
 
@@ -332,15 +332,10 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
         raise PreconditionError("depth t must lie in 0..k", t=t, k=A.k)
     table = A.table
     num, den = r.numerator, r.denominator
-    members = A.family.members
     for T in A.shadow_upto(t):
         base = table[T]
-        # distinct nonempty S below some member through T
-        cands = set()
-        for m in members:
-            if m & T == T:
-                cands.update(submasks(m & ~T))
-        cands.discard(0)
+        # table entries strictly above T: T | S, S nonempty inside a member's link
+        cands = [X & ~T for X in table if X & T == T and X != T]
         for S in sorted(cands, key=canon_key):
             i = S.bit_count()
             if table[T | S] * num**i > base * den**i:
@@ -377,7 +372,7 @@ def _require_subfamily(F: SetFamily, A: Domain):
     for m in F.members:
         if m not in amembers:
             raise PreconditionError(
-                "family member outside the domain", member=elements_of(m)
+                "family member outside the domain", member=list(elements_of(m))
             )
 
 
@@ -394,7 +389,7 @@ def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
     if not F.members:
         raise PreconditionError("homogeneity of an empty family is undefined")
     table = A.table
-    fcounts = _link_counts(F)
+    fcounts = _link_counts(F.members)
     asize, fsize = len(A), len(F)
     worst_x, worst = 0, Fraction(1)
     ok = True
@@ -428,7 +423,7 @@ def max_homogeneous_restriction(F: SetFamily, A: Domain, tau) -> int:
     if not F.members:
         raise PreconditionError("restriction of an empty family is undefined")
     table = A.table
-    fcounts = _link_counts(F)
+    fcounts = _link_counts(F.members)
     best = 0
     best_val = Fraction(len(F), len(A))
     for x in sorted(fcounts, key=canon_key):
@@ -486,7 +481,7 @@ def homogeneous_subfamily(
             "family is not tau-homogeneous", worst=elements_of(pre.worst_x)
         )
     table = A.table
-    fcounts = _link_counts(F)
+    fcounts = _link_counts(F.members)
     asize, fsize = len(A), len(F)
 
     def sparse(P: int) -> bool:
@@ -521,7 +516,7 @@ def homogeneous_subfamily(
             size=len(G), floor=str(floor),
         )
     tau_out = alpha * (tau / alpha) ** t
-    gcounts = _link_counts(G)
+    gcounts = _link_counts(G.members)
     for P in sorted(gcounts, key=canon_key):
         if P == 0 or P.bit_count() > t - 1:
             continue

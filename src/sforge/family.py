@@ -73,25 +73,17 @@ def bit_subsets(mask: int, h: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Universe [n] = {1, ..., n} with optional display labels."""
+    """Universe [n] = {1, ..., n}."""
 
     n: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, int) or not (1 <= self.n <= MAX_GROUND):
             raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {self.n!r}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise PreconditionError("labels length must equal n")
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def label_of(self, element: int) -> str:
-        if self.labels is not None:
-            return self.labels[element - 1]
-        return str(element)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import (
     Domain,
+    _require_subfamily,
     check_rt_spread,
     check_tau_homogeneous,
     homogeneous_subfamily,
@@ -36,7 +37,6 @@ from .family import (
     elements_of,
     family_minus,
     shadow,
-    submasks,
     trace_cover,
 )
 from .packing import matching_number
@@ -175,7 +175,7 @@ def _min_homogeneity_upper(F: SetFamily, A: Domain, bits: int = _ROOT_BITS) -> F
     never below the true minimum.
     """
     table = A.table
-    counts = _link_counts(F)
+    counts = _link_counts(F.members)
     scale = 1 << bits
     best = Fraction(0)
     for X, c in counts.items():
@@ -192,17 +192,36 @@ def _min_homogeneity_upper(F: SetFamily, A: Domain, bits: int = _ROOT_BITS) -> F
     return best
 
 
-def _pick_largest(cands: Iterable[int]) -> Optional[int]:
-    """Largest-size candidate, canonically first among equals."""
-    best = None
-    for x in cands:
-        if best is None:
-            best = x
-        elif x.bit_count() > best.bit_count() or (
-            x.bit_count() == best.bit_count() and canon_key(x) < canon_key(best)
-        ):
-            best = x
-    return best
+def _peel(
+    members: Iterable[int], dense: Callable[[int, int, tuple[int, ...]], bool]
+) -> Iterator[tuple[Optional[int], tuple[int, ...]]]:
+    """Peel stars off ``members``, the largest dense core first.
+
+    Each step tries the submasks of the members left in descending size,
+    canonically first among equals, the empty core last.  The first X with
+    ``dense(X, |members left containing X|, members left)`` is the core:
+    the step yields ``(core, members left)``, then the core's star leaves
+    and its submask counts are subtracted, so nothing is recounted.  When
+    no core is dense, which includes no members being left, the last step
+    yields ``(None, members left)``.
+    """
+    members = tuple(members)
+    counts = _link_counts(members)
+    order = sorted(counts, key=lambda x: (-x.bit_count(), x))
+    while True:
+        core = next(
+            (x for x in order if x in counts and dense(x, counts[x], members)), None
+        )
+        yield core, members
+        if core is None:
+            return
+        star = [m for m in members if m & core == core]
+        members = tuple(m for m in members if m & core != core)
+        for x, c in _link_counts(star).items():
+            if counts[x] == c:
+                del counts[x]
+            else:
+                counts[x] -= c
 
 
 # -- the extraction threshold max(s q, 2^14 s log2 t) ------------------------
@@ -280,12 +299,8 @@ class ExtractionThreshold:
         """Is the collection spread at this scale (every link sparse enough)?"""
         if not masks:
             raise PreconditionError("spreadness of an empty collection is undefined")
-        counts: dict[int, int] = {}
-        for m in masks:
-            for x in submasks(m):
-                counts[x] = counts.get(x, 0) + 1
         total = len(masks)
-        for x, c in counts.items():
+        for x, c in _link_counts(masks).items():
             if x and self.exceeds(c, x.bit_count(), total):
                 return False
         return True
@@ -446,47 +461,39 @@ def spread_approximation(
     floor = None if measure_floor is None else _as_fraction(measure_floor, "floor")
     if floor is not None and floor <= 0:
         raise PreconditionError("measure floor must be positive", floor=str(floor))
-    if F.ground.n != A.family.ground.n:
-        raise PreconditionError("family and domain live on different ground sets")
-    amembers = A.family._member_set
-    for m in F.members:
-        if m not in amembers:
-            raise PreconditionError(
-                "family member outside the domain", member=list(elements_of(m))
-            )
+    _require_subfamily(F, A)
 
     asize = len(A)
+    table = A.table
+
+    def overdense(S: int, c: int, members: tuple[int, ...]) -> bool:
+        # strict, so the empty core (c = |members|, table[0] = |A|) never is
+        j = S.bit_count()
+        return c * tau.denominator**j * asize > tau.numerator**j * len(members) * table[S]
+
     parts: list[DecompositionPart] = []
     trace: list[dict] = []
-    cur = F
     remainder = F.replace_members(())
     stop = "exhausted"
-    while cur.members:
-        counts = _link_counts(cur)
-        fsize = len(cur.members)
-        best = _pick_largest(
-            S
-            for S, c in counts.items()
-            if S != 0
-            and c * tau.denominator ** S.bit_count() * asize
-            > tau.numerator ** S.bit_count() * fsize * A.table[S]
-        )
+    for best, members in _peel(F.members, overdense):
+        fsize = len(members)
         if best is None:
+            if not members:
+                break
             mu = Fraction(fsize, asize)
             if floor is not None and mu < floor:
-                remainder = cur
+                remainder = F.replace_members(members)
                 stop = "thin"
                 trace.append({"action": "remainder", "reason": "thin", "size": fsize})
                 break
-            parts.append(DecompositionPart(0, cur))
+            parts.append(DecompositionPart(0, F.replace_members(members)))
             trace.append({"action": "part", "core": [], "size": fsize})
-            cur = cur.replace_members(())
             stop = "homogeneous"
             break
         bsize = best.bit_count()
-        link_members = tuple(m & ~best for m in cur.members if m & best == best)
+        link_members = tuple(m & ~best for m in members if m & best == best)
         if bsize > q:
-            remainder = cur
+            remainder = F.replace_members(members)
             stop = "depth"
             trace.append(
                 {
@@ -497,9 +504,9 @@ def spread_approximation(
                 }
             )
             break
-        mu_link = Fraction(len(link_members), A.table[best])
+        mu_link = Fraction(len(link_members), table[best])
         if floor is not None and mu_link < floor:
-            remainder = cur
+            remainder = F.replace_members(members)
             stop = "floor"
             trace.append(
                 {
@@ -510,7 +517,7 @@ def spread_approximation(
                 }
             )
             break
-        parts.append(DecompositionPart(best, cur.replace_members(link_members)))
+        parts.append(DecompositionPart(best, F.replace_members(link_members)))
         trace.append(
             {
                 "action": "part",
@@ -518,7 +525,6 @@ def spread_approximation(
                 "size": len(link_members),
             }
         )
-        cur = cur.replace_members(m for m in cur.members if m & best != best)
 
     records = []
     rsize = len(remainder.members)
@@ -673,6 +679,10 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
     if "spread_r" in nominal:
         eps_r_ok = eps * nominal["spread_r"] > Fraction(2 ** 17 * s * q)
 
+    def overdense(x: int, c: int, members: tuple[int, ...]) -> bool:
+        # strict, so the empty core (c = |members|) never is
+        return thr.exceeds(c, x.bit_count(), len(members))
+
     cur = S
     stages = [S]
     layers: list[SetFamily] = []
@@ -683,19 +693,9 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
         top_size = q - i
         top = [m for m in cur.members if m.bit_count() == top_size]
         carry = [m for m in cur.members if m.bit_count() < top_size]
-        W = list(top)
         round_cores: list[int] = []
         block_union: set[int] = set()
-        while W:
-            counts: dict[int, int] = {}
-            for m in W:
-                for x in submasks(m):
-                    counts[x] = counts.get(x, 0) + 1
-            best = _pick_largest(
-                x
-                for x, c in counts.items()
-                if x != 0 and thr.exceeds(c, x.bit_count(), len(W))
-            )
+        for best, W in _peel(top, overdense):
             if best is None or best.bit_count() == top_size:
                 break
             block = [m for m in W if m & best == best]
@@ -711,7 +711,6 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
             )
             round_cores.append(best)
             block_union.update(block)
-            W = [m for m in W if m & best != best]
         # round partition identity: removed top sets are exactly the blocks
         if set(top) - set(W) != block_union:
             raise VerificationError("round blocks do not account for the removed sets")
@@ -835,14 +834,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         raise PreconditionError("depth budget must be positive", w=str(w))
     if s < 2 or t < 1:
         raise PreconditionError("need s >= 2 and t >= 1", s=s, t=t)
-    if F.ground.n != A.family.ground.n:
-        raise PreconditionError("family and domain live on different ground sets")
-    amembers = A.family._member_set
-    for m in F.members:
-        if m not in amembers:
-            raise PreconditionError(
-                "family member outside the domain", member=list(elements_of(m))
-            )
+    _require_subfamily(F, A)
     k = A.k
     if t > k:
         raise PreconditionError("t exceeds the domain uniformity", t=t, k=k)
@@ -889,52 +881,36 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         )
 
     R = r / 2
-    cur = F
+
+    def unspread(S: int, c: int, members: tuple[int, ...]) -> bool:
+        j = S.bit_count()
+        return S != 0 and c * R.numerator**j >= len(members) * R.denominator**j
+
     parts: list[DecompositionPart] = []
     remainder = empty
     stop_core: Optional[int] = None
     stop_reason = "exhausted"
-    while cur.members:
-        counts = _link_counts(cur)
-        fsize = len(cur.members)
-        best = _pick_largest(
-            S
-            for S, c in counts.items()
-            if S != 0
-            and c * R.numerator ** S.bit_count() >= fsize * R.denominator ** S.bit_count()
-        )
+    for best, members in _peel(F.members, unspread):
         if best is None:
-            remainder = cur
-            stop_reason = "spread"
-            trace.append({"action": "stop", "reason": "spread", "left": fsize})
+            if members:
+                remainder = F.replace_members(members)
+                stop_reason = "spread"
+                trace.append({"action": "stop", "reason": "spread", "left": len(members)})
             break
         bsize = best.bit_count()
-        if Fraction(bsize) > w:
-            remainder = cur
+        if Fraction(bsize) > w or bsize < t:
+            remainder = F.replace_members(members)
             stop_core = best
-            stop_reason = "depth"
+            stop_reason = "depth" if Fraction(bsize) > w else "small-core"
             trace.append(
-                {"action": "stop", "reason": "depth", "core": list(elements_of(best))}
+                {"action": "stop", "reason": stop_reason, "core": list(elements_of(best))}
             )
             break
-        if bsize < t:
-            remainder = cur
-            stop_core = best
-            stop_reason = "small-core"
-            trace.append(
-                {
-                    "action": "stop",
-                    "reason": "small-core",
-                    "core": list(elements_of(best)),
-                }
-            )
-            break
-        link_members = tuple(m & ~best for m in cur.members if m & best == best)
-        parts.append(DecompositionPart(best, cur.replace_members(link_members)))
+        link_members = tuple(m & ~best for m in members if m & best == best)
+        parts.append(DecompositionPart(best, F.replace_members(link_members)))
         trace.append(
             {"action": "part", "core": list(elements_of(best)), "size": len(link_members)}
         )
-        cur = cur.replace_members(m for m in cur.members if m & best != best)
 
     deco = Decomposition(
         source=F,
@@ -1486,22 +1462,15 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
         top_size = k - i
         top = [m for m in cur.members if m.bit_count() == top_size]
         carry = [m for m in cur.members if m.bit_count() < top_size]
-        W = list(top)
         big: list[int] = []
         small: list[int] = []
-        while W:
-            counts: dict[int, int] = {}
-            for m in W:
-                for x in submasks(m):
-                    counts[x] = counts.get(x, 0) + 1
-            best = _pick_largest(
-                x
-                for x, c in counts.items()
-                if x.bit_count() <= top_size - 1
-                and check_spread(
-                    cur.replace_members(m & ~x for m in W if m & x == x), alpha
-                ).ok
-            )
+
+        def spread_link(x: int, c: int, members: tuple[int, ...]) -> bool:
+            return x.bit_count() < top_size and check_spread(
+                F.replace_members(m & ~x for m in members if m & x == x), alpha
+            ).ok
+
+        for best, W in _peel(top, spread_link):
             if best is None:
                 break
             link_members = tuple(m & ~best for m in W if m & best == best)
@@ -1512,7 +1481,6 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
                 big.append(best)
             else:
                 small.append(best)
-            W = [m for m in W if m & best != best]
         w_layers.append(cur.replace_members(W))
         cap = alpha ** top_size
         records.append(_record(f"residual-{i}", len(W), _exactly(cap)))

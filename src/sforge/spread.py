@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, PreconditionError, VerificationError
 from .family import SetFamily, canon_key, elements_of, link, restrict, submasks
@@ -35,9 +35,10 @@ def _as_fraction(value, name: str) -> Fraction:
         raise PreconditionError(f"{name} is not a rational number: {value!r}") from exc
 
 
-def _link_counts(F: SetFamily) -> dict[int, int]:
+def _link_counts(masks: Iterable[int]) -> dict[int, int]:
+    """How many of ``masks`` contain X, for every X below one of them."""
     counts: dict[int, int] = {}
-    for m in F.members:
+    for m in masks:
         for x in submasks(m):
             counts[x] = counts.get(x, 0) + 1
     return counts
@@ -73,7 +74,7 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
         raise PreconditionError("spreadness parameter must be positive", R=str(R))
     size = len(F)
     num, den = R.numerator, R.denominator
-    counts = _link_counts(F)
+    counts = _link_counts(F.members)
     if len(counts) > _ENUM_CAP:
         raise CapacityError("too many distinct subsets", count=len(counts))
     for x in sorted(counts, key=canon_key):
@@ -99,7 +100,7 @@ def max_spread_restriction(F: SetFamily, R) -> int:
         raise PreconditionError("restriction of an empty family is undefined")
     if R <= 0:
         raise PreconditionError("spreadness parameter must be positive", R=str(R))
-    counts = _link_counts(F)
+    counts = _link_counts(F.members)
     best = 0
     best_val = Fraction(len(F))
     for x in sorted(counts, key=canon_key):

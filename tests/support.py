@@ -9,8 +9,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
-from sforge.domains import Domain
-from sforge.family import GroundSet, SetFamily, bit_subsets, canon_key, elements_of
+from sforge.domains import Domain, SpreadnessReport
+from sforge.family import (
+    GroundSet,
+    SetFamily,
+    bit_subsets,
+    canon_key,
+    elements_of,
+    submasks,
+)
 from sforge.spread import check_spread
 from sforge.sunflowers import DegenerateWitness, SunflowerWitness
 
@@ -385,3 +392,48 @@ def reference_delta_filter(F, p, t):
     chosen = tuple((m, anchor(m, G)) for m in G.members)
     removed = F.replace_members(set(F.members) - set(G.members))
     return G, chosen, removed, rounds
+
+
+def reference_peel(members, dense):
+    """The star peel with every step recounting all submasks from scratch.
+
+    Yields the same ``(core, members left)`` steps as ``pipelines._peel``:
+    the core is the largest X with ``dense(X, count, members left)``,
+    canonically first among equal sizes, or None when no X is dense.
+    """
+    members = tuple(members)
+    while True:
+        counts = {}
+        for m in members:
+            for x in submasks(m):
+                counts[x] = counts.get(x, 0) + 1
+        best = None
+        for x, c in counts.items():
+            if not dense(x, c, members):
+                continue
+            if best is None or x.bit_count() > best.bit_count() or (
+                x.bit_count() == best.bit_count() and canon_key(x) < canon_key(best)
+            ):
+                best = x
+        yield best, members
+        if best is None:
+            return
+        members = tuple(m for m in members if m & best != best)
+
+
+def reference_check_rt_spread(A, r, t):
+    """check_rt_spread with each T's candidates drawn from the members through T."""
+    r = Fraction(r)
+    table = A.table
+    for T in A.shadow_upto(t):
+        base = table[T]
+        cands = set()
+        for m in A.family.members:
+            if m & T == T:
+                cands.update(submasks(m & ~T))
+        cands.discard(0)
+        for S in sorted(cands, key=canon_key):
+            i = S.bit_count()
+            if table[T | S] * r.numerator**i > base * r.denominator**i:
+                return SpreadnessReport(r=r, t=t, ok=False, violation=(T, S), domain=A.kind)
+    return SpreadnessReport(r=r, t=t, ok=True, violation=None, domain=A.kind)

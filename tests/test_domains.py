@@ -19,6 +19,8 @@ from sforge.domains import (
     verify_shadow_bound,
 )
 
+from support import reference_check_rt_spread
+
 
 def mask(*elems):
     m = 0
@@ -209,6 +211,26 @@ class TestRtSpread:
         rep = check_rt_spread(Domain.binomial(4, 2), 3, 1)
         d = rep.as_report()
         assert d["ok"] is False and "violation" in d
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            Domain.binomial(6, 2),
+            Domain.binomial(7, 3),
+            Domain.sequences(3, 3),
+            Domain.sequences(4, 2),
+            Domain.kpartite_product(4, [2, 3]),
+            Domain.permutations(4),
+            Domain.complex_layer(SetFamily.from_sets(6, [[1, 2, 3, 4], [3, 4, 5], [5, 6]]), 2),
+            # {1,2} violates before {5} in plain mask order, after it canonically
+            Domain.complex_layer(SetFamily.from_sets(5, [[3, 4, 5], [1, 2, 5], [4, 5]]), 3),
+        ],
+        ids=lambda A: A.kind,
+    )
+    def test_matches_the_member_scan_reference(self, A):
+        for t in range(A.k + 1):
+            for r in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)):
+                assert check_rt_spread(A, r, t) == reference_check_rt_spread(A, r, t), (t, r)
 
 
 class TestAssumptions:

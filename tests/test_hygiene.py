@@ -1,8 +1,11 @@
-"""Static checks on the package source: no unused module-level imports.
+"""Static checks on the package source: no unused module-level imports and
+no unused private module-level names.
 
 Every ``src/sforge/*.py`` is parsed with ``ast``.  A name bound by a
 module-level ``import`` or ``from ... import`` must be used somewhere in
-the module, or be exported through ``__all__``.
+the module, or be exported through ``__all__``.  A private name (``_x``)
+bound at module level by a ``def``, ``class`` or assignment must be read,
+imported or accessed as an attribute by some module of the package.
 """
 
 import ast
@@ -37,6 +40,45 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module in ``sources`` reads.
+
+    Uses are matched by name across all modules, so a use of ``_x`` in one
+    module also covers a ``_x`` defined in another: the check can miss, but
+    never flags a name that is read somewhere.
+    """
+    defined: list[tuple[str, int, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.extend(
+                (module, node.lineno, name)
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{module} line {line}: {name}"
+        for module, line, name in defined
+        if name not in used
+    ]
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -57,3 +99,37 @@ def test_checker_flags_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(src) == ["line 2: system", "line 3: Iterable"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unused_private_names(sources) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "_CAP = 3\n"
+            "_DEAD = (1, 2)\n"
+            "__all__ = ['f']\n"
+            "def _helper():\n"
+            "    return _CAP\n"
+            "def _orphan():\n"
+            "    pass\n"
+            "class _Shared:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _helper()\n"
+        ),
+        "b.py": (
+            "from .a import _Shared\n"
+            "import a\n"
+            "_unused_too: int = 0\n"
+            "def g():\n"
+            "    return a._orphan, _Shared\n"
+        ),
+    }
+    assert unused_private_names(sources) == [
+        "a.py line 2: _DEAD",
+        "b.py line 3: _unused_too",
+    ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sforge.domains import Domain, check_tau_homogeneous
 from sforge.errors import PreconditionError, VerificationError
@@ -14,6 +14,7 @@ from sforge.pipelines import (
     Decomposition,
     ExtractionThreshold,
     SystemSST,
+    _peel,
     cluster_system,
     delta_filter,
     down_closed_cover,
@@ -28,6 +29,7 @@ from support import (
     oracle_simplify_trace,
     planted_instance,
     reference_delta_filter,
+    reference_peel,
     simplify_fixtures,
 )
 
@@ -92,6 +94,41 @@ class TestExtractionThreshold:
             ExtractionThreshold(2, 2, 0)
         with pytest.raises(PreconditionError):
             ExtractionThreshold(2, 2, 3).exceeds(-1, 1, 4)
+
+
+class TestPeel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.integers(0, 255), max_size=24),
+        st.integers(0, 3),
+        st.integers(1, 4),
+        st.sampled_from([None, Fraction(3, 2), Fraction(2), Fraction(5)]),
+    )
+    # two three-leaf stars, cores 0b11 and 0b1100000
+    @example({0b111, 0b1011, 0b10011, 0b1100100, 0b1101000, 0b11100000}, 2, 3, None)
+    def test_matches_the_recounting_reference(self, masks, least_size, least_count, R):
+        def dense(x, c, members):
+            # the count must be the one of the members passed along with it
+            assert c == sum(1 for m in members if m & x == x)
+            j = x.bit_count()
+            if j < least_size or c < least_count:
+                return False
+            return R is None or c * R.numerator**j >= len(members) * R.denominator**j
+
+        members = sorted(masks)
+        steps = list(_peel(members, dense))
+        assert steps == list(reference_peel(members, dense))
+        assert steps[-1][0] is None
+
+    def test_the_empty_core_comes_last(self):
+        masks = [0b00011, 0b00111, 0b01000, 0b10000]
+        steps = list(_peel(masks, lambda x, c, members: c >= 2))
+        assert steps == [
+            (0b00011, tuple(masks)),
+            (0, (0b01000, 0b10000)),
+            (None, ()),
+        ]
+        assert steps == list(reference_peel(masks, lambda x, c, members: c >= 2))
 
 
 class TestSpreadApproximation:
@@ -664,6 +701,20 @@ class TestPeelHighUniformity:
         assert res.core_family.members == ()
         assert res.t_layers[1].members == ()
         assert res.cover_counts == (512,)
+
+    def test_two_stars_extract_in_one_round(self):
+        F = fam(
+            32,
+            [[1, 2, 3, x] for x in range(4, 17)] + [[17, 18, 19, y] for y in range(20, 33)],
+        )
+        res = peel_high_uniformity(F, 3, 1)
+        assert [(e.round_index, e.core) for e in res.extractions] == [
+            (0, mask(1, 2, 3)),
+            (0, mask(17, 18, 19)),
+        ]
+        assert [len(e.family.members) for e in res.extractions] == [13, 13]
+        assert set(res.core_family.members) == {mask(1, 2, 3), mask(17, 18, 19)}
+        assert res.w_layers[0].members == ()
 
     def test_unspread_family_is_all_residual(self):
         F = fam(8, [[1, 2, 3, 4], [1, 2, 3, 5], [2, 3, 4, 5]])

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb
+from operator import add, mul
 
 from .errors import CapacityError, PreconditionError, VerificationError
 from .family import (
@@ -129,15 +131,112 @@ def _weight_vector(F: SetFamily, a: int, b: int) -> list[int]:
 
 
 def _superset_sums(F: SetFamily, a: int, b: int) -> list[int]:
-    # z[B] = sum of a^|m| b^(n-|m|) over members m >= B
+    # z[B] = sum of a^|m| b^(n-|m|) over members m >= B.  Each bit adds the
+    # upper half of every pair of runs into the lower half, as whole slices:
+    # runs of length 2^i when there are few, else every 2^(i+1)-th mask
+    # from each offset, so a bit costs at most sqrt(2^n) Python steps.
     n = F.ground.n
+    size = 1 << n
     z = _weight_vector(F, a, b)
     for i in range(n):
         bit = 1 << i
-        for mask in range(1 << n):
-            if not mask & bit:
-                z[mask] += z[mask | bit]
+        run = bit << 1
+        if bit * bit < size:
+            for r in range(bit):
+                z[r::run] = map(add, z[r::run], z[r + bit :: run])
+        else:
+            for base in range(0, size, run):
+                z[base : base + bit] = map(add, z[base : base + bit], z[base + bit : base + run])
     return z
+
+
+def _diagonal_cells(F: SetFamily, a: int, b: int, c: int, tn: int, td: int) -> list[int]:
+    """The A = B cells scaled by (td c)^|B| (tn a)^(n-|B|), indexed by B.
+
+    Cell B is a violation exactly when it exceeds cell 0, and every cell is
+    (tn a)^n c^n times its restriction value tau^-|B| mu_p^-B(F(B, B)).
+    """
+    n = F.ground.n
+    scale = [(td * c) ** j * (tn * a) ** (n - j) for j in range(n + 1)]
+    z = _superset_sums(F, a, b)
+    return list(map(mul, z, map(scale.__getitem__, map(int.bit_count, range(1 << n)))))
+
+
+def _first_diagonal(cells: list[int], pick) -> int:
+    """The canonically first B whose cell satisfies ``pick``."""
+    return min(compress(range(len(cells)), map(pick, cells)), key=canon_key)
+
+
+# Coordinates are split into the top ones, fixed one at a time, and the low
+# _BLOCK_DIGITS, whose 3^_BLOCK_DIGITS cells form one block; only one block
+# and the top halves above it are alive at any time.
+_BLOCK_DIGITS = 8
+
+
+def _cell_blocks(F: SetFamily, a: int, b: int, c: int, tn: int, td: int):
+    """Every restriction cell (A, B), scaled, one block at a time.
+
+    A cell puts each coordinate in one of three states: in B but not A, in
+    A, or free (outside B).  Its value is the ternary transform of F's
+    indicator: a free coordinate takes a * (value with it in) + b * (value
+    with it out), and the weights are scaled by td c per B coordinate and
+    tn per free one.  The cell (A, B) then equals c^n tn^n times
+    tau^-|B| mu_p^-B(F(A, B)), so it is a violation exactly when it exceeds
+    c^n tn^n mu_p(F) = tn^n * (sum of a^|m| b^(n-|m|) over members m).
+
+    Yields ``(keys, top, block)``: cell i of ``block`` has canonical key
+    ``keys[i] + top``, where a key packs (|B|, B, |A|, A) into one integer
+    whose order is the canonical (B, then A) order; decode with
+    :func:`_cell_of`.
+    """
+    n = F.ground.n
+    low = min(n, _BLOCK_DIGITS)
+    s = td * c
+    fa, fb = tn * a, tn * b
+
+    def parts(i: int) -> tuple[int, int]:
+        # what coordinate i adds to a key in state B-A and in state A
+        out = (1 << 3 * n) + (1 << 2 * n + i)
+        return out, out + (1 << n) + (1 << i)
+
+    def expand(v: list[int]) -> list[int]:
+        # one low coordinate per pass, taken from the bottom bit of the
+        # binary index and put on top as ternary digit: B-A, A, free
+        for _ in range(low):
+            lo, hi = v[0::2], v[1::2]
+            v = list(map(s.__mul__, lo))
+            v += map(s.__mul__, hi)
+            v += map(add, map(fa.__mul__, hi), map(fb.__mul__, lo))
+        return v
+
+    keys = [0]
+    for i in range(low):
+        out, inside = parts(i)
+        keys = [k + out for k in keys] + [k + inside for k in keys] + keys
+
+    def split(v: list[int], top: int, key: int):
+        if top == low:
+            yield key, expand(v)
+            return
+        i = top - 1
+        half = len(v) >> 1
+        lo, hi = v[:half], v[half:]
+        del v
+        out, inside = parts(i)
+        yield from split(list(map(s.__mul__, lo)), i, key + out)
+        yield from split(list(map(s.__mul__, hi)), i, key + inside)
+        yield from split(list(map(add, map(fa.__mul__, hi), map(fb.__mul__, lo))), i, key)
+
+    g = [0] * (1 << n)
+    for m in F.members:
+        g[m] = 1
+    for top, block in split(g, n, 0):
+        yield keys, top, block
+
+
+def _cell_of(key: int, n: int) -> tuple[int, int]:
+    full = (1 << n) - 1
+    return key & full, key >> 2 * n & full
 
 
 def _diagonal_sufficient(F: SetFamily, p: Fraction, tau: Fraction) -> bool:
@@ -152,75 +251,83 @@ def _diagonal_sufficient(F: SetFamily, p: Fraction, tau: Fraction) -> bool:
     return is_upward_closed(F)
 
 
-def check_global(F: SetFamily, p, tau, exhaustive: bool | None = None) -> GlobalnessVerdict:
-    """tau-globalness: mu_p^{-B}(F(A, B)) <= tau^|B| mu_p(F) for all A <= B.
+def _use_exhaustive(
+    F: SetFamily, p: Fraction, tau: Fraction, exhaustive: bool | None, what: str
+) -> bool:
+    """The engine a globalness computation runs on, after its guards.
 
-    Two exact engines.  ``exhaustive=True`` enumerates every (A, B) pair
-    (ground capped at 12).  ``exhaustive=False`` checks only the diagonal
-    A = B cells through a superset sum (ground capped at 16), which is a
-    complete verdict exactly when the diagonal dominates; that, in turn, is
-    guaranteed for upward-closed families and whenever 1/(1-p) < tau.  The
-    default picks the cheapest valid engine.
+    ``None`` picks the diagonal engine where it is complete and fits, else
+    the exhaustive one where it fits; an explicit choice must fit, and the
+    diagonal one must also be complete.
     """
+    n = F.ground.n
+    if exhaustive is None:
+        if n <= DIAGONAL_CAP and _diagonal_sufficient(F, p, tau):
+            return False
+        if n <= EXHAUSTIVE_CAP:
+            return True
+        raise CapacityError(
+            f"{what} needs the diagonal reduction above ground size "
+            f"{EXHAUSTIVE_CAP}; it is not valid here", n=n
+        )
+    if not exhaustive:
+        if n > DIAGONAL_CAP:
+            raise CapacityError(f"diagonal engine capped at n={DIAGONAL_CAP}, got n={n}")
+        if not _diagonal_sufficient(F, p, tau):
+            raise PreconditionError(
+                "diagonal verdict needs an upward-closed family or 1/(1-p) < tau"
+            )
+        return False
+    if n > EXHAUSTIVE_CAP:
+        raise CapacityError(f"exhaustive engine capped at n={EXHAUSTIVE_CAP}, got n={n}")
+    return True
+
+
+def _parameters(p, tau) -> tuple[Fraction, Fraction]:
     pf = _probability(p, "p")
     tf = _as_fraction(tau, "tau")
     if tf <= 0:
         raise PreconditionError("tau must be positive", tau=str(tf))
+    return pf, tf
+
+
+def check_global(F: SetFamily, p, tau, exhaustive: bool | None = None) -> GlobalnessVerdict:
+    """tau-globalness: mu_p^{-B}(F(A, B)) <= tau^|B| mu_p(F) for all A <= B.
+
+    A violation is reported as the first offending (A, B) in canonical
+    order: B first, then A.  Two exact engines.  ``exhaustive=True``
+    decides every (A, B) cell through a ternary (3^n) transform of the
+    family, computed in blocks of at most 3^8 cells (ground capped at 12).
+    ``exhaustive=False`` decides only the diagonal A = B cells through a
+    superset sum (ground capped at 16), which is a complete verdict exactly
+    when the diagonal dominates; that, in turn, is guaranteed for
+    upward-closed families and whenever 1/(1-p) < tau.  The default picks
+    the cheapest valid engine.
+    """
+    pf, tf = _parameters(p, tau)
+    exhaustive = _use_exhaustive(F, pf, tf, exhaustive, "globalness")
     n = F.ground.n
     a, c = pf.numerator, pf.denominator
     b = c - a
     tn, td = tf.numerator, tf.denominator
 
-    if exhaustive is None:
-        if n <= DIAGONAL_CAP and _diagonal_sufficient(F, pf, tf):
-            exhaustive = False
-        elif n <= EXHAUSTIVE_CAP:
-            exhaustive = True
-        else:
-            raise CapacityError(
-                "globalness needs the diagonal reduction above ground size "
-                f"{EXHAUSTIVE_CAP}; it is not valid here", n=n
-            )
-    elif exhaustive is False:
-        if n > DIAGONAL_CAP:
-            raise CapacityError(f"diagonal engine capped at n={DIAGONAL_CAP}, got n={n}")
-        if not _diagonal_sufficient(F, pf, tf):
-            raise PreconditionError(
-                "diagonal verdict needs an upward-closed family or 1/(1-p) < tau"
-            )
-    elif n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive engine capped at n={EXHAUSTIVE_CAP}, got n={n}")
-
-    lhs_scale = [(td * c) ** j for j in range(n + 1)]
-
     if not exhaustive:
-        z = _superset_sums(F, a, b)
-        total = z[0]
-        rhs_scale = [(tn * a) ** j * total for j in range(n + 1)]
-        for bmask in sorted(range(1 << n), key=canon_key):
-            j = bmask.bit_count()
-            if z[bmask] * lhs_scale[j] > rhs_scale[j]:
-                return GlobalnessVerdict(tf, pf, False, "diagonal", (bmask, bmask), len(F))
+        cells = _diagonal_cells(F, a, b, c, tn, td)
+        limit = cells[0]
+        if max(cells) > limit:
+            bmask = _first_diagonal(cells, limit.__lt__)
+            return GlobalnessVerdict(tf, pf, False, "diagonal", (bmask, bmask), len(F))
         return GlobalnessVerdict(tf, pf, True, "diagonal", None, len(F))
 
-    members = F.members
-    total = sum(a ** m.bit_count() * b ** (n - m.bit_count()) for m in members)
-    rhs_scale = [tn**j * total for j in range(n + 1)]
-    apow = [a**j for j in range(n + 1)]
-    bpow = [b**j for j in range(n + 1)]
-    for bmask in sorted(range(1 << n), key=canon_key):
-        j = bmask.bit_count()
-        free = n - j
-        cells: dict[int, int] = {}
-        for m in members:
-            out = (m & ~bmask).bit_count()
-            w = apow[out] * bpow[free - out]
-            cells[m & bmask] = cells.get(m & bmask, 0) + w
-        lhs = lhs_scale[j]
-        rhs = rhs_scale[j]
-        for amask in sorted(cells, key=canon_key):
-            if cells[amask] * lhs > rhs:
-                return GlobalnessVerdict(tf, pf, False, "exhaustive", (amask, bmask), len(F))
+    limit = tn**n * sum(a ** m.bit_count() * b ** (n - m.bit_count()) for m in F.members)
+    first = None
+    for keys, top, block in _cell_blocks(F, a, b, c, tn, td):
+        if max(block) > limit:
+            key = min(compress(keys, map(limit.__lt__, block))) + top
+            if first is None or key < first:
+                first = key
+    if first is not None:
+        return GlobalnessVerdict(tf, pf, False, "exhaustive", _cell_of(first, n), len(F))
     return GlobalnessVerdict(tf, pf, True, "exhaustive", None, len(F))
 
 
@@ -247,72 +354,40 @@ class GlobalRestriction:
 def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None) -> GlobalRestriction:
     """Restriction pair (A, B) maximizing tau^{-|B|} mu_p^{-B}(F(A, B)).
 
-    The restricted family is tau-global; that certificate is re-checked and
-    a failure raises VerificationError.  Ties go to the smallest |B|, then
-    the canonically smallest B, then A.  Whenever the diagonal dominates
+    The engines and their guards are those of :func:`check_global`: the
+    exhaustive one takes the largest cell of the ternary transform, the
+    diagonal one the largest A = B cell of the superset sum.  Ties go to
+    the smallest |B|, then the canonically smallest B, then A.  The
+    restricted family is tau-global; that certificate is re-checked and a
+    failure raises VerificationError.  Whenever the diagonal dominates
     (upward-closed family, or 1/(1-p) < tau) the exhaustive engine asserts
     that the winning value is already attained with A = B.
     """
-    pf = _probability(p, "p")
-    tf = _as_fraction(tau, "tau")
-    if tf <= 0:
-        raise PreconditionError("tau must be positive", tau=str(tf))
+    pf, tf = _parameters(p, tau)
+    exhaustive = _use_exhaustive(F, pf, tf, exhaustive, "restriction search")
     n = F.ground.n
     a, c = pf.numerator, pf.denominator
     b = c - a
     tn, td = tf.numerator, tf.denominator
-    cn = c**n
-
-    if exhaustive is None:
-        if n <= DIAGONAL_CAP and _diagonal_sufficient(F, pf, tf):
-            exhaustive = False
-        elif n <= EXHAUSTIVE_CAP:
-            exhaustive = True
-        else:
-            raise CapacityError(
-                "restriction search needs the diagonal reduction above ground "
-                f"size {EXHAUSTIVE_CAP}; it is not valid here", n=n
-            )
 
     diag_best: Fraction | None = None
-    if exhaustive is False or _diagonal_sufficient(F, pf, tf):
-        z = _superset_sums(F, a, b)
-        diag_best = Fraction(z[0], cn)
-        diag_pair = 0
-        for bmask in sorted(range(1 << n), key=canon_key):
-            j = bmask.bit_count()
-            if z[bmask] == 0:
-                continue
-            val = Fraction(z[bmask] * td**j * c**j, tn**j * a**j * cn)
-            if val > diag_best:
-                diag_best = val
-                diag_pair = bmask
-        if exhaustive is False:
-            best_a = best_b = diag_pair
-            best_val = diag_best
-            return _certified_restriction(F, pf, tf, best_a, best_b, best_val)
+    if not exhaustive or _diagonal_sufficient(F, pf, tf):
+        cells = _diagonal_cells(F, a, b, c, tn, td)
+        most = max(cells)
+        diag_best = Fraction(most, (tn * a * c) ** n)
+        if not exhaustive:
+            bmask = _first_diagonal(cells, most.__eq__)
+            return _certified_restriction(F, pf, tf, bmask, bmask, diag_best)
 
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive engine capped at n={EXHAUSTIVE_CAP}, got n={n}")
-    members = F.members
-    apow = [a**j for j in range(n + 1)]
-    bpow = [b**j for j in range(n + 1)]
-    best_a = best_b = 0
-    best_val = Fraction(
-        sum(apow[m.bit_count()] * bpow[n - m.bit_count()] for m in members), cn
-    )
-    for bmask in sorted(range(1 << n), key=canon_key):
-        j = bmask.bit_count()
-        free = n - j
-        cells: dict[int, int] = {}
-        for m in members:
-            out = (m & ~bmask).bit_count()
-            cells[m & bmask] = cells.get(m & bmask, 0) + apow[out] * bpow[free - out]
-        # value of a cell is (td/tn)^j * W / c^free
-        for amask in sorted(cells, key=canon_key):
-            val = Fraction(cells[amask] * td**j, tn**j * c**free)
-            if val > best_val:
-                best_a, best_b, best_val = amask, bmask, val
+    best, first = -1, 0
+    for keys, top, block in _cell_blocks(F, a, b, c, tn, td):
+        most = max(block)
+        if most >= best:
+            key = min(compress(keys, map(most.__eq__, block))) + top
+            if most > best or key < first:
+                best, first = most, key
+    best_a, best_b = _cell_of(first, n)
+    best_val = Fraction(best, (tn * c) ** n)
     if diag_best is not None and best_val != diag_best:
         raise VerificationError(
             "diagonal cells should dominate here but the best pair is off-diagonal",

@@ -391,19 +391,21 @@ def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
     table = A.table
     fcounts = _link_counts(F.members)
     asize, fsize = len(A), len(F)
-    worst_x, worst = 0, Fraction(1)
-    ok = True
+    tn, td = tau.numerator, tau.denominator
+    # the ratio of X is |F(X)| |A| td^i / (|A(X)| |F| tn^i); keep the worst
+    # as a numerator and denominator and compare cross-multiplied
+    num_of = [asize * td**i for i in range(F.ground.n + 1)]
+    den_of = [fsize * tn**i for i in range(F.ground.n + 1)]
+    worst_x, worst_num, worst_den = 0, 1, 1
     for x in sorted(fcounts, key=canon_key):
-        if x == 0:
-            continue
         i = x.bit_count()
-        ratio = Fraction(fcounts[x] * asize, table[x] * fsize) / tau**i
-        if ratio > worst:
-            worst_x, worst = x, ratio
-            if ratio > 1:
-                ok = False
+        num = fcounts[x] * num_of[i]
+        den = table[x] * den_of[i]
+        if num * worst_den > worst_num * den:
+            worst_x, worst_num, worst_den = x, num, den
+    worst = Fraction(worst_num, worst_den)
     return HomogeneityVerdict(
-        tau=tau, ok=ok, worst_x=worst_x, worst_ratio=worst, family_size=fsize
+        tau=tau, ok=worst <= 1, worst_x=worst_x, worst_ratio=worst, family_size=fsize
     )
 
 

@@ -1466,7 +1466,10 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
         small: list[int] = []
 
         def spread_link(x: int, c: int, members: tuple[int, ...]) -> bool:
-            return x.bit_count() < top_size and check_spread(
+            # the c link members have size j = top_size - |x|; with c < alpha^j
+            # each one is its own spreadness violation
+            j = top_size - x.bit_count()
+            return j > 0 and c >= alpha**j and check_spread(
                 F.replace_members(m & ~x for m in members if m & x == x), alpha
             ).ok
 

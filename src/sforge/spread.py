@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, isqrt
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, PreconditionError, VerificationError
@@ -408,8 +410,12 @@ def spread_lemma_mc(
 
     Trials are partitioned into fixed 1024-trial blocks with hash-derived
     block seeds, so the hit count is a pure function of (family, parameters,
-    seed).  numpy is imported here, its only use in the package, so the
-    exact engine and the CLI start without it.
+    seed).  Each block draws its W from a Philox generator and bit-slices
+    it: element j's column becomes one 1024-bit integer whose bit t says
+    whether trial t's W holds j, a member lands inside W on the trials set
+    in the AND of its columns, and the hits of the block are the bits set
+    in the OR over members.  numpy is imported here, its only use in the
+    package, so the exact engine and the CLI start without it.
     """
     import numpy as np
 
@@ -427,11 +433,8 @@ def spread_lemma_mc(
             R=str(R), violation=elements_of(verdict.violation),
         )
     n = F.ground.n
-    members = F.members
     pf = float(p)
-    col_of: list[list[int]] = []
-    for mem in members:
-        col_of.append([e - 1 for e in elements_of(mem)])
+    col_of = [[e - 1 for e in elements_of(mem)] for mem in F.members]
     zero_member = 0 in F._member_set
 
     hits = 0
@@ -446,10 +449,17 @@ def spread_lemma_mc(
             continue
         rng = np.random.Generator(np.random.Philox(key=np.uint64(_block_seed(seed, idx))))
         rows = rng.random((block, n)) < pf
-        got = np.zeros(block, dtype=bool)
-        for cols in col_of:
-            np.logical_or(got, rows[:, cols].all(axis=1), out=got)
-        hits += int(got.sum())
+        # bit t of column j's integer is element j+1 of trial t's W; padding
+        # bits of a short block are 0, so no member tests true there
+        packed = np.packbits(rows, axis=0, bitorder="little").T.tobytes()
+        width = len(packed) // n
+        cols = [
+            int.from_bytes(packed[j * width : (j + 1) * width], "little") for j in range(n)
+        ]
+        got = 0
+        for member in col_of:
+            got |= reduce(and_, map(cols.__getitem__, member))
+        hits += got.bit_count()
         done += block
         idx += 1
 

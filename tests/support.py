@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
-from sforge.domains import Domain, SpreadnessReport
+from sforge.boolean import GlobalnessVerdict
+from sforge.domains import Domain, HomogeneityVerdict, SpreadnessReport
 from sforge.family import (
     GroundSet,
     SetFamily,
@@ -18,7 +19,7 @@ from sforge.family import (
     elements_of,
     submasks,
 )
-from sforge.spread import check_spread
+from sforge.spread import _block_seed, _link_counts, check_spread
 from sforge.sunflowers import DegenerateWitness, SunflowerWitness
 
 
@@ -437,3 +438,118 @@ def reference_check_rt_spread(A, r, t):
             if table[T | S] * r.numerator**i > base * r.denominator**i:
                 return SpreadnessReport(r=r, t=t, ok=False, violation=(T, S), domain=A.kind)
     return SpreadnessReport(r=r, t=t, ok=True, violation=None, domain=A.kind)
+
+
+def reference_superset_sums(F, a, b):
+    """z[B] = sum of a^|m| b^(n-|m|) over members m >= B, one mask at a time."""
+    n = F.ground.n
+    z = [0] * (1 << n)
+    for m in F.members:
+        z[m] = a ** m.bit_count() * b ** (n - m.bit_count())
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if not mask & bit:
+                z[mask] += z[mask | bit]
+    return z
+
+
+def _restriction_cells(F, a, b, bmask):
+    """The A -> weight of cell (A, B) table of one B: sum of a^|m-B| b^(n-|B|-|m-B|)."""
+    free = F.ground.n - bmask.bit_count()
+    cells = {}
+    for m in F.members:
+        out = (m & ~bmask).bit_count()
+        cells[m & bmask] = cells.get(m & bmask, 0) + a**out * b ** (free - out)
+    return cells
+
+
+def reference_check_global_exhaustive(F, p, tau):
+    """check_global(exhaustive=True) as a walk over every B, then every A, in canonical order."""
+    p, tau = Fraction(p), Fraction(tau)
+    n = F.ground.n
+    a, c = p.numerator, p.denominator
+    b = c - a
+    tn, td = tau.numerator, tau.denominator
+    total = sum(a ** m.bit_count() * b ** (n - m.bit_count()) for m in F.members)
+    for bmask in sorted(range(1 << n), key=canon_key):
+        j = bmask.bit_count()
+        cells = _restriction_cells(F, a, b, bmask)
+        for amask in sorted(cells, key=canon_key):
+            if cells[amask] * (td * c) ** j > tn**j * total:
+                return GlobalnessVerdict(tau, p, False, "exhaustive", (amask, bmask), len(F))
+    return GlobalnessVerdict(tau, p, True, "exhaustive", None, len(F))
+
+
+def reference_max_global_restriction(F, p, tau, exhaustive):
+    """The (A, B, value) maximizing tau^-|B| mu_p^-B(F(A, B)), first in canonical order.
+
+    ``exhaustive=False`` walks the diagonal A = B cells only.
+    """
+    p, tau = Fraction(p), Fraction(tau)
+    n = F.ground.n
+    a, c = p.numerator, p.denominator
+    b = c - a
+    tn, td = tau.numerator, tau.denominator
+    if not exhaustive:
+        z = reference_superset_sums(F, a, b)
+        best, best_val = 0, Fraction(z[0], c**n)
+        for bmask in sorted(range(1 << n), key=canon_key):
+            j = bmask.bit_count()
+            if z[bmask]:
+                val = Fraction(z[bmask] * td**j * c**j, tn**j * a**j * c**n)
+                if val > best_val:
+                    best, best_val = bmask, val
+        return best, best, best_val
+    best = (0, 0)
+    best_val = Fraction(
+        sum(a ** m.bit_count() * b ** (n - m.bit_count()) for m in F.members), c**n
+    )
+    for bmask in sorted(range(1 << n), key=canon_key):
+        j = bmask.bit_count()
+        cells = _restriction_cells(F, a, b, bmask)
+        for amask in sorted(cells, key=canon_key):
+            val = Fraction(cells[amask] * td**j, tn**j * c ** (n - j))
+            if val > best_val:
+                best, best_val = (amask, bmask), val
+    return best[0], best[1], best_val
+
+
+def reference_mc_hits(F, p, trials, seed):
+    """spread_lemma_mc's hit count with one numpy row test per member and block."""
+    import numpy as np
+
+    n = F.ground.n
+    cols = [[e - 1 for e in elements_of(m)] for m in F.members]
+    hits = done = idx = 0
+    while done < trials:
+        block = min(1024, trials - done)
+        if 0 in F._member_set:
+            hits += block
+        else:
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(_block_seed(seed, idx))))
+            rows = rng.random((block, n)) < float(p)
+            got = np.zeros(block, dtype=bool)
+            for cs in cols:
+                np.logical_or(got, rows[:, cs].all(axis=1), out=got)
+            hits += int(got.sum())
+        done += block
+        idx += 1
+    return hits
+
+
+def reference_check_tau_homogeneous(F, A, tau):
+    """check_tau_homogeneous with a Fraction per X, in canonical order."""
+    tau = Fraction(tau)
+    fcounts = _link_counts(F.members)
+    asize, fsize = len(A), len(F)
+    worst_x, worst, ok = 0, Fraction(1), True
+    for x in sorted(fcounts, key=canon_key):
+        if x == 0:
+            continue
+        ratio = Fraction(fcounts[x] * asize, A.table[x] * fsize) / tau ** x.bit_count()
+        if ratio > worst:
+            worst_x, worst = x, ratio
+            if ratio > 1:
+                ok = False
+    return HomogeneityVerdict(tau=tau, ok=ok, worst_x=worst_x, worst_ratio=worst, family_size=fsize)

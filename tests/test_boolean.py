@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from sforge import boolean
 from sforge.boolean import (
     GlobalnessVerdict,
     biased_measure,
@@ -19,9 +23,14 @@ from sforge.boolean import (
     verify_sharp_threshold,
 )
 from sforge.errors import CapacityError, PreconditionError, VerificationError
-from sforge.family import SetFamily, is_upward_closed, upper_closure
+from sforge.family import GroundSet, SetFamily, canon_key, is_upward_closed, upper_closure
 
-from support import binom_family
+from support import (
+    binom_family,
+    reference_check_global_exhaustive,
+    reference_max_global_restriction,
+    reference_superset_sums,
+)
 
 F2 = Fraction(1, 2)
 F3 = Fraction(1, 3)
@@ -104,6 +113,51 @@ fam_strategy = st.integers(2, 5).flatmap(
     )
 )
 prob_strategy = st.sampled_from([F2, F3, F4, Fraction(2, 5), F8])
+
+
+def _layered(n, sizes, extra):
+    # whole layers make many cells tie; the extra masks break some ties
+    return SetFamily(
+        GroundSet(n),
+        tuple({m for m in range(1 << n) if m.bit_count() in sizes} | set(extra)),
+    )
+
+
+# families on up to 8 coordinates: random masks, or unions of whole layers
+wide_fam_strategy = st.integers(1, 8).flatmap(
+    lambda n: st.one_of(
+        st.builds(
+            lambda ms: SetFamily(GroundSet(n), tuple(ms)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=40),
+        ),
+        st.builds(
+            lambda sizes, extra: _layered(n, sizes, extra),
+            st.sets(st.integers(0, n)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=3),
+        ),
+    )
+)
+# pairs on both sides of 1/(1-p) < tau, so both verdicts occur
+pair_strategy = st.sampled_from(
+    [(F2, F2), (F2, 1), (F2, Fraction(3, 2)), (F2, 3), (F3, 2), (F4, 2),
+     (F8, 4), (Fraction(2, 5), Fraction(5, 4)), (Fraction(3, 4), 2), (F8, 1)]
+)
+
+
+# blocks of 3^1 and 3^2 cells put the block boundaries inside small families
+block_digits_strategy = st.sampled_from([1, 2, 8])
+
+
+def reference_diagonal(F, p, tau):
+    """First B in canonical order whose A = B cell breaks tau-globalness."""
+    a, c = p.numerator, p.denominator
+    tau = Fraction(tau)
+    z = reference_superset_sums(F, a, c - a)
+    for bmask in sorted(range(1 << F.ground.n), key=canon_key):
+        j = bmask.bit_count()
+        if z[bmask] * (tau.denominator * c) ** j > (tau.numerator * a) ** j * z[0]:
+            return bmask
+    return None
 
 
 class TestBiasedMeasure:
@@ -224,6 +278,49 @@ class TestCheckGlobal:
             a, b = v.violation
             assert naive_cell(F, p, a, b) > tau ** b.bit_count() * naive_measure(F, p)
 
+    @given(wide_fam_strategy, pair_strategy, block_digits_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_exhaustive_matches_reference(self, F, pair, digits):
+        p, tau = pair
+        with mock.patch.object(boolean, "_BLOCK_DIGITS", digits):
+            v = check_global(F, p, tau, exhaustive=True)
+        assert v == reference_check_global_exhaustive(F, p, tau)
+
+    def test_diagonal_violation_is_canonically_first(self):
+        # {1, 2} (mask 3) and {3} (mask 4) both violate; {3} is smaller
+        F = fam(3, [[3], [1, 2], [1, 2, 3]])
+        v = check_global(F, F8, Fraction(3, 2), exhaustive=False)
+        assert v.violation == (4, 4) == (reference_diagonal(F, F8, Fraction(3, 2)),) * 2
+
+    @given(wide_fam_strategy, pair_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_matches_reference(self, F, pair):
+        p, tau = pair
+        assume_complete = 1 < tau * (1 - p) or is_upward_closed(F)
+        if not assume_complete:
+            F = upper_closure(F)
+        v = check_global(F, p, tau, exhaustive=False)
+        first = reference_diagonal(F, p, tau)
+        assert v.ok == (first is None)
+        assert v.violation == (None if first is None else (first, first))
+
+    @given(wide_fam_strategy, prob_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_superset_sums_match_reference(self, F, p):
+        a, b = p.numerator, p.denominator - p.numerator
+        assert boolean._superset_sums(F, a, b) == reference_superset_sums(F, a, b)
+
+    def test_exhaustive_keeps_memory_to_blocks(self):
+        # a list of all 3^10 cells alone would take about 3 MB
+        F = binom_family(10, 5)
+        tracemalloc.start()
+        try:
+            assert check_global(F, F4, 2, exhaustive=True).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @given(fam_strategy, st.sampled_from([F8, Fraction(1, 6)]))
     @settings(max_examples=30, deadline=None)
     def test_diagonal_complete_when_tau_large(self, F, p):
@@ -262,6 +359,56 @@ class TestMaxGlobalRestriction:
     def test_full_ground_maximizer_rejected(self):
         with pytest.raises(PreconditionError):
             max_global_restriction(fam(2, [[1]]), F2, 1, exhaustive=True)
+
+    def test_diagonal_engine_needs_a_complete_diagonal(self):
+        # 1/(1-p) = 2 > 3/2 and the family is not upward closed
+        F = fam(4, [[1], [2, 3], [1, 4]])
+        with pytest.raises(PreconditionError):
+            check_global(F, F2, Fraction(3, 2), exhaustive=False)
+        with pytest.raises(PreconditionError):
+            max_global_restriction(F, F2, Fraction(3, 2), exhaustive=False)
+
+    @pytest.mark.parametrize("n, exhaustive", [(18, False), (13, True)])
+    def test_capacity_before_any_sum(self, monkeypatch, n, exhaustive):
+        def no_sums(*args):
+            raise AssertionError("superset sums computed past the capacity guard")
+
+        monkeypatch.setattr(boolean, "_superset_sums", no_sums)
+        F = fam(n, [[1]])
+        with pytest.raises(CapacityError):
+            check_global(F, F8, 2, exhaustive=exhaustive)
+        with pytest.raises(CapacityError):
+            max_global_restriction(F, F8, 2, exhaustive=exhaustive)
+
+    @given(wide_fam_strategy, pair_strategy, st.booleans(), block_digits_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, F, pair, exhaustive, digits):
+        p, tau = pair
+        if not exhaustive and not (1 < tau * (1 - p) or is_upward_closed(F)):
+            F = upper_closure(F)
+        a, b, value = reference_max_global_restriction(F, p, tau, exhaustive)
+        with mock.patch.object(boolean, "_BLOCK_DIGITS", digits):
+            if b == F.ground.full_mask:
+                with pytest.raises(PreconditionError):
+                    max_global_restriction(F, p, tau, exhaustive=exhaustive)
+                return
+            r = max_global_restriction(F, p, tau, exhaustive=exhaustive)
+        assert (r.a, r.b, r.value) == (a, b, value)
+
+    def test_diagonal_tie_goes_to_the_canonically_first_b(self):
+        # {2, 3} (mask 6) and {4} (mask 8) tie for the largest diagonal cell
+        F = upper_closure(fam(4, [[4], [2, 3]]))
+        r = max_global_restriction(F, F2, 1, exhaustive=False)
+        assert (r.a, r.b) == (8, 8)
+        assert (r.a, r.b, r.value) == reference_max_global_restriction(F, F2, 1, False)
+
+    def test_ties_go_to_the_canonically_first_cell(self):
+        # 28 of the 81 cells of binomial(4, 2) attain the maximum here, and
+        # 50 of the 243 cells of binomial(5, 3)
+        r = max_global_restriction(binom_family(4, 2), F4, Fraction(4, 3), exhaustive=True)
+        assert (r.a, r.b, r.value) == (1, 1, Fraction(81, 256))
+        r = max_global_restriction(binom_family(5, 3), F4, Fraction(4, 3), exhaustive=True)
+        assert (r.a, r.b, r.value) == (3, 3, Fraction(243, 1024))
 
     @given(fam_strategy, st.sampled_from([F8, Fraction(1, 6)]))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 from itertools import combinations
 from math import comb, factorial
 
@@ -19,7 +20,7 @@ from sforge.domains import (
     verify_shadow_bound,
 )
 
-from support import reference_check_rt_spread
+from support import reference_check_rt_spread, reference_check_tau_homogeneous
 
 
 def mask(*elems):
@@ -329,6 +330,21 @@ class TestTauHomogeneous:
         A = Domain.binomial(4, 2)
         with pytest.raises(PreconditionError):
             check_tau_homogeneous(SetFamily.from_sets(4, [[1, 2, 3]]), A, 1)
+
+
+    @given(
+        st.sampled_from(
+            [Domain.binomial(6, 2), Domain.binomial(7, 3), Domain.sequences(3, 3),
+             Domain.kpartite_product(4, [2, 3]), Domain.permutations(4)]
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from([Fraction(1), Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(3)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_reference(self, A, rnd, tau):
+        members = A.family.members
+        F = A.family.replace_members(rnd.sample(members, rnd.randint(1, len(members))))
+        assert check_tau_homogeneous(F, A, tau) == reference_check_tau_homogeneous(F, A, tau)
 
 
 class TestMaxHomogeneousRestriction:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sforge import pipelines
 from sforge.domains import Domain, check_tau_homogeneous
 from sforge.errors import PreconditionError, VerificationError
 from sforge.family import GroundSet, SetFamily, family_minus, trace_cover
@@ -715,6 +716,30 @@ class TestPeelHighUniformity:
         assert [len(e.family.members) for e in res.extractions] == [13, 13]
         assert set(res.core_family.members) == {mask(1, 2, 3), mask(17, 18, 19)}
         assert res.w_layers[0].members == ()
+
+    def test_links_too_small_to_be_spread_are_not_checked(self, monkeypatch):
+        # c link members of size j cannot be alpha-spread when c < alpha^j:
+        # each member is its own violation, so no spreadness check is run
+        seen = []
+        check_spread = pipelines.check_spread
+
+        def recording(G, R):
+            seen.append((len(G), G.members[0].bit_count(), R))
+            return check_spread(G, R)
+
+        monkeypatch.setattr(pipelines, "check_spread", recording)
+        # two 13-leaf stars and one member meeting both; alpha = s k = 12
+        F = fam(
+            32,
+            [[1, 2, 3, x] for x in range(4, 17)]
+            + [[17, 18, 19, y] for y in range(20, 33)]
+            + [[1, 4, 17, 20]],
+        )
+        res = peel_high_uniformity(F, 3, 1)
+        assert [e.core for e in res.extractions] == [mask(1, 2, 3), mask(17, 18, 19)]
+        assert res.w_layers[0].members == (mask(1, 4, 17, 20),)
+        # every link of the odd member's submasks is that member alone
+        assert seen == [(13, 1, 12), (13, 1, 12)]
 
     def test_unspread_family_is_all_residual(self):
         F = fam(8, [[1, 2, 3, 4], [1, 2, 3, 5], [2, 3, 4, 5]])

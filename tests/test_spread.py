@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 from math import isqrt
@@ -24,6 +28,7 @@ from support import (
     mc_instance,
     no_small_transversal,
     reference_frac_log2_bracket,
+    reference_mc_hits,
     seeded_spread_instance,
 )
 
@@ -363,6 +368,38 @@ class TestSpreadLemmaMC:
         est = spread_lemma_mc(F, 4, 1, Fraction(1, 8), 1500, seed=3)
         assert est.trials == 1500
         assert 0 <= est.hits <= 1500
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 5000])
+    def test_hits_match_reference(self, trials):
+        F = binom_family(9, 2)
+        est = spread_lemma_mc(F, Fraction(9, 2), 2, Fraction(1, 8), trials, seed=trials)
+        assert est.hits == reference_mc_hits(F, Fraction(1, 4), trials, trials)
+
+    def test_hits_match_reference_on_64_elements(self):
+        F = binom_family(64, 1)
+        est = spread_lemma_mc(F, 64, 1, Fraction(1, 64), 3000, seed=5)
+        assert est.hits == reference_mc_hits(F, Fraction(1, 64), 3000, 5)
+        assert 0 < est.hits < 3000
+
+    def test_zero_member_hits_every_trial(self):
+        F = SetFamily.from_sets(3, [[], [1, 2]])
+        est = spread_lemma_mc(F, 1, 1, Fraction(1, 2), 1025, seed=2)
+        assert est.hits == 1025 == reference_mc_hits(F, Fraction(1, 2), 1025, 2)
+
+    def test_frozen_benchmark_hit_counts(self):
+        # bench/frozen.json pins the hit counts of the benchmark's Monte
+        # Carlo jobs: R = 4, m = 2, delta = 1/8, 65,536 trials
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        spec = importlib.util.spec_from_file_location("bench_gen", bench / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        with open(bench / "frozen.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["mc"]
+        assert entries
+        for entry in entries:
+            F = SetFamily.from_sets(20, gen.as_sets(gen.mc_family(entry["family_seed"])))
+            est = spread_lemma_mc(F, 4, 2, Fraction(1, 8), 65_536, seed=entry["mc_seed"])
+            assert est.hits == entry["hits"], entry
 
     def test_nonvacuous_instance_beats_bound(self):
         F, R, delta = mc_instance(6)

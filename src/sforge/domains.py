@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations as iter_permutations, product
 from math import comb
 from typing import Optional, Sequence
@@ -174,13 +175,9 @@ class Domain:
     def ground_bits(self) -> int:
         return self.family.ground.n
 
-    @property
+    @cached_property
     def table(self) -> dict[int, int]:
-        cached = self.__dict__.get("_table")
-        if cached is None:
-            cached = _link_counts(self.family.members)
-            object.__setattr__(self, "_table", cached)
-        return cached
+        return _link_counts(self.family.members)
 
     def link_count(self, T: int) -> int:
         """|A(T)| for T in the |T|-shadow; errors on sets outside the shadow."""
@@ -323,13 +320,21 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
     """Is every link A(T), |T| <= t, an r-spread family?  Exact and exhaustive.
 
     The witness pair, if any, satisfies |A(T)(S)| > r^(-|S|) |A(T)| and is the
-    canonically first such pair.
+    canonically first such pair.  The report is kept on the domain, keyed by
+    (r, t), as ``Domain.table`` is.
     """
     r = _as_fraction(r, "r")
     if r <= 0:
         raise PreconditionError("spreadness parameter must be positive", r=str(r))
     if not (0 <= t <= A.k):
         raise PreconditionError("depth t must lie in 0..k", t=t, k=A.k)
+    reports = A.__dict__.setdefault("_rt_spread", {})
+    if (r, t) not in reports:
+        reports[r, t] = _rt_spread(A, r, t)
+    return reports[r, t]
+
+
+def _rt_spread(A: Domain, r: Fraction, t: int) -> SpreadnessReport:
     table = A.table
     num, den = r.numerator, r.denominator
     for T in A.shadow_upto(t):

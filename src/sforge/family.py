@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -117,14 +118,9 @@ class SetFamily:
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
 
-    @property
+    @cached_property
     def _member_set(self) -> frozenset:
-        # lazily cached; frozen dataclass so stash via object.__setattr__
-        cached = self.__dict__.get("_ms")
-        if cached is None:
-            cached = frozenset(self.members)
-            object.__setattr__(self, "_ms", cached)
-        return cached
+        return frozenset(self.members)
 
     @property
     def uniformity(self) -> int | None:
@@ -390,19 +386,23 @@ def family_from_hex(text: str) -> SetFamily:
     return fam
 
 
-def load_family(source: str) -> SetFamily:
-    """A family from a file path, inline JSON (text starting with ``{``) or
-    ``-`` for stdin; the content is JSON or the hex mask format."""
+def read_source(source: str, what: str) -> str:
+    """The text of a file path, of inline JSON (text starting with ``{``)
+    or of stdin for ``-``; ``what`` names the input in the error."""
     if source == "-":
-        text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read family: {exc}")
+        return sys.stdin.read()
+    if source.lstrip().startswith("{"):
+        return source
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}")
+
+
+def load_family(source: str) -> SetFamily:
+    """A family from ``read_source``: JSON or the hex mask format."""
+    text = read_source(source, "family")
     if text.lstrip().startswith("{"):
         return family_from_json(text)
     return family_from_hex(text)

@@ -29,54 +29,23 @@ run the same way, and the exit code of the result mirrors the error class.
 from __future__ import annotations
 
 import functools
-import hashlib
+import importlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
 from typing import Callable
 
-from .boolean import (
-    biased_measure,
-    check_global,
-    check_uniform_biased_floor,
-    hypercontractivity_check,
-    max_global_restriction,
-    measure_upgrade,
-    stability,
-    verify_sharp_threshold,
-)
-from .bounds import bound_names, bound_rhs, example_23, fstar_family, verify_instance
-from .domains import Domain, check_rt_spread, check_tau_homogeneous, domain_from_json_obj
 from .errors import ParseError, SforgeError, VerificationError
 from .family import (
     SetFamily,
     family_from_json_obj,
     family_to_hex,
     family_to_json_obj,
+    read_source,
     shadow,
     transversal_number,
     upper_closure,
-)
-from .pipelines import (
-    Decomposition,
-    SystemSST,
-    cluster_system,
-    delta_filter,
-    down_closed_cover,
-    peel_high_uniformity,
-    reduce_intersections,
-    simplify,
-    spread_approximation,
-)
-from .spread import check_spread, covering_bound_bracket, spread_lemma_mc
-from .sunflowers import (
-    CoreMode,
-    CorePredicate,
-    find_sunflower,
-    max_sunflower_free,
-    phi_exact,
-    product_kernel,
 )
 
 SCHEMA = 1
@@ -102,6 +71,16 @@ class ScenarioResult:
 REQUIRED = object()
 
 
+def resolve(ref):
+    """The object a ``"module:attr"`` reference names inside the package,
+    imported now; any other value is returned as it is.  Nothing is cached,
+    so a call sees the module attribute as it is at that moment."""
+    if not (isinstance(ref, str) and ":" in ref):
+        return ref
+    module, attr = ref.split(":")
+    return getattr(importlib.import_module("." + module, __package__), attr)
+
+
 @dataclass(frozen=True)
 class Param:
     """One parameter of an operation.
@@ -109,8 +88,8 @@ class Param:
     ``kind`` is "int", "frac", "flag", "str", "object" (a JSON object),
     "raw" (any JSON value), a dict of choices (name -> value), "seed" (the
     step seed, or ``--seed`` on the CLI), "spec" (the step's own keys), or
-    a type: a handle bound by an earlier step, and on the CLI a family
-    (SetFamily) or domain (Domain) loaded from a path or inline JSON.
+    a class named ``"module:Class"``: a handle bound by an earlier step, and
+    on the CLI a family or domain loaded from a path or inline JSON.
     ``cli`` is the space-separated CLI spelling when it is not ``--key``:
     a word without a dash is a positional argument and "" keeps the parameter
     off the CLI, where it takes its default.  A default is written as a
@@ -169,10 +148,10 @@ def coerce(kind, value, label: str, text: bool = False):
     return value
 
 
-_MODES = {"any": CoreMode.ANY, "exact": CoreMode.EXACT, "at-most": CoreMode.AT_MOST}
+_MODES = {"any": "ANY", "exact": "EXACT", "at-most": "AT_MOST"}  # CoreMode names
 
-FAMILY = Param("family", SetFamily, cli="SRC")
-DOMAIN = Param("domain", Domain)
+FAMILY = Param("family", "family:SetFamily", cli="SRC")
+DOMAIN = Param("domain", "domains:Domain")
 PETALS = Param("petals")
 CORE = Param("core-size")
 PRED = (
@@ -193,16 +172,17 @@ P, TAU, RHO = Param("p", "frac"), Param("tau", "frac"), Param("rho", "frac")
 class Op:
     """One operation: ``run`` takes the parameter values in order.
 
-    ``report`` reads the report off the result (None: the result is the
-    report); ``bind`` picks the value a step's ``name`` binds, which
-    ``named`` makes mandatory; ``csv`` renders the report for
-    ``--format csv``.
+    ``run`` is a function or the ``"module:attr"`` name of one, imported
+    when the operation runs.  ``report`` reads the report off the result
+    (None: the result is the report); ``bind`` picks the value a step's
+    ``name`` binds, which ``named`` makes mandatory; ``csv`` renders the
+    report for ``--format csv``.
     """
 
     op: str | None
     cmd: str | None
     params: tuple[Param, ...]
-    run: Callable
+    run: Callable | str
     report: Callable | None = methodcaller("as_report")
     bind: Callable | None = None
     named: bool = False
@@ -244,8 +224,14 @@ def _family(A, n, sets) -> SetFamily:
     return family_from_json_obj({"n": n, "sets": sets})
 
 
+def _pred(s, mode, bound, degenerate):
+    from .sunflowers import CoreMode, CorePredicate
+    return CorePredicate(s, CoreMode[mode], bound, degenerate)
+
+
 def _find(F: SetFamily, s, mode, bound, degenerate) -> dict:
-    pred = CorePredicate(s, mode, bound, degenerate)
+    from .sunflowers import find_sunflower
+    pred = _pred(s, mode, bound, degenerate)
     wit = find_sunflower(F, pred)
     report = {"pred": pred.describe(), "found": wit is not None}
     if wit is not None:
@@ -264,11 +250,12 @@ def _assert_free(*args) -> dict:
 
 
 def _max_free(F: SetFamily, s, mode, bound, degenerate, budget, symmetry):
-    return max_sunflower_free(F, CorePredicate(s, mode, bound, degenerate), budget, symmetry)
+    from .sunflowers import max_sunflower_free
+    return max_sunflower_free(F, _pred(s, mode, bound, degenerate), budget, symmetry)
 
 
-def _bracket(R, delta, m, mu_norm) -> dict:
-    lo, hi, vacuous = covering_bound_bracket(R, delta, m, mu_norm)
+def _bracket(bracket) -> dict:
+    lo, hi, vacuous = bracket
     return {
         "low": None if lo is None else str(lo),
         "high": None if hi is None else str(hi),
@@ -276,14 +263,14 @@ def _bracket(R, delta, m, mu_norm) -> dict:
     }
 
 
-def _domain_summary(A: Domain) -> dict:
+def _domain_summary(A) -> dict:
     # "ground" is the bit length of the ground's bit count, not the ground
     # size; the frozen `sforge run` digest in bench/frozen.json pins it
     return {"kind": A.kind, "k": A.k, "size": len(A.family.members),
             "ground": A.ground_bits.bit_length()}
 
 
-def _domain_build(A: Domain) -> dict:
+def _domain_build(A) -> dict:
     return {
         "domain": A.as_json_obj(),
         "k": A.k,
@@ -293,16 +280,19 @@ def _domain_build(A: Domain) -> dict:
 
 
 def _measure(F: SetFamily, p) -> dict:
+    from .boolean import biased_measure
     return {"p": str(p), "value": str(biased_measure(F, p))}
 
 
 def _stability(F: SetFamily, p, rho) -> dict:
+    from .boolean import stability
     return {"p": str(p), "rho": str(rho), "value": str(stability(F, p, rho))}
 
 
 def _chain(F, A, tau, q, s, t, alpha, lam=None) -> dict:
     """Decompose, prune each block to a verified intersection system, and
     with ``--lam`` cluster the cores."""
+    from .pipelines import cluster_system, reduce_intersections, spread_approximation
     D = spread_approximation(F, A, tau, q)
     U = reduce_intersections(D, A, s, t, alpha)
     out = {"decomposition": D.as_report(), "system": U.as_report()}
@@ -313,9 +303,10 @@ def _chain(F, A, tau, q, s, t, alpha, lam=None) -> dict:
 
 def _verify(A, s, t, mode, bound, degenerate, budget) -> dict:
     """Cross-check constructions, exact search, and bound formulas."""
+    from .bounds import verify_instance
     pred = None
     if mode is not None or bound is not None:
-        pred = CorePredicate(s, CoreMode.ANY if mode is None else mode, bound, degenerate)
+        pred = _pred(s, "ANY" if mode is None else mode, bound, degenerate)
     return verify_instance(A, s, t, pred=pred, budget=budget)
 
 
@@ -334,8 +325,8 @@ def _verify_csv(rep: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-SPEC = Param("domain", Domain, cli="SPEC")
-SKELETON = Param("skeleton", SetFamily)
+SPEC = Param("domain", "domains:Domain", cli="SPEC")
+SKELETON = Param("skeleton", "family:SetFamily")
 BUDGET = Param("budget", "int", 2_000_000)
 CHAIN = (FAMILY, DOMAIN, TAU, Param("q"), PETALS, CORE, Param("alpha", "frac"))
 
@@ -344,75 +335,83 @@ OPERATIONS: tuple[Op, ...] = (
     Op(None, "family info", (FAMILY,), _info, report=None),
     Op(None, "family show", (FAMILY, Param("to", {"json": "json", "hex": "hex"}, "json")), _show,
        report=None),
-    Op(None, "family shadow", (FAMILY, Param("depth")),
-       lambda F, h: family_to_json_obj(shadow(F, h)), report=None),
+    Op(None, "family shadow", (FAMILY, Param("depth")), shadow, report=family_to_json_obj),
     Op(None, "family closure", (FAMILY,), _closure, report=None),
     Op(None, "family transversal", (FAMILY,), _transversal, report=None),
     Op("family", None,
-       (Param("domain", Domain, None), Param("n", "raw", None), Param("sets", "raw", None)),
+       (Param("domain", "domains:Domain", None), Param("n", "raw", None),
+        Param("sets", "raw", None)),
        _family, report=_summary, bind=_same, named=True),
-    Op("example-23", None, (SKELETON, Param("n"), Param("k"), PETALS, CORE),
-       lambda T, n, k, s, t: example_23(n, k, s, t, T), report=_summary, bind=_same),
-    Op("fstar", None, (DOMAIN, SKELETON, PETALS), fstar_family, report=_summary, bind=_same),
+    Op("example-23", None, (Param("n"), Param("k"), PETALS, CORE, SKELETON), "bounds:example_23",
+       report=_summary, bind=_same),
+    Op("fstar", None, (DOMAIN, SKELETON, PETALS), "bounds:fstar_family", report=_summary,
+       bind=_same),
     # sunflowers
     Op("find", "sunflower find", (FAMILY, *PRED), _find, report=None),
     Op("assert-free", None, (FAMILY, *PRED), _assert_free, report=None),
     Op("max-free", "sunflower max-free",
        (FAMILY, *PRED, BUDGET, Param("symmetry", {"full": "full"}, None)), _max_free),
     Op("phi", "sunflower phi",
-       (PETALS, CORE, Param("support"), Param("budget", "int", 50_000_000)), phi_exact),
-    Op("product-kernel", None, (PETALS, CORE), product_kernel,
+       (PETALS, CORE, Param("support"), Param("budget", "int", 50_000_000)),
+       "sunflowers:phi_exact"),
+    Op("product-kernel", None, (PETALS, CORE), "sunflowers:product_kernel",
        report=_summary, bind=_same, named=True),
-    Op(None, "sunflower kernel", (PETALS, CORE),
-       lambda s, t: family_to_json_obj(product_kernel(s, t)), report=None),
+    Op(None, "sunflower kernel", (PETALS, CORE), "sunflowers:product_kernel",
+       report=family_to_json_obj),
     # spreadness
-    Op("spread-check", "spread check", (FAMILY, RATIO), check_spread),
+    Op("spread-check", "spread check", (FAMILY, RATIO), "spread:check_spread"),
     Op("mc", "spread mc",
        (FAMILY, RATIO, Param("m"), Param("delta", "frac"), Param("trials"),
-        Param("seed", "seed", cli=""), Param("with-exact", "flag", False)), spread_lemma_mc),
+        Param("seed", "seed", cli=""), Param("with-exact", "flag", False)),
+       "spread:spread_lemma_mc"),
     Op(None, "spread bracket",
-       (RATIO, Param("delta", "frac"), Param("m"), Param("mu-norm", "int", 1)), _bracket,
-       report=None),
+       (RATIO, Param("delta", "frac"), Param("m"), Param("mu-norm", "int", 1)),
+       "spread:covering_bound_bracket", report=_bracket),
     # domains
-    Op("domain", None, (Param("spec", "spec"),), domain_from_json_obj,
+    Op("domain", None, (Param("spec", "spec"),), "domains:domain_from_json_obj",
        report=_domain_summary, bind=_same, named=True),
     Op(None, "domains build", (SPEC,), _domain_build, report=None),
     Op("rt-spread", "domains check", (SPEC, Param("r", "frac", cli="-r --ratio"), CORE),
-       check_rt_spread),
-    Op("homogeneous", "domains homogeneous", (FAMILY, DOMAIN, TAU), check_tau_homogeneous),
+       "domains:check_rt_spread"),
+    Op("homogeneous", "domains homogeneous", (FAMILY, DOMAIN, TAU),
+       "domains:check_tau_homogeneous"),
     # biased measures
     Op("measure", "boolean measure", (FAMILY, P), _measure, report=None),
-    Op("global", "boolean global", (FAMILY, P, TAU), check_global),
-    Op("max-global", None, (FAMILY, P, TAU), max_global_restriction),
+    Op("global", "boolean global", (FAMILY, P, TAU), "boolean:check_global"),
+    Op("max-global", None, (FAMILY, P, TAU), "boolean:max_global_restriction"),
     Op("stability", "boolean stab", (FAMILY, P, RHO), _stability, report=None),
     Op("threshold", "boolean threshold",
-       (FAMILY, P, Param("p-tilde", "frac"), Param("tau", "frac", None)), verify_sharp_threshold),
-    Op("upgrade", "boolean upgrade", (FAMILY, P, TAU, Param("z"), Param("m")), measure_upgrade),
-    Op("hyper", "boolean hyper", (FAMILY, P, TAU, RHO, Param("q")), hypercontractivity_check),
-    Op("uniform-floor", None, (FAMILY,), check_uniform_biased_floor),
+       (FAMILY, P, Param("p-tilde", "frac"), Param("tau", "frac", None)),
+       "boolean:verify_sharp_threshold"),
+    Op("upgrade", "boolean upgrade", (FAMILY, P, TAU, Param("z"), Param("m")),
+       "boolean:measure_upgrade"),
+    Op("hyper", "boolean hyper", (FAMILY, P, TAU, RHO, Param("q")),
+       "boolean:hypercontractivity_check"),
+    Op("uniform-floor", None, (FAMILY,), "boolean:check_uniform_biased_floor"),
     # pipelines
     Op("approx", "pipeline approx",
-       (FAMILY, DOMAIN, TAU, Param("q"), Param("floor", "frac", None)), spread_approximation,
-       bind=_same),
+       (FAMILY, DOMAIN, TAU, Param("q"), Param("floor", "frac", None)),
+       "pipelines:spread_approximation", bind=_same),
     Op("simplify", "pipeline simplify", (FAMILY, DOMAIN, PETALS, CORE, Param("eps", "frac")),
-       simplify, bind=lambda res: res.core_family),
+       "pipelines:simplify", bind=lambda res: res.core_family),
     Op("cover", "pipeline cover", (FAMILY, DOMAIN, PETALS, CORE, Param("w", "frac")),
-       down_closed_cover, bind=lambda res: res.core_family),
+       "pipelines:down_closed_cover", bind=lambda res: res.core_family),
     Op("reduce", None,
-       (Param("decomposition", Decomposition), DOMAIN, PETALS, CORE, Param("alpha", "frac")),
-       reduce_intersections, bind=_same),
+       (Param("decomposition", "pipelines:Decomposition"), DOMAIN, PETALS, CORE,
+        Param("alpha", "frac")),
+       "pipelines:reduce_intersections", bind=_same),
     Op(None, "pipeline reduce", CHAIN, _chain, report=None),
-    Op("cluster", None, (Param("system", SystemSST), DOMAIN, Param("lam", "frac")),
-       cluster_system),
+    Op("cluster", None, (Param("system", "pipelines:SystemSST"), DOMAIN, Param("lam", "frac")),
+       "pipelines:cluster_system"),
     Op(None, "pipeline cluster", (*CHAIN, Param("lam", "frac")), _chain, report=None),
-    Op("peel", "pipeline peel", (FAMILY, PETALS, CORE), peel_high_uniformity),
-    Op("delta", "pipeline delta", (FAMILY, PETALS, CORE), delta_filter,
+    Op("peel", "pipeline peel", (FAMILY, PETALS, CORE), "pipelines:peel_high_uniformity"),
+    Op("delta", "pipeline delta", (FAMILY, PETALS, CORE), "pipelines:delta_filter",
        bind=lambda res: res.family),
     # bounds: the scenario names the formula `bound` and lets `params`
     # default to {}; the CLI spells them --name and a required --params
-    Op(None, "bounds list", (), lambda: {"names": bound_names()}, report=None),
-    Op("bound", None, (Param("bound", "str"), Param("params", "object", {})), bound_rhs),
-    Op(None, "bounds eval", (Param("name", "str"), Param("params", "object")), bound_rhs),
+    Op(None, "bounds list", (), "bounds:bound_names", report=lambda names: {"names": names}),
+    Op("bound", None, (Param("bound", "str"), Param("params", "object", {})), "bounds:bound_rhs"),
+    Op(None, "bounds eval", (Param("name", "str"), Param("params", "object")), "bounds:bound_rhs"),
     Op("verify-instance", "verify",
        (DOMAIN, PETALS, CORE, Param("mode", _MODES, None), Param("core-bound", "int", None),
         Param("degenerate-small", "flag", False, cli=""), BUDGET),
@@ -446,16 +445,17 @@ def _step_value(p: Param, step: dict, handles: dict, seed: int):
             raise ParseError(f"step is missing required key {p.key!r}")
         return None if p.default is None else coerce(p.kind, p.default, label)
     value = step[p.key]
-    if not isinstance(p.kind, type):
+    cls = resolve(p.kind)
+    if not isinstance(cls, type):
         return coerce(p.kind, value, label)
     if not isinstance(value, str):
         raise ParseError(f"{label} must name a handle")
     ref = value[1:] if value.startswith("@") else value
     if ref not in handles:
         raise ParseError(f"unknown handle {ref!r}")
-    if not isinstance(handles[ref], p.kind):
+    if not isinstance(handles[ref], cls):
         got = type(handles[ref]).__name__
-        raise ParseError(f"handle {ref!r} is a {got}, not a {p.kind.__name__}")
+        raise ParseError(f"handle {ref!r} is a {got}, not a {cls.__name__}")
     return handles[ref]
 
 
@@ -467,7 +467,7 @@ def _run_step(entry: Op, step: dict, handles: dict, seed: int):
     except ParseError as exc:
         exc.details.setdefault("op", step.get("op"))
         raise
-    result = entry.run(*args)
+    result = resolve(entry.run)(*args)
     report = entry.report(result) if entry.report else result
     return report, name, entry.bind(result) if entry.bind else None
 
@@ -477,24 +477,18 @@ _OPS = {e.op: functools.partial(_run_step, e) for e in OPERATIONS if e.op}
 
 def step_seed(scenario_seed: int, index: int) -> int:
     """Per-step seed, independent of every other step's."""
+    import hashlib  # here: only a scenario run needs it
     digest = hashlib.sha256(f"sforge-scenario:{scenario_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def load_scenario(source) -> dict:
-    """Parse and structurally validate a scenario from a path or a dict."""
+    """Parse and structurally validate a scenario from a dict or from
+    ``family.read_source`` (a path, inline JSON or ``-`` for stdin)."""
     if isinstance(source, dict):
         obj = source
     else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read scenario: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"scenario is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ParseError("scenario must be a JSON object")
+        obj = coerce("object", read_source(source, "scenario"), "scenario", text=True)
     if obj.get("schema") != SCHEMA:
         raise ParseError(f"scenario schema must be {SCHEMA}", found=obj.get("schema"))
     seed = obj.get("seed", 0)

@@ -303,8 +303,11 @@ def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 
 
     Returns (lo, hi, vacuous).  The bound is vacuous whenever R*delta <= 32
     (the ratio is then >= 1, with mu_norm >= 1) and meaningless for
-    R*delta <= 1; both cases get (None, None, True).
+    R*delta <= 1; both cases get (None, None, True).  R and delta must be
+    positive.
     """
+    if R <= 0 or delta <= 0:
+        raise PreconditionError("R and delta must be positive", R=str(R), delta=str(delta))
     arg = R * delta
     if arg <= 1:
         return None, None, True
@@ -423,6 +426,7 @@ def spread_lemma_mc(
     delta = _as_fraction(delta, "delta")
     if m < 1 or trials < 1:
         raise PreconditionError("m and trials must be positive", m=m, trials=trials)
+    blo, bhi, vac = covering_bound_bracket(R, delta, m, mu_norm=1)
     p = m * delta
     if p > 1:
         raise PreconditionError("m*delta must be at most 1", p=str(p))
@@ -465,7 +469,6 @@ def spread_lemma_mc(
 
     rate = Fraction(hits, trials)
     wlow, whigh = _wilson_bounds(hits, trials)
-    blo, bhi, vac = covering_bound_bracket(R, delta, m, mu_norm=1)
     violation = (not vac) and blo is not None and whigh < blo
     exact = None
     if with_exact and n <= 20:

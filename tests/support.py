@@ -4,12 +4,16 @@ Kept out of the package on purpose: these build instances with known-good
 parameters for the certificate machinery, they are not part of the API.
 """
 
+import io
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
 from sforge.boolean import GlobalnessVerdict
+from sforge.cli import main
 from sforge.domains import Domain, HomogeneityVerdict, SpreadnessReport
 from sforge.family import (
     GroundSet,
@@ -21,6 +25,40 @@ from sforge.family import (
 )
 from sforge.spread import _block_seed, _link_counts, check_spread
 from sforge.sunflowers import DegenerateWitness, SunflowerWitness
+
+
+@dataclass
+class CliResult:
+    """What one in-process ``sforge`` command line wrote, and its exit code."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout_bytes.decode()
+
+    stdout = output
+
+
+def run_cli(args, stdin: str = "") -> CliResult:
+    """Run ``sforge.cli.main`` on ``args`` in this process, with ``stdin``
+    as standard input (read by a ``-`` argument), capturing stdout as bytes,
+    stderr as text and the exit code."""
+    out, err = io.BytesIO(), io.StringIO()
+    text_out = io.TextIOWrapper(out, encoding="utf-8")
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), text_out, err
+    code = None
+    try:
+        main([str(a) for a in args])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        text_out.flush()
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def binom_family(n: int, k: int) -> SetFamily:

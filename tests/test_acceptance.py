@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from click.testing import CliRunner
-
 from sforge.boolean import (
     biased_measure,
     check_global,
@@ -24,7 +22,6 @@ from sforge.boolean import (
     verify_sharp_threshold,
 )
 from sforge.bounds import bound_rhs, verify_instance
-from sforge.cli import main
 from sforge.domains import Domain, check_rt_spread
 from sforge.family import GroundSet, SetFamily, family_minus, trace_cover
 from sforge.pipelines import down_closed_cover, simplify
@@ -43,6 +40,7 @@ from support import (
     no_small_transversal,
     oracle_simplify_trace,
     planted_instance,
+    run_cli,
     seeded_spread_instance,
     simplify_fixtures,
 )
@@ -89,11 +87,9 @@ def test_criterion_01_phi_trivia():
 @checklist(2)
 def test_criterion_02_phi_three_two_sandwich():
     start = time.monotonic()
-    runner = CliRunner()
     values = []
     for seed in range(5):
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["--seed", str(seed), "sunflower", "phi",
              "--petals", "3", "--core-size", "2", "--support", "14"],
         )

@@ -1,9 +1,11 @@
 """End-to-end tests of the command line front end.
 
-Everything runs through click's CliRunner; byte-level determinism checks
-write reports to files with --out and compare on disk.
+Everything runs in-process through ``support.run_cli``; byte-level
+determinism checks write reports to files with --out and compare on disk.
 """
 
+import hashlib
+import importlib
 import json
 import os
 import re
@@ -14,21 +16,17 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import sforge
-from sforge.cli import main
 from sforge.family import family_from_hex
-from sforge.scenario import canonical_report_bytes, run_scenario
+from sforge.scenario import OPERATIONS, canonical_report_bytes, resolve, run_scenario
+from support import run_cli
 
 
-runner = CliRunner()
-
-
-def invoke(*args, env=None, expect=0):
-    result = runner.invoke(main, [str(a) for a in args], env=env)
+def invoke(*args, expect=0):
+    result = run_cli(args)
     if expect is not None:
-        assert result.exit_code == expect, result.output + str(result.exception)
+        assert result.exit_code == expect, result.output + result.stderr
     return result
 
 
@@ -88,7 +86,7 @@ class TestFamilyCommands:
         assert rep["size"] == 4
 
     def test_stdin_input(self):
-        result = runner.invoke(main, ["family", "info", "-"], input=STAR)
+        result = run_cli(["family", "info", "-"], stdin=STAR)
         assert result.exit_code == 0
         assert report_of(result)["size"] == 4
 
@@ -460,6 +458,116 @@ def test_malformed_option_exit_2(args):
     assert error_of(result)["error"] == "ParseError"
 
 
+MC = ["spread", "mc", BLOCKS, "-R", 2, "--m", 4, "--trials", 16]
+
+
+@pytest.mark.parametrize("args", [
+    ["family", "nosuch", STAR],  # unknown command of a group
+    ["nosuch", "info", STAR],  # unknown group
+    [*MC, "--del", "1/8"],  # unknown option; no prefix of --delta is taken for it
+    ["family", "info"],  # missing argument
+    ["spread", "check", STAR],  # missing required option
+    ["family", "shadow", STAR, "--depth"],  # option with no value
+    ["--format", "xml", "family", "info", STAR],  # bad --format choice
+    ["family", "info", STAR, "extra"],  # extra positional argument
+    [*MC, "--delta", "1/8", "--with-exact=yes"],  # value given to a flag
+    [],  # no command at all
+    ["family"],  # a group without a command
+], ids=["unknown-command", "unknown-group", "unknown-option", "missing-argument",
+        "missing-option", "option-without-value", "bad-format", "extra-argument",
+        "flag-with-value", "no-command", "group-only"])
+def test_usage_error_exits_2_with_one_json_line(args):
+    result = invoke(*args, expect=2)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("args", [
+    [*MC, "--delta", "-1/8"],
+    [*MC, "--delta", 0],
+    ["spread", "bracket", "-R", 0, "--delta", "1/16", "--m", 8],
+    ["spread", "bracket", "-R", -4096, "--delta", "1/16", "--m", 8],
+    ["spread", "bracket", "-R", 4096, "--delta", "-1/16", "--m", 8],
+])
+def test_non_positive_spread_parameters_exit_1(args):
+    result = invoke(*args, expect=1)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("delta", ["-1/8", 0])
+def test_non_positive_delta_fails_the_mc_step(delta):
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "family", "name": "F", **json.loads(BLOCKS)},
+        {"op": "mc", "family": "F", "R": 2, "m": 4, "delta": delta, "trials": 16},
+    ]})
+    assert result.exit_code == 1
+    assert result.report["steps"][-1]["error"]["error"] == "PreconditionError"
+
+
+def test_option_value_after_an_equals_sign():
+    assert invoke("family", "show", TRIPLES, "--to=hex").output == invoke(
+        "family", "show", "--to", "hex", TRIPLES).output
+
+
+@pytest.mark.parametrize("args,shown", [
+    (["--help"], ["--seed INTEGER", "--format json|csv", "family", "verify", "run"]),
+    (["spread", "--help"], ["bracket", "mc", "Exhaustively decide whether F is R-spread."]),
+    (["spread", "mc", "SRC", "--help"],
+     ["usage: sforge spread mc [options] SRC", "-R, --ratio FRACTION", "required",
+      "--with-exact", "Estimate P[some member inside an (m*delta)-random W]"]),
+    (["sunflower", "max-free", "--help"], ["--mode any|exact|at-most", "default: any"]),
+])
+def test_help_at_each_level(args, shown):
+    result = invoke(*args)
+    assert result.stderr == ""
+    for text in shown:
+        assert text in result.output, text
+
+
+def test_every_table_reference_resolves():
+    runs = {e.run for e in OPERATIONS if isinstance(e.run, str)}
+    kinds = {p.kind for e in OPERATIONS for p in e.params
+             if isinstance(p.kind, str) and ":" in p.kind}
+    assert len(runs) > 20 and kinds == {"family:SetFamily", "domains:Domain",
+                                        "pipelines:Decomposition", "pipelines:SystemSST"}
+    for ref in runs:
+        assert callable(resolve(ref)), ref
+    for ref in kinds:
+        assert isinstance(resolve(ref), type), ref
+
+
+def test_a_step_sees_a_patched_module_attribute(monkeypatch):
+    # the benchmark's tracer patches module attributes; the table must not
+    # hold on to the function it resolved before
+    from sforge import spread
+
+    scenario = {"schema": 1, "steps": [{"op": "family", "name": "F", **json.loads(BLOCKS)},
+                                       {"op": "spread-check", "family": "F", "R": 2}]}
+    run_scenario(scenario)
+    calls = []
+    original = spread.check_spread
+    monkeypatch.setattr(spread, "check_spread", lambda *a: calls.append(a) or original(*a))
+    assert run_scenario(scenario).exit_code == 0
+    assert len(calls) == 1
+
+
+def test_frozen_benchmark_cli_digests(monkeypatch):
+    # bench/frozen.json pins the sha256 of the stdout of each request of the
+    # benchmark's cli workload; the requests run here in-process
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.chdir(bench.parent)
+    workloads = importlib.import_module("workloads")
+    frozen = workloads.load_frozen()["cli"]
+    assert len(workloads.CLI_REQUESTS) == len(frozen) == 9
+    for args in workloads.CLI_REQUESTS:
+        result = run_cli(args)
+        assert result.exit_code == 0, (args, result.stderr)
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == frozen[workloads.request_key(args)], args
+
+
 B52 = '{"kind":"binomial","n":5,"k":2}'
 PAIRS4 = json.dumps({"n": 4, "sets": [list(c) for c in combinations(range(1, 5), 2)]})
 
@@ -521,12 +629,15 @@ def test_cli_matches_scenario_step(args, step, family, domain):
 
 
 def test_cli_import_leaves_numpy_out():
+    # and every engine module and click: a command imports what it runs
     src = str(Path(sforge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, sforge.cli; print('numpy' in sys.modules)"
+    code = "import sys, sforge.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    engine = {"sforge." + m for m in
+              ("boolean", "bounds", "domains", "pipelines", "spread", "sunflowers", "packing")}
+    assert set(out.stdout.split()) & (engine | {"click", "numpy"}) == set()
 
 
 def test_readme_scenario_runs(tmp_path):

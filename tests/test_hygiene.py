@@ -1,11 +1,15 @@
-"""Static checks on the package source: no unused module-level imports and
-no unused private module-level names.
+"""Static checks on the package source: no unused module-level imports, no
+unused private module-level names, no click, and front ends that import no
+engine module at load time.
 
 Every ``src/sforge/*.py`` is parsed with ``ast``.  A name bound by a
 module-level ``import`` or ``from ... import`` must be used somewhere in
 the module, or be exported through ``__all__``.  A private name (``_x``)
 bound at module level by a ``def``, ``class`` or assignment must be read,
-imported or accessed as an attribute by some module of the package.
+imported or accessed as an attribute by some module of the package.  No
+module imports ``click``, and ``cli.py`` and ``scenario.py`` import the
+engine modules only inside functions, so ``sforge --help`` and every
+command load only what they run.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sforge"
 MODULES = sorted(SRC.glob("*.py"))
+ENGINE = {"boolean", "bounds", "domains", "packing", "pipelines", "spread", "sunflowers"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -133,3 +138,48 @@ def test_checker_flags_an_unused_private_name():
         "a.py line 2: _DEAD",
         "b.py line 3: _unused_too",
     ]
+
+
+def imported_modules(nodes) -> set[str]:
+    """Modules that the import statements among ``nodes`` load, named
+    without a leading ``sforge.`` or ``.``."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else []
+            if node.module in (None, "sforge"):  # from . import x, from sforge import x
+                names += [alias.name for alias in node.names]
+        else:
+            continue
+        out.update(n.removeprefix("sforge").lstrip(".") for n in names)
+    out.discard("")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_click(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert {m.split(".")[0] for m in imported_modules(ast.walk(tree))} & {"click"} == set()
+
+
+@pytest.mark.parametrize("name", ["cli.py", "scenario.py"])
+def test_front_ends_import_no_engine_module_at_load_time(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert imported_modules(tree.body) & ENGINE == set()
+
+
+def test_import_checker_names_the_loaded_modules():
+    tree = ast.parse(
+        "import click.testing, json\n"
+        "from . import boolean\n"
+        "from .spread import check_spread\n"
+        "from sforge import bounds\n"
+        "from sforge.domains import Domain\n"
+        "def f():\n"
+        "    from .pipelines import simplify\n"
+    )
+    assert imported_modules(tree.body) == {
+        "click.testing", "json", "boolean", "spread", "bounds", "domains"}
+    assert "pipelines" in imported_modules(ast.walk(tree))

@@ -8,6 +8,7 @@ from math import isqrt
 
 from hypothesis import given, settings, strategies as st
 
+from sforge import spread
 from sforge.errors import CapacityError, PreconditionError
 from sforge.family import SetFamily, link, transversal_number
 from sforge.spread import (
@@ -314,6 +315,12 @@ class TestPaperBound:
         assert 0 < lo <= hi < 1
         assert hi - lo < Fraction(1, 2**40)
 
+    @pytest.mark.parametrize("R,delta", [(4, 0), (4, Fraction(-1, 8)), (0, Fraction(1, 8)),
+                                         (-4096, Fraction(1, 16)), (-2, Fraction(-1, 2))])
+    def test_non_positive_parameters_rejected(self, R, delta):
+        with pytest.raises(PreconditionError):
+            covering_bound_bracket(Fraction(R), Fraction(delta), 1)
+
 
 class TestWilson:
     def test_half(self):
@@ -354,6 +361,16 @@ class TestSpreadLemmaMC:
         F = fam(4, [[1, 2], [1, 3]])
         with pytest.raises(PreconditionError):
             spread_lemma_mc(F, 3, 1, Fraction(1, 4), 100)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1, 8)])
+    def test_non_positive_delta_rejected_before_sampling(self, monkeypatch, delta):
+        def sample(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr(spread, "_block_seed", sample)
+        F = fam(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        with pytest.raises(PreconditionError):
+            spread_lemma_mc(F, 2, 4, delta, 16)
 
     def test_seed_determinism(self):
         F = binom_family(10, 2)

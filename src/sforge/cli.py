@@ -36,19 +36,20 @@ from .scenario import (
 
 _ABOUT = {
     "sforge": "Exact tooling for sunflower-free set families.",
-    "sforge family": "Core set-family operations.",
-    "sforge sunflower": "Find witnesses and search for extremal sizes.",
-    "sforge spread": "Spreadness checks and the random-cover estimate.",
-    "sforge domains": "Structured ambient domains.",
-    "sforge boolean": "Biased-measure analysis of the indicator function.",
-    "sforge pipeline": "Decomposition and peeling pipelines.",
-    "sforge bounds": "Closed-form upper-bound formulas.",
+    "family": "Core set-family operations.",
+    "sunflower": "Find witnesses and search for extremal sizes.",
+    "spread": "Spreadness checks and the random-cover estimate.",
+    "domains": "Structured ambient domains.",
+    "boolean": "Biased-measure analysis of the indicator function.",
+    "pipeline": "Decomposition and peeling pipelines.",
+    "bounds": "Closed-form upper-bound formulas.",
 }
 _GLOBALS = (Param("seed", "int", 0), Param("format", {"json": "json", "csv": "csv"}, "json"),
             Param("out", "str", None))
-_RUN = Op(None, "run", (Param("path", "str", cli="PATH"),), run_scenario)
 _METAVARS = {"int": "INTEGER", "frac": "FRACTION", "str": "TEXT", "object": "JSON"}
 
+_RUN = Op(None, "run", (Param("path", "str", cli="PATH"),), run_scenario,
+          report=lambda result: result.canonical_bytes().decode())
 _TREE: dict = {"run": _RUN}  # command word -> entry, or a group's dict of them
 for _entry in OPERATIONS:
     if _entry.cmd:
@@ -119,11 +120,10 @@ def _parse(params, args: list[str], cmd: str, seed=None, nested=False) -> tuple[
 
 def _help(cmd: str, node) -> str:
     """Usage, description, options and commands of one level, from the table."""
-    if isinstance(node, dict):
-        params, about, usage = (_GLOBALS if cmd == "sforge" else ()), _ABOUT[cmd], ["COMMAND ..."]
-    else:
-        params, about = node.params, inspect.getdoc(resolve(node.run)) or ""
-        usage = [s[0] for s in map(_spellings, params) if s and s[0][0] != "-"]
+    group = isinstance(node, dict)
+    params = (_GLOBALS if cmd == "sforge" else ()) if group else node.params
+    about = _ABOUT[cmd.split()[-1]] if group else inspect.getdoc(resolve(node.run)) or ""
+    usage = ["COMMAND ..."] if group else [p.cli for p in params if p.cli and p.cli[0] != "-"]
     rows = [("--help", "")]
     for p in params:
         spelled = [s for s in _spellings(p) if s[0] == "-"]
@@ -135,11 +135,10 @@ def _help(cmd: str, node) -> str:
         rows.append((", ".join(spelled) + ("" if p.kind == "flag" else " " + kind), note))
     lines = [" ".join(["usage:", cmd, "[options]", *usage]), "", about, "", "options:"]
     lines += [f"  {left:<28}{right}" for left, right in rows]
-    if isinstance(node, dict):
+    if group:
         lines.append("commands:")
-        for name in sorted(node):
-            doc = _ABOUT.get(f"{cmd} {name}") or inspect.getdoc(resolve(node[name].run)) or ""
-            lines.append(f"  {name:<28}" + doc.split("\n")[0])
+        lines += [f"  {name:<28}" + (_ABOUT[name] if isinstance(node[name], dict) else "")
+                  for name in sorted(node)]
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
@@ -157,13 +156,10 @@ def _dispatch(args: list[str]) -> tuple[bytes, int, str | None]:
                                    nested=isinstance(node, dict))
     except _Help:
         return _help(cmd, node).encode(), 0, None
-    if node is _RUN:
-        result = run_scenario(*values)
-        return result.canonical_bytes(), result.exit_code, out
     result = resolve(node.run)(*values)
     report = node.report(result) if node.report else result
-    if isinstance(report, str):
-        return report.encode(), 0, out
+    if isinstance(report, str):  # hex text, or a scenario run's report
+        return report.encode(), getattr(result, "exit_code", 0), out
     if fmt == "csv" and node.csv is None:
         raise ParseError("csv output is only available for the verify command")
     data = node.csv(report).encode() if fmt == "csv" else canonical_report_bytes(report)

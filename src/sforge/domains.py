@@ -320,21 +320,13 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
     """Is every link A(T), |T| <= t, an r-spread family?  Exact and exhaustive.
 
     The witness pair, if any, satisfies |A(T)(S)| > r^(-|S|) |A(T)| and is the
-    canonically first such pair.  The report is kept on the domain, keyed by
-    (r, t), as ``Domain.table`` is.
+    canonically first such pair.
     """
     r = _as_fraction(r, "r")
     if r <= 0:
         raise PreconditionError("spreadness parameter must be positive", r=str(r))
     if not (0 <= t <= A.k):
         raise PreconditionError("depth t must lie in 0..k", t=t, k=A.k)
-    reports = A.__dict__.setdefault("_rt_spread", {})
-    if (r, t) not in reports:
-        reports[r, t] = _rt_spread(A, r, t)
-    return reports[r, t]
-
-
-def _rt_spread(A: Domain, r: Fraction, t: int) -> SpreadnessReport:
     table = A.table
     num, den = r.numerator, r.denominator
     for T in A.shadow_upto(t):

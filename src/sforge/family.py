@@ -386,12 +386,12 @@ def family_from_hex(text: str) -> SetFamily:
     return fam
 
 
-def read_source(source: str, what: str) -> str:
-    """The text of a file path, of inline JSON (text starting with ``{``)
-    or of stdin for ``-``; ``what`` names the input in the error."""
+def read_source(source, what: str) -> str:
+    """The text of a file path (str or path-like), of inline JSON (a str
+    starting with ``{``) or of stdin for ``-``; ``what`` names the input."""
     if source == "-":
         return sys.stdin.read()
-    if source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         return source
     try:
         with open(source, "r", encoding="utf-8") as fh:

@@ -537,12 +537,5 @@ def run_scenario(source) -> ScenarioResult:
 
 
 def _report_failed(report: dict) -> bool:
-    if report.get("ok") is False:
-        return True
-    if report.get("violation") is True:
-        return True
-    if report.get("found") is True:
-        return True
-    if report.get("violations"):
-        return True
-    return False
+    return (report.get("ok") is False or report.get("violation") is True
+            or report.get("found") is True or bool(report.get("violations")))

@@ -301,10 +301,9 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
 def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 1):
     """Rational bracket for 1 - (5/log2(R*delta))^m * mu_norm.
 
-    Returns (lo, hi, vacuous).  The bound is vacuous whenever R*delta <= 32
-    (the ratio is then >= 1, with mu_norm >= 1) and meaningless for
-    R*delta <= 1; both cases get (None, None, True).  R and delta must be
-    positive.
+    Returns (lo, hi, vacuous) for positive R and delta.  The bound is vacuous
+    whenever R*delta <= 32 (the ratio is then >= 1, with mu_norm >= 1) and
+    meaningless for R*delta <= 1; both cases get (None, None, True).
     """
     if R <= 0 or delta <= 0:
         raise PreconditionError("R and delta must be positive", R=str(R), delta=str(delta))

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import sforge
-from sforge.family import family_from_hex
+from sforge.family import family_from_hex, load_family
 from sforge.scenario import OPERATIONS, canonical_report_bytes, resolve, run_scenario
 from support import run_cli
 
@@ -512,7 +512,7 @@ def test_option_value_after_an_equals_sign():
 
 @pytest.mark.parametrize("args,shown", [
     (["--help"], ["--seed INTEGER", "--format json|csv", "family", "verify", "run"]),
-    (["spread", "--help"], ["bracket", "mc", "Exhaustively decide whether F is R-spread."]),
+    (["spread", "--help"], ["bracket", "mc", "Spreadness checks and the random-cover estimate."]),
     (["spread", "mc", "SRC", "--help"],
      ["usage: sforge spread mc [options] SRC", "-R, --ratio FRACTION", "required",
       "--with-exact", "Estimate P[some member inside an (m*delta)-random W]"]),
@@ -628,16 +628,39 @@ def test_cli_matches_scenario_step(args, step, family, domain):
     assert invoke(*args).stdout_bytes == expected
 
 
-def test_cli_import_leaves_numpy_out():
-    # and every engine module and click: a command imports what it runs
+ENGINE = {"sforge." + m for m in
+          ("boolean", "bounds", "domains", "pipelines", "spread", "sunflowers", "packing")}
+
+
+def modules_after(code: str) -> set:
+    """The modules a fresh interpreter has loaded after running ``code``."""
     src = str(Path(sforge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, sforge.cli; print(' '.join(sys.modules))"
+    code += "\nimport sys; sys.stderr.write(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    engine = {"sforge." + m for m in
-              ("boolean", "bounds", "domains", "pipelines", "spread", "sunflowers", "packing")}
-    assert set(out.stdout.split()) & (engine | {"click", "numpy"}) == set()
+    return set(out.stderr.split())
+
+
+def test_cli_import_leaves_numpy_out():
+    # and every engine module and click: a command imports what it runs
+    assert modules_after("import sforge.cli") & (ENGINE | {"click", "numpy"}) == set()
+
+
+def test_group_help_imports_no_engine_module():
+    code = "import sforge.cli\ntry:\n    sforge.cli.main(['spread', '--help'])\n"
+    code += "except SystemExit:\n    pass"
+    assert modules_after(code) & ENGINE == set()
+
+
+def test_scenario_and_family_paths_may_be_path_objects(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": 1, "steps": [{"op": "family", "name": "F", "n": 3,
+                                                          "sets": [[1, 2], [2, 3]]}]}))
+    assert run_scenario(path) == run_scenario(str(path))
+    assert run_scenario(path).exit_code == 0
+    (tmp_path / "f.json").write_text(TRIPLES)
+    assert load_family(tmp_path / "f.json") == load_family(TRIPLES)
 
 
 def test_readme_scenario_runs(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 from math import comb, factorial
 
-from sforge import domains
 from sforge.errors import CapacityError, ParseError, PreconditionError
 from sforge.family import SetFamily, link
 from sforge.domains import (
@@ -213,18 +212,6 @@ class TestRtSpread:
         rep = check_rt_spread(Domain.binomial(4, 2), 3, 1)
         d = rep.as_report()
         assert d["ok"] is False and "violation" in d
-
-    def test_report_is_kept_on_the_domain(self, monkeypatch):
-        A = Domain.kpartite_product(4, [2, 2])
-        first = check_rt_spread(A, 2, 2)
-        assert first == check_rt_spread(Domain.kpartite_product(4, [2, 2]), 2, 2)
-        calls = []
-        compute = domains._rt_spread
-        monkeypatch.setattr(domains, "_rt_spread", lambda *a: calls.append(a) or compute(*a))
-        assert check_rt_spread(A, Fraction(2), 2) is first
-        assert calls == []
-        assert check_rt_spread(A, 3, 2) == check_rt_spread(Domain.kpartite_product(4, [2, 2]), 3, 2)
-        assert len(calls) == 2  # one per domain: (3, 2) is a new key on A
 
     @pytest.mark.parametrize(
         "A",

@@ -537,5 +537,12 @@ def run_scenario(source) -> ScenarioResult:
 
 
 def _report_failed(report: dict) -> bool:
-    return (report.get("ok") is False or report.get("violation") is True
-            or report.get("found") is True or bool(report.get("violations")))
+    if report.get("ok") is False:
+        return True
+    if report.get("violation") is True:
+        return True
+    if report.get("found") is True:
+        return True
+    if report.get("violations"):
+        return True
+    return False

@@ -21,7 +21,7 @@ from math import comb, factorial
 
 from .domains import Domain
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import GroundSet, SetFamily, canon_key, trace_cover
+from .family import GroundSet, SetFamily, canonical, trace_cover
 from .spread import frac_log2_bracket
 from .sunflowers import (
     CoreMode,
@@ -330,7 +330,7 @@ def _bounds_family_size(name: str, k: int, t: int, pred: CorePredicate) -> bool:
 
 
 def _masks_sorted(masks) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=canon_key))
+    return tuple(canonical(set(masks)))
 
 
 def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:

@@ -30,7 +30,7 @@ from .family import (
     GroundSet,
     SetFamily,
     bit_subsets,
-    canon_key,
+    canonical,
     elements_of,
     link,
     restrict,
@@ -194,10 +194,10 @@ class Domain:
         return cnt
 
     def shadow_layer(self, t: int) -> list[int]:
-        return sorted((x for x in self.table if x.bit_count() == t), key=canon_key)
+        return canonical(x for x in self.table if x.bit_count() == t)
 
     def shadow_upto(self, t: int) -> list[int]:
-        return sorted((x for x in self.table if x.bit_count() <= t), key=canon_key)
+        return canonical(x for x in self.table if x.bit_count() <= t)
 
     def max_link(self, t: int) -> tuple[int, int]:
         """(T, A_t): a t-shadow member with the largest link, smallest mask on ties."""
@@ -320,7 +320,14 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
     """Is every link A(T), |T| <= t, an r-spread family?  Exact and exhaustive.
 
     The witness pair, if any, satisfies |A(T)(S)| > r^(-|S|) |A(T)| and is the
-    canonically first such pair.
+    canonically first such pair: T first in canonical order, then S.
+
+    The table is split once into levels by size, each in numeric (hence
+    canonical) order, with each level's largest count.  For each T the
+    levels j above |T| are taken in turn; the S of level j are its X that
+    contain T, minus T, in the same order.  A level whose largest count
+    passes the test is skipped unread, so on a domain with equal counts per
+    level each T costs O(k) comparisons.  Nothing is kept between calls.
     """
     r = _as_fraction(r, "r")
     if r <= 0:
@@ -329,14 +336,24 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
         raise PreconditionError("depth t must lie in 0..k", t=t, k=A.k)
     table = A.table
     num, den = r.numerator, r.denominator
-    for T in A.shadow_upto(t):
-        base = table[T]
-        # table entries strictly above T: T | S, S nonempty inside a member's link
-        cands = [X & ~T for X in table if X & T == T and X != T]
-        for S in sorted(cands, key=canon_key):
-            i = S.bit_count()
-            if table[T | S] * num**i > base * den**i:
-                return SpreadnessReport(r=r, t=t, ok=False, violation=(T, S), domain=A.kind)
+    levels: list[list[int]] = [[] for _ in range(A.k + 1)]
+    for X in sorted(table):
+        levels[X.bit_count()].append(X)
+    peak = [max(map(table.__getitem__, level)) for level in levels]
+    for h in range(t + 1):
+        for T in levels[h]:
+            base = table[T]
+            for j in range(h + 1, A.k + 1):
+                i = j - h
+                bound = base * den**i
+                if peak[j] * num**i <= bound:
+                    continue
+                for X in levels[j]:
+                    # X = T | S with S disjoint from T, so X's order is S's
+                    if X & T == T and table[X] * num**i > bound:
+                        return SpreadnessReport(
+                            r=r, t=t, ok=False, violation=(T, X & ~T), domain=A.kind
+                        )
     return SpreadnessReport(r=r, t=t, ok=True, violation=None, domain=A.kind)
 
 
@@ -394,7 +411,7 @@ def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
     num_of = [asize * td**i for i in range(F.ground.n + 1)]
     den_of = [fsize * tn**i for i in range(F.ground.n + 1)]
     worst_x, worst_num, worst_den = 0, 1, 1
-    for x in sorted(fcounts, key=canon_key):
+    for x in canonical(fcounts):
         i = x.bit_count()
         num = fcounts[x] * num_of[i]
         den = table[x] * den_of[i]
@@ -425,7 +442,7 @@ def max_homogeneous_restriction(F: SetFamily, A: Domain, tau) -> int:
     fcounts = _link_counts(F.members)
     best = 0
     best_val = Fraction(len(F), len(A))
-    for x in sorted(fcounts, key=canon_key):
+    for x in canonical(fcounts):
         if x == 0:
             continue
         val = Fraction(fcounts[x], table[x])
@@ -516,7 +533,7 @@ def homogeneous_subfamily(
         )
     tau_out = alpha * (tau / alpha) ** t
     gcounts = _link_counts(G.members)
-    for P in sorted(gcounts, key=canon_key):
+    for P in canonical(gcounts):
         if P == 0 or P.bit_count() > t - 1:
             continue
         sub = check_tau_homogeneous(link(F, P), A.link_domain(P), tau_out)
@@ -527,7 +544,7 @@ def homogeneous_subfamily(
             )
     return HomogeneousSubfamily(
         family=G, removed=fsize - len(G),
-        sparse_prefixes=tuple(sorted(hit_prefixes, key=canon_key)),
+        sparse_prefixes=tuple(canonical(hit_prefixes)),
         tau_out=tau_out,
     )
 
@@ -835,7 +852,7 @@ def most_subsets_homogeneous(F: SetFamily, A: Domain, h: int, tau, alpha, rho) -
     mu_f = Fraction(fsize, asize)
     tau_hat = tau / (1 - rho)
     floor = (1 - rho) * tau**h * mu_f
-    shadow_hs = sorted({x for x in table if x.bit_count() == h}, key=canon_key)
+    shadow_hs = canonical(x for x in table if x.bit_count() == h)
     bad = 0
     for H in shadow_hs:
         FH = link(F, H)

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParseError, PreconditionError
@@ -45,6 +46,15 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
+
+
+def canonical(masks: Iterable[int]) -> list[int]:
+    """``masks`` in canonical order: by size, then by numeric value.
+
+    The same list as ``sorted(masks, key=canon_key)``, from two sorts keyed
+    in C: by value, then (stably) by popcount.
+    """
+    return sorted(sorted(masks), key=int.bit_count)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -96,13 +106,13 @@ class SetFamily:
 
     def __post_init__(self):
         full = self.ground.full_mask
-        canon = tuple(sorted(set(self.members), key=canon_key))
-        for m in canon:
-            if not isinstance(m, int) or m < 0 or m & ~full:
+        for m in self.members:
+            # an int mask only: a bool is no set, and a str or float no mask
+            if type(m) is not int or m < 0 or m & ~full:
                 raise PreconditionError(
                     f"member {m!r} is not a subset of the ground set", member=m
                 )
-        object.__setattr__(self, "members", canon)
+        object.__setattr__(self, "members", tuple(canonical(set(self.members))))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -168,11 +178,28 @@ def link(F: SetFamily, S: int) -> SetFamily:
 
 
 def trace_cover(F: SetFamily, B: SetFamily) -> SetFamily:
-    """Members of F that contain at least one member of B."""
+    """Members of F that contain at least one member of B.
+
+    With w the largest member size of F, a member has at most
+    sum C(w, h) subsets whose sizes h occur in B.  When that is fewer than
+    |B|, each member's subsets of those sizes are looked up in B's member
+    set; otherwise each member is tested against every member of B.
+    """
     if B.ground.n != F.ground.n:
         raise PreconditionError("trace requires matching ground sets")
-    out = []
     bms = B.members
+    if not F.members:
+        return F
+    w = F.members[-1].bit_count()
+    sizes = {b.bit_count() for b in bms}
+    if sum(comb(w, h) for h in sizes) < len(bms):
+        bset = B._member_set
+        out = [
+            m for m in F.members
+            if any(not bset.isdisjoint(bit_subsets(m, h)) for h in sizes)
+        ]
+        return F.replace_members(out)
+    out = []
     for m in F.members:
         for b in bms:
             if m & b == b:

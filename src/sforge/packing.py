@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .family import canon_key, elements_of
+from .family import canonical, elements_of
 
 
 def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
@@ -25,7 +25,7 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
     the new one, and a child that cannot beat the incumbent even with all of
     its candidates is not entered (it would return at once).
     """
-    ms = sorted(set(masks), key=canon_key)
+    ms = canonical(set(masks))
     goal = len(ms) + 1 if stop_at is None else stop_at
     elems = [elements_of(m) for m in ms]
     holders: dict[int, int] = {}  # element -> indices of the masks holding it
@@ -86,7 +86,7 @@ def find_disjoint_representatives(
         return []
     cleaned = []
     for g in groups:
-        opts = sorted({m for m in g if m & forbidden == 0}, key=canon_key)
+        opts = canonical({m for m in g if m & forbidden == 0})
         if not opts:
             return None
         cleaned.append(opts)

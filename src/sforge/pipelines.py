@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import (
@@ -29,11 +29,11 @@ from .domains import (
     homogeneous_subfamily,
     verify_shadow_bound,
 )
-from .errors import PreconditionError, VerificationError
+from .errors import CapacityError, PreconditionError, VerificationError
 from .family import (
     SetFamily,
     bit_subsets,
-    canon_key,
+    canonical,
     elements_of,
     family_minus,
     shadow,
@@ -1053,7 +1053,7 @@ class SystemSST:
             return
         fam_of = {p.core: p.family for p in self.parts}
         ground_full = (1 << self.domain.family.ground.n) - 1
-        for chosen in combinations(sorted(cores, key=canon_key), self.s):
+        for chosen in combinations(canonical(cores), self.s):
             C = is_sunflower(list(chosen))
             if C is None or C.bit_count() > self.t - 2:
                 continue
@@ -1287,7 +1287,7 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
         shadows[part.core] = sh
 
     fam_of = {p.core: p.family for p in U.parts}
-    active = sorted(shadows, key=canon_key)
+    active = canonical(shadows)
     n_start = len(active)
     rounds: list[ClusterRound] = []
     collected: list[SetFamily] = []
@@ -1373,17 +1373,26 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
     )
 
 
+_COVER_CAP = 100_000  # candidate families _smallest_cover may try
+
+
 def _smallest_cover(cores: list[int], t: int, A: Domain) -> SetFamily:
-    """The smallest t-uniform family covering every core, canonically first."""
+    """The smallest t-uniform family covering every core, canonically first.
+
+    Tries the candidate families smallest first and refuses with a
+    ``CapacityError`` after ``_COVER_CAP`` of them.
+    """
     if not cores:
         return A.family.replace_members(())
-    pool = sorted(
-        {x for S in cores for x in bit_subsets(S, t)}, key=canon_key
-    )
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            if all(any(S & T == T for T in combo) for S in cores):
-                return A.family.replace_members(combo)
+    pool = canonical({x for S in cores for x in bit_subsets(S, t)})
+    combos = chain.from_iterable(combinations(pool, size) for size in range(1, len(pool) + 1))
+    for tried, combo in enumerate(combos):
+        if tried == _COVER_CAP:
+            raise CapacityError(
+                "smallest cover search capped", cores=len(cores), pool=len(pool), cap=_COVER_CAP
+            )
+        if all(any(S & T == T for T in combo) for S in cores):
+            return A.family.replace_members(combo)
     raise VerificationError("no cover exists; a core must be smaller than t")
 
 

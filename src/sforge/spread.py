@@ -18,7 +18,7 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import SetFamily, canon_key, elements_of, link, restrict, submasks
+from .family import SetFamily, canonical, elements_of, link, restrict, submasks
 from .packing import find_disjoint_representatives as _masks_disjoint_reps
 from .sunflowers import SunflowerWitness
 
@@ -79,7 +79,7 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
     counts = _link_counts(F.members)
     if len(counts) > _ENUM_CAP:
         raise CapacityError("too many distinct subsets", count=len(counts))
-    for x in sorted(counts, key=canon_key):
+    for x in canonical(counts):
         if x == 0:
             continue
         i = x.bit_count()
@@ -105,7 +105,7 @@ def max_spread_restriction(F: SetFamily, R) -> int:
     counts = _link_counts(F.members)
     best = 0
     best_val = Fraction(len(F))
-    for x in sorted(counts, key=canon_key):
+    for x in canonical(counts):
         if x == 0:
             continue
         i = x.bit_count()

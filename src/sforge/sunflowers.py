@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
-from .family import SetFamily, canon_key, elements_of
+from .family import SetFamily, canonical, elements_of
 from .packing import max_disjoint
 
 
@@ -83,7 +83,7 @@ class SunflowerWitness:
                     "witness pairwise intersections must equal the core",
                     pair=(elements_of(a), elements_of(b)),
                 )
-        object.__setattr__(self, "petals", tuple(sorted(ps, key=canon_key)))
+        object.__setattr__(self, "petals", tuple(canonical(ps)))
 
     @property
     def s(self) -> int:
@@ -132,7 +132,7 @@ def find_sunflower(
     the predicate; for each candidate core the petals above it are packed for
     s pairwise-disjoint ones.
     """
-    members = list(F.members) if isinstance(F, SetFamily) else sorted(set(F), key=canon_key)
+    members = list(F.members) if isinstance(F, SetFamily) else canonical(set(F))
     if pred.degenerate_small_sets:
         for m in members:
             if m.bit_count() <= pred.bound:  # type: ignore[operator]
@@ -141,7 +141,7 @@ def find_sunflower(
         return None
     admits = [pred.admits_core_size(c) for c in range(max(members).bit_length() + 1)]
     cores = [c for c in {a & b for a, b in combinations(members, 2)} if admits[c.bit_count()]]
-    for core in sorted(cores, key=canon_key):
+    for core in canonical(cores):
         above = [m for m in members if m & core == core]
         if len(above) < pred.s:
             continue
@@ -166,7 +166,7 @@ def brute_force_find(
     F: SetFamily | Sequence[int], pred: CorePredicate
 ) -> SunflowerWitness | DegenerateWitness | None:
     """Oracle: test every s-subset directly. Only for families of <= 25 sets."""
-    members = list(F.members) if isinstance(F, SetFamily) else sorted(set(F), key=canon_key)
+    members = list(F.members) if isinstance(F, SetFamily) else canonical(set(F))
     if len(members) > 25:
         raise CapacityError("brute-force sunflower oracle capped at 25 members")
     if pred.degenerate_small_sets:

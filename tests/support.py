@@ -478,6 +478,27 @@ def reference_check_rt_spread(A, r, t):
     return SpreadnessReport(r=r, t=t, ok=True, violation=None, domain=A.kind)
 
 
+def reference_check_rt_spread_scan(A, r, t):
+    """check_rt_spread as a scan of the whole table for each T, the
+    candidates sorted with ``canon_key``."""
+    r = Fraction(r)
+    num, den = r.numerator, r.denominator
+    table = A.table
+    for T in sorted((x for x in table if x.bit_count() <= t), key=canon_key):
+        base = table[T]
+        cands = [X & ~T for X in table if X & T == T and X != T]
+        for S in sorted(cands, key=canon_key):
+            i = S.bit_count()
+            if table[T | S] * num**i > base * den**i:
+                return SpreadnessReport(r=r, t=t, ok=False, violation=(T, S), domain=A.kind)
+    return SpreadnessReport(r=r, t=t, ok=True, violation=None, domain=A.kind)
+
+
+def reference_trace_cover(F, B):
+    """trace_cover as a test of every member of F against every member of B."""
+    return F.replace_members(m for m in F.members if any(m & b == b for b in B.members))
+
+
 def reference_superset_sums(F, a, b):
     """z[B] = sum of a^|m| b^(n-|m|) over members m >= B, one mask at a time."""
     n = F.ground.n

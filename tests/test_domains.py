@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from sforge.errors import CapacityError, ParseError, PreconditionError
-from sforge.family import SetFamily, link
+from sforge.family import GroundSet, SetFamily, link
 from sforge.domains import (
     Domain,
     check_assumptions,
@@ -20,7 +20,11 @@ from sforge.domains import (
     verify_shadow_bound,
 )
 
-from support import reference_check_rt_spread, reference_check_tau_homogeneous
+from support import (
+    reference_check_rt_spread,
+    reference_check_rt_spread_scan,
+    reference_check_tau_homogeneous,
+)
 
 
 def mask(*elems):
@@ -232,6 +236,51 @@ class TestRtSpread:
         for t in range(A.k + 1):
             for r in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)):
                 assert check_rt_spread(A, r, t) == reference_check_rt_spread(A, r, t), (t, r)
+
+
+@st.composite
+def complex_layers(draw):
+    """A layer of a random complex on at most 7 points: link counts differ
+    within a level, so no level's largest count settles it."""
+    n = draw(st.integers(3, 7))
+    faces = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    k = draw(st.integers(1, max(f.bit_count() for f in faces)))
+    return Domain.complex_layer(SetFamily(GroundSet(n), tuple(faces)), k)
+
+
+def rt_thresholds(A, t):
+    """The r at which some pair (T, S), |T| <= t, turns into a violation:
+    exact for |S| = 1, the nearest small fraction otherwise."""
+    table = A.table
+    out = set()
+    for T in table:
+        if T.bit_count() > t:
+            continue
+        for X in table:
+            if X & T == T and X != T:
+                i = (X & ~T).bit_count()
+                ratio = Fraction(table[T], table[X])
+                out.add(ratio if i == 1 else Fraction(float(ratio) ** (1 / i)).limit_denominator(64))
+    return sorted(out)
+
+
+class TestRtSpreadLevels:
+    """check_rt_spread against the per-T table scan it replaced."""
+
+    @given(complex_layers(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_table_scan_at_the_thresholds(self, A, data):
+        for t in range(A.k + 1):
+            for r in data.draw(st.lists(st.sampled_from(rt_thresholds(A, t)), min_size=1, max_size=3)):
+                for rr in (r - Fraction(1, 64), r, r + Fraction(1, 64)):
+                    if rr > 0:
+                        assert check_rt_spread(A, rr, t) == reference_check_rt_spread_scan(A, rr, t), (t, rr)
+
+    @given(complex_layers(), st.fractions(Fraction(1, 4), 8, max_denominator=12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_table_scan_at_any_r(self, A, r):
+        for t in range(A.k + 1):
+            assert check_rt_spread(A, r, t) == reference_check_rt_spread_scan(A, r, t), t
 
 
 class TestAssumptions:

@@ -1,15 +1,18 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sforge.errors import CapacityError, ParseError, PreconditionError
 from sforge.family import (
     GroundSet,
     SetFamily,
     bit_subsets,
+    canon_key,
+    canonical,
     elements_of,
     family_from_hex,
     family_from_json,
@@ -29,6 +32,8 @@ from sforge.family import (
     upper_closure,
     upper_closure_contains,
 )
+
+from support import reference_trace_cover
 
 
 def binomial_family(n, k):
@@ -52,6 +57,13 @@ def test_member_outside_ground_rejected():
         SetFamily.from_sets(3, [[4]])
     with pytest.raises(PreconditionError):
         SetFamily(GroundSet(3), (1 << 5,))
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, None, True, False, -1], ids=repr)
+def test_non_mask_member_rejected(bad):
+    # validated before sorting: no AttributeError, and True is no {1}
+    with pytest.raises(PreconditionError, match="not a subset"):
+        SetFamily(GroundSet(3), (1, bad))
 
 
 def test_ground_size_limits():
@@ -116,6 +128,43 @@ def test_trace_cover_union_invariant():
     lhs = set(trace_cover(f, both).members)
     rhs = set(trace_cover(f, b1).members) | set(trace_cover(f, b2).members)
     assert lhs == rhs
+
+
+@st.composite
+def mixed_cover_inputs(draw):
+    """F of members up to size w < n, B of members with sizes drawn from 0..n."""
+    n = draw(st.integers(2, 8))
+    w = draw(st.integers(1, n - 1))
+    masks = range(1 << n)
+    F = draw(st.lists(st.sampled_from([m for m in masks if m.bit_count() <= w]), min_size=1, max_size=40))
+    sizes = draw(st.sets(st.integers(0, n), min_size=1))
+    pool = [m for m in masks if m.bit_count() in sizes]
+    B = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+    return SetFamily(GroundSet(n), tuple(F)), SetFamily(GroundSet(n), tuple(B))
+
+
+@pytest.mark.parametrize("lookup", [True, False], ids=["lookup", "scan"])
+@settings(max_examples=150, deadline=None)
+@given(mixed_cover_inputs())
+def test_trace_cover_matches_the_pairwise_scan(lookup, inputs):
+    F, B = inputs
+    w = F.members[-1].bit_count()
+    sizes = {b.bit_count() for b in B}
+    # the side of trace_cover's cost rule this input falls on
+    assume((sum(comb(w, h) for h in sizes) < len(B)) == lookup)
+    assert trace_cover(F, B) == reference_trace_cover(F, B)
+
+
+def test_trace_cover_empty_member_covers_everything():
+    F = binomial_family(5, 2).replace_members(binomial_family(5, 2).members + (0,))
+    B = SetFamily.from_sets(5, [[]] + [[1, e] for e in range(2, 6)])
+    assert trace_cover(F, B) == F
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1) | st.integers(0, 255)))
+def test_canonical_is_the_canon_key_sort(masks):
+    assert canonical(masks) == sorted(masks, key=canon_key)
 
 
 def test_shadow_count():

@@ -1,6 +1,6 @@
 """Static checks on the package source: no unused module-level imports, no
-unused private module-level names, no click, and front ends that import no
-engine module at load time.
+unused private module-level names, no click, front ends that import no
+engine module at load time, and one canonical sort.
 
 Every ``src/sforge/*.py`` is parsed with ``ast``.  A name bound by a
 module-level ``import`` or ``from ... import`` must be used somewhere in
@@ -9,7 +9,8 @@ bound at module level by a ``def``, ``class`` or assignment must be read,
 imported or accessed as an attribute by some module of the package.  No
 module imports ``click``, and ``cli.py`` and ``scenario.py`` import the
 engine modules only inside functions, so ``sforge --help`` and every
-command load only what they run.
+command load only what they run.  Canonical order is ``family.canonical``
+(two sorts keyed in C); no module sorts with ``key=canon_key`` itself.
 """
 
 import ast
@@ -183,3 +184,41 @@ def test_import_checker_names_the_loaded_modules():
     assert imported_modules(tree.body) == {
         "click.testing", "json", "boolean", "spread", "bounds", "domains"}
     assert "pipelines" in imported_modules(ast.walk(tree))
+
+
+def canon_key_sorts(source: str) -> list[str]:
+    """The lines of ``sorted(...)`` or ``.sort(...)`` calls keyed by ``canon_key``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if not (isinstance(fn, ast.Name) and fn.id == "sorted"
+                or isinstance(fn, ast.Attribute) and fn.attr == "sort"):
+            continue
+        for kw in node.keywords:
+            key = kw.value
+            if kw.arg == "key" and (isinstance(key, ast.Name) and key.id == "canon_key"
+                                    or isinstance(key, ast.Attribute) and key.attr == "canon_key"):
+                out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_canonical_order_comes_from_family_canonical(path):
+    assert canon_key_sorts(path.read_text(encoding="utf-8")) == []
+
+
+def test_canon_key_sort_checker_flags_the_old_sorts():
+    src = (
+        "from . import family\n"
+        "from .family import canon_key, elements_of\n"
+        "def f(table, cands, masks):\n"
+        "    for S in sorted(cands, key=canon_key):\n"
+        "        pass\n"
+        "    ms = sorted(set(masks), key=family.canon_key)\n"
+        "    cands.sort(reverse=True, key=canon_key)\n"
+        "    best = min(masks, key=canon_key)\n"
+        "    return sorted(table, key=elements_of), sorted(sorted(ms), key=int.bit_count)\n"
+    )
+    assert canon_key_sorts(src) == ["line 4", "line 6", "line 7"]

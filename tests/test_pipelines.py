@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sforge import pipelines
 from sforge.domains import Domain, check_tau_homogeneous
-from sforge.errors import PreconditionError, VerificationError
+from sforge.errors import CapacityError, PreconditionError, VerificationError
 from sforge.family import GroundSet, SetFamily, family_minus, trace_cover
 from sforge.pipelines import (
     DecompositionPart,
@@ -16,6 +16,7 @@ from sforge.pipelines import (
     ExtractionThreshold,
     SystemSST,
     _peel,
+    _smallest_cover,
     cluster_system,
     delta_filter,
     down_closed_cover,
@@ -648,6 +649,17 @@ class TestClusterSystem:
         )
         with pytest.raises(VerificationError, match="extend its core"):
             cluster_system(bad, A, Fraction(1, 3))
+
+
+def test_smallest_cover_is_capped():
+    # 20 disjoint singleton cores: only all 20 singletons cover them, so the
+    # smallest-first search would try 2^20 - 1 candidate families
+    A = Domain.binomial(20, 1)
+    cores = [1 << i for i in range(20)]
+    with pytest.raises(CapacityError, match="smallest cover"):
+        _smallest_cover(cores, 1, A)
+    # 16 of them need 2^16 - 1 candidates, under the cap
+    assert _smallest_cover(cores[:16], 1, A).members == tuple(cores[:16])
 
 
 def _sts_like_star():

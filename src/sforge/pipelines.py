@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import (
@@ -39,7 +40,7 @@ from .family import (
     shadow,
     trace_cover,
 )
-from .packing import matching_number
+from .packing import find_packing
 from .spread import _LN2_HI, _LN2_LO, _as_fraction, _link_counts, check_spread, frac_log2_bracket
 from .sunflowers import CoreMode, CorePredicate, find_sunflower, is_sunflower
 
@@ -993,6 +994,9 @@ def _cover_remainder_record(
 # -- intersection systems ----------------------------------------------------
 
 
+_SYSTEM_CAP = 1_000_000  # s-subsets of cores SystemSST.verify may test
+
+
 @dataclass(frozen=True)
 class SystemSST:
     """Cored blocks whose mutual intersections are controlled two levels
@@ -1002,6 +1006,7 @@ class SystemSST:
     them form a sunflower with core of size exactly t-1, and whenever s
     distinct cores form a sunflower with core C of size at most t-2, every
     choice of one member per block meets in at most t-|C|-2 elements.
+    More than ``_SYSTEM_CAP`` s-subsets of cores raise ``CapacityError``.
     """
 
     domain: Domain
@@ -1051,6 +1056,12 @@ class SystemSST:
             )
         if self.t < 2 or len(cores) < self.s:
             return
+        subsets = comb(len(cores), self.s)
+        if subsets > _SYSTEM_CAP:
+            raise CapacityError(
+                "system verification capped", cores=len(cores), s=self.s, subsets=subsets,
+                cap=_SYSTEM_CAP,
+            )
         fam_of = {p.core: p.family for p in self.parts}
         ground_full = (1 << self.domain.family.ground.n) - 1
         for chosen in combinations(canonical(cores), self.s):
@@ -1592,7 +1603,7 @@ def _delta_anchor(
                 ok = verdicts.get(E)
                 if ok is None:
                     petals = [g & ~E for g in members if g & E == E]
-                    ok = verdicts[E] = matching_number(petals, at_least=p) >= p
+                    ok = verdicts[E] = find_packing(petals, p) is not None
                 if not ok:
                     break
             if not ok:
@@ -1602,6 +1613,9 @@ def _delta_anchor(
     return None
 
 
+_ANCHOR_CAP = 100_000  # (T, E) pairs per member delta_filter may test
+
+
 def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     """Greatest fixed point of discarding members with no valid anchor.
 
@@ -1609,7 +1623,9 @@ def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     core of a sunflower with p petals inside the current family.  Members
     without a valid T are dropped, all at once per round, until nothing
     changes; the scan order cannot influence the result.  The final anchor
-    map is recomputed and re-checked on the fixed point.
+    map is recomputed and re-checked on the fixed point.  A member has
+    C(k, t) (2^(k-t) - 1) pairs (T, E) to test; more than ``_ANCHOR_CAP``
+    raise ``CapacityError`` before any search.
     """
     if p < 2:
         raise PreconditionError("petal count must be at least 2", p=p)
@@ -1621,6 +1637,9 @@ def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     k = sizes.pop()
     if not 1 <= t <= k:
         raise PreconditionError("anchor size must lie in 1..k", t=t, k=k)
+    pairs = comb(k, t) * ((1 << (k - t)) - 1)
+    if pairs > _ANCHOR_CAP:
+        raise CapacityError("anchor search capped", k=k, t=t, pairs=pairs, cap=_ANCHOR_CAP)
 
     G = F
     rounds = 0

@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
 from .family import SetFamily, canonical, elements_of
-from .packing import max_disjoint
+from .packing import find_packing
 
 
 class CoreMode(enum.Enum):
@@ -127,10 +128,20 @@ def find_sunflower(
 ) -> SunflowerWitness | DegenerateWitness | None:
     """Search F for a forbidden sunflower; None certifies absence.
 
-    Candidate cores are exactly the pairwise intersections of members (every
-    sunflower's core is the intersection of any two of its sets), filtered by
-    the predicate; for each candidate core the petals above it are packed for
-    s pairwise-disjoint ones.
+    Every sunflower's core is the intersection of any two of its sets, so
+    the candidate cores are the pairwise intersections of members of an
+    admissible size, in canonical order; for each, the petals above it are
+    packed for s pairwise-disjoint ones (``find_packing``, which first asks
+    whether fewer than s elements meet every petal: then there are not s
+    disjoint ones, since the matching number is at most the transversal
+    number).
+
+    When the widest member has fewer admissible-size subsets than half the
+    other members (``_core_index``), the candidates are instead every such
+    subset of two or more members, with its members looked up rather than scanned.
+    A subset K that is no pairwise intersection adds nothing: any two
+    members above K meet outside it, so its petals hold no two disjoint
+    ones, and the first witness is the same.
     """
     members = list(F.members) if isinstance(F, SetFamily) else canonical(set(F))
     if pred.degenerate_small_sets:
@@ -139,16 +150,22 @@ def find_sunflower(
                 return DegenerateWitness(m, pred.s)
     if len(members) < pred.s:
         return None
-    admits = [pred.admits_core_size(c) for c in range(max(members).bit_length() + 1)]
-    cores = [c for c in {a & b for a, b in combinations(members, 2)} if admits[c.bit_count()]]
+    width = max(m.bit_count() for m in members)
+    admits = [pred.admits_core_size(c) for c in range(width + 1)]
+    sizes = [c for c in range(width + 1) if admits[c]]
+    if len(members) * sum(comb(width, c) for c in sizes) < comb(len(members), 2):
+        index = _core_index(members, sizes)
+        cores = [K for K, above in index.items() if len(above) >= pred.s]
+    else:
+        index = None
+        cores = [c for c in {a & b for a, b in combinations(members, 2)} if admits[c.bit_count()]]
     for core in canonical(cores):
-        above = [m for m in members if m & core == core]
+        above = index[core] if index is not None else [m for m in members if m & core == core]
         if len(above) < pred.s:
             continue
-        petals = [m & ~core for m in above]
-        packed = max_disjoint(petals, stop_at=pred.s)
-        if len(packed) >= pred.s:
-            chosen = set(packed[: pred.s])
+        packed = find_packing([m & ~core for m in above], pred.s)
+        if packed is not None:
+            chosen = set(packed)
             sets = []
             for m in above:
                 if (m & ~core) in chosen:
@@ -156,6 +173,18 @@ def find_sunflower(
                     chosen.discard(m & ~core)
             return SunflowerWitness(tuple(sets), core)
     return None
+
+
+def _core_index(members: Sequence[int], sizes: Sequence[int]) -> dict[int, list[int]]:
+    """Each subset of a member with a size in ``sizes``, mapped to the
+    members that contain it, in the order of ``members``."""
+    index: dict[int, list[int]] = {}
+    for m in members:
+        bits = [1 << (e - 1) for e in elements_of(m)]
+        for c in sizes:
+            for combo in combinations(bits, c):
+                index.setdefault(sum(combo), []).append(m)
+    return index
 
 
 def family_is_free(F: SetFamily | Sequence[int], pred: CorePredicate) -> bool:
@@ -223,7 +252,7 @@ def _survivors(
             continue
         union = x | c
         petals = [f & ~core for f in fam if f & union == core]
-        if len(petals) < s - 2 or (s > 3 and len(max_disjoint(petals, stop_at=s - 2)) < s - 2):
+        if len(petals) < s - 2 or (s > 3 and find_packing(petals, s - 2) is None):
             out.append((j, c))
     return out
 

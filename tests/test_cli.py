@@ -288,6 +288,14 @@ class TestPipelineCommands:
         assert rep["rounds"] == 1
         assert rep["removed"] == []
 
+    @pytest.mark.parametrize("t", [1, 20])
+    def test_delta_on_a_wide_member_exits_3(self, t):
+        # one 40-element member has C(40, t) (2^(40-t) - 1) anchor tests to run;
+        # t = 20 would first list all C(40, 20) anchors
+        wide = json.dumps({"n": 40, "sets": [list(range(1, 41))]})
+        err = error_of(invoke("pipeline", "delta", wide, "--petals", 2, "--core-size", t, expect=3))
+        assert err["error"] == "CapacityError" and err["details"]["k"] == "40"
+
 
 class TestBoundsCommands:
     def test_list(self):

@@ -11,6 +11,10 @@ module imports ``click``, and ``cli.py`` and ``scenario.py`` import the
 engine modules only inside functions, so ``sforge --help`` and every
 command load only what they run.  Canonical order is ``family.canonical``
 (two sorts keyed in C); no module sorts with ``key=canon_key`` itself.
+Threshold packing searches ("are there p disjoint masks?") go through
+``packing.find_packing``, which runs the transversal pre-check first; no
+other module calls ``max_disjoint`` with ``stop_at`` or ``matching_number``
+with ``at_least``.
 """
 
 import ast
@@ -222,3 +226,43 @@ def test_canon_key_sort_checker_flags_the_old_sorts():
         "    return sorted(table, key=elements_of), sorted(sorted(ms), key=int.bit_count)\n"
     )
     assert canon_key_sorts(src) == ["line 4", "line 6", "line 7"]
+
+
+THRESHOLD_ARGS = {"max_disjoint": "stop_at", "matching_number": "at_least"}
+
+
+def threshold_packings(source: str) -> list[str]:
+    """The lines of ``max_disjoint`` calls given ``stop_at`` and
+    ``matching_number`` calls given ``at_least``, by keyword or position."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+        if name in THRESHOLD_ARGS and (
+            len(node.args) > 1 or any(kw.arg == THRESHOLD_ARGS[name] for kw in node.keywords)
+        ):
+            out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "packing.py"],
+                         ids=lambda p: p.name)
+def test_threshold_packings_go_through_find_packing(path):
+    assert threshold_packings(path.read_text(encoding="utf-8")) == []
+
+
+def test_threshold_packing_checker_flags_the_direct_searches():
+    src = (
+        "from . import packing\n"
+        "from .packing import matching_number, max_disjoint\n"
+        "def f(petals, pred, s, p):\n"
+        "    packed = max_disjoint(petals, stop_at=pred.s)\n"
+        "    if len(petals) < s - 2 or (s > 3 and len(max_disjoint(petals, stop_at=s - 2)) < s - 2):\n"
+        "        pass\n"
+        "    ok = matching_number(petals, at_least=p) >= p\n"
+        "    best = max_disjoint(petals), matching_number(petals), packing.max_disjoint(petals, 3)\n"
+        "    return packed, ok, best\n"
+    )
+    assert threshold_packings(src) == ["line 4", "line 5", "line 7", "line 8"]

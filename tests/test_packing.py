@@ -1,10 +1,16 @@
-"""max_disjoint against the plain rescanning DFS and a brute-force maximum."""
+"""max_disjoint against the plain rescanning DFS and a brute-force maximum;
+the transversal pre-check and find_packing against brute force and
+max_disjoint."""
 
+import time
 from itertools import combinations
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from sforge.packing import matching_number, max_disjoint
+from sforge import packing
+from sforge.packing import find_packing, hit_by_at_most, matching_number, max_disjoint
 from support import reference_max_disjoint
 
 masks8 = st.lists(st.integers(0, 255), max_size=14)
@@ -72,3 +78,70 @@ def test_stop_at_above_the_optimum_returns_a_maximum():
 def test_empty_and_zero_masks():
     assert max_disjoint([]) == []
     assert max_disjoint([0, 0, 0b1]) == [0, 0b1]
+
+
+def brute_force_hit(masks, h) -> bool:
+    """Some set of at most h elements of the support meets every mask."""
+    support = 0
+    for m in masks:
+        support |= m
+    elems = [1 << i for i in range(support.bit_length()) if support >> i & 1]
+    for size in range(min(h, len(elems)) + 1):
+        for combo in combinations(elems, size):
+            T = sum(combo)
+            if all(m & T for m in masks):
+                return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=10), st.integers(-1, 5))
+def test_transversal_test_is_the_brute_force_answer(masks, h):
+    assert hit_by_at_most(masks, h, budget=10**9) == brute_force_hit(masks, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=12), st.integers(0, 5), st.integers(0, 12))
+def test_a_budgeted_yes_is_still_a_certificate(masks, h, budget):
+    if hit_by_at_most(masks, h, budget):
+        assert brute_force_hit(masks, h)
+
+
+def test_an_empty_mask_is_never_met():
+    assert not hit_by_at_most([0], 3, budget=100)
+    assert not hit_by_at_most([0b1, 0b1, 0], 1, budget=100)
+    assert hit_by_at_most([0b1, 0b11], 1, budget=100)
+    # the empty mask and {1} are two disjoint masks
+    assert find_packing([0, 0b1], 2) == [0, 0b1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks8, st.integers(0, 6))
+def test_find_packing_is_max_disjoint_at_the_threshold(masks, p):
+    packed = max_disjoint(masks, stop_at=p)
+    assert find_packing(masks, p) == (packed if len(packed) >= p else None)
+
+
+@pytest.mark.parametrize("masks,p", [
+    ([0b011, 0b101, 0b110], 3),  # a triangle: 2 elements meet all 3 edges
+    ([0b0011, 0b0101, 0b1001, 0b0110], 3),  # a star through 1 plus {2, 3}: {1, 2}
+    ([0b1, 0b11, 0b111], 2),  # nested masks, all through element 1
+    ([], 1),
+])
+def test_a_small_transversal_answers_without_a_search(masks, p, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("max_disjoint ran")
+
+    monkeypatch.setattr(packing, "max_disjoint", no_search)
+    assert find_packing(masks, p) is None
+
+
+def test_the_budget_bounds_a_deep_transversal_test():
+    # 21 disjoint triples: no 20 elements meet them all, and the exact test
+    # would branch 3 ways to depth 20 before saying so
+    blocks = [0b111 << (3 * i) for i in range(21)]
+    start = time.perf_counter()
+    assert not hit_by_at_most(blocks, 20, budget=len(blocks))
+    assert find_packing(blocks, 21) == blocks
+    assert find_packing(blocks + [0b1001], 22) is None
+    assert time.perf_counter() - start < 5

@@ -651,6 +651,20 @@ class TestClusterSystem:
             cluster_system(bad, A, Fraction(1, 3))
 
 
+def test_system_verification_is_capped():
+    # the 28 pairs of [8] as cores: no vertex of degree 10, so no 10 of them
+    # form a sunflower on one point, and C(28, 10) = 13,123,110 10-subsets
+    # of cores would follow
+    A = Domain.binomial(8, 3)
+    parts = tuple(
+        DecompositionPart(mask(a, b), fam(8, [[min(set(range(1, 9)) - {a, b})]]))
+        for a, b in combinations(range(1, 9), 2)
+    )
+    U = SystemSST(domain=A, s=10, t=2, parts=parts)
+    with pytest.raises(CapacityError, match="system verification"):
+        U.verify()
+
+
 def test_smallest_cover_is_capped():
     # 20 disjoint singleton cores: only all 20 singletons cover them, so the
     # smallest-first search would try 2^20 - 1 candidate families
@@ -874,6 +888,32 @@ class TestDeltaFilter:
     def test_random_uniform_families_match_the_uncached_reference(self, sets, p, t):
         F = SetFamily.from_sets(7, [sorted(x) for x in sets])
         self.assert_matches_reference(F, p, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_to_four_petals_match_the_uncached_reference(self, data):
+        # pairs and triples on 9 points: a 1-set core can have 4 disjoint petals
+        k = data.draw(st.sampled_from([2, 3]))
+        sets = data.draw(st.lists(st.sets(st.integers(1, 9), min_size=k, max_size=k),
+                                  max_size=18))
+        p = data.draw(st.sampled_from([2, 3, 4]))
+        t = data.draw(st.integers(1, k))
+        self.assert_matches_reference(SetFamily.from_sets(9, [sorted(x) for x in sets]), p, t)
+
+    def test_four_petal_star_keeps_its_members(self):
+        A = Domain.binomial(9, 2)
+        F = star(A, mask(1)).replace_members(list(star(A, mask(1)).members) + [mask(2, 3)])
+        res = delta_filter(F, 4, 1)
+        assert res.family == star(A, mask(1)) and res.removed.members == (mask(2, 3),)
+        self.assert_matches_reference(F, 4, 1)
+
+    def test_anchor_search_is_capped(self):
+        # a 17-set has 17 (2^16 - 1) pairs (T, E) for t = 1, a 12-set 12 (2^11 - 1)
+        with pytest.raises(CapacityError, match="anchor search"):
+            delta_filter(fam(17, [range(1, 18)]), 2, 1)
+        assert delta_filter(fam(12, [range(1, 13)]), 2, 1).family.members == ()
+        # t = k leaves no E to test
+        assert delta_filter(fam(40, [range(1, 41)]), 2, 40).family.members == (mask(*range(1, 41)),)
 
     @settings(max_examples=25, deadline=None)
     @given(

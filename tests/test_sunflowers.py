@@ -1,7 +1,9 @@
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sforge.bounds import verify_instance
 from sforge.domains import Domain
@@ -13,6 +15,7 @@ from sforge.sunflowers import (
     DegenerateWitness,
     PhiResult,
     SunflowerWitness,
+    _core_index,
     brute_force_find,
     family_is_free,
     find_sunflower,
@@ -136,6 +139,76 @@ def test_find_matches_brute_force(data):
         assert all(p in f.members for p in fast.petals)
 
 
+def uses_core_index(members, pred) -> bool:
+    """The side of find_sunflower's cost rule that ``members`` fall on."""
+    w = max(m.bit_count() for m in members)
+    subsets = sum(comb(w, c) for c in range(w + 1) if pred.admits_core_size(c))
+    return len(members) * subsets < comb(len(members), 2)
+
+
+@st.composite
+def sunflower_inputs(draw, index: bool):
+    """Distinct masks of mixed sizes and a predicate; many narrow masks when
+    ``index`` is set, so that the cost rule picks the core index."""
+    n = draw(st.integers(4, 9))
+    width = draw(st.integers(1, 3 if index else 5))
+    sets = draw(st.sets(st.frozensets(st.integers(1, n), max_size=width),
+                        min_size=16 if index else 2, max_size=40 if index else 14))
+    members = [sum(1 << (e - 1) for e in x) for x in sets]
+    s = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from([CoreMode.ANY, CoreMode.AT_MOST, CoreMode.EXACT]))
+    bound = None if mode is CoreMode.ANY else draw(st.integers(0, 3))
+    degenerate = mode is CoreMode.AT_MOST and draw(st.booleans())
+    return members, CorePredicate(s, mode, bound, degenerate)
+
+
+@pytest.mark.parametrize("index", [True, False], ids=["index", "pairs"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_matches_the_reference_on_both_core_paths(index, data):
+    members, pred = data.draw(sunflower_inputs(index))
+    assume(len(members) >= pred.s and uses_core_index(members, pred) == index)
+    assert find_sunflower(members, pred) == reference_find_sunflower(members, pred)
+
+
+def test_core_index_lists_members_in_the_given_order():
+    members = SetFamily.from_sets(6, [[1], [1, 2], [2, 3], [1, 2, 3], [1, 4, 5], [2, 3, 6]]).members
+    sizes = [0, 2]
+    expect = {}
+    for m in members:
+        for K in range(1 << 6):
+            if K & m == K and K.bit_count() in sizes:
+                expect.setdefault(K, []).append(m)
+    index = _core_index(members, sizes)
+    assert index == expect
+    assert index[0] == list(members)
+    assert index[mask_of([2, 3])] == [mask_of([2, 3]), mask_of([1, 2, 3]), mask_of([2, 3, 6])]
+
+
+def test_index_path_finds_an_empty_petal():
+    # the core {1, 2} is itself a member: a sunflower with one empty petal
+    sets = [[1, 2]] + [[1, 2, x] for x in range(3, 9)] + [[x, x + 1] for x in range(3, 12)]
+    f = SetFamily.from_sets(12, sets)
+    pred = CorePredicate(4, CoreMode.EXACT, 2)
+    assert uses_core_index(f.members, pred)
+    w = find_sunflower(f, pred)
+    assert w == reference_find_sunflower(f, pred)
+    assert w.core == mask_of([1, 2]) and mask_of([1, 2]) in w.petals
+
+
+def test_many_petals_on_wide_members_stay_fast():
+    # 21 triples on elements 1..63 plus the core element 64: the transversal
+    # pre-check would branch 3 ways to depth 20 without its node budget
+    core = mask_of([64])
+    members = [core | (0b111 << (3 * i)) for i in range(21)]
+    start = time.perf_counter()
+    w = find_sunflower(members, CorePredicate(21, CoreMode.EXACT, 1))
+    assert w is not None and w.core == core and len(w.petals) == 21
+    crossing = core | mask_of([1, 4])
+    assert find_sunflower(members + [crossing], CorePredicate(22, CoreMode.EXACT, 1)) is None
+    assert time.perf_counter() - start < 5
+
+
 def test_brute_force_capacity():
     f = binomial_family(8, 2)
     with pytest.raises(CapacityError):
@@ -189,6 +262,15 @@ def test_phi_and_verify_node_counts_pinned():
     assert (res.value, res.nodes, res.certified) == (6, 64, True)
     rep = verify_instance(Domain.binomial(8, 2), 3, 1)
     assert (rep["optimum"], rep["search_nodes"], rep["optimum_certified"]) == (13, 5230, True)
+
+
+def test_four_petals_match_the_oracle_with_the_pinned_node_count():
+    # s = 4 packs the other petals of each new core for two disjoint ones
+    fam = binomial_family(6, 2)
+    pred = CorePredicate(4, CoreMode.ANY)
+    res = max_sunflower_free(fam, pred)
+    assert (res.optimum, res.nodes, res.certified) == (9, 1205, True)
+    assert res.optimum == oracle_max_sunflower_free(fam, pred)
 
 
 def test_max_free_packs_petals_for_four():

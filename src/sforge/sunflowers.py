@@ -150,7 +150,7 @@ def find_sunflower(
                 return DegenerateWitness(m, pred.s)
     if len(members) < pred.s:
         return None
-    width = max(m.bit_count() for m in members)
+    width = members[-1].bit_count()  # canonical order ends with a widest member
     admits = [pred.admits_core_size(c) for c in range(width + 1)]
     sizes = [c for c in range(width + 1) if admits[c]]
     if len(members) * sum(comb(width, c) for c in sizes) < comb(len(members), 2):
@@ -178,8 +178,9 @@ def find_sunflower(
 def _core_index(members: Sequence[int], sizes: Sequence[int]) -> dict[int, list[int]]:
     """Each subset of a member with a size in ``sizes``, mapped to the
     members that contain it, in the order of ``members``."""
-    index: dict[int, list[int]] = {}
-    for m in members:
+    index: dict[int, list[int]] = {0: list(members)} if 0 in sizes else {}
+    sizes = [c for c in sizes if c]  # every member contains the empty set
+    for m in members if sizes else ():
         bits = [1 << (e - 1) for e in elements_of(m)]
         for c in sizes:
             for combo in combinations(bits, c):

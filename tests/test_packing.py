@@ -6,7 +6,6 @@ import time
 from itertools import combinations
 
 import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from sforge import packing

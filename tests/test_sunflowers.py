@@ -153,7 +153,7 @@ def sunflower_inputs(draw, index: bool):
     n = draw(st.integers(4, 9))
     width = draw(st.integers(1, 3 if index else 5))
     sets = draw(st.sets(st.frozensets(st.integers(1, n), max_size=width),
-                        min_size=16 if index else 2, max_size=40 if index else 14))
+                        min_size=16 if index else 2, max_size=32 if index else 14))
     members = [sum(1 << (e - 1) for e in x) for x in sets]
     s = draw(st.integers(2, 5))
     mode = draw(st.sampled_from([CoreMode.ANY, CoreMode.AT_MOST, CoreMode.EXACT]))
@@ -163,7 +163,7 @@ def sunflower_inputs(draw, index: bool):
 
 
 @pytest.mark.parametrize("index", [True, False], ids=["index", "pairs"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_find_matches_the_reference_on_both_core_paths(index, data):
     members, pred = data.draw(sunflower_inputs(index))

@@ -137,11 +137,12 @@ def find_sunflower(
     number).
 
     When the widest member has fewer admissible-size subsets than half the
-    other members (``_core_index``), the candidates are instead every such
-    subset of two or more members, with its members looked up rather than scanned.
-    A subset K that is no pairwise intersection adds nothing: any two
-    members above K meet outside it, so its petals hold no two disjoint
-    ones, and the first witness is the same.
+    other members, the candidates are instead every such subset of two or
+    more members, and the members above each are looked up in an index
+    (``_core_index``) rather than scanned.  A subset K that is not the
+    intersection of two members adds nothing: any two members above K meet
+    outside it, so its petals hold no two disjoint ones, and the first
+    witness is the same.
     """
     members = list(F.members) if isinstance(F, SetFamily) else canonical(set(F))
     if pred.degenerate_small_sets:
@@ -178,13 +179,16 @@ def find_sunflower(
 def _core_index(members: Sequence[int], sizes: Sequence[int]) -> dict[int, list[int]]:
     """Each subset of a member with a size in ``sizes``, mapped to the
     members that contain it, in the order of ``members``."""
-    index: dict[int, list[int]] = {0: list(members)} if 0 in sizes else {}
-    sizes = [c for c in sizes if c]  # every member contains the empty set
-    for m in members if sizes else ():
-        bits = [1 << (e - 1) for e in elements_of(m)]
-        for c in sizes:
-            for combo in combinations(bits, c):
-                index.setdefault(sum(combo), []).append(m)
+    index: dict[int, list[int]] = {}
+    if 0 in sizes:  # every member contains the empty set
+        index[0] = list(members)
+    sizes = [c for c in sizes if c]
+    if sizes:
+        for m in members:
+            bits = [1 << (e - 1) for e in elements_of(m)]
+            for c in sizes:
+                for combo in combinations(bits, c):
+                    index.setdefault(sum(combo), []).append(m)
     return index
 
 

@@ -253,8 +253,9 @@ def _diagonal_sufficient(F: SetFamily, p: Fraction, tau: Fraction) -> bool:
 
 def _use_exhaustive(
     F: SetFamily, p: Fraction, tau: Fraction, exhaustive: bool | None, what: str
-) -> bool:
-    """The engine a globalness computation runs on, after its guards.
+) -> tuple[bool, bool | None]:
+    """The engine a globalness computation runs on, after its guards, and
+    the ``_diagonal_sufficient`` verdict if choosing needed it (else None).
 
     ``None`` picks the diagonal engine where it is complete and fits, else
     the exhaustive one where it fits; an explicit choice must fit, and the
@@ -262,10 +263,11 @@ def _use_exhaustive(
     """
     n = F.ground.n
     if exhaustive is None:
-        if n <= DIAGONAL_CAP and _diagonal_sufficient(F, p, tau):
-            return False
+        sufficient = _diagonal_sufficient(F, p, tau) if n <= DIAGONAL_CAP else None
+        if sufficient:
+            return False, True
         if n <= EXHAUSTIVE_CAP:
-            return True
+            return True, sufficient
         raise CapacityError(
             f"{what} needs the diagonal reduction above ground size "
             f"{EXHAUSTIVE_CAP}; it is not valid here", n=n
@@ -277,10 +279,10 @@ def _use_exhaustive(
             raise PreconditionError(
                 "diagonal verdict needs an upward-closed family or 1/(1-p) < tau"
             )
-        return False
+        return False, True
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive engine capped at n={EXHAUSTIVE_CAP}, got n={n}")
-    return True
+    return True, None
 
 
 def _parameters(p, tau) -> tuple[Fraction, Fraction]:
@@ -305,7 +307,7 @@ def check_global(F: SetFamily, p, tau, exhaustive: bool | None = None) -> Global
     the cheapest valid engine.
     """
     pf, tf = _parameters(p, tau)
-    exhaustive = _use_exhaustive(F, pf, tf, exhaustive, "globalness")
+    exhaustive, _ = _use_exhaustive(F, pf, tf, exhaustive, "globalness")
     n = F.ground.n
     a, c = pf.numerator, pf.denominator
     b = c - a
@@ -364,14 +366,16 @@ def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None)
     that the winning value is already attained with A = B.
     """
     pf, tf = _parameters(p, tau)
-    exhaustive = _use_exhaustive(F, pf, tf, exhaustive, "restriction search")
+    exhaustive, sufficient = _use_exhaustive(F, pf, tf, exhaustive, "restriction search")
     n = F.ground.n
     a, c = pf.numerator, pf.denominator
     b = c - a
     tn, td = tf.numerator, tf.denominator
 
     diag_best: Fraction | None = None
-    if not exhaustive or _diagonal_sufficient(F, pf, tf):
+    if sufficient is None:
+        sufficient = _diagonal_sufficient(F, pf, tf)
+    if sufficient:
         cells = _diagonal_cells(F, a, b, c, tn, td)
         most = max(cells)
         diag_best = Fraction(most, (tn * a * c) ** n)

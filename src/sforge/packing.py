@@ -114,15 +114,6 @@ def find_packing(masks: Sequence[int], p: int) -> list[int] | None:
     return packed if len(packed) >= p else None
 
 
-def matching_number(masks: Sequence[int], at_least: int | None = None) -> int:
-    """Size of the largest pairwise-disjoint subcollection.
-
-    With ``at_least`` the search stops early once that size is reached, which
-    is all a threshold test needs.
-    """
-    return len(max_disjoint(masks, stop_at=at_least))
-
-
 def find_disjoint_representatives(
     groups: Sequence[Sequence[int]],
     forbidden: int = 0,

@@ -995,6 +995,7 @@ def _cover_remainder_record(
 
 
 _SYSTEM_CAP = 1_000_000  # s-subsets of cores SystemSST.verify may test
+_DEEP_CAP = 1_000_000  # nodes its member-per-block searches may take in all
 
 
 @dataclass(frozen=True)
@@ -1006,7 +1007,8 @@ class SystemSST:
     them form a sunflower with core of size exactly t-1, and whenever s
     distinct cores form a sunflower with core C of size at most t-2, every
     choice of one member per block meets in at most t-|C|-2 elements.
-    More than ``_SYSTEM_CAP`` s-subsets of cores raise ``CapacityError``.
+    More than ``_SYSTEM_CAP`` s-subsets of cores, or more than ``_DEEP_CAP``
+    nodes of the searches over one member per block, raise ``CapacityError``.
     """
 
     domain: Domain
@@ -1064,14 +1066,13 @@ class SystemSST:
             )
         fam_of = {p.core: p.family for p in self.parts}
         ground_full = (1 << self.domain.family.ground.n) - 1
+        budget = [_DEEP_CAP]
         for chosen in combinations(canonical(cores), self.s):
             C = is_sunflower(list(chosen))
             if C is None or C.bit_count() > self.t - 2:
                 continue
             cap = self.t - C.bit_count() - 2
-            hit = _deep_intersection(
-                [fam_of[c] for c in chosen], ground_full, cap
-            )
+            hit = _deep_intersection([fam_of[c] for c in chosen], ground_full, cap, budget)
             if hit is not None:
                 raise VerificationError(
                     "block members intersect beyond the allowance",
@@ -1090,11 +1091,18 @@ class SystemSST:
 
 
 def _deep_intersection(
-    fams: list[SetFamily], start: int, cap: int
+    fams: list[SetFamily], start: int, cap: int, budget: list[int]
 ) -> Optional[tuple[int, ...]]:
-    """One member per family with intersection above cap, if any exists."""
+    """One member per family with intersection above cap, if any exists.
+
+    Each search node takes one from ``budget[0]``; past zero the search
+    raises ``CapacityError``.
+    """
 
     def rec(idx: int, inter: int, acc: list[int]):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CapacityError("system intersection search capped", cap=_DEEP_CAP)
         if inter.bit_count() <= cap:
             return None
         if idx == len(fams):

@@ -10,9 +10,9 @@ as violations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb, factorial
 from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
@@ -224,42 +224,37 @@ class SearchResult:
     witness: SetFamily
     nodes: int
     certified: bool
-    notes: dict = field(default_factory=dict)
 
     def as_report(self) -> dict:
-        rep = {
+        return {
             "optimum": self.optimum,
             "witness": self.witness.as_sets(),
             "nodes": self.nodes,
             "certified": self.certified,
         }
-        rep.update({k: v for k, v in sorted(self.notes.items())})
-        return rep
 
 
-def _survivors(
-    fam: list[int], x: int, cands: list[tuple[int, int]], admits: list[bool], s: int
-) -> list[tuple[int, int]]:
-    """The ``(index, mask)`` pairs of ``cands`` whose mask c keeps fam + x + c free.
+def _third_petals(members: Sequence[int], admits: list[bool]):
+    """``third(i, j)``: the bitset of member indices c making x = members[i],
+    f = members[j], c a sunflower with admissible core K = x & f, that is the
+    members holding all of K and none of x ^ f, less x and f."""
+    holders: dict[int, int] = {}  # element -> indices of the members holding it
+    for j, m in enumerate(members):
+        for e in elements_of(m):
+            holders[e] = holders.get(e, 0) | 1 << j
 
-    Both fam + x and fam + c are free, so a forbidden sunflower in fam + x + c
-    has x and c among its petals: its core is x & c, and its other s - 2
-    petals are members f of fam with f & (x | c) == x & c whose petals
-    f & ~core are pairwise disjoint.
-    """
-    out = []
-    for j, c in cands:
-        core = x & c
-        if not admits[core.bit_count()]:
-            out.append((j, c))
-            continue
-        if s == 2:
-            continue
-        union = x | c
-        petals = [f & ~core for f in fam if f & union == core]
-        if len(petals) < s - 2 or (s > 3 and find_packing(petals, s - 2) is None):
-            out.append((j, c))
-    return out
+    def third(i: int, j: int) -> int:
+        x, f = members[i], members[j]
+        if not admits[(x & f).bit_count()]:
+            return 0
+        got = (1 << len(members)) - 1 & ~(1 << i | 1 << j)
+        for e in elements_of(x & f):
+            got &= holders[e]
+        for e in elements_of(x ^ f):
+            got &= ~holders[e]
+        return got
+
+    return third
 
 
 def max_sunflower_free(
@@ -270,62 +265,87 @@ def max_sunflower_free(
 ) -> SearchResult:
     """Largest subfamily of ``candidates`` with no forbidden sunflower.
 
-    Branch and bound over members in canonical order.  When ``symmetry`` is
-    "full" (the candidate family is invariant under every relabeling of the
-    ground set, e.g. all k-subsets of [n]), the search only visits families
-    whose fresh elements appear as a contiguous prefix of unused labels; the
-    canonical representative of every isomorphism class survives that
-    pruning, so the optimum is preserved.
+    Branch and bound over members in canonical order.  With ``symmetry``
+    "full" (candidates invariant under every relabeling of the ground set,
+    e.g. all k-subsets of [n]) only families whose fresh elements are the
+    next unused labels are visited; the canonical representative of every
+    isomorphism class is among them, so the optimum is kept.
 
-    Each node carries the later candidates c that keep its family free and,
-    on adding x, filters them with one core per candidate, x & c: fam + x
-    and fam + c are free, so any new forbidden sunflower has x and c as
-    petals.  The bound counts raw indices, so the nodes and the witness are
-    those of testing each candidate against the whole family.
-
-    Exhausting ``budget`` search nodes downgrades the result to an
-    uncertified incumbent rather than raising.
+    Each node carries the later candidates that keep its family free, as a
+    bitset of member indices.  On adding x, fam + x and fam + c are free, so
+    a new forbidden sunflower has petals x, c and core x & c; for s = 2 each
+    c with an admissible core goes.  Each further petal f puts c in
+    ``_third_petals``' set for (x, f); for s = 3 those c go, for s >= 4
+    those whose petals f & ~core hold s - 2 disjoint ones (``find_packing``).
+    Bounding by raw indices keeps the nodes and witness of testing each c
+    against all of fam; past ``budget`` nodes the result is uncertified.
     """
     members = list(candidates.members)
-    best_fam: list[list[int]] = [[]]
-    state = {"nodes": 0, "certified": True}
+    M, s = len(members), pred.s
     admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
-    roots = list(enumerate(members))
+    third = _third_petals(members, admits) if s > 2 else None
+    rows: dict[int, list] = {}  # i -> [third(i, j) for j < i], filled on first use
+    roots = (1 << M) - 1
     if pred.degenerate_small_sets:
-        roots = [(j, m) for j, m in roots if m.bit_count() > pred.bound]  # type: ignore[operator]
+        roots = sum(1 << j for j, m in enumerate(members) if m.bit_count() > pred.bound)  # type: ignore[operator]
+    nodes, certified, best = 0, True, []
 
-    def dfs(start: int, fam: list[int], used_prefix: int, cands: list[tuple[int, int]]):
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["certified"] = False
+    def survivors(fam: list[int], i: int, rest: int) -> int:
+        x = members[i]
+        if s == 2:  # each c whose core with x has an admissible size goes
+            for e in elements_of(rest):
+                if admits[(x & members[e - 1]).bit_count()]:
+                    rest ^= 1 << e - 1
+            return rest
+        if i not in rows:
+            rows[i] = [None] * i
+        row, touched = rows[i], 0
+        for j in fam:
+            got = row[j]
+            if got is None:
+                got = row[j] = third(i, j)
+            touched |= got
+        if s == 3:
+            return rest & ~touched
+        for e in elements_of(touched & rest):  # member e - 1
+            core, union = x & members[e - 1], x | members[e - 1]
+            petals = [members[j] & ~core for j in fam if members[j] & union == core]
+            if len(petals) >= s - 2 and find_packing(petals, s - 2) is not None:
+                rest &= ~(1 << e - 1)
+        return rest
+
+    def dfs(fam: list[int], used_prefix: int, cands: int):
+        nonlocal nodes, certified, best
+        nodes += 1
+        if nodes > budget:
+            certified = False
             return
-        if len(fam) > len(best_fam[0]):
-            best_fam[0] = list(fam)
-        if len(fam) + (len(members) - start) <= len(best_fam[0]):
-            return
-        for pos, (idx, m) in enumerate(cands):
-            if not state["certified"]:
-                return
-            if len(fam) + (len(members) - idx) <= len(best_fam[0]):
+        depth = len(fam)
+        if depth > len(best):
+            best = list(fam)
+        while cands and certified:
+            low = cands & -cands
+            cands ^= low  # now the candidates above idx
+            idx = low.bit_length() - 1
+            if depth + M - idx <= len(best):
                 return
             new_prefix = used_prefix
             if symmetry == "full":
-                fresh = m >> used_prefix
+                fresh = members[idx] >> used_prefix
                 if fresh & (fresh + 1):
                     continue  # fresh labels not a contiguous next block
                 new_prefix = used_prefix + fresh.bit_length()
-            rest = _survivors(fam, m, cands[pos + 1:], admits, pred.s)
-            fam.append(m)
-            dfs(idx + 1, fam, new_prefix, rest)
+            rest = survivors(fam, idx, cands) if cands else 0
+            fam.append(idx)
+            dfs(fam, new_prefix, rest)
             fam.pop()
 
-    dfs(0, [], 0, roots)
-    witness = candidates.replace_members(best_fam[0])
+    dfs([], 0, roots)
     return SearchResult(
-        optimum=len(best_fam[0]),
-        witness=witness,
-        nodes=state["nodes"],
-        certified=state["certified"],
+        optimum=len(best),
+        witness=candidates.replace_members(members[j] for j in best),
+        nodes=nodes,
+        certified=certified,
     )
 
 
@@ -375,21 +395,8 @@ def product_kernel(s: int, t: int) -> SetFamily:
     if s < 2 or t < 1:
         raise PreconditionError("need s >= 2 and t >= 1")
     b = s - 1
-    n = b * t
-    idx = [[j * b + i + 1 for i in range(b)] for j in range(t)]
-    sets = []
-
-    def build(j: int, cur: list[int]):
-        if j == t:
-            sets.append(list(cur))
-            return
-        for lab in idx[j]:
-            cur.append(lab)
-            build(j + 1, cur)
-            cur.pop()
-
-    build(0, [])
-    fam = SetFamily.from_sets(max(n, 1), sets)
+    sets = [[j * b + i + 1 for j, i in enumerate(pick)] for pick in product(range(b), repeat=t)]
+    fam = SetFamily.from_sets(max(b * t, 1), sets)
     wit = find_sunflower(fam, CorePredicate(s, CoreMode.ANY))
     if wit is not None:
         raise PreconditionError("product kernel construction is not sunflower free",
@@ -439,10 +446,9 @@ def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> P
         # with two petals the answer is forced, so any t is cheap; beyond that
         # the certified search is only supported through t = 3
         raise CapacityError("exact kernel optima are supported for t <= 3 only")
-    hard = t * _factorial(t) * (s - 1) ** t
+    hard = t * factorial(t) * (s - 1) ** t
     if hard > 4096:
-        raise CapacityError("parameter range too large for certified search",
-                            s=s, t=t)
+        raise CapacityError("parameter range too large for certified search", s=s, t=t)
     universe = SetFamily.from_sets(
         support_bound, [list(c) for c in combinations(range(1, support_bound + 1), t)]
     )
@@ -455,9 +461,3 @@ def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> P
         unconditional=unconditional,
     )
 
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

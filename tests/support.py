@@ -23,8 +23,9 @@ from sforge.family import (
     elements_of,
     submasks,
 )
+from sforge.packing import find_packing
 from sforge.spread import _block_seed, _link_counts, check_spread
-from sforge.sunflowers import DegenerateWitness, SunflowerWitness
+from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness
 
 
 @dataclass
@@ -350,6 +351,69 @@ def reference_find_sunflower(F, pred):
                     chosen.discard(m & ~core)
             return SunflowerWitness(tuple(sets), core)
     return None
+
+
+def _reference_survivors(fam, x, cands, admits, s):
+    """The ``(index, mask)`` pairs of ``cands`` whose mask c keeps fam + x + c
+    free: a new forbidden sunflower has x and c as petals and core x & c."""
+    out = []
+    for j, c in cands:
+        core = x & c
+        if not admits[core.bit_count()]:
+            out.append((j, c))
+            continue
+        if s == 2:
+            continue
+        union = x | c
+        petals = [f & ~core for f in fam if f & union == core]
+        if len(petals) < s - 2 or (s > 3 and find_packing(petals, s - 2) is None):
+            out.append((j, c))
+    return out
+
+
+def reference_max_sunflower_free(candidates, pred, budget=2_000_000, symmetry=None):
+    """max_sunflower_free with each node's candidates as a list of
+    ``(index, mask)`` pairs, each tested against the whole family."""
+    members = list(candidates.members)
+    best_fam = [[]]
+    state = {"nodes": 0, "certified": True}
+    admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
+    roots = list(enumerate(members))
+    if pred.degenerate_small_sets:
+        roots = [(j, m) for j, m in roots if m.bit_count() > pred.bound]
+
+    def dfs(start, fam, used_prefix, cands):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            state["certified"] = False
+            return
+        if len(fam) > len(best_fam[0]):
+            best_fam[0] = list(fam)
+        if len(fam) + (len(members) - start) <= len(best_fam[0]):
+            return
+        for pos, (idx, m) in enumerate(cands):
+            if not state["certified"]:
+                return
+            if len(fam) + (len(members) - idx) <= len(best_fam[0]):
+                return
+            new_prefix = used_prefix
+            if symmetry == "full":
+                fresh = m >> used_prefix
+                if fresh & (fresh + 1):
+                    continue
+                new_prefix = used_prefix + fresh.bit_length()
+            rest = _reference_survivors(fam, m, cands[pos + 1:], admits, pred.s)
+            fam.append(m)
+            dfs(idx + 1, fam, new_prefix, rest)
+            fam.pop()
+
+    dfs(0, [], 0, roots)
+    return SearchResult(
+        optimum=len(best_fam[0]),
+        witness=candidates.replace_members(best_fam[0]),
+        nodes=state["nodes"],
+        certified=state["certified"],
+    )
 
 
 def reference_frac_log2_bracket(x, steps=48):

@@ -380,6 +380,20 @@ class TestMaxGlobalRestriction:
         with pytest.raises(CapacityError):
             max_global_restriction(F, F8, 2, exhaustive=exhaustive)
 
+    @pytest.mark.parametrize("F, exhaustive", [
+        (fam(4, [[1], [2, 3], [1, 4]]), None),  # not upward closed: exhaustive engine
+        (fam(4, [[1], [2, 3], [1, 4]]), True),
+        (upper_closure(fam(4, [[1], [2, 3]])), None),  # diagonal engine
+        (upper_closure(fam(4, [[1], [2, 3]])), True),
+    ])
+    def test_upward_closure_is_tested_once(self, monkeypatch, F, exhaustive):
+        # 1/(1-p) = 2 > 3/2, so only upward closure makes the diagonal complete
+        seen = []
+        monkeypatch.setattr(boolean, "is_upward_closed",
+                            lambda G: seen.append(G) or is_upward_closed(G))
+        max_global_restriction(F, F2, Fraction(3, 2), exhaustive=exhaustive)
+        assert sum(G is F for G in seen) == 1
+
     @given(wide_fam_strategy, pair_strategy, st.booleans(), block_digits_strategy)
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, F, pair, exhaustive, digits):

@@ -665,6 +665,28 @@ def test_system_verification_is_capped():
         U.verify()
 
 
+def test_system_intersection_search_is_capped():
+    # three disjoint cores, so every member per block must meet in nothing;
+    # the first two blocks' members all share element 1 and the third's
+    # miss it, so no choice fails until the last block: 29 * 28 * 1,596
+    # choices, all searched before the cap
+    faces = ([[1, 2, 3, x] for x in range(8, 37)] + [[1, 4, 5, y] for y in range(37, 65)]
+             + [[6, 7, z, w] for z, w in combinations(range(8, 65), 2)])
+    A = Domain.complex_layer(SetFamily.from_sets(64, faces), 4)
+    parts = (
+        DecompositionPart(mask(2, 3), fam(64, [[1, x] for x in range(8, 37)])),
+        DecompositionPart(mask(4, 5), fam(64, [[1, y] for y in range(37, 65)])),
+        DecompositionPart(mask(6, 7), fam(64, [list(p) for p in combinations(range(8, 65), 2)])),
+    )
+    U = SystemSST(domain=A, s=3, t=2, parts=parts)
+    with pytest.raises(CapacityError, match="intersection search"):
+        U.verify()
+    # with a two-member third block the search fits and certifies the system
+    small = dataclasses.replace(U, parts=parts[:2] + (
+        DecompositionPart(mask(6, 7), fam(64, [[8, 9], [10, 11]])),))
+    small.verify()
+
+
 def test_smallest_cover_is_capped():
     # 20 disjoint singleton cores: only all 20 singletons cover them, so the
     # smallest-first search would try 2^20 - 1 candidate families

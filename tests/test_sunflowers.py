@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -16,6 +17,7 @@ from sforge.sunflowers import (
     PhiResult,
     SunflowerWitness,
     _core_index,
+    _third_petals,
     brute_force_find,
     family_is_free,
     find_sunflower,
@@ -26,7 +28,7 @@ from sforge.sunflowers import (
     product_kernel,
 )
 
-from support import reference_find_sunflower
+from support import reference_find_sunflower, reference_max_sunflower_free
 
 
 def binomial_family(n, k):
@@ -301,6 +303,81 @@ def test_max_free_matches_oracle_random(data):
     assert len(res.witness) == res.optimum
     assert all(m in fam.members for m in res.witness.members)
     assert brute_force_find(res.witness, pred) is None
+
+
+def search_key(res):
+    return res.optimum, res.witness.members, res.nodes, res.certified
+
+
+@st.composite
+def search_inputs(draw):
+    """A family of up to 16 distinct sets on at most 8 elements and a predicate."""
+    n = draw(st.integers(1, 8))
+    sets = draw(st.sets(st.frozensets(st.integers(1, n)), max_size=16))
+    fam = SetFamily.from_sets(n, [sorted(x) for x in sets])
+    s = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from(list(CoreMode)))
+    bound = None if mode is CoreMode.ANY else draw(st.integers(0, 3))
+    degenerate = mode is CoreMode.AT_MOST and draw(st.booleans())
+    return fam, CorePredicate(s, mode, bound, degenerate)
+
+
+# The bitset search must visit the nodes of the list-based search it
+# replaced, in the same order: same optimum, witness, node count and flag.
+@settings(max_examples=300, deadline=None)
+@given(search_inputs(), st.sampled_from([1, 7, 40, 2_000_000]))
+def test_max_free_matches_the_reference_search(inputs, budget):
+    fam, pred = inputs
+    got = max_sunflower_free(fam, pred, budget=budget)
+    assert search_key(got) == search_key(reference_max_sunflower_free(fam, pred, budget=budget))
+
+
+@pytest.mark.parametrize("n,k,pred,budget", [
+    (6, 2, CorePredicate(2, CoreMode.AT_MOST, 0), 2_000_000),
+    (7, 2, CorePredicate(3, CoreMode.EXACT, 1), 2_000_000),
+    (8, 2, CorePredicate(3, CoreMode.AT_MOST, 0), 2_000_000),
+    (6, 3, CorePredicate(3, CoreMode.AT_MOST, 1, True), 2_000_000),
+    (6, 3, CorePredicate(4, CoreMode.ANY), 700),
+    (7, 2, CorePredicate(5, CoreMode.ANY), 2_000_000),
+])
+def test_max_free_matches_the_reference_search_with_full_symmetry(n, k, pred, budget):
+    fam = binomial_family(n, k)
+    got = max_sunflower_free(fam, pred, budget=budget, symmetry="full")
+    want = reference_max_sunflower_free(fam, pred, budget=budget, symmetry="full")
+    assert search_key(got) == search_key(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_inputs())
+def test_third_petals_are_the_sunflowers_through_a_pair(inputs):
+    fam, pred = inputs
+    members = fam.members
+    admits = [pred.admits_core_size(c) for c in range(fam.ground.n + 1)]
+    third = _third_petals(members, admits)
+    for i, j in combinations(range(len(members)), 2):
+        for a, b in ((i, j), (j, i)):
+            want = 0
+            for c, m in enumerate(members):
+                if c not in (a, b):
+                    core = is_sunflower([members[a], members[b], m])
+                    if core is not None and admits[core.bit_count()]:
+                        want |= 1 << c
+            assert third(a, b) == want
+
+
+def test_max_free_keeps_no_table_of_all_pairs():
+    # 3,003 candidates: a table of every pair would hold about nine million
+    # entries; a hundred nodes meet at most a few thousand pairs
+    fam = binomial_family(15, 5)
+    pred = CorePredicate(3, CoreMode.ANY)
+    tracemalloc.start()
+    try:
+        res = max_sunflower_free(fam, pred, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.nodes, res.certified) == (101, False)
+    assert peak < 4 * 2**20
 
 
 def test_product_kernel_free():

@@ -46,7 +46,8 @@ _ABOUT = {
 }
 _GLOBALS = (Param("seed", "int", 0), Param("format", {"json": "json", "csv": "csv"}, "json"),
             Param("out", "str", None))
-_METAVARS = {"int": "INTEGER", "frac": "FRACTION", "str": "TEXT", "object": "JSON"}
+_METAVARS = {"int": "INTEGER", "frac": "FRACTION", "str": "TEXT", "object": "JSON",
+             "elements": "JSON"}
 
 _RUN = Op(None, "run", (Param("path", "str", cli="PATH"),), run_scenario,
           report=lambda result: result.canonical_bytes().decode())

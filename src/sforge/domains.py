@@ -40,6 +40,7 @@ from .spread import _as_fraction, _link_counts, check_spread
 
 _MEMBER_CAP = 200_000
 _PERMUTATION_CAP = 7
+_REGULARITY_CAP = 5_000_000  # member visits check_assumptions' regularity checks may make
 
 
 @dataclass(frozen=True)
@@ -423,44 +424,6 @@ def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
     )
 
 
-def max_homogeneous_restriction(F: SetFamily, A: Domain, tau) -> int:
-    """The S whose link has the densest ambient-relative measure mu(F(S)).
-
-    Ties go first to the smallest size and then to the smallest mask, so an
-    unconcentrated family returns the empty set.  For the winner every
-    further restriction can only lose density, hence F(S) is
-    tau-homogeneous inside A(S) for any tau >= 1; that certificate is
-    re-checked before returning.
-    """
-    tau = _as_fraction(tau, "tau")
-    if tau < 1:
-        raise PreconditionError("restriction needs tau >= 1", tau=str(tau))
-    _require_subfamily(F, A)
-    if not F.members:
-        raise PreconditionError("restriction of an empty family is undefined")
-    table = A.table
-    fcounts = _link_counts(F.members)
-    best = 0
-    best_val = Fraction(len(F), len(A))
-    for x in canonical(fcounts):
-        if x == 0:
-            continue
-        val = Fraction(fcounts[x], table[x])
-        if val > best_val:
-            # canonical order visits smaller sizes and smaller masks first,
-            # so a strict update implements the tie-break for free
-            best, best_val = x, val
-    part = link(F, best) if best else F
-    sub = A.link_domain(best) if best else A
-    verdict = check_tau_homogeneous(part, sub, tau)
-    if not verdict.ok:
-        raise VerificationError(
-            "densest restriction is not tau-homogeneous; maximality was violated",
-            S=elements_of(best), worst=elements_of(verdict.worst_x),
-        )
-    return best
-
-
 @dataclass(frozen=True)
 class HomogeneousSubfamily:
     family: SetFamily
@@ -555,6 +518,13 @@ class HomogeneousRemoval:
     parameter: Fraction
     size_floor: Fraction
 
+    def as_report(self) -> dict:
+        return {
+            "size": len(self.family),
+            "parameter": str(self.parameter),
+            "size_floor": str(self.size_floor),
+        }
+
 
 def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> HomogeneousRemoval:
     """Exclude the elements of X from a tau-homogeneous family.
@@ -565,6 +535,8 @@ def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> Homo
     """
     tau = _as_fraction(tau, "tau")
     r = _as_fraction(r, "r")
+    if X & ~G.ground.full_mask:
+        raise PreconditionError("X outside the ground set", X=elements_of(X))
     xsize = X.bit_count()
     if Fraction(xsize) * tau >= r:
         raise PreconditionError(
@@ -666,7 +638,8 @@ class AssumptionsReport:
             "regularity_ok": self.regularity_ok,
             "shadow_ratio_ok": self.shadow_ratio_ok,
             "all_ok": self.all_ok,
-            "nominal": {k2: str(v) for k2, v in self.nominal.items()},
+            "nominal": {k2: v if isinstance(v, bool) else str(v)
+                        for k2, v in self.nominal.items()},
         }
         for name, wit in (
             ("density_witness", self.density_witness),
@@ -705,7 +678,9 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
       (1 - |R|/(mu k))^h for every R in the depth-q shadow, h up to q within
       range.
 
-    Verdicts are exact.
+    Verdicts are exact.  The regularity checks are counted ahead, each
+    weighted by the domain members and link shadow it visits; more than
+    ``_REGULARITY_CAP`` raise CapacityError before any check runs.
     """
     eta = _as_fraction(eta, "eta")
     mu = _as_fraction(mu, "mu")
@@ -717,6 +692,14 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     table = A.table
     total = len(A)
     k = A.k
+    shadow_q = A.shadow_upto(q)
+    work = 0
+    for S in shadow_q:
+        a_s, depth = table[S], k - S.bit_count()
+        work += sum((1 + a_s) * (total + a_s * comb(depth, h))
+                    for h in range(1, min(q - 1, depth) + 1))
+    if work > _REGULARITY_CAP:
+        raise CapacityError("regularity identity checks capped", work=work, cap=_REGULARITY_CAP)
 
     sp = check_rt_spread(A, r, q)
 
@@ -729,7 +712,7 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
             break
 
     regularity_ok, regularity_witness = True, None
-    for S in A.shadow_upto(q):
+    for S in shadow_q:
         if not regularity_ok:
             break
         linkfam = link(A.family, S)
@@ -753,7 +736,7 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
         h: len({x for x in table if x.bit_count() == h}) for h in range(0, min(q, k) + 1)
     }
     shadow_ok, shadow_witness = True, None
-    for R in A.shadow_upto(q):
+    for R in shadow_q:
         if not shadow_ok:
             break
         rsize = R.bit_count()
@@ -810,67 +793,3 @@ def verify_shadow_bound(F: SetFamily, A: Domain, tau, h: int) -> bool:
         raise PreconditionError("empty domain shadow at this depth", h=h)
     # |shadow_h F| * tau^h >= |shadow_h A|
     return len(fsh) * tau.numerator**h >= len(ash) * tau.denominator**h
-
-
-@dataclass(frozen=True)
-class SubsetHomogeneityCensus:
-    h: int
-    tau_hat: Fraction
-    measure_floor: Fraction
-    bad_count: int
-    shadow_size: int
-    allowance: Fraction
-
-
-def most_subsets_homogeneous(F: SetFamily, A: Domain, h: int, tau, alpha, rho) -> SubsetHomogeneityCensus:
-    """Census of h-sets H whose link F(H) degrades.
-
-    Under tau <= (1 - alpha rho)^(-1/h) and the regularity identity, all but
-    an alpha fraction of the h-shadow keeps tau/(1-rho)-homogeneity and
-    measure at least (1-rho) tau^h mu(F).  The census is exact and the
-    fraction bound is asserted.
-    """
-    tau = _as_fraction(tau, "tau")
-    alpha = _as_fraction(alpha, "alpha")
-    rho = _as_fraction(rho, "rho")
-    if not (0 < alpha < 1 and 0 < rho < 1):
-        raise PreconditionError("alpha and rho must lie in (0,1)")
-    if not (1 <= h < A.k):
-        raise PreconditionError("need 1 <= h < k", h=h, k=A.k)
-    # tau <= (1 - alpha rho)^(-1/h)  <=>  tau^h (1 - alpha rho) <= 1
-    if tau**h * (1 - alpha * rho) > 1:
-        raise PreconditionError(
-            "tau too large for the census guarantee", tau=str(tau), h=h
-        )
-    pre = check_tau_homogeneous(F, A, tau)
-    if not pre.ok:
-        raise PreconditionError("family is not tau-homogeneous")
-    if not regularity_identity_holds(A, 0, F, h):
-        raise PreconditionError("regularity identity fails for this family", h=h)
-    table = A.table
-    asize, fsize = len(A), len(F)
-    mu_f = Fraction(fsize, asize)
-    tau_hat = tau / (1 - rho)
-    floor = (1 - rho) * tau**h * mu_f
-    shadow_hs = canonical(x for x in table if x.bit_count() == h)
-    bad = 0
-    for H in shadow_hs:
-        FH = link(F, H)
-        muFH = Fraction(len(FH), table[H])
-        if muFH < floor:
-            bad += 1
-            continue
-        if FH.members:
-            sub = check_tau_homogeneous(FH, A.link_domain(H), tau_hat)
-            if not sub.ok:
-                bad += 1
-    allowance = alpha * len(shadow_hs)
-    if Fraction(bad) > allowance:
-        raise VerificationError(
-            "degraded h-sets exceed the certified fraction",
-            bad=bad, allowance=str(allowance), h=h,
-        )
-    return SubsetHomogeneityCensus(
-        h=h, tau_hat=tau_hat, measure_floor=floor,
-        bad_count=bad, shadow_size=len(shadow_hs), allowance=allowance,
-    )

@@ -250,8 +250,7 @@ def join(F: SetFamily, B: SetFamily) -> SetFamily:
 def upper_closure(F: SetFamily) -> SetFamily:
     """All supersets (within the ground set) of members of F, materialized.
 
-    Materialization is capped at ground size 24; use
-    :func:`upper_closure_contains` for membership queries on larger grounds.
+    Materialization is capped at ground size 24.
     """
     n = F.ground.n
     if n > UPPER_CLOSURE_CAP:
@@ -274,14 +273,6 @@ def upper_closure(F: SetFamily) -> SetFamily:
                     nxt.append(cand)
         frontier = nxt
     return F.replace_members(seen)
-
-
-def upper_closure_contains(F: SetFamily, mask: int) -> bool:
-    """Membership query for the upper closure, any ground size."""
-    for m in F.members:
-        if mask & m == m:
-            return True
-    return False
 
 
 def is_upward_closed(F: SetFamily) -> bool:
@@ -372,10 +363,6 @@ def family_from_json_obj(obj) -> SetFamily:
     if not (1 <= n <= MAX_GROUND):
         raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {n}")
     return SetFamily(GroundSet(n), tuple(mask_of(s, n) for s in sets))
-
-
-def family_to_json(F: SetFamily) -> str:
-    return json.dumps(family_to_json_obj(F), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def family_from_json(text: str) -> SetFamily:

@@ -1,15 +1,17 @@
-"""Exact packing primitives: disjoint-set matchings and system representatives.
+"""Exact packing primitives: disjoint-set matchings and small transversals.
 
 These are the small search kernels the sunflower machinery leans on.  All
-searches are exhaustive branch and bound.
+searches are exhaustive branch and bound, and each runs under a node budget.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import CapacityError
 from .family import canonical, elements_of
+
+_PACKING_CAP = 1_000_000  # search nodes one max_disjoint call may take
 
 
 def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
@@ -23,7 +25,8 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
     masks disjoint from its packing, as a bitset of indices into the sorted
     masks.  A child's candidates are its parent's minus the masks that meet
     the new one, and a child that cannot beat the incumbent even with all of
-    its candidates is not entered (it would return at once).
+    its candidates is not entered (it would return at once).  More than
+    ``_PACKING_CAP`` nodes raise CapacityError.
     """
     ms = canonical(set(masks))
     goal = len(ms) + 1 if stop_at is None else stop_at
@@ -39,9 +42,14 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
             c |= holders[e]
         clash.append(c)
     best: list[list[int]] = [[]]
+    nodes = 0
 
     def dfs(cands: int, cur: list[int]) -> bool:
         """Extend ``cur``; True once a packing of size ``goal`` is found."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > _PACKING_CAP:
+            raise CapacityError("disjoint packing search capped", cap=_PACKING_CAP)
         if len(cur) > len(best[0]):
             best[0] = list(cur)
         if len(best[0]) >= goal:
@@ -112,49 +120,3 @@ def find_packing(masks: Sequence[int], p: int) -> list[int] | None:
         return None
     packed = max_disjoint(masks, stop_at=p)
     return packed if len(packed) >= p else None
-
-
-def find_disjoint_representatives(
-    groups: Sequence[Sequence[int]],
-    forbidden: int = 0,
-) -> list[int] | None:
-    """One mask per group, pairwise disjoint and avoiding ``forbidden``.
-
-    Exhaustive search, most-constrained group first, so a ``None`` answer is
-    an exact certificate of absence; any returned list is verified before
-    return.
-    """
-    if not groups:
-        return []
-    cleaned = []
-    for g in groups:
-        opts = canonical({m for m in g if m & forbidden == 0})
-        if not opts:
-            return None
-        cleaned.append(opts)
-
-    s = len(cleaned)
-    order = sorted(range(s), key=lambda i: len(cleaned[i]))
-    chosen: list[int | None] = [None] * s
-
-    def dfs(pos: int, used: int) -> bool:
-        if pos == s:
-            return True
-        gi = order[pos]
-        for m in cleaned[gi]:
-            if m & used == 0:
-                chosen[gi] = m
-                if dfs(pos + 1, used | m):
-                    return True
-                chosen[gi] = None
-        return False
-
-    if dfs(0, 0):
-        out = [m for m in chosen if m is not None]
-        used = 0
-        for m in out:
-            if m & used or m & forbidden:
-                raise PreconditionError("internal: representative check failed")
-            used |= m
-        return [chosen[i] for i in range(s)]  # type: ignore[misc]
-    return None

@@ -33,11 +33,12 @@ import importlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Callable
 
 from .errors import ParseError, SforgeError, VerificationError
 from .family import (
+    MAX_GROUND,
     SetFamily,
     family_from_json_obj,
     family_to_hex,
@@ -86,6 +87,7 @@ class Param:
     """One parameter of an operation.
 
     ``kind`` is "int", "frac", "flag", "str", "object" (a JSON object),
+    "elements" (a JSON array of distinct elements, taken as their mask),
     "raw" (any JSON value), a dict of choices (name -> value), "seed" (the
     step seed, or ``--seed`` on the CLI), "spec" (the step's own keys), or
     a class named ``"module:Class"``: a handle bound by an earlier step, and
@@ -105,8 +107,8 @@ class Param:
 def coerce(kind, value, label: str, text: bool = False):
     """Check one parameter value against its kind and convert it.
 
-    ``text`` marks a command-line string, which may spell an integer or a
-    JSON object; a scenario value must already be one.
+    ``text`` marks a command-line string, which may spell an integer, a
+    JSON object or a JSON array; a scenario value must already be one.
     """
     if kind == "int":
         if text:
@@ -132,15 +134,26 @@ def coerce(kind, value, label: str, text: bool = False):
         if type(value) is not str:
             raise ParseError(f"{label} must be a string")
         return value
+    if kind in ("object", "elements") and text:
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{label} is not valid JSON: {exc}")
     if kind == "object":
-        if text:
-            try:
-                value = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{label} is not valid JSON: {exc}")
         if not isinstance(value, dict):
             raise ParseError(f"{label} must be an object")
         return value
+    if kind == "elements":
+        if not isinstance(value, list):
+            raise ParseError(f"{label} must be an array of elements")
+        mask = 0
+        for e in value:
+            if type(e) is not int or not 1 <= e <= MAX_GROUND:
+                raise ParseError(f"{label} must hold integers in 1..{MAX_GROUND}", element=e)
+            if mask >> (e - 1) & 1:
+                raise ParseError(f"{label} repeats element {e}")
+            mask |= 1 << (e - 1)
+        return mask
     if isinstance(kind, dict):
         if type(value) is not str or value not in kind:
             raise ParseError(f"{label} must be one of {', '.join(sorted(kind))}")
@@ -191,6 +204,9 @@ class Op:
 
 def _same(x):
     return x
+
+
+_surviving = attrgetter("family")
 
 
 def _summary(F: SetFamily) -> dict:
@@ -326,6 +342,8 @@ def _verify_csv(rep: dict) -> str:
 
 
 SPEC = Param("domain", "domains:Domain", cli="SPEC")
+DOMAIN_R = Param("r", "frac", cli="-r --ratio")
+EXCLUDE = Param("exclude", "elements")
 SKELETON = Param("skeleton", "family:SetFamily")
 BUDGET = Param("budget", "int", 2_000_000)
 CHAIN = (FAMILY, DOMAIN, TAU, Param("q"), PETALS, CORE, Param("alpha", "frac"))
@@ -364,6 +382,8 @@ OPERATIONS: tuple[Op, ...] = (
        (FAMILY, RATIO, Param("m"), Param("delta", "frac"), Param("trials"),
         Param("seed", "seed", cli=""), Param("with-exact", "flag", False)),
        "spread:spread_lemma_mc"),
+    Op("spread-remove", "spread remove", (FAMILY, RATIO, EXCLUDE), "spread:remove_elements_spread",
+       bind=_surviving),
     Op(None, "spread bracket",
        (RATIO, Param("delta", "frac"), Param("m"), Param("mu-norm", "int", 1)),
        "spread:covering_bound_bracket", report=_bracket),
@@ -371,14 +391,20 @@ OPERATIONS: tuple[Op, ...] = (
     Op("domain", None, (Param("spec", "spec"),), "domains:domain_from_json_obj",
        report=_domain_summary, bind=_same, named=True),
     Op(None, "domains build", (SPEC,), _domain_build, report=None),
-    Op("rt-spread", "domains check", (SPEC, Param("r", "frac", cli="-r --ratio"), CORE),
-       "domains:check_rt_spread"),
+    Op("rt-spread", "domains check", (SPEC, DOMAIN_R, CORE), "domains:check_rt_spread"),
     Op("homogeneous", "domains homogeneous", (FAMILY, DOMAIN, TAU),
        "domains:check_tau_homogeneous"),
+    Op("homogeneous-remove", "domains remove", (FAMILY, DOMAIN, TAU, DOMAIN_R, EXCLUDE),
+       "domains:remove_elements_homogeneous", bind=_surviving),
+    Op("assumptions", "domains assumptions",
+       (SPEC, Param("q"), Param("eta", "frac"), Param("mu", "frac"), DOMAIN_R),
+       "domains:check_assumptions"),
     # biased measures
     Op("measure", "boolean measure", (FAMILY, P), _measure, report=None),
     Op("global", "boolean global", (FAMILY, P, TAU), "boolean:check_global"),
     Op("max-global", None, (FAMILY, P, TAU), "boolean:max_global_restriction"),
+    Op("global-remove", "boolean remove", (FAMILY, P, TAU, EXCLUDE),
+       "boolean:remove_elements_global", bind=_surviving),
     Op("stability", "boolean stab", (FAMILY, P, RHO), _stability, report=None),
     Op("threshold", "boolean threshold",
        (FAMILY, P, Param("p-tilde", "frac"), Param("tau", "frac", None)),
@@ -406,7 +432,7 @@ OPERATIONS: tuple[Op, ...] = (
     Op(None, "pipeline cluster", (*CHAIN, Param("lam", "frac")), _chain, report=None),
     Op("peel", "pipeline peel", (FAMILY, PETALS, CORE), "pipelines:peel_high_uniformity"),
     Op("delta", "pipeline delta", (FAMILY, PETALS, CORE), "pipelines:delta_filter",
-       bind=lambda res: res.family),
+       bind=_surviving),
     # bounds: the scenario names the formula `bound` and lets `params`
     # default to {}; the CLI spells them --name and a required --params
     Op(None, "bounds list", (), "bounds:bound_names", report=lambda names: {"names": names}),
@@ -538,6 +564,8 @@ def run_scenario(source) -> ScenarioResult:
 
 def _report_failed(report: dict) -> bool:
     if report.get("ok") is False:
+        return True
+    if report.get("all_ok") is False:
         return True
     if report.get("violation") is True:
         return True

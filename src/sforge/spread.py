@@ -1,4 +1,4 @@
-"""R-spreadness: exact certificates, maximal restrictions, and the
+"""R-spreadness: exact certificates, the element-removal lemma, and the
 probabilistic covering bound checked by Monte Carlo.
 
 Spreadness verdicts are exact: every comparison is done on cross-multiplied
@@ -15,12 +15,10 @@ from fractions import Fraction
 from functools import reduce
 from math import ceil, isqrt
 from operator import and_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import SetFamily, canonical, elements_of, link, restrict, submasks
-from .packing import find_disjoint_representatives as _masks_disjoint_reps
-from .sunflowers import SunflowerWitness
+from .family import SetFamily, canonical, elements_of, restrict, submasks
 
 _ENUM_CAP = 8_000_000
 
@@ -89,40 +87,6 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
     return SpreadVerdict(R=R, ok=True, violation=None, family_size=size)
 
 
-def max_spread_restriction(F: SetFamily, R) -> int:
-    """The X maximizing the scaled link density R^|X| |F(X)|.
-
-    Ties go to the smallest size and then the smallest mask, so an already
-    R-spread family returns the empty set.  For the winner, any denser Y
-    inside the link would have promoted X | Y above X, hence F(X) is
-    R-spread; that consequence is re-checked before returning.
-    """
-    R = _as_fraction(R, "R")
-    if not F.members:
-        raise PreconditionError("restriction of an empty family is undefined")
-    if R <= 0:
-        raise PreconditionError("spreadness parameter must be positive", R=str(R))
-    counts = _link_counts(F.members)
-    best = 0
-    best_val = Fraction(len(F))
-    for x in canonical(counts):
-        if x == 0:
-            continue
-        i = x.bit_count()
-        val = counts[x] * R**i
-        if val > best_val:
-            # canonical order visits smaller sizes and smaller masks first,
-            # so a strict update implements the tie-break for free
-            best, best_val = x, val
-    verdict = check_spread(link(F, best), R)
-    if not verdict.ok:
-        raise VerificationError(
-            "maximal restriction failed to be R-spread; this contradicts maximality",
-            X=elements_of(best), inner_violation=elements_of(verdict.violation),
-        )
-    return best
-
-
 @dataclass(frozen=True)
 class RemovalCertificate:
     """F with the elements of X excluded, plus the surviving guarantees.
@@ -157,6 +121,8 @@ def remove_elements_spread(F: SetFamily, R, X: int) -> RemovalCertificate:
         an exact transversal search).
     """
     R = _as_fraction(R, "R")
+    if X & ~F.ground.full_mask:
+        raise PreconditionError("X outside the ground set", X=elements_of(X))
     xsize = X.bit_count()
     if Fraction(xsize) >= R:
         raise PreconditionError(
@@ -186,46 +152,6 @@ def remove_elements_spread(F: SetFamily, R, X: int) -> RemovalCertificate:
     return RemovalCertificate(
         family=G, parameter=param, size_floor=floor, covering_floor=cover_floor
     )
-
-
-def find_disjoint_representatives(groups: Sequence, forbidden: int = 0) -> list[int] | None:
-    """One member per group, pairwise disjoint, avoiding ``forbidden``.
-
-    Accepts SetFamily or plain mask sequences per group; see the packing
-    module for the search discipline.  None is an exact absence certificate.
-    """
-    converted = []
-    for g in groups:
-        if isinstance(g, SetFamily):
-            converted.append(g.members)
-        else:
-            converted.append(tuple(g))
-        if not converted[-1]:
-            raise PreconditionError("every group must be nonempty")
-    return _masks_disjoint_reps(converted, forbidden=forbidden)
-
-
-def sunflower_via_spread(F: SetFamily, s: int, R) -> SunflowerWitness | None:
-    """Sunflower search through a maximal spread restriction.
-
-    Take the largest X with |F(X)| >= R^(-|X|)|F|; its link is R-spread, and
-    s pairwise-disjoint link members turn into petals around the core X.
-    Returns None when the restriction eats the whole uniformity or the
-    disjoint-representative search certifies absence.
-    """
-    if s < 2:
-        raise PreconditionError("a sunflower needs at least two petals", s=s)
-    k = F.uniformity
-    if k is None:
-        raise PreconditionError("sunflower-via-spread expects a uniform nonempty family")
-    X = max_spread_restriction(F, R)
-    if X.bit_count() >= k:
-        return None
-    L = link(F, X)
-    reps = _masks_disjoint_reps([L.members] * s, forbidden=X)
-    if reps is None:
-        return None
-    return SunflowerWitness(petals=tuple(X | p for p in reps), core=X)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -577,7 +578,11 @@ def test_frozen_benchmark_cli_digests(monkeypatch):
 
 
 B52 = '{"kind":"binomial","n":5,"k":2}'
+B63 = '{"kind":"binomial","n":6,"k":3}'
+B82 = '{"kind":"binomial","n":8,"k":2}'
 PAIRS4 = json.dumps({"n": 4, "sets": [list(c) for c in combinations(range(1, 5), 2)]})
+TRIPLES6 = json.dumps({"n": 6, "sets": [list(c) for c in combinations(range(1, 7), 3)]})
+UP12 = json.dumps({"n": 3, "sets": [[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3]]})
 
 # (command line, scenario step, family bound as "family", domain bound as "domain")
 PARITY = [
@@ -587,13 +592,21 @@ PARITY = [
     (["sunflower", "phi", "--petals", 4, "--core-size", 1, "--support", 8],
      {"op": "phi", "petals": 4, "core-size": 1, "support": 8}, None, None),
     (["spread", "check", STAR, "-R", 3], {"op": "spread-check", "R": 3}, STAR, None),
+    (["spread", "remove", BLOCKS, "-R", 2, "--exclude", "[1]"],
+     {"op": "spread-remove", "R": 2, "exclude": [1]}, BLOCKS, None),
     (["domains", "check", '{"kind":"permutations","n":4}', "-r", 1, "--core-size", 1],
      {"op": "rt-spread", "r": 1, "core-size": 1}, None, '{"kind":"permutations","n":4}'),
     (["domains", "homogeneous", TRIPLES, "--domain", '{"kind":"binomial","n":6,"k":3}', "--tau", 6],
      {"op": "homogeneous", "tau": 6}, TRIPLES, '{"kind":"binomial","n":6,"k":3}'),
+    (["domains", "remove", TRIPLES6, "--domain", B63, "--tau", 1, "-r", 2, "--exclude", "[6]"],
+     {"op": "homogeneous-remove", "tau": 1, "r": 2, "exclude": [6]}, TRIPLES6, B63),
+    (["domains", "assumptions", B82, "--q", 2, "--eta", 2, "--mu", 4, "-r", 2],
+     {"op": "assumptions", "q": 2, "eta": 2, "mu": 4, "r": 2}, None, B82),
     (["boolean", "measure", STAR, "--p", "1/4"], {"op": "measure", "p": "1/4"}, STAR, None),
     (["boolean", "global", STAR, "--p", "1/4", "--tau", 4],
      {"op": "global", "p": "1/4", "tau": 4}, STAR, None),
+    (["boolean", "remove", UP12, "--p", "1/4", "--tau", 3, "--exclude", "[3]"],
+     {"op": "global-remove", "p": "1/4", "tau": 3, "exclude": [3]}, UP12, None),
     (["boolean", "stab", STAR, "--p", "1/4", "--rho", "1/2"],
      {"op": "stability", "p": "1/4", "rho": "1/2"}, STAR, None),
     (["boolean", "threshold", DICTATOR, "--p", "1/8", "--p-tilde", "1/4"],
@@ -634,6 +647,73 @@ def test_cli_matches_scenario_step(args, step, family, domain):
     assert result.exit_code == 0, result.report
     expected = canonical_report_bytes(result.report["steps"][-1]["report"])
     assert invoke(*args).stdout_bytes == expected
+
+
+def test_a_removal_step_binds_the_surviving_family():
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "family", "name": "F", **json.loads(BLOCKS)},
+        {"op": "spread-remove", "name": "G", "family": "F", "R": 2, "exclude": [3]},
+        {"op": "spread-check", "family": "G", "R": 1},
+    ]})
+    assert result.exit_code == 0, result.report
+    assert result.report["steps"][1]["handle"] == "G"
+    assert result.report["steps"][2]["report"]["family_size"] == 3
+
+
+def test_an_asserted_assumption_battery_fails_on_a_broken_assumption():
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "domain", "name": "A", **json.loads(B82)},
+        {"op": "assumptions", "domain": "A", "q": 2, "eta": 0, "mu": 4, "r": 2, "assert": True},
+    ]})
+    assert result.exit_code == 1
+    assert result.report["steps"][-1]["error"]["error"] == "VerificationError"
+
+
+REMOVALS = [
+    (["spread", "remove", BLOCKS, "-R", 2], {"op": "spread-remove", "R": 2}),
+    (["domains", "remove", TRIPLES6, "--domain", B63, "--tau", 1, "-r", 2],
+     {"op": "homogeneous-remove", "tau": 1, "r": 2}),
+    (["boolean", "remove", UP12, "--p", "1/4", "--tau", 3],
+     {"op": "global-remove", "p": "1/4", "tau": 3}),
+]
+BAD_EXCLUDE = [[True], [0], [65], [1, 1], [1.5], ["1"], {"1": 1}, 1]
+
+
+@pytest.mark.parametrize("args,step", REMOVALS, ids=[r[1]["op"] for r in REMOVALS])
+@pytest.mark.parametrize("bad", BAD_EXCLUDE + ["[1,", ""], ids=repr)
+def test_malformed_exclude_exits_2(args, step, bad):
+    text = bad if isinstance(bad, str) else json.dumps(bad)
+    result = invoke(*args, "--exclude", text, expect=2)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "ParseError"
+    if not isinstance(bad, str):
+        steps = [{"op": "family", "name": "F", **json.loads(args[2])},
+                 {"op": "domain", "name": "A", **json.loads(B63)},
+                 {**step, "family": "F", "domain": "A", "exclude": bad}]
+        report = run_scenario({"schema": 1, "steps": steps})
+        assert report.exit_code == 2
+        assert report.report["steps"][-1]["error"]["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("args", [r[0] for r in REMOVALS], ids=[r[1]["op"] for r in REMOVALS])
+def test_an_element_outside_the_ground_exits_1(args):
+    result = invoke(*args, "--exclude", "[1,64]", expect=1)
+    assert "outside the ground" in error_of(result)["message"]
+
+
+def test_an_oversized_assumption_battery_exits_3_at_once():
+    start = time.perf_counter()
+    result = invoke("domains", "assumptions", '{"kind":"binomial","n":20,"k":4}',
+                    "--q", 2, "--eta", 1, "--mu", 4, "-r", 2, expect=3)
+    assert time.perf_counter() - start < 1
+    assert error_of(result)["error"] == "CapacityError"
+
+
+def test_a_hopeless_packing_exits_3():
+    # the edges of K_15 hold no 8 disjoint ones, and 14 vertices meet them all
+    k15 = json.dumps({"n": 15, "sets": [list(c) for c in combinations(range(1, 16), 2)]})
+    result = invoke("sunflower", "find", k15, "--petals", 8, expect=3)
+    assert error_of(result)["error"] == "CapacityError"
 
 
 ENGINE = {"sforge." + m for m in

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,6 @@ from sforge.domains import (
     check_tau_homogeneous,
     domain_from_json_obj,
     homogeneous_subfamily,
-    max_homogeneous_restriction,
-    most_subsets_homogeneous,
     regularity_identity_holds,
     remove_elements_homogeneous,
     verify_shadow_bound,
@@ -311,6 +311,13 @@ class TestAssumptions:
         with pytest.raises(PreconditionError):
             check_assumptions(Domain.binomial(8, 2), 2, 2.0, 4, 2)
 
+    def test_oversized_regularity_battery_refused_at_once(self):
+        A = Domain.binomial(20, 4)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            check_assumptions(A, 2, 1, 4, 2)
+        assert time.perf_counter() - start < 1
+
 
 class TestRegularityIdentity:
     def test_full_family(self):
@@ -396,27 +403,6 @@ class TestTauHomogeneous:
         assert check_tau_homogeneous(F, A, tau) == reference_check_tau_homogeneous(F, A, tau)
 
 
-class TestMaxHomogeneousRestriction:
-    def test_star_6_3(self):
-        A = Domain.binomial(6, 3)
-        F = A.family.replace_members([m for m in A.family.members if m & 1])
-        assert max_homogeneous_restriction(F, A, 6) == mask(1)
-
-    def test_full_family(self):
-        A = Domain.binomial(4, 2)
-        assert max_homogeneous_restriction(A.family, A, 6) == 0
-
-    def test_single_member(self):
-        A = Domain.binomial(6, 3)
-        F = SetFamily.from_sets(6, [[1, 2, 3]])
-        assert max_homogeneous_restriction(F, A, 6) == mask(1, 2, 3)
-
-    def test_tau_below_one_rejected(self):
-        A = Domain.binomial(4, 2)
-        with pytest.raises(PreconditionError):
-            max_homogeneous_restriction(A.family, A, Fraction(1, 2))
-
-
 class TestHomogeneousSubfamily:
     def test_full_family_keeps_everything(self):
         A = Domain.binomial(6, 3)
@@ -462,6 +448,7 @@ class TestRemoveElementsHomogeneous:
         assert res.parameter == 2
         assert res.size_floor == 10
         assert len(res.family) == 10
+        assert res.as_report() == {"size": 10, "parameter": "2", "size_floor": "10"}
 
     def test_too_many_elements(self):
         A = Domain.binomial(6, 3)
@@ -473,6 +460,11 @@ class TestRemoveElementsHomogeneous:
         F = SetFamily.from_sets(4, [[1, 2]])
         with pytest.raises(PreconditionError):
             remove_elements_homogeneous(F, A, 1, 2, mask(4))
+
+    def test_x_outside_the_ground_rejected(self):
+        A = Domain.binomial(6, 3)
+        with pytest.raises(PreconditionError, match="outside the ground"):
+            remove_elements_homogeneous(A.family, A, 1, 2, mask(7))
 
 
 class TestShadowBound:
@@ -494,20 +486,3 @@ class TestShadowBound:
         with pytest.raises(PreconditionError):
             verify_shadow_bound(F, A, 1, 1)
 
-
-class TestMostSubsetsHomogeneous:
-    def test_star_census_clean(self):
-        A = Domain.binomial(8, 3)
-        F = A.family.replace_members([m for m in A.family.members if m & 1])
-        census = most_subsets_homogeneous(
-            F, A, 1, 3, Fraction(5, 6), Fraction(4, 5)
-        )
-        assert census.bad_count == 0
-        assert census.shadow_size == 8
-        assert census.tau_hat == 15
-
-    def test_tau_gate(self):
-        A = Domain.binomial(8, 3)
-        F = A.family.replace_members([m for m in A.family.members if m & 1])
-        with pytest.raises(PreconditionError):
-            most_subsets_homogeneous(F, A, 1, 3, Fraction(5, 8), Fraction(4, 5))

@@ -1,12 +1,16 @@
 """Static checks on the package source: no unused module-level imports, no
-unused private module-level names, no click, front ends that import no
-engine module at load time, and one canonical sort.
+unused module-level names, no click, front ends that import no engine
+module at load time, and one canonical sort.
 
 Every ``src/sforge/*.py`` is parsed with ``ast``.  A name bound by a
 module-level ``import`` or ``from ... import`` must be used somewhere in
-the module, or be exported through ``__all__``.  A private name (``_x``)
-bound at module level by a ``def``, ``class`` or assignment must be read,
-imported or accessed as an attribute by some module of the package.  No
+the module, or be exported through ``__all__``.  Every other name bound at
+module level by a ``def``, ``class`` or assignment, dunders aside, must be
+read, imported or accessed as an attribute by some module of the package,
+or named by a ``"module:attr"`` string, as the operation table names the
+function an operation runs.  So each public function is reachable from the
+CLI and the scenario runner, or serves one that is; only the brute-force
+oracles in ``ORACLES``, which exist for the tests, are exempt.  No
 module imports ``click``, and ``cli.py`` and ``scenario.py`` import the
 engine modules only inside functions, so ``sforge --help`` and every
 command load only what they run.  Canonical order is ``family.canonical``
@@ -18,6 +22,7 @@ with ``at_least``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -50,13 +55,18 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names that no module in ``sources`` reads.
+ORACLES = {"oracle_max_sunflower_free", "brute_force_find", "family_is_free"}
 
-    Uses are matched by name across all modules, so a use of ``_x`` in one
-    module also covers a ``_x`` defined in another: the check can miss, but
+
+def unused_names(sources: dict[str, str], allowed=frozenset()) -> list[str]:
+    """Module-level names, dunders and ``allowed`` aside, that no module in
+    ``sources`` reads or names by a ``"module:attr"`` string.
+
+    Uses are matched by name across all modules, so a use of ``x`` in one
+    module also covers an ``x`` defined in another: the check can miss, but
     never flags a name that is read somewhere.
     """
+    modules = {name.removesuffix(".py") for name in sources}
     defined: list[tuple[str, int, str]] = []
     used: set[str] = set()
     for module, source in sources.items():
@@ -73,7 +83,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
             defined.extend(
                 (module, node.lineno, name)
                 for name in names
-                if name.startswith("_") and not name.endswith("__")
+                if not (name.startswith("__") and name.endswith("__"))
             )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -82,10 +92,14 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                ref = re.fullmatch(r"(\w+):(\w+)", node.value)
+                if ref and ref[1] in modules:
+                    used.add(ref[2])
     return [
         f"{module} line {line}: {name}"
         for module, line, name in defined
-        if name not in used
+        if name not in used and name not in allowed
     ]
 
 
@@ -111,9 +125,9 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == ["line 2: system", "line 3: Iterable"]
 
 
-def test_no_unused_private_names():
+def test_every_module_level_name_is_used():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert unused_private_names(sources) == []
+    assert unused_names(sources, ORACLES) == []
 
 
 def test_checker_flags_an_unused_private_name():
@@ -132,17 +146,38 @@ def test_checker_flags_an_unused_private_name():
             "    return _helper()\n"
         ),
         "b.py": (
-            "from .a import _Shared\n"
+            "from .a import _Shared, f\n"
             "import a\n"
             "_unused_too: int = 0\n"
             "def g():\n"
-            "    return a._orphan, _Shared\n"
+            "    return a._orphan, _Shared, f\n"
         ),
     }
-    assert unused_private_names(sources) == [
+    assert unused_names(sources, {"g"}) == [
         "a.py line 2: _DEAD",
         "b.py line 3: _unused_too",
     ]
+
+
+def test_checker_flags_an_unused_public_name():
+    sources = {
+        "engine.py": (
+            "LIMIT = 4\n"
+            "def run(x):\n"
+            "    return x < LIMIT\n"
+            "def superseded(x):\n"
+            "    return x < 4\n"
+            "def oracle(x):\n"
+            "    return x < 4\n"
+        ),
+        "table.py": (
+            "OPS = ('engine:run', 'nosuch:superseded', 'engine: superseded')\n"
+            "def main():\n"
+            "    return OPS\n"
+            "main()\n"
+        ),
+    }
+    assert unused_names(sources, {"oracle"}) == ["engine.py line 4: superseded"]
 
 
 def imported_modules(nodes) -> set[str]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sforge import packing
+from sforge.errors import CapacityError
 from sforge.packing import find_packing, hit_by_at_most, max_disjoint
 from support import reference_max_disjoint
 
@@ -142,3 +143,17 @@ def test_the_budget_bounds_a_deep_transversal_test():
     assert find_packing(blocks, 21) == blocks
     assert find_packing(blocks + [0b1001], 22) is None
     assert time.perf_counter() - start < 5
+
+
+# the edges of K_15: no 8 are disjoint, yet 14 vertices are needed to meet
+# them all, so the search must rule out every way to extend a 7-matching
+K15 = [(1 << a) | (1 << b) for a, b in combinations(range(15), 2)]
+
+
+def test_the_node_budget_refuses_a_hopeless_packing(monkeypatch):
+    monkeypatch.setattr(packing, "_PACKING_CAP", 10_000)
+    for search in (lambda: max_disjoint(K15), lambda: find_packing(K15, 8)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            search()
+        assert time.perf_counter() - start < 1

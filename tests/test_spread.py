@@ -10,17 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from sforge import spread
 from sforge.errors import CapacityError, PreconditionError
-from sforge.family import SetFamily, link, transversal_number
+from sforge.family import SetFamily, transversal_number
 from sforge.spread import (
     check_spread,
     exact_hit_probability,
-    find_disjoint_representatives,
     frac_log2_bracket,
-    max_spread_restriction,
     covering_bound_bracket,
     remove_elements_spread,
     spread_lemma_mc,
-    sunflower_via_spread,
     _wilson_bounds,
 )
 
@@ -103,51 +100,6 @@ class TestCheckSpread:
             assert Fraction(cnt) * R ** x.bit_count() > size
 
 
-class TestMaxSpreadRestriction:
-    def test_spread_family_gives_empty(self):
-        assert max_spread_restriction(binom_family(6, 2), 2) == 0
-
-    def test_boundary_tie_prefers_empty(self):
-        # |F({1})| R = 3*2 = 6 = |F|: a tie, and the smaller set wins
-        assert max_spread_restriction(binom_family(4, 2), 2) == 0
-
-    def test_star_with_stray_pair(self):
-        F = fam(6, [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [5, 6]])
-        assert max_spread_restriction(F, 4) == 0b1
-
-    def test_single_member_gives_whole_set(self):
-        F = fam(3, [[1, 2, 3]])
-        assert max_spread_restriction(F, 2) == 0b111
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.sets(st.integers(1, 7), min_size=1, max_size=4),
-            min_size=1, max_size=8,
-        ),
-        st.fractions(min_value=Fraction(1, 2), max_value=4),
-    )
-    def test_argmax_and_link_spread(self, sets, R):
-        F = fam(7, [sorted(s) for s in sets])
-        X = max_spread_restriction(F, R)
-        counts = {}
-        for m in F.members:
-            sub = m
-            while True:
-                counts[sub] = counts.get(sub, 0) + 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-        val = lambda x: counts.get(x, 0) * R ** x.bit_count()
-        best = max(val(x) for x in counts)
-        assert val(X) == best
-        # no strictly-better and no equal-value smaller candidate
-        for x in counts:
-            if val(x) == best:
-                assert (x.bit_count(), x) >= (X.bit_count(), X)
-        assert check_spread(link(F, X), R).ok
-
-
 class TestRemoveElements:
     def test_binomial_4_2_drop_one(self):
         F = binom_family(4, 2)
@@ -168,6 +120,10 @@ class TestRemoveElements:
         with pytest.raises(PreconditionError):
             remove_elements_spread(F, 3, 0b10)
 
+    def test_x_outside_the_ground_rejected(self):
+        with pytest.raises(PreconditionError, match="outside the ground"):
+            remove_elements_spread(binom_family(6, 2), 2, 0b1000000)
+
     def test_seeded_battery(self):
         for seed in range(40):
             F, R, X = seeded_spread_instance(seed)
@@ -178,31 +134,6 @@ class TestRemoveElements:
             from math import ceil as _ceil
             c = _ceil(R) - 1
             assert no_small_transversal(F, c)
-
-
-class TestSunflowerViaSpread:
-    def test_disjoint_pairs(self):
-        F = binom_family(12, 2)
-        w = sunflower_via_spread(F, 3, 4)
-        assert w is not None
-        assert w.core == 0
-        assert w.s == 3
-        members = set(F.members)
-        assert all(p in members for p in w.petals)
-
-    def test_star_core(self):
-        F = fam(21, [[1, x] for x in range(2, 22)])
-        w = sunflower_via_spread(F, 4, 3)
-        assert w is not None
-        assert w.core == 0b1
-        assert w.s == 4
-
-    def test_restriction_eats_uniformity(self):
-        assert sunflower_via_spread(fam(3, [[1, 2, 3]]), 2, 2) is None
-
-    def test_absence_is_certified(self):
-        # four pairwise disjoint pairs need eight points; [4] has four
-        assert sunflower_via_spread(binom_family(4, 2), 4, 2) is None
 
 
 class TestHitProbability:
@@ -425,35 +356,3 @@ class TestSpreadLemmaMC:
         assert not est.violation
         assert est.wilson_low > est.covering_bound_high
 
-
-class TestDisjointRepresentatives:
-    def test_two_singletons(self):
-        a = SetFamily.from_sets(2, [[1]])
-        b = SetFamily.from_sets(2, [[2]])
-        assert find_disjoint_representatives([a, b]) == [0b1, 0b10]
-
-    def test_overlap_absence(self):
-        g = SetFamily.from_sets(2, [[1, 2]])
-        assert find_disjoint_representatives([g, g]) is None
-
-    def test_forbidden_mask_respected(self):
-        a = SetFamily.from_sets(3, [[1], [3]])
-        reps = find_disjoint_representatives([a], forbidden=0b1)
-        assert reps == [0b100]
-
-    def test_three_stars_match_oracle(self):
-        groups = [
-            SetFamily.from_sets(9, [[1, x] for x in (2, 3, 4)]),
-            SetFamily.from_sets(9, [[5, x] for x in (2, 6, 7)]),
-            SetFamily.from_sets(9, [[8, x] for x in (9, 2)]),
-        ]
-        reps = find_disjoint_representatives(groups)
-        assert reps is not None
-        combined = 0
-        for r in reps:
-            assert combined & r == 0
-            combined |= r
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(PreconditionError):
-            find_disjoint_representatives([SetFamily.from_sets(2, [])])

@@ -15,17 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
-from .domains import Domain
+from .domains import _MEMBER_CAP, Domain
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import GroundSet, SetFamily, canonical, trace_cover
+from .family import GroundSet, SetFamily, trace_cover
 from .spread import frac_log2_bracket
 from .sunflowers import (
     CoreMode,
     CorePredicate,
+    family_is_free,
     find_sunflower,
     max_sunflower_free,
     phi_exact,
@@ -108,229 +110,177 @@ def _log2_hi(x) -> Fraction:
 
 
 def _phi_cap(s: int, t: int) -> Fraction:
+    """The kernel optimum's general estimate: s - 1 at depth one, else the
+    scale (2^14 * s * log2 t)^t."""
     if t == 1:
         return Fraction(s - 1)
     return (Fraction(2 ** 14 * s) * _log2_hi(t)) ** t
 
 
-def _need(params: dict, *names: str) -> list:
-    out = []
+def _need(params: dict, *names: str) -> dict:
+    out = {}
     for nm in names:
         if nm not in params:
             raise PreconditionError(f"bound formula needs parameter {nm!r}")
         v = params[nm]
         if type(v) is not int or v < 0:
             raise PreconditionError(f"parameter {nm!r} must be a nonnegative int")
-        out.append(v)
+        out[nm] = v
     return out
 
 
-# -- the formula registry ----------------------------------------------------
+def _check_nkst(n: int, k: int, s: int, t: int) -> None:
+    if not (2 <= s and 1 <= t <= k <= n):
+        raise PreconditionError("need s >= 2 and 1 <= t <= k <= n")
 
 
-def _erdos_rado(p: dict) -> BoundFormula:
-    s, k = _need(p, "s", "k")
+# -- the formula table -------------------------------------------------------
+# Each evaluator returns the ``BoundFormula`` fields past name and params.
+
+
+def _erdos_rado(s: int, k: int) -> dict:
     if s < 2:
         raise PreconditionError("need s >= 2")
-    return BoundFormula(
-        "erdos-rado", {"s": s, "k": k},
-        Fraction(factorial(k) * (s - 1) ** k),
-        note="any k-uniform family above this carries an s-sunflower",
-    )
+    return dict(value=Fraction(factorial(k) * (s - 1) ** k),
+                note="any k-uniform family above this carries an s-sunflower")
 
 
-def _phi_cap_formula(p: dict) -> BoundFormula:
-    s, t = _need(p, "s", "t")
+def _phi_cap_row(s: int, t: int) -> dict:
     if t < 1 or s < 2:
         raise PreconditionError("need s >= 2 and t >= 1")
-    if t == 1:
-        return BoundFormula("phi-cap", {"s": s, "t": t}, Fraction(s - 1),
-                            note="kernel optimum, exact at depth one")
-    return BoundFormula(
-        "phi-cap", {"s": s, "t": t}, _phi_cap(s, t),
-        note="kernel optimum estimate, upper-rounded at the log",
-    )
+    return dict(value=_phi_cap(s, t),
+                note="kernel optimum, exact at depth one" if t == 1
+                else "kernel optimum estimate, upper-rounded at the log")
 
 
-def _erdos_matching(p: dict) -> BoundFormula:
-    n, k, s = _need(p, "n", "k", "s")
+def _erdos_matching(n: int, k: int, s: int) -> dict:
     if not (2 <= s and 1 <= k <= n):
         raise PreconditionError("need s >= 2 and 1 <= k <= n")
     clique = comb(k * s - 1, k)
-    cover = comb(n, k) - comb(n - s + 1, k)
-    return BoundFormula(
-        "erdos-matching", {"n": n, "k": k, "s": s},
-        Fraction(max(clique, cover)),
+    # the k-sets meeting a fixed (s-1)-set: all of them once s - 1 >= n
+    cover = comb(n, k) - comb(max(n - s + 1, 0), k)
+    return dict(
+        value=Fraction(max(clique, cover)),
         hypotheses_met=(k <= 2),
         note="largest family with no s pairwise disjoint members"
         + ("" if k <= 2 else "; beyond pairs the maximum is not certified here"),
     )
 
 
-def _lead_term(n: int, k: int, s: int, t: int) -> tuple[Fraction, str]:
-    if not (2 <= s and 1 <= t <= k <= n):
-        raise PreconditionError("need s >= 2 and 1 <= t <= k <= n")
+def _lead_plus_error(const: int, power: int, note: str,
+                     n: int, k: int, s: int, t: int) -> dict:
+    """phi(s,t)*C(n-t,k-t) plus, past depth one, the large-n error term
+    phi_cap * const * s^2 t^2 * (k/n) * log2(n/k)^power * C(n-t,k-t)."""
     phi, src = _phi_with_provenance(s, t)
-    return phi * comb(n - t, k - t), src
-
-
-def _large_n_main(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    lead, src = _lead_term(n, k, s, t)
-    if t == 1:
-        extra = Fraction(0)
-    else:
-        scale = (Fraction(2 ** 14 * s) * _log2_hi(t)) ** t
-        extra = (
-            scale * 2 ** 17 * s * s * t * t
-            * Fraction(k, n) * _log2_hi(Fraction(n, k))
+    value = phi * comb(n - t, k - t)
+    if t > 1 and const:
+        value += (
+            _phi_cap(s, t) * (const * s * s * t * t)
+            * Fraction(k, n) * _log2_hi(Fraction(n, k)) ** power
             * comb(n - t, k - t)
         )
-    return BoundFormula(
-        "large-n-main", {"n": n, "k": k, "s": s, "t": t}, lead + extra,
-        hypotheses_met=False, phi_source=src,
-        note="needs a ground set past an unspecified threshold n0(s, t)",
+    return dict(value=value, hypotheses_met=False, phi_source=src, note=note)
+
+
+def _symbolic(shape: str, note: str, *params: int) -> dict:
+    return dict(value=None, symbolic=shape, hypotheses_met=False, note=note)
+
+
+def _downclosed_cover(n: int, k: int, s: int, t: int) -> dict:
+    if t == 1:
+        return dict(value=Fraction(0), hypotheses_met=False,
+                    note="cover residue estimate, vacuous at depth one")
+    r = Fraction(n, k)
+    return dict(
+        value=_phi_cap(s, t) * (2 ** 19 * s * (t + 1)) / r * _log2_hi(r)
+        * comb(n - t, k - t),
+        hypotheses_met=False,
+        note="bound on the part a small-set cover may leave uncovered",
     )
 
 
-def _large_n_main_alt(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    lead, src = _lead_term(n, k, s, t)
-    if t == 1:
-        extra = Fraction(0)
-    else:
-        scale = (Fraction(2 ** 14 * s) * _log2_hi(t)) ** t
-        extra = (
-            scale * 2 ** 5 * s * s * t * t
-            * Fraction(k, n) * _log2_hi(Fraction(n, k)) ** 2
-            * comb(n - t, k - t)
-        )
-    return BoundFormula(
-        "large-n-main-alt", {"n": n, "k": k, "s": s, "t": t}, lead + extra,
-        hypotheses_met=False, phi_source=src,
-        note="variant with the squared log in the error term; "
+class _Formula(NamedTuple):
+    """A formula's parameter names, its evaluator (taking them in order),
+    and the core sizes a family must avoid for it to bound the family's
+    size, given (k, t); None where the formula bounds something else.
+    Every formula on (n, k, s, t) needs s >= 2 and 1 <= t <= k <= n."""
+
+    params: tuple[str, ...]
+    evaluate: Callable[..., dict]
+    avoids: Callable[[int, int], range | None] | None
+
+
+_NKST = ("n", "k", "s", "t")
+_FORMULAS = {
+    "erdos-rado": _Formula(("s", "k"), _erdos_rado, lambda k, t: range(k)),
+    "phi-cap": _Formula(("s", "t"), _phi_cap_row,
+                        lambda k, t: range(t) if k == t else None),
+    "erdos-matching": _Formula(("n", "k", "s"), _erdos_matching,
+                               lambda k, t: range(1) if k == 2 else None),
+    "large-n-main": _Formula(_NKST, partial(
+        _lead_plus_error, 2 ** 17, 1,
+        "needs a ground set past an unspecified threshold n0(s, t)",
+    ), lambda k, t: range(t)),
+    "large-n-main-alt": _Formula(_NKST, partial(
+        _lead_plus_error, 2 ** 5, 2,
+        "variant with the squared log in the error term; "
         "needs a ground set past an unspecified threshold",
-    )
-
-
-def _frankl_furedi(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    lead, src = _lead_term(n, k, s, t)
-    return BoundFormula(
-        "frankl-furedi", {"n": n, "k": k, "s": s, "t": t}, lead,
-        hypotheses_met=False, phi_source=src,
-        note="leading term alone, valid only past an unspecified threshold",
-    )
-
-
-def _small_k_main(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    _lead_term(n, k, s, t)
-    return BoundFormula(
-        "small-k-main", {"n": n, "k": k, "s": s, "t": t}, None,
-        symbolic="phi(s,t)*C(n-t,k-t) + k*c(s,k)/(n-k)*C(n,k-t)",
-        hypotheses_met=False,
-        note="the constant c(s,k) comes with growth guarantees only",
-    )
-
-
-def _delta_method(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    if not (2 <= s and 1 <= t <= k <= n):
-        raise PreconditionError("need s >= 2 and 1 <= t <= k <= n")
-    return BoundFormula(
-        "delta-method-bound", {"n": n, "k": k, "s": s, "t": t}, None,
-        symbolic="C_k * n^(k-t) * s^t",
-        hypotheses_met=False,
-        note="the uniformity constant C_k is double-exponential and unpinned",
-    )
-
-
-def _double_exp_uniform(p: dict) -> BoundFormula:
-    s, k = _need(p, "s", "k")
-    return BoundFormula(
-        "double-exp-uniform", {"s": s, "k": k}, None,
-        symbolic="s^(2^k) * 2^(2^(C*k))",
-        hypotheses_met=False,
-        note="growth envelope for c(s,k); the inner constant C is unspecified",
-    )
-
-
-def _downclosed_cover(p: dict) -> BoundFormula:
-    n, k, s, t = _need(p, "n", "k", "s", "t")
-    if not (2 <= s and 1 <= t <= k <= n):
-        raise PreconditionError("need s >= 2 and 1 <= t <= k <= n")
-    if t == 1:
-        val = Fraction(0)
-        note = "cover residue estimate, vacuous at depth one"
-    else:
-        r = Fraction(n, k)
-        val = (
-            (Fraction(2 ** 14 * s) * _log2_hi(t)) ** t
-            * Fraction(2 ** 19 * s * (t + 1), 1) / r
-            * _log2_hi(r)
-            * comb(n - t, k - t)
-        )
-        note = "bound on the part a small-set cover may leave uncovered"
-    return BoundFormula(
-        "downclosed-cover-bound", {"n": n, "k": k, "s": s, "t": t}, val,
-        hypotheses_met=False, note=note,
-    )
-
-
-_REGISTRY = {
-    "erdos-rado": _erdos_rado,
-    "phi-cap": _phi_cap_formula,
-    "erdos-matching": _erdos_matching,
-    "large-n-main": _large_n_main,
-    "large-n-main-alt": _large_n_main_alt,
-    "frankl-furedi": _frankl_furedi,
-    "small-k-main": _small_k_main,
-    "delta-method-bound": _delta_method,
-    "double-exp-uniform": _double_exp_uniform,
-    "downclosed-cover-bound": _downclosed_cover,
+    ), lambda k, t: range(t)),
+    "frankl-furedi": _Formula(_NKST, partial(
+        _lead_plus_error, 0, 1,
+        "leading term alone, valid only past an unspecified threshold",
+    ), lambda k, t: range(t)),
+    "small-k-main": _Formula(_NKST, partial(
+        _symbolic, "phi(s,t)*C(n-t,k-t) + k*c(s,k)/(n-k)*C(n,k-t)",
+        "the constant c(s,k) comes with growth guarantees only",
+    ), lambda k, t: range(t)),
+    "delta-method-bound": _Formula(_NKST, partial(
+        _symbolic, "C_k * n^(k-t) * s^t",
+        "the uniformity constant C_k is double-exponential and unpinned",
+    ), lambda k, t: range(t)),
+    "double-exp-uniform": _Formula(("s", "k"), partial(
+        _symbolic, "s^(2^k) * 2^(2^(C*k))",
+        "growth envelope for c(s,k); the inner constant C is unspecified",
+    ), None),
+    "downclosed-cover-bound": _Formula(_NKST, _downclosed_cover, None),
 }
 
 
 def bound_names() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(_FORMULAS)
 
 
 def bound_rhs(name: str, params: dict) -> BoundFormula:
-    """Evaluate the named upper-bound formula at the given parameters."""
+    """Evaluate the named upper-bound formula at the given parameters.
+
+    Parameters the formula does not take are ignored.  At s = 4, t = 2 the
+    rows holding phi(s, t) (large-n-main, -alt, frankl-furedi) run two exact
+    ``phi_exact`` searches, about 60 s the first time in a process.
+    """
     try:
-        fn = _REGISTRY[name]
+        row = _FORMULAS[name]
     except KeyError:
         raise PreconditionError(
-            f"unknown bound name {name!r}", known=sorted(_REGISTRY)
+            f"unknown bound name {name!r}", known=sorted(_FORMULAS)
         ) from None
-    return fn(dict(params))
+    p = _need(params, *row.params)
+    if row.params == _NKST:
+        _check_nkst(*p.values())
+    return BoundFormula(name, p, **row.evaluate(*p.values()))
 
 
-def _bounds_family_size(name: str, k: int, t: int, pred: CorePredicate) -> bool:
-    """Whether the named formula bounds the size of every pred-free family.
+def _bounds_family_size(row: _Formula, k: int, t: int, pred: CorePredicate) -> bool:
+    """Whether the row's formula bounds the size of every pred-free family.
 
     Soundness direction: a formula proved for families avoiding a fixed set
     of core sizes transfers to any predicate that forbids at least those
     sizes, since the legal families only shrink.
     """
-    if name == "erdos-rado":
-        return all(pred.admits_core_size(c) for c in range(k))
-    if name == "erdos-matching":
-        return k == 2 and pred.admits_core_size(0)
-    if name == "phi-cap":
-        return k == t and all(pred.admits_core_size(c) for c in range(t))
-    if name in ("large-n-main", "large-n-main-alt", "frankl-furedi",
-                "small-k-main", "delta-method-bound"):
-        return all(pred.admits_core_size(c) for c in range(t))
-    return False  # residue estimates and growth envelopes bound other things
+    sizes = row.avoids(k, t) if row.avoids else None
+    return sizes is not None and all(pred.admits_core_size(c) for c in sizes)
 
 
 # -- extremal constructions --------------------------------------------------
-
-
-def _masks_sorted(masks) -> tuple[int, ...]:
-    return tuple(canonical(set(masks)))
 
 
 def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
@@ -341,10 +291,11 @@ def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
     result carries no s-sunflower with a core smaller than t; that is
     re-verified by exhaustion before returning, along with the exact size
     identity |result| = |T| * C(n - |supp T|, k - t) and the closed-form
-    size floor with |T| standing in for the kernel optimum.
+    size floor with |T| standing in for the kernel optimum.  Refuses with
+    ``CapacityError`` when there are more k-subsets of [n] to enumerate than
+    a domain may hold.
     """
-    if not (2 <= s and 1 <= t <= k <= n):
-        raise PreconditionError("need s >= 2 and 1 <= t <= k <= n")
+    _check_nkst(n, k, s, t)
     if n > 64:
         raise CapacityError("ground sets top out at 64 elements", n=n)
     if not T.members:
@@ -362,6 +313,8 @@ def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
             "skeleton carries an s-sunflower", witness=wit.as_report()
         )
 
+    if comb(n, k) > _MEMBER_CAP:
+        raise CapacityError("too many k-subsets to enumerate", size=comb(n, k))
     masks = []
     for combo in combinations(range(n), k):
         m = 0
@@ -369,7 +322,7 @@ def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
             m |= 1 << c
         if (m & supp) in T:
             masks.append(m)
-    out = SetFamily(GroundSet(n), _masks_sorted(masks))
+    out = SetFamily(GroundSet(n), tuple(masks))
 
     sigma = supp.bit_count()
     if len(out.members) != len(T) * comb(n - sigma, k - t):
@@ -460,20 +413,6 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
 
 # -- end-to-end instance verification ----------------------------------------
 
-def _formula_params(name: str, n: int, k: int, s: int, t: int) -> dict:
-    if name in ("erdos-rado", "double-exp-uniform"):
-        return {"s": s, "k": k}
-    if name == "phi-cap":
-        return {"s": s, "t": t}
-    if name == "erdos-matching":
-        return {"n": n, "k": k, "s": s}
-    return {"n": n, "k": k, "s": s, "t": t}
-
-
-def _legal(F: SetFamily, pred: CorePredicate) -> bool:
-    return find_sunflower(F, pred) is None
-
-
 def verify_instance(
     A: Domain,
     s: int,
@@ -507,39 +446,27 @@ def verify_instance(
     )
     optimum = search.optimum if search.certified else None
 
-    constructions = []
+    constructions = []  # (kind, size, legal)
+
+    def admit(kind: str, F: SetFamily) -> None:
+        constructions.append((kind, len(F.members), family_is_free(F, pred)))
+
     kernel = None
     if t * (s - 1) <= n:
         kernel = SetFamily.from_sets(n, product_kernel(s, t).as_sets())
     if kernel is not None and A.kind == "binomial":
-        built = example_23(n, k, s, t, kernel)
-        constructions.append(
-            ("skeleton-lift", built if _legal(built, pred) else None,
-             len(built.members))
-        )
+        admit("skeleton-lift", example_23(n, k, s, t, kernel))
     if kernel is not None and all(A.link_count(T) >= 1 for T in kernel.members):
-        built = fstar_family(A, kernel, s)
-        constructions.append(
-            ("domain-skeleton", built if _legal(built, pred) else None,
-             len(built.members))
-        )
+        admit("domain-skeleton", fstar_family(A, kernel, s))
     if A.family.members:
-        single = A.family.replace_members([A.family.members[0]])
-        constructions.append(
-            ("single-member", single if _legal(single, pred) else None, 1)
-        )
+        admit("single-member", A.family.replace_members(A.family.members[:1]))
+    best_size = max((size for _, size, legal in constructions if legal), default=None)
 
-    best_size = None
-    for _, fam_ok, size in constructions:
-        if fam_ok is not None and (best_size is None or size > best_size):
-            best_size = size
-
-    rows = []
-    for name in bound_names():
-        params = _formula_params(name, n, k, s, t)
-        formula = bound_rhs(name, params)
-        applicable = _bounds_family_size(name, k, t, pred)
-        rows.append((formula, applicable))
+    nkst = {"n": n, "k": k, "s": s, "t": t}
+    rows = [
+        (bound_rhs(name, nkst), _bounds_family_size(_FORMULAS[name], k, t, pred))
+        for name in bound_names()
+    ]
 
     violations = []
     if best_size is not None and optimum is not None and best_size > optimum:
@@ -572,8 +499,8 @@ def verify_instance(
         "witness": search.witness.as_sets() if optimum is not None else None,
         "construction": best_size,
         "constructions": [
-            {"kind": kind, "size": size, "legal": fam_ok is not None}
-            for kind, fam_ok, size in constructions
+            {"kind": kind, "size": size, "legal": legal}
+            for kind, size, legal in constructions
         ],
         "bounds": [
             dict(formula.as_report(), applicable=applicable)

@@ -227,26 +227,6 @@ def shadow(F: SetFamily, h: int) -> SetFamily:
     return F.replace_members(out)
 
 
-def shadow_upto(F: SetFamily, h: int) -> SetFamily:
-    """All subsets of members of F with at most h elements."""
-    if not F.members:
-        raise PreconditionError("shadow of an empty family is undefined")
-    if h < 0:
-        raise PreconditionError("shadow order must be nonnegative")
-    out = set()
-    for m in F.members:
-        for j in range(0, min(h, m.bit_count()) + 1):
-            out.update(bit_subsets(m, j))
-    return F.replace_members(out)
-
-
-def join(F: SetFamily, B: SetFamily) -> SetFamily:
-    """Pairwise unions {f | b}, deduplicated. Join with {0} is the identity."""
-    if B.ground.n != F.ground.n:
-        raise PreconditionError("join requires matching ground sets")
-    return F.replace_members({f | b for f in F.members for b in B.members})
-
-
 def upper_closure(F: SetFamily) -> SetFamily:
     """All supersets (within the ground set) of members of F, materialized.
 

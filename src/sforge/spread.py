@@ -293,7 +293,6 @@ class SpreadLemmaEstimate:
     covering_bound_high: Optional[Fraction]
     vacuous: bool
     violation: bool
-    mu_norm: int = 1
     exact_probability: Optional[Fraction] = None
 
     def as_report(self) -> dict:
@@ -351,7 +350,7 @@ def spread_lemma_mc(
     delta = _as_fraction(delta, "delta")
     if m < 1 or trials < 1:
         raise PreconditionError("m and trials must be positive", m=m, trials=trials)
-    blo, bhi, vac = covering_bound_bracket(R, delta, m, mu_norm=1)
+    blo, bhi, vac = covering_bound_bracket(R, delta, m)
     p = m * delta
     if p > 1:
         raise PreconditionError("m*delta must be at most 1", p=str(p))
@@ -402,5 +401,5 @@ def spread_lemma_mc(
         R=R, m=m, delta=delta, trials=trials, hits=hits, hit_rate=rate,
         wilson_low=wlow, wilson_high=whigh,
         covering_bound_low=blo, covering_bound_high=bhi,
-        vacuous=vac, violation=violation, mu_norm=1, exact_probability=exact,
+        vacuous=vac, violation=violation, exact_probability=exact,
     )

@@ -322,6 +322,15 @@ class TestBoundsCommands:
     def test_bad_params_json_exits_2(self):
         invoke("bounds", "eval", "--name", "erdos-rado", "--params", "not json", expect=2)
 
+    def test_erdos_matching_with_more_petals_than_elements(self):
+        # once s - 1 >= n, a fixed (s - 1)-set meets every k-set: the cover term is C(n, k)
+        rep = report_of(invoke("bounds", "eval", "--name", "erdos-matching",
+                               "--params", '{"n":1,"k":1,"s":3}'))
+        assert rep["value"] == "2"
+        rep = report_of(invoke("bounds", "eval", "--name", "erdos-matching",
+                               "--params", '{"n":3,"k":3,"s":5}'))
+        assert rep["value"] == "364"
+
     @pytest.mark.parametrize("params", ['{"s":1,"k":3}', '{"s":true,"k":3}', '{"s":3,"k":false}'])
     def test_erdos_rado_bad_params_exit_1(self, params):
         result = invoke("bounds", "eval", "--name", "erdos-rado", "--params", params, expect=1)
@@ -345,6 +354,12 @@ class TestVerifyCommand:
         assert lines[0] == "row,name,value,applicable,hypotheses"
         assert "optimum,search,10,true," in lines
         assert any(line.startswith("bound,erdos-matching,") for line in lines)
+
+    def test_more_petals_than_elements(self):
+        rep = report_of(invoke("verify", "--domain", '{"kind":"binomial","n":3,"k":1}',
+                               "--petals", 5, "--core-size", 1))
+        assert rep["optimum"] == 3
+        assert rep["violations"] == []
 
     def test_csv_elsewhere_exits_2(self):
         invoke("--format", "csv", "family", "info", STAR, expect=2)
@@ -437,6 +452,20 @@ class TestRunCommand:
         result = invoke("run", path, expect=3)
         rep = report_of(result)
         assert rep["steps"][0]["error"]["error"] == "CapacityError"
+
+    def test_oversized_skeleton_lift_exits_3_at_once(self, tmp_path):
+        path = self.write(tmp_path, {
+            "schema": 1,
+            "steps": [
+                {"op": "product-kernel", "name": "T", "petals": 3, "core-size": 2},
+                {"op": "example-23", "name": "F", "n": 40, "k": 20, "petals": 3,
+                 "core-size": 2, "skeleton": "T"},
+            ],
+        })
+        start = time.perf_counter()
+        result = invoke("run", path, expect=3)
+        assert time.perf_counter() - start < 1
+        assert report_of(result)["steps"][1]["error"]["error"] == "CapacityError"
 
     def test_assert_flag_promotes_check(self, tmp_path):
         path = self.write(tmp_path, {

@@ -20,12 +20,10 @@ from sforge.family import (
     family_to_hex,
     family_to_json_obj,
     is_upward_closed,
-    join,
     link,
     mask_of,
     restrict,
     shadow,
-    shadow_upto,
     submasks,
     trace_cover,
     transversal_number,
@@ -178,21 +176,6 @@ def test_shadow_monotone_under_members():
     small = SetFamily.from_sets(6, [[1, 2, 3]])
     big = SetFamily.from_sets(6, [[1, 2, 3], [2, 3, 4], [4, 5, 6]])
     assert set(shadow(small, 2).members) <= set(shadow(big, 2).members)
-
-
-def test_shadow_upto():
-    f = SetFamily.from_sets(5, [[1, 2, 3]])
-    got = shadow_upto(f, 2)
-    assert len(got) == 1 + 3 + 3  # sizes 0, 1, 2
-
-
-def test_join_identity_and_dedup():
-    f = binomial_family(4, 2)
-    empty = SetFamily.from_sets(4, [[]])
-    assert join(f, empty).members == f.members
-    g = SetFamily.from_sets(4, [[1], [2]])
-    joined = join(SetFamily.from_sets(4, [[1, 2]]), g)
-    assert joined.members == (mask_of([1, 2]),)
 
 
 def test_upper_closure_example():

@@ -6,15 +6,17 @@ Every ``src/sforge/*.py`` is parsed with ``ast``.  A name bound by a
 module-level ``import`` or ``from ... import`` must be used somewhere in
 the module, or be exported through ``__all__``.  Every other name bound at
 module level by a ``def``, ``class`` or assignment, dunders aside, must be
-read, imported or accessed as an attribute by some module of the package,
-or named by a ``"module:attr"`` string, as the operation table names the
-function an operation runs.  So each public function is reachable from the
-CLI and the scenario runner, or serves one that is; only the brute-force
-oracles in ``ORACLES``, which exist for the tests, are exempt.  No
-module imports ``click``, and ``cli.py`` and ``scenario.py`` import the
-engine modules only inside functions, so ``sforge --help`` and every
-command load only what they run.  Canonical order is ``family.canonical``
-(two sorts keyed in C); no module sorts with ``key=canon_key`` itself.
+read by its own module, imported from it or read as an attribute of it by
+another module of the package, or named by a ``"module:attr"`` string, as
+the operation table names the function an operation runs; a method or a
+foreign name that merely shares the spelling does not count.  So each
+public function is reachable from the CLI and the scenario runner, or
+serves one that is; only the brute-force oracles in ``ORACLES``, which
+exist for the tests, are exempt.  No module imports ``click``, and
+``cli.py`` and ``scenario.py`` import the engine modules only inside
+functions, so ``sforge --help`` and every command load only what they run.
+Canonical order is ``family.canonical`` (two sorts keyed in C); no module
+sorts with ``key=canon_key`` itself.
 Threshold packing searches ("are there p disjoint masks?") go through
 ``packing.find_packing``, which runs the transversal pre-check first; no
 other module calls ``max_disjoint`` with ``stop_at`` or ``matching_number``
@@ -55,21 +57,28 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-ORACLES = {"oracle_max_sunflower_free", "brute_force_find", "family_is_free"}
+ORACLES = {"oracle_max_sunflower_free", "brute_force_find"}
 
 
 def unused_names(sources: dict[str, str], allowed=frozenset()) -> list[str]:
-    """Module-level names, dunders and ``allowed`` aside, that no module in
-    ``sources`` reads or names by a ``"module:attr"`` string.
+    """Module-level names, dunders and ``allowed`` aside, that nothing uses.
 
-    Uses are matched by name across all modules, so a use of ``x`` in one
-    module also covers an ``x`` defined in another: the check can miss, but
-    never flags a name that is read somewhere.
+    A name ``x`` defined in module ``m`` is used when ``m`` itself reads
+    ``x``, when some module imports ``x`` from ``m`` or reads it as an
+    attribute of the module object ``m``, or when a ``"m:x"`` string names
+    it.  A read of an unrelated ``x`` (a method ``obj.x``, an ``x`` of
+    another module) does not count.
     """
     modules = {name.removesuffix(".py") for name in sources}
+
+    def module_of(dotted: str | None) -> str | None:
+        name = (dotted or "").removeprefix("sforge").lstrip(".")
+        return name if name in modules else None
+
     defined: list[tuple[str, int, str]] = []
-    used: set[str] = set()
+    used: set[tuple[str, str]] = set()
     for module, source in sources.items():
+        module = module.removesuffix(".py")
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -85,21 +94,33 @@ def unused_names(sources: dict[str, str], allowed=frozenset()) -> list[str]:
                 for name in names
                 if not (name.startswith("__") and name.endswith("__"))
             )
+        aliases = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if module_of(alias.name):
+                        aliases[alias.asname or alias.name] = module_of(alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                source_module = module_of(node.module)
+                for alias in node.names:
+                    if source_module:
+                        used.add((source_module, alias.name))
+                    elif module_of(alias.name) and node.module in (None, "sforge"):
+                        aliases[alias.asname or alias.name] = module_of(alias.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+                used.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                used.add((aliases[node.value.id], node.attr))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 ref = re.fullmatch(r"(\w+):(\w+)", node.value)
                 if ref and ref[1] in modules:
-                    used.add(ref[2])
+                    used.add((ref[1], ref[2]))
     return [
-        f"{module} line {line}: {name}"
+        f"{module}.py line {line}: {name}"
         for module, line, name in defined
-        if name not in used and name not in allowed
+        if (module, name) not in used and name not in allowed
     ]
 
 
@@ -178,6 +199,37 @@ def test_checker_flags_an_unused_public_name():
         ),
     }
     assert unused_names(sources, {"oracle"}) == ["engine.py line 4: superseded"]
+
+
+def test_checker_ignores_a_colliding_method_or_foreign_name():
+    sources = {
+        "family.py": (
+            "def join(F, B):\n"
+            "    return F | B\n"
+            "def shadow_upto(F, h):\n"
+            "    return F\n"
+            "def trace(F):\n"
+            "    return F\n"
+            "class Family:\n"
+            "    def shadow_upto(self, h):\n"
+            "        return self\n"
+        ),
+        "other.py": (
+            "def join(xs):\n"
+            "    return xs\n"
+            "def shadow_upto():\n"
+            "    return join([])\n"
+        ),
+        "cli.py": (
+            "from .family import Family\n"
+            "from . import family as fam\n"
+            "from .other import shadow_upto\n"
+            "def main(names):\n"
+            "    return ','.join(names), Family().shadow_upto(2), fam.trace(0), shadow_upto()\n"
+            "main([])\n"
+        ),
+    }
+    assert unused_names(sources) == ["family.py line 1: join", "family.py line 3: shadow_upto"]
 
 
 def imported_modules(nodes) -> set[str]:

@@ -375,7 +375,7 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
             skeleton=T_star.ground.n, domain=A.ground_bits,
         )
     for T in T_star.members:
-        if A.link_count(T) < 1:
+        if T not in A.table:
             raise PreconditionError(
                 "skeleton set misses the domain shadow", member=T
             )
@@ -398,7 +398,7 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
         )
     spread_r = A.nominal_parameters().get("spread_r")
     if spread_r is not None and t < A.k:
-        gap = len(trace_cover(A.family, T_star).members) - len(out.members)
+        gap = len(trace_cover(A.family, T_star, A.index).members) - len(out.members)
         cap = (
             Fraction(t * len(T_star.members) ** 2)
             / Fraction(spread_r) * A.max_link(t)[1]
@@ -456,7 +456,7 @@ def verify_instance(
         kernel = SetFamily.from_sets(n, product_kernel(s, t).as_sets())
     if kernel is not None and A.kind == "binomial":
         admit("skeleton-lift", example_23(n, k, s, t, kernel))
-    if kernel is not None and all(A.link_count(T) >= 1 for T in kernel.members):
+    if kernel is not None and all(T in A.table for T in kernel.members):
         admit("domain-skeleton", fstar_family(A, kernel, s))
     if A.family.members:
         admit("single-member", A.family.replace_members(A.family.members[:1]))

@@ -13,7 +13,10 @@ SetFamily over an encoded ground set of at most 64 bits:
 Everything downstream (depth-t spreadness, homogeneity, the assumption
 battery) runs off one lazily built table of exact link counts, so verdicts
 are independent of any closed form.  Closed forms exist for the symmetric
-kinds and the tests hold them against the table.
+kinds and the tests hold them against the table.  Beside the table a domain
+caches its shadow layers and a member index (element -> bitset of the
+members holding it), which answers link and trace queries without a scan;
+a link domain reads its table off its parent's.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from .family import (
     bit_subsets,
     canonical,
     elements_of,
+    holders,
     link,
+    member_index,
     restrict,
+    select,
     submasks,
 )
 from .spread import _as_fraction, _link_counts, check_spread
@@ -180,6 +186,20 @@ class Domain:
     def table(self) -> dict[int, int]:
         return _link_counts(self.family.members)
 
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """The ``member_index`` of the domain's members."""
+        return member_index(self.family.members)
+
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """The table's sets split by size 0..k, each size in numeric (hence
+        canonical) order."""
+        levels: list[list[int]] = [[] for _ in range(self.k + 1)]
+        for x in sorted(self.table):
+            levels[x.bit_count()].append(x)
+        return tuple(map(tuple, levels))
+
     def link_count(self, T: int) -> int:
         """|A(T)| for T in the |T|-shadow; errors on sets outside the shadow."""
         if self.kind == "binomial" and T.bit_count() <= self.k:
@@ -194,32 +214,44 @@ class Domain:
             )
         return cnt
 
-    def shadow_layer(self, t: int) -> list[int]:
-        return canonical(x for x in self.table if x.bit_count() == t)
+    def shadow_layer(self, t: int) -> tuple[int, ...]:
+        return self.layers[t] if 0 <= t <= self.k else ()
 
     def shadow_upto(self, t: int) -> list[int]:
-        return canonical(x for x in self.table if x.bit_count() <= t)
+        return [x for level in self.layers[: max(t + 1, 0)] for x in level]
 
     def max_link(self, t: int) -> tuple[int, int]:
         """(T, A_t): a t-shadow member with the largest link, smallest mask on ties."""
         if not (0 <= t <= self.k):
             raise PreconditionError("shadow depth out of range", t=t, k=self.k)
         best_T, best = None, -1
-        for T in self.shadow_layer(t):
-            c = self.table[T]
+        table = self.table
+        for T in self.layers[t]:
+            c = table[T]
             if c > best:
                 best_T, best = T, c
         return best_T, best
 
     def link_domain(self, S: int) -> "Domain":
-        """The ambient family A(S), as its own domain on the same ground bits."""
-        sub = link(self.family, S)
-        if not sub.members:
+        """The ambient family A(S), as its own domain on the same ground bits.
+
+        Its members are those the ``index`` finds holding S, with S
+        stripped.  Its table is the parent's: A(S) has |A(S | X)| members
+        above each X disjoint from S, so it is the parent's entries above S
+        with S stripped, and nothing is recounted.
+        """
+        members = self.family.members
+        above = select(members, holders(self.index, S, (1 << len(members)) - 1))
+        if not above:
             raise PreconditionError("link of S is empty", S=elements_of(S))
-        return Domain(
-            f"link:{self.kind}", sub, self.k - S.bit_count(),
+        sub = Domain(
+            f"link:{self.kind}", self.family.replace_members(m & ~S for m in above),
+            self.k - S.bit_count(),
             {"parent": self.kind, "S": list(elements_of(S)), **self.params},
         )
+        # fills the cached_property, which stores its value in the instance dict
+        vars(sub)["table"] = {x & ~S: c for x, c in self.table.items() if x & S == S}
+        return sub
 
     def nominal_parameters(self) -> dict:
         """Suggested (spreadness r, assumption r, mu, eta) per kind, when known."""
@@ -323,23 +355,20 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
     The witness pair, if any, satisfies |A(T)(S)| > r^(-|S|) |A(T)| and is the
     canonically first such pair: T first in canonical order, then S.
 
-    The table is split once into levels by size, each in numeric (hence
-    canonical) order, with each level's largest count.  For each T the
-    levels j above |T| are taken in turn; the S of level j are its X that
-    contain T, minus T, in the same order.  A level whose largest count
-    passes the test is skipped unread, so on a domain with equal counts per
-    level each T costs O(k) comparisons.  Nothing is kept between calls.
+    The domain's ``layers`` split the table by size, each in numeric
+    (hence canonical) order; each level's largest count is taken per call.
+    For each T the levels j above |T| are taken in turn; the S of level j
+    are its X that contain T, minus T, in the same order.  A level whose
+    largest count passes the test is skipped unread, so on a domain with
+    equal counts per level each T costs O(k) comparisons.
     """
     r = _as_fraction(r, "r")
     if r <= 0:
         raise PreconditionError("spreadness parameter must be positive", r=str(r))
     if not (0 <= t <= A.k):
         raise PreconditionError("depth t must lie in 0..k", t=t, k=A.k)
-    table = A.table
+    table, levels = A.table, A.layers
     num, den = r.numerator, r.denominator
-    levels: list[list[int]] = [[] for _ in range(A.k + 1)]
-    for X in sorted(table):
-        levels[X.bit_count()].append(X)
     peak = [max(map(table.__getitem__, level)) for level in levels]
     for h in range(t + 1):
         for T in levels[h]:
@@ -580,29 +609,27 @@ def regularity_identity_holds(A: Domain, S: int, subfamily: SetFamily, h: int) -
     """Exact check of mu(F) = E mu(F(H)) with H uniform on the h-shadow of A(S).
 
     The subfamily lives inside A(S), i.e. its members already have S removed.
+    A(S) comes from ``link_domain``, so its h-shadow is its ``layers[h]``;
+    with S empty it is A itself.
     """
-    table = A.table
-    base = table.get(S)
-    if base is None:
+    if S not in A.table:
         raise PreconditionError("S is not in the domain shadow", S=elements_of(S))
-    linkfam = link(A.family, S)
-    shadow_hs = set()
-    for m in linkfam.members:
-        if m.bit_count() >= h:
-            shadow_hs.update(bit_subsets(m, h))
+    L = A if S == 0 else A.link_domain(S)
+    shadow_hs = L.shadow_layer(h)
     if not shadow_hs:
         raise PreconditionError("empty h-shadow", S=elements_of(S), h=h)
-    lmembers = linkfam._member_set
+    lmembers = L.family._member_set
     for m in subfamily.members:
         if m not in lmembers:
             raise PreconditionError(
                 "subfamily member outside A(S)", member=elements_of(m)
             )
-    lhs = Fraction(len(subfamily), base)
+    table = L.table
+    lhs = Fraction(len(subfamily), len(L))
     total = Fraction(0)
     for H in shadow_hs:
         cnt = sum(1 for m in subfamily.members if m & H == H)
-        total += Fraction(cnt, table[S | H])
+        total += Fraction(cnt, table[H])
     rhs = total / len(shadow_hs)
     return lhs == rhs
 
@@ -679,8 +706,9 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
       range.
 
     Verdicts are exact.  The regularity checks are counted ahead, each
-    weighted by the domain members and link shadow it visits; more than
-    ``_REGULARITY_CAP`` raise CapacityError before any check runs.
+    weighted by |A| plus the link shadow it visits; more than
+    ``_REGULARITY_CAP`` raise CapacityError before any check runs.  Each
+    link A(S) is built once, from the member index and the parent table.
     """
     eta = _as_fraction(eta, "eta")
     mu = _as_fraction(mu, "mu")
@@ -702,6 +730,7 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
         raise CapacityError("regularity identity checks capped", work=work, cap=_REGULARITY_CAP)
 
     sp = check_rt_spread(A, r, q)
+    links = {S: A if S == 0 else A.link_domain(S) for S in shadow_q}
 
     density_ok, density_witness = True, None
     for t in range(1, q):
@@ -715,14 +744,14 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     for S in shadow_q:
         if not regularity_ok:
             break
-        linkfam = link(A.family, S)
+        L = links[S]
         depth = k - S.bit_count()
         for h in range(1, min(q - 1, depth) + 1):
-            trial_subfamilies = [linkfam]
-            for m in linkfam.members:
-                trial_subfamilies.append(linkfam.replace_members([m]))
+            trial_subfamilies = [L.family]
+            for m in L.family.members:
+                trial_subfamilies.append(L.family.replace_members([m]))
             for sub in trial_subfamilies:
-                if not regularity_identity_holds(A, S, sub, h):
+                if not regularity_identity_holds(L, 0, sub, h):
                     regularity_ok = False
                     regularity_witness = {
                         "S": list(elements_of(S)), "h": h,
@@ -732,21 +761,14 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
             if not regularity_ok:
                 break
 
-    shadow_all = {
-        h: len({x for x in table if x.bit_count() == h}) for h in range(0, min(q, k) + 1)
-    }
     shadow_ok, shadow_witness = True, None
     for R in shadow_q:
         if not shadow_ok:
             break
         rsize = R.bit_count()
         base = 1 - Fraction(rsize) / (mu * k)
-        linkfam = link(A.family, R)
         for h in range(1, min(q, k - rsize) + 1):
-            sub_shadow = set()
-            for m in linkfam.members:
-                sub_shadow.update(bit_subsets(m, h))
-            lhs = Fraction(len(sub_shadow), shadow_all[h])
+            lhs = Fraction(len(links[R].layers[h]), len(A.layers[h]))
             if lhs < base**h:
                 shadow_ok = False
                 shadow_witness = {
@@ -788,7 +810,7 @@ def verify_shadow_bound(F: SetFamily, A: Domain, tau, h: int) -> bool:
     for m in F.members:
         if m.bit_count() >= h:
             fsh.update(bit_subsets(m, h))
-    ash = {x for x in A.table if x.bit_count() == h}
+    ash = A.shadow_layer(h)
     if not ash:
         raise PreconditionError("empty domain shadow at this depth", h=h)
     # |shadow_h F| * tau^h >= |shadow_h A|

@@ -12,9 +12,8 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb
-from typing import Iterable, Iterator
+from itertools import combinations, compress
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError
 
@@ -177,35 +176,65 @@ def link(F: SetFamily, S: int) -> SetFamily:
     return restrict(F, S, S)
 
 
-def trace_cover(F: SetFamily, B: SetFamily) -> SetFamily:
+def member_index(members: Sequence[int]) -> dict[int, int]:
+    """Element bit -> bitset of the positions of the ``members`` holding it.
+
+    The vertical layout of Zaki's Eclat: the members holding every element
+    of a set are the AND of its elements' bitsets (``holders``).  Each
+    bitset is filled as bytes and converted once, so building costs one
+    step per member element whatever the family size.
+    """
+    rows: dict[int, bytearray] = {}
+    width = (len(members) + 7) // 8
+    for j, m in enumerate(members):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while m:
+            low = m & -m
+            row = rows.get(low)
+            if row is None:
+                row = rows[low] = bytearray(width)
+            row[byte] |= bit
+            m ^= low
+    return {e: int.from_bytes(row, "little") for e, row in rows.items()}
+
+
+def holders(index: dict[int, int], b: int, everyone: int) -> int:
+    """Positions of the members holding every element of ``b``, from a
+    ``member_index``; ``everyone`` is the bitset of all positions."""
+    while b and everyone:
+        low = b & -b
+        everyone &= index.get(low, 0)
+        b ^= low
+    return everyone
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(members: Sequence[int], positions: int) -> list[int]:
+    """``members[j]`` for each set bit j of ``positions``, in order."""
+    flags = format(positions, "b")[::-1].encode().translate(_BIT_BYTES)
+    return list(compress(members, flags))
+
+
+def trace_cover(
+    F: SetFamily, B: SetFamily, index: dict[int, int] | None = None
+) -> SetFamily:
     """Members of F that contain at least one member of B.
 
-    With w the largest member size of F, a member has at most
-    sum C(w, h) subsets whose sizes h occur in B.  When that is fewer than
-    |B|, each member's subsets of those sizes are looked up in B's member
-    set; otherwise each member is tested against every member of B.
+    ``index`` is F's ``member_index``; a Domain passes its cached one, and
+    for a plain family it is built here.  The members above b are the AND
+    of b's element bitsets, and the trace is the OR of those over B.
     """
     if B.ground.n != F.ground.n:
         raise PreconditionError("trace requires matching ground sets")
-    bms = B.members
-    if not F.members:
-        return F
-    w = F.members[-1].bit_count()
-    sizes = {b.bit_count() for b in bms}
-    if sum(comb(w, h) for h in sizes) < len(bms):
-        bset = B._member_set
-        out = [
-            m for m in F.members
-            if any(not bset.isdisjoint(bit_subsets(m, h)) for h in sizes)
-        ]
-        return F.replace_members(out)
-    out = []
-    for m in F.members:
-        for b in bms:
-            if m & b == b:
-                out.append(m)
-                break
-    return F.replace_members(out)
+    if index is None:
+        index = member_index(F.members)
+    everyone = (1 << len(F.members)) - 1
+    hit = 0
+    for b in B.members:
+        hit |= holders(index, b, everyone)
+    return F.replace_members(select(F.members, hit))
 
 
 def family_minus(F: SetFamily, G: SetFamily) -> SetFamily:

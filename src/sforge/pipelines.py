@@ -390,8 +390,8 @@ class Decomposition:
                 source=len(self.source.members),
             )
         for part in self.parts:
-            sub = self.domain if part.core == 0 else self.domain.link_domain(part.core)
             if self.tau is not None:
+                sub = self.domain if part.core == 0 else self.domain.link_domain(part.core)
                 v = check_tau_homogeneous(part.family, sub, self.tau)
                 if not v.ok:
                     raise VerificationError(
@@ -751,7 +751,8 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
 
     covered = trace_cover(S, core)
     uncovered = family_minus(S, covered)
-    lhs_total = len(trace_cover(A.family, uncovered).members)
+    # an empty uncovered family needs no member index, which a fresh domain would build
+    lhs_total = len(trace_cover(A.family, uncovered, A.index).members) if uncovered.members else 0
     if t == 1:
         rhs_total = _exactly(0)
     else:

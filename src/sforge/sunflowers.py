@@ -10,14 +10,26 @@ as violations.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial
 from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
-from .family import SetFamily, canonical, elements_of
+from .family import SetFamily, canonical, elements_of, holders, member_index
 from .packing import find_packing
+
+# frames kept free below the deepest search node for the calls it makes:
+# find_packing's searches nest at most one frame per ground element
+_FRAME_MARGIN = 100
+
+
+def _frames_in_use() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 class CoreMode(enum.Enum):
@@ -238,20 +250,19 @@ def _third_petals(members: Sequence[int], admits: list[bool]):
     """``third(i, j)``: the bitset of member indices c making x = members[i],
     f = members[j], c a sunflower with admissible core K = x & f, that is the
     members holding all of K and none of x ^ f, less x and f."""
-    holders: dict[int, int] = {}  # element -> indices of the members holding it
-    for j, m in enumerate(members):
-        for e in elements_of(m):
-            holders[e] = holders.get(e, 0) | 1 << j
+    index = member_index(members)
+    everyone = (1 << len(members)) - 1
 
     def third(i: int, j: int) -> int:
         x, f = members[i], members[j]
         if not admits[(x & f).bit_count()]:
             return 0
-        got = (1 << len(members)) - 1 & ~(1 << i | 1 << j)
-        for e in elements_of(x & f):
-            got &= holders[e]
-        for e in elements_of(x ^ f):
-            got &= ~holders[e]
+        got = holders(index, x & f, everyone & ~(1 << i | 1 << j))
+        rest = x ^ f
+        while rest:
+            low = rest & -rest
+            got &= ~index[low]
+            rest ^= low
         return got
 
     return third
@@ -279,6 +290,8 @@ def max_sunflower_free(
     those whose petals f & ~core hold s - 2 disjoint ones (``find_packing``).
     Bounding by raw indices keeps the nodes and witness of testing each c
     against all of fam; past ``budget`` nodes the result is uncertified.
+    The search nests one frame per member of the family it holds, so a
+    family too deep for the interpreter's frame limit raises CapacityError.
     """
     members = list(candidates.members)
     M, s = len(members), pred.s
@@ -289,6 +302,7 @@ def max_sunflower_free(
     if pred.degenerate_small_sets:
         roots = sum(1 << j for j, m in enumerate(members) if m.bit_count() > pred.bound)  # type: ignore[operator]
     nodes, certified, best = 0, True, []
+    deepest = sys.getrecursionlimit() - _frames_in_use() - _FRAME_MARGIN
 
     def survivors(fam: list[int], i: int, rest: int) -> int:
         x = members[i]
@@ -322,6 +336,11 @@ def max_sunflower_free(
             return
         depth = len(fam)
         if depth > len(best):
+            if depth > deepest:
+                raise CapacityError(
+                    "search depth nears the interpreter's frame limit",
+                    depth=depth, limit=deepest,
+                )
             best = list(fam)
         while cands and certified:
             low = cands & -cands

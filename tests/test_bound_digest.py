@@ -76,4 +76,4 @@ def test_bound_reports_match_their_digest():
 
 
 def test_verify_reports_match_their_digest():
-    assert verify_digest() == "f071a02bffa6a2adee978e30d1ecbfbac33eafbf2417466bc09cbc5c576f477b"
+    assert verify_digest() == "ecb9bbcd601864cfa24c7dd77f4f8316148de2f41245a217ec25f0eca7020fa3"

@@ -311,6 +311,13 @@ class TestVerifyInstance:
         rep = verify_instance(Domain.binomial(6, 2), 3, 2)
         assert _bound_row(rep, "frankl-furedi")["phi_source"] == "exact"
 
+    def test_a_kernel_outside_the_domain_shadow_drops_only_its_construction(self):
+        # the 2-petal kernel at core size 2 is {{1, 2}}: two values at the
+        # first position, which no sequence in [3]^2 holds
+        rep = verify_instance(Domain.sequences(3, 2), 2, 2)
+        kinds = {c["kind"] for c in rep["constructions"]}
+        assert "domain-skeleton" not in kinds and "single-member" in kinds
+
     def test_report_is_deterministic(self):
         a = verify_instance(Domain.binomial(6, 2), 3, 2)
         b = verify_instance(Domain.binomial(6, 2), 3, 2)

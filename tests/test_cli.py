@@ -745,6 +745,19 @@ def test_a_hopeless_packing_exits_3():
     assert error_of(result)["error"] == "CapacityError"
 
 
+def test_a_search_deeper_than_the_frame_limit_exits_3():
+    deep = json.dumps({"n": 64, "sets": [[1, a, b] for a, b in combinations(range(2, 65), 2)]})
+    result = invoke("sunflower", "max-free", deep, "--petals", 2, "--mode", "at-most",
+                    "--core-bound", 0, expect=3)
+    assert error_of(result)["error"] == "CapacityError"
+
+
+def test_verify_on_a_domain_missing_the_kernel_reports():
+    result = invoke("verify", "--domain", '{"kind":"sequences","n":3,"k":2}',
+                    "--petals", 2, "--core-size", 2)
+    assert report_of(result)["optimum"] == 1
+
+
 ENGINE = {"sforge." + m for m in
           ("boolean", "bounds", "domains", "pipelines", "spread", "sunflowers", "packing")}
 

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from sforge.errors import CapacityError, ParseError, PreconditionError
-from sforge.family import GroundSet, SetFamily, link
+from sforge.family import GroundSet, SetFamily, canonical, link, trace_cover
 from sforge.domains import (
     Domain,
     check_assumptions,
@@ -20,10 +20,12 @@ from sforge.domains import (
     verify_shadow_bound,
 )
 
+from sforge.spread import _link_counts
 from support import (
     reference_check_rt_spread,
     reference_check_rt_spread_scan,
     reference_check_tau_homogeneous,
+    reference_trace_cover,
 )
 
 
@@ -486,3 +488,55 @@ class TestShadowBound:
         with pytest.raises(PreconditionError):
             verify_shadow_bound(F, A, 1, 1)
 
+
+
+DOMAIN_KINDS = {
+    "binomial": st.integers(1, 7).flatmap(
+        lambda n: st.integers(1, n).map(lambda k: Domain.binomial(n, k))),
+    "sequences": st.tuples(st.integers(1, 4), st.integers(1, 3)).map(
+        lambda nk: Domain.sequences(*nk)),
+    "kpartite_product": st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.integers(1, n), min_size=1, max_size=3).map(
+            lambda parts: Domain.kpartite_product(n, parts))),
+    "permutations": st.integers(1, 4).map(Domain.permutations),
+    "complex_layer": complex_layers(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+class TestMemberIndex:
+    """Link and trace queries answered from the member index, and the cached
+    shadow layers, against recounts and scans of the members."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_link_domain_matches_a_recount(self, kind, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        S = data.draw(st.sampled_from(sorted(A.table)))
+        L = A.link_domain(S)
+        assert L.family == link(A.family, S) and L.k == A.k - S.bit_count()
+        assert L.table == _link_counts(L.family.members)
+        # a link of a link, as homogeneous_subfamily takes one
+        P = data.draw(st.sampled_from(sorted(L.table)))
+        LL = L.link_domain(P)
+        assert LL.family == link(A.family, S | P)
+        assert LL.table == _link_counts(LL.family.members)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shadow_layers_match_the_table_scan(self, kind, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        L = A.link_domain(data.draw(st.sampled_from(sorted(A.table))))
+        for D in (A, L):
+            for t in range(-1, D.k + 2):
+                assert list(D.shadow_layer(t)) == canonical(x for x in D.table if x.bit_count() == t)
+                assert D.shadow_upto(t) == canonical(x for x in D.table if x.bit_count() <= t)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_cover_on_the_domain_index_matches_the_scan(self, kind, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        # shadow sets, and any sets of the ground, some held by no member
+        pool = st.sampled_from(sorted(A.table)) | st.integers(0, A.family.ground.full_mask)
+        B = SetFamily(A.family.ground, tuple(data.draw(st.lists(pool, max_size=6))))
+        assert trace_cover(A.family, B, A.index) == reference_trace_cover(A.family, B)

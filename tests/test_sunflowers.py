@@ -411,6 +411,14 @@ def test_phi_pairs_three_petals():
     assert family_is_free(res.witness, CorePredicate(3, CoreMode.ANY))
 
 
+def test_a_search_deeper_than_the_frame_limit_is_refused():
+    # every member holds 1, so no two are disjoint and all 1953 are free
+    # together: the search would nest one frame per member
+    F = SetFamily.from_sets(64, [[1, a, b] for a, b in combinations(range(2, 65), 2)])
+    with pytest.raises(CapacityError):
+        max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 0))
+
+
 def test_phi_capacity_gate():
     with pytest.raises(CapacityError):
         phi_exact(3, 4, support_bound=16)

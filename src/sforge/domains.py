@@ -36,17 +36,15 @@ from .family import (
     canonical,
     elements_of,
     holders,
-    link,
     member_index,
     restrict,
     select,
-    submasks,
 )
 from .spread import _as_fraction, _link_counts, check_spread
 
 _MEMBER_CAP = 200_000
 _PERMUTATION_CAP = 7
-_REGULARITY_CAP = 5_000_000  # member visits check_assumptions' regularity checks may make
+_REGULARITY_CAP = 5_000_000  # link-shadow sets check_assumptions' regularity trials may visit
 
 
 @dataclass(frozen=True)
@@ -237,8 +235,13 @@ class Domain:
 
         Its members are those the ``index`` finds holding S, with S
         stripped.  Its table is the parent's: A(S) has |A(S | X)| members
-        above each X disjoint from S, so it is the parent's entries above S
-        with S stripped, and nothing is recounted.
+        above each X disjoint from S, so nothing is recounted.  A shallow
+        link filters the parent table for the entries above S; a deep one,
+        whose members have fewer submasks (|A(S)| 2^(k-|S|)) than the parent
+        table has entries, reads the parent entry of each submask instead.
+        The two fill the table in different key orders; every reader of a
+        table looks its keys up or sorts them (``layers``), so the order is
+        free.
         """
         members = self.family.members
         above = select(members, holders(self.index, S, (1 << len(members)) - 1))
@@ -249,8 +252,19 @@ class Domain:
             self.k - S.bit_count(),
             {"parent": self.kind, "S": list(elements_of(S)), **self.params},
         )
+        parent = self.table
+        if len(above) << sub.k < len(parent):
+            table = {0: parent[S]}
+            for m in sub.family.members:
+                x = m
+                while x:
+                    if x not in table:
+                        table[x] = parent[x | S]
+                    x = (x - 1) & m
+        else:
+            table = {x & ~S: c for x, c in parent.items() if x & S == S}
         # fills the cached_property, which stores its value in the instance dict
-        vars(sub)["table"] = {x & ~S: c for x, c in self.table.items() if x & S == S}
+        vars(sub)["table"] = table
         return sub
 
     def nominal_parameters(self) -> dict:
@@ -420,37 +434,59 @@ def _require_subfamily(F: SetFamily, A: Domain):
             )
 
 
-def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
-    """Decide |F(X)| / |A(X)| <= tau^|X| |F| / |A| for every X, exactly.
-
-    The returned worst X maximizes the ratio of the two sides (1 at X = empty);
-    a verdict with worst_ratio > 1 is a violation certificate.
-    """
+def _homogeneity_tau(F: SetFamily, A: Domain, tau) -> Fraction:
+    """tau as a Fraction, once it and F are fit for a homogeneity check in A."""
     tau = _as_fraction(tau, "tau")
     if tau <= 0:
         raise PreconditionError("homogeneity parameter must be positive", tau=str(tau))
     _require_subfamily(F, A)
     if not F.members:
         raise PreconditionError("homogeneity of an empty family is undefined")
+    return tau
+
+
+def check_tau_homogeneous(F: SetFamily, A: Domain, tau) -> HomogeneityVerdict:
+    """Decide |F(X)| / |A(X)| <= tau^|X| |F| / |A| for every X, exactly.
+
+    The returned worst X maximizes the ratio of the two sides (1 at X = empty);
+    a verdict with worst_ratio > 1 is a violation certificate.
+    """
+    tau = _homogeneity_tau(F, A, tau)
+    return _tau_homogeneity(_link_counts(F.members), A, tau)
+
+
+def _tau_homogeneity(fcounts: dict[int, int], A: Domain, tau: Fraction) -> HomogeneityVerdict:
+    """``check_tau_homogeneous`` of a family F given by its ``_link_counts``.
+
+    F is nonempty and inside A, and tau a positive Fraction; |F| is
+    ``fcounts[0]``.  Callers that already hold F's counts, or derive a
+    link's counts from them, check through here without a recount.
+    """
     table = A.table
-    fcounts = _link_counts(F.members)
-    asize, fsize = len(A), len(F)
+    asize, fsize = len(A), fcounts[0]
     tn, td = tau.numerator, tau.denominator
     # the ratio of X is |F(X)| |A| td^i / (|A(X)| |F| tn^i); keep the worst
-    # as a numerator and denominator and compare cross-multiplied
-    num_of = [asize * td**i for i in range(F.ground.n + 1)]
-    den_of = [fsize * tn**i for i in range(F.ground.n + 1)]
+    # as a numerator and denominator and compare cross-multiplied, a tie
+    # going to the canonically first X, so no sort is needed
+    num_of = [asize * td**i for i in range(A.k + 1)]
+    den_of = [fsize * tn**i for i in range(A.k + 1)]
     worst_x, worst_num, worst_den = 0, 1, 1
-    for x in canonical(fcounts):
+    for x, c in fcounts.items():
         i = x.bit_count()
-        num = fcounts[x] * num_of[i]
+        num = c * num_of[i]
         den = table[x] * den_of[i]
-        if num * worst_den > worst_num * den:
+        lhs, rhs = num * worst_den, worst_num * den
+        if lhs > rhs or lhs == rhs and (i, x) < (worst_x.bit_count(), worst_x):
             worst_x, worst_num, worst_den = x, num, den
     worst = Fraction(worst_num, worst_den)
     return HomogeneityVerdict(
         tau=tau, ok=worst <= 1, worst_x=worst_x, worst_ratio=worst, family_size=fsize
     )
+
+
+def _counts_above(counts: dict[int, int], P: int) -> dict[int, int]:
+    """The ``_link_counts`` of the link F(P), read off those of F."""
+    return {x & ~P: c for x, c in counts.items() if x & P == P}
 
 
 @dataclass(frozen=True)
@@ -459,6 +495,14 @@ class HomogeneousSubfamily:
     removed: int
     sparse_prefixes: tuple[int, ...]
     tau_out: Fraction
+
+    def as_report(self) -> dict:
+        return {
+            "size": len(self.family),
+            "removed": self.removed,
+            "sparse_prefixes": [list(elements_of(P)) for P in self.sparse_prefixes],
+            "tau_out": str(self.tau_out),
+        }
 
 
 def homogeneous_subfamily(
@@ -472,6 +516,17 @@ def homogeneous_subfamily(
     an F(P) that is alpha (tau/alpha)^t homogeneous in A(P); both facts are
     re-verified exactly.
     """
+    return _homogeneous_subfamily(F, _link_counts(F.members), A, tau, alpha, t)
+
+
+def _homogeneous_subfamily(
+    F: SetFamily, fcounts: dict[int, int], A: Domain, tau, alpha, t: Optional[int]
+) -> HomogeneousSubfamily:
+    """``homogeneous_subfamily`` of F given by its ``_link_counts``.
+
+    F is counted once: the pre-check, the sparse test and every F(P) check
+    read ``fcounts``, F(P)'s counts being ``_counts_above(fcounts, P)``.
+    """
     tau = _as_fraction(tau, "tau")
     alpha = _as_fraction(alpha, "alpha")
     k = A.k
@@ -483,40 +538,31 @@ def homogeneous_subfamily(
         )
     if t < 1:
         raise PreconditionError("prefix depth t must be at least 1", t=t)
-    pre = check_tau_homogeneous(F, A, tau)
+    tau = _homogeneity_tau(F, A, tau)
+    pre = _tau_homogeneity(fcounts, A, tau)
     if not pre.ok:
         raise PreconditionError(
             "family is not tau-homogeneous", worst=elements_of(pre.worst_x)
         )
     table = A.table
-    fcounts = _link_counts(F.members)
     asize, fsize = len(A), len(F)
-
-    def sparse(P: int) -> bool:
-        i = P.bit_count()
-        # mu(F(P)) < alpha^i mu(F), cross-multiplied
-        lhs = fcounts.get(P, 0) * asize * alpha.denominator**i
-        rhs = alpha.numerator**i * fsize * table[P]
-        return lhs < rhs
-
-    sparse_seen: dict[int, bool] = {}
-    keep = []
-    hit_prefixes = set()
-    for m in F.members:
-        dropped = False
-        for P in submasks(m):
-            if P == 0 or P.bit_count() > t - 1:
-                continue
-            flag = sparse_seen.get(P)
-            if flag is None:
-                flag = sparse(P)
-                sparse_seen[P] = flag
-            if flag:
-                dropped = True
-                hit_prefixes.add(P)
-        if not dropped:
-            keep.append(m)
-    G = F.replace_members(keep)
+    an, ad = alpha.numerator, alpha.denominator
+    prefixes = canonical(P for P in fcounts if 0 < P.bit_count() < t)
+    # P is sparse when mu(F(P)) < alpha^i mu(F), cross-multiplied; each P
+    # lies in some member, which a sparse P drops
+    sparse = [
+        P for P in prefixes
+        if fcounts[P] * asize * ad ** P.bit_count() < an ** P.bit_count() * fsize * table[P]
+    ]
+    keep, gone = [], []
+    if sparse:
+        hit = set(sparse)
+        for m in F.members:
+            x = m
+            while x and x not in hit:
+                x = (x - 1) & m
+            (gone if x else keep).append(m)
+    G = F.replace_members(keep) if gone else F
     floor = (1 - 2 * alpha * k) * fsize
     if Fraction(len(G)) < floor:
         raise VerificationError(
@@ -524,20 +570,19 @@ def homogeneous_subfamily(
             size=len(G), floor=str(floor),
         )
     tau_out = alpha * (tau / alpha) ** t
-    gcounts = _link_counts(G.members)
-    for P in canonical(gcounts):
-        if P == 0 or P.bit_count() > t - 1:
+    # P is still represented in G unless every member above it was dropped
+    gone_counts = _link_counts(gone)
+    for P in prefixes:
+        if fcounts[P] == gone_counts.get(P, 0):
             continue
-        sub = check_tau_homogeneous(link(F, P), A.link_domain(P), tau_out)
+        sub = _tau_homogeneity(_counts_above(fcounts, P), A.link_domain(P), tau_out)
         if not sub.ok:
             raise VerificationError(
                 "surviving prefix link breached the derived homogeneity",
                 P=elements_of(P), worst=elements_of(sub.worst_x),
             )
     return HomogeneousSubfamily(
-        family=G, removed=fsize - len(G),
-        sparse_prefixes=tuple(canonical(hit_prefixes)),
-        tau_out=tau_out,
+        family=G, removed=fsize - len(G), sparse_prefixes=tuple(sparse), tau_out=tau_out,
     )
 
 
@@ -706,9 +751,10 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
       range.
 
     Verdicts are exact.  The regularity checks are counted ahead, each
-    weighted by |A| plus the link shadow it visits; more than
-    ``_REGULARITY_CAP`` raise CapacityError before any check runs.  Each
-    link A(S) is built once, from the member index and the parent table.
+    weighted by the link shadow it visits, bounded from the link's size
+    without building it; more than ``_REGULARITY_CAP`` raise CapacityError
+    before any check runs.  Each link A(S) is built once, from the member
+    index and the parent table.
     """
     eta = _as_fraction(eta, "eta")
     mu = _as_fraction(mu, "mu")
@@ -723,8 +769,11 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     shadow_q = A.shadow_upto(q)
     work = 0
     for S in shadow_q:
-        a_s, depth = table[S], k - S.bit_count()
-        work += sum((1 + a_s) * (total + a_s * comb(depth, h))
+        a_s, size = table[S], S.bit_count()
+        depth = k - size
+        # 1 + a_s trials, each visiting the h-shadow of A(S): at most the
+        # h-sets off S, and at most C(depth, h) per member of A(S)
+        work += sum((1 + a_s) * min(comb(A.ground_bits - size, h), a_s * comb(depth, h))
                     for h in range(1, min(q - 1, depth) + 1))
     if work > _REGULARITY_CAP:
         raise CapacityError("regularity identity checks capped", work=work, cap=_REGULARITY_CAP)

@@ -56,16 +56,6 @@ def canonical(masks: Iterable[int]) -> list[int]:
     return sorted(sorted(masks), key=int.bit_count)
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Every subset of ``mask`` including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def bit_subsets(mask: int, h: int) -> Iterator[int]:
     """All subsets of ``mask`` with exactly ``h`` bits."""
     bits = []
@@ -169,11 +159,6 @@ def restrict(F: SetFamily, A: int, B: int) -> SetFamily:
             A=elements_of(A), B=elements_of(B),
         )
     return F.replace_members(m & ~B for m in F.members if m & B == A)
-
-
-def link(F: SetFamily, S: int) -> SetFamily:
-    """Members containing S, with S removed: restrict(F, S, S)."""
-    return restrict(F, S, S)
 
 
 def member_index(members: Sequence[int]) -> dict[int, int]:

@@ -24,11 +24,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .domains import (
     Domain,
+    _homogeneous_subfamily,
     _require_subfamily,
+    _tau_homogeneity,
     check_rt_spread,
     check_tau_homogeneous,
-    homogeneous_subfamily,
-    verify_shadow_bound,
 )
 from .errors import CapacityError, PreconditionError, VerificationError
 from .family import (
@@ -167,29 +167,35 @@ def _iroot_ceil(n: int, j: int) -> int:
     return r if r ** j >= n else r + 1
 
 
-def _min_homogeneity_upper(F: SetFamily, A: Domain, bits: int = _ROOT_BITS) -> Fraction:
+def _min_homogeneity_upper(
+    counts: dict[int, int], A: Domain, bits: int = _ROOT_BITS
+) -> Fraction:
     """A certified rational upper bound for the least tau making F
-    tau-homogeneous in A.
+    tau-homogeneous in A, for F given by its ``_link_counts``.
 
-    The exact value is max over nonempty X of ratio(X)^(1/|X|); each root is
-    rounded up to a dyadic with ``bits`` fractional bits, so the result is
-    never below the true minimum.
+    The exact value is max over nonempty X of ratio(X)^(1/|X|), with
+    ratio(X) = |F(X)| |A| / (|A(X)| |F|).  Within one size j the largest
+    ratio has the largest root, so only the largest |F(X)| / |A(X)| of
+    each size is kept (compared cross-multiplied), and each size takes one
+    root, rounded up to a dyadic with ``bits`` fractional bits; the result
+    is never below the true minimum.
     """
     table = A.table
-    counts = _link_counts(F.members)
+    peak: dict[int, tuple[int, int]] = {}  # size j -> (|F(X)|, |A(X)|) of the largest ratio
+    for X, c in counts.items():
+        j = X.bit_count()
+        a = table[X]
+        got = peak.get(j)
+        if got is None or c * got[1] > got[0] * a:
+            peak[j] = (c, a)
     scale = 1 << bits
     best = Fraction(0)
-    for X, c in counts.items():
-        if X == 0:
+    for j, (c, a) in peak.items():
+        if j == 0:
             continue
-        j = X.bit_count()
-        ratio = Fraction(c * len(A), table[X] * len(F))
-        target = ratio * Fraction(scale) ** j
-        n_int = -(-target.numerator // target.denominator)
-        m = _iroot_ceil(n_int, j)
-        cand = Fraction(m, scale)
-        if cand > best:
-            best = cand
+        target = Fraction(c * len(A), a * counts[0]) * scale**j
+        m = _iroot_ceil(-(-target.numerator // target.denominator), j)
+        best = max(best, Fraction(m, scale))
     return best
 
 
@@ -201,10 +207,12 @@ def _peel(
     Each step tries the submasks of the members left in descending size,
     canonically first among equals, the empty core last.  The first X with
     ``dense(X, |members left containing X|, members left)`` is the core:
-    the step yields ``(core, members left)``, then the core's star leaves
-    and its submask counts are subtracted, so nothing is recounted.  When
-    no core is dense, which includes no members being left, the last step
-    yields ``(None, members left)``.
+    the step yields ``(core, members left)``, then the core's star leaves.
+    The counts of the members left are the old counts less the star's, or
+    a fresh count when the star is at least as large as what is left, so
+    each step counts the smaller side.  When no core is dense, which
+    includes no members being left, the last step yields
+    ``(None, members left)``.
     """
     members = tuple(members)
     counts = _link_counts(members)
@@ -218,6 +226,9 @@ def _peel(
             return
         star = [m for m in members if m & core == core]
         members = tuple(m for m in members if m & core != core)
+        if len(star) >= len(members):
+            counts = _link_counts(members)
+            continue
         for x, c in _link_counts(star).items():
             if counts[x] == c:
                 del counts[x]
@@ -1117,6 +1128,14 @@ def _deep_intersection(
     return rec(0, start, [])
 
 
+def _widths(counts: dict[int, int], k: int) -> list[int]:
+    """How many keys of ``counts`` have each size 0..k."""
+    out = [0] * (k + 1)
+    for x in counts:
+        out[x.bit_count()] += 1
+    return out
+
+
 def reduce_intersections(
     D: Decomposition, A: Domain, s: int, t: int, alpha
 ) -> SystemSST:
@@ -1130,6 +1149,14 @@ def reduce_intersections(
     a certified upper bound on the block's minimal homogeneity), and its
     shadows at every depth stay dense; all three facts are asserted.  The
     result's system properties are verified exhaustively.
+
+    Each block F is counted once (``_link_counts``), and the count serves
+    the pruning (``homogeneous_subfamily``'s checks) and the bound tau'.
+    The pruned block U reuses it when nothing was pruned and is counted
+    once otherwise.  U's homogeneity is checked from its count, and its
+    h-shadow is read as the count's keys of size h, so the floor that
+    ``verify_shadow_bound`` states is checked at every depth without a
+    recount.
     """
     alpha = _as_fraction(alpha, "alpha")
     if D.tau is None:
@@ -1164,7 +1191,8 @@ def reduce_intersections(
                 "a block core exhausts the domain uniformity; nothing to prune",
                 core=list(elements_of(part.core)),
             )
-        pruned = homogeneous_subfamily(part.family, sub, D.tau, alpha, t=t)
+        fcounts = _link_counts(part.family.members)
+        pruned = _homogeneous_subfamily(part.family, fcounts, sub, D.tau, alpha, t)
         U = pruned.family
         # a lower bound on the kept size, so the floor goes on the left
         floor_rec = _record(
@@ -1181,9 +1209,10 @@ def reduce_intersections(
                 floor=str(shrink * len(part.family.members)),
             )
         records.append(floor_rec)
-        tau_prime = min(_min_homogeneity_upper(part.family, sub), D.tau)
+        tau_prime = min(_min_homogeneity_upper(fcounts, sub), D.tau)
         tau_hat = tau_prime / shrink
-        hv = check_tau_homogeneous(U, sub, tau_hat)
+        ucounts = fcounts if U is part.family else _link_counts(U.members)
+        hv = _tau_homogeneity(ucounts, sub, tau_hat)
         if not hv.ok:
             raise VerificationError(
                 "pruned block is not homogeneous at the inflated parameter",
@@ -1191,8 +1220,11 @@ def reduce_intersections(
                 tau_hat=str(tau_hat),
                 worst_x=list(elements_of(hv.worst_x)),
             )
+        # verify_shadow_bound at every depth h: |shadow_h U| tau_hat^h >=
+        # |shadow_h A(core)|, each shadow the size-h keys of a count
+        ushadow, ashadow = _widths(ucounts, sub.k), _widths(sub.table, sub.k)
         for h in range(1, sub.k + 1):
-            if not verify_shadow_bound(U, sub, tau_hat, h):
+            if ushadow[h] * tau_hat.numerator**h < ashadow[h] * tau_hat.denominator**h:
                 raise VerificationError(
                     "pruned block shadow below the homogeneity floor",
                     core=list(elements_of(part.core)),

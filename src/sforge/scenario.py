@@ -396,6 +396,11 @@ OPERATIONS: tuple[Op, ...] = (
        "domains:check_tau_homogeneous"),
     Op("homogeneous-remove", "domains remove", (FAMILY, DOMAIN, TAU, DOMAIN_R, EXCLUDE),
        "domains:remove_elements_homogeneous", bind=_surviving),
+    Op("homogeneous-prune", "domains prune",
+       (FAMILY, DOMAIN, TAU, Param("alpha", "frac"), Param("t", "int", None)),
+       "domains:homogeneous_subfamily", bind=_surviving),
+    Op("shadow-bound", "domains shadow-bound", (FAMILY, DOMAIN, TAU, Param("h")),
+       "domains:verify_shadow_bound", report=lambda ok: {"ok": ok}),
     Op("assumptions", "domains assumptions",
        (SPEC, Param("q"), Param("eta", "frac"), Param("mu", "frac"), DOMAIN_R),
        "domains:check_assumptions"),

@@ -9,7 +9,6 @@ regardless of the rounding.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -18,7 +17,7 @@ from operator import and_
 from typing import Iterable, Optional
 
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import SetFamily, canonical, elements_of, restrict, submasks
+from .family import SetFamily, canonical, elements_of, restrict
 
 _ENUM_CAP = 8_000_000
 
@@ -36,11 +35,22 @@ def _as_fraction(value, name: str) -> Fraction:
 
 
 def _link_counts(masks: Iterable[int]) -> dict[int, int]:
-    """How many of ``masks`` contain X, for every X below one of them."""
+    """How many of ``masks`` contain X, for every X below one of them.
+
+    Keys are in first-visit order: the masks in turn, each mask's submasks
+    in descending numeric order (the mask first, 0 last).  A root domain's
+    ``table`` is this dict, so it has the same order; a link domain's table
+    is derived and need not.  The submasks are walked inline
+    (x = (x - 1) & m), one dict read and write per visit.
+    """
     counts: dict[int, int] = {}
+    get = counts.get
     for m in masks:
-        for x in submasks(m):
-            counts[x] = counts.get(x, 0) + 1
+        x = m
+        while x:
+            counts[x] = get(x, 0) + 1
+            x = (x - 1) & m
+        counts[0] = get(0, 0) + 1
     return counts
 
 
@@ -320,6 +330,8 @@ _MC_BLOCK = 1024
 
 
 def _block_seed(seed: int, index: int) -> int:
+    import hashlib  # here: only a Monte Carlo run needs it
+
     h = hashlib.sha256(f"sforge-mc:{seed}:{index}".encode()).digest()
     return int.from_bytes(h[:8], "big")
 

@@ -21,10 +21,10 @@ from sforge.family import (
     bit_subsets,
     canon_key,
     elements_of,
-    submasks,
 )
 from sforge.packing import find_packing
-from sforge.spread import _block_seed, _link_counts, check_spread
+from sforge.pipelines import _ROOT_BITS, _iroot_ceil
+from sforge.spread import _block_seed, check_spread
 from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness
 
 
@@ -497,6 +497,24 @@ def reference_delta_filter(F, p, t):
     return G, chosen, removed, rounds
 
 
+def submasks_of(mask):
+    """Every subset of ``mask``, 0 and ``mask`` included, in descending
+    numeric order, from the combinations of its elements."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    subs = {sum(c) for r in range(len(bits) + 1) for c in combinations(bits, r)}
+    return sorted(subs, reverse=True)
+
+
+def reference_link_counts(masks):
+    """``spread._link_counts`` by the definition: each mask's submasks,
+    from ``submasks_of``, counted in turn; the keys in first-visit order."""
+    counts = {}
+    for m in masks:
+        for x in submasks_of(m):
+            counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
 def reference_peel(members, dense):
     """The star peel with every step recounting all submasks from scratch.
 
@@ -506,10 +524,7 @@ def reference_peel(members, dense):
     """
     members = tuple(members)
     while True:
-        counts = {}
-        for m in members:
-            for x in submasks(m):
-                counts[x] = counts.get(x, 0) + 1
+        counts = reference_link_counts(members)
         best = None
         for x, c in counts.items():
             if not dense(x, c, members):
@@ -533,7 +548,7 @@ def reference_check_rt_spread(A, r, t):
         cands = set()
         for m in A.family.members:
             if m & T == T:
-                cands.update(submasks(m & ~T))
+                cands.update(submasks_of(m & ~T))
         cands.discard(0)
         for S in sorted(cands, key=canon_key):
             i = S.bit_count()
@@ -664,7 +679,7 @@ def reference_mc_hits(F, p, trials, seed):
 def reference_check_tau_homogeneous(F, A, tau):
     """check_tau_homogeneous with a Fraction per X, in canonical order."""
     tau = Fraction(tau)
-    fcounts = _link_counts(F.members)
+    fcounts = reference_link_counts(F.members)
     asize, fsize = len(A), len(F)
     worst_x, worst, ok = 0, Fraction(1), True
     for x in sorted(fcounts, key=canon_key):
@@ -676,3 +691,20 @@ def reference_check_tau_homogeneous(F, A, tau):
             if ratio > 1:
                 ok = False
     return HomogeneityVerdict(tau=tau, ok=ok, worst_x=worst_x, worst_ratio=worst, family_size=fsize)
+
+
+def reference_min_homogeneity_upper(F, A, bits=_ROOT_BITS):
+    """``pipelines._min_homogeneity_upper`` with a Fraction ratio and a
+    root for every nonempty X of F's counts."""
+    counts = reference_link_counts(F.members)
+    scale = 1 << bits
+    best = Fraction(0)
+    for X, c in counts.items():
+        if X == 0:
+            continue
+        j = X.bit_count()
+        ratio = Fraction(c * len(A), A.table[X] * len(F))
+        target = ratio * Fraction(scale) ** j
+        n_int = -(-target.numerator // target.denominator)
+        best = max(best, Fraction(_iroot_ceil(n_int, j), scale))
+    return best

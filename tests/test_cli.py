@@ -611,6 +611,7 @@ B63 = '{"kind":"binomial","n":6,"k":3}'
 B82 = '{"kind":"binomial","n":8,"k":2}'
 PAIRS4 = json.dumps({"n": 4, "sets": [list(c) for c in combinations(range(1, 5), 2)]})
 TRIPLES6 = json.dumps({"n": 6, "sets": [list(c) for c in combinations(range(1, 7), 3)]})
+STAR63 = json.dumps({"n": 6, "sets": [[1, a, b] for a, b in combinations(range(2, 7), 2)]})
 UP12 = json.dumps({"n": 3, "sets": [[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3]]})
 
 # (command line, scenario step, family bound as "family", domain bound as "domain")
@@ -629,6 +630,10 @@ PARITY = [
      {"op": "homogeneous", "tau": 6}, TRIPLES, '{"kind":"binomial","n":6,"k":3}'),
     (["domains", "remove", TRIPLES6, "--domain", B63, "--tau", 1, "-r", 2, "--exclude", "[6]"],
      {"op": "homogeneous-remove", "tau": 1, "r": 2, "exclude": [6]}, TRIPLES6, B63),
+    (["domains", "prune", STAR63, "--domain", B63, "--tau", 2, "--alpha", "1/6", "--t", 2],
+     {"op": "homogeneous-prune", "tau": 2, "alpha": "1/6", "t": 2}, STAR63, B63),
+    (["domains", "shadow-bound", STAR63, "--domain", B63, "--tau", 2, "--h", 2],
+     {"op": "shadow-bound", "tau": 2, "h": 2}, STAR63, B63),
     (["domains", "assumptions", B82, "--q", 2, "--eta", 2, "--mu", 4, "-r", 2],
      {"op": "assumptions", "q": 2, "eta": 2, "mu": 4, "r": 2}, None, B82),
     (["boolean", "measure", STAR, "--p", "1/4"], {"op": "measure", "p": "1/4"}, STAR, None),
@@ -689,6 +694,23 @@ def test_a_removal_step_binds_the_surviving_family():
     assert result.report["steps"][2]["report"]["family_size"] == 3
 
 
+def test_prune_drops_the_member_owning_sparse_prefixes_and_binds_the_rest():
+    # a star on 1 inside binomial(12,3), plus {4,5,6}, whose points are sparse
+    star = [[1, a, b] for a, b in combinations(range(2, 13), 2) if not {a, b} & {4, 5, 6}]
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "family", "name": "F", "n": 12, "sets": star + [[4, 5, 6]]},
+        {"op": "domain", "name": "A", "kind": "binomial", "n": 12, "k": 3},
+        {"op": "homogeneous-prune", "name": "G", "family": "F", "domain": "A", "tau": 4,
+         "alpha": "1/6"},
+        {"op": "shadow-bound", "family": "G", "domain": "A", "tau": 4, "h": 1},
+    ]})
+    assert result.exit_code == 0, result.report
+    prune = result.report["steps"][2]["report"]
+    assert prune["removed"] == 1 and prune["size"] == len(star)
+    assert prune["sparse_prefixes"] == [[4], [5], [6]]
+    assert result.report["steps"][3]["report"] == {"ok": True}
+
+
 def test_an_asserted_assumption_battery_fails_on_a_broken_assumption():
     result = run_scenario({"schema": 1, "steps": [
         {"op": "domain", "name": "A", **json.loads(B82)},
@@ -733,7 +755,7 @@ def test_an_element_outside_the_ground_exits_1(args):
 def test_an_oversized_assumption_battery_exits_3_at_once():
     start = time.perf_counter()
     result = invoke("domains", "assumptions", '{"kind":"binomial","n":20,"k":4}',
-                    "--q", 2, "--eta", 1, "--mu", 4, "-r", 2, expect=3)
+                    "--q", 3, "--eta", 1, "--mu", 4, "-r", 2, expect=3)
     assert time.perf_counter() - start < 1
     assert error_of(result)["error"] == "CapacityError"
 
@@ -775,6 +797,11 @@ def modules_after(code: str) -> set:
 def test_cli_import_leaves_numpy_out():
     # and every engine module and click: a command imports what it runs
     assert modules_after("import sforge.cli") & (ENGINE | {"click", "numpy"}) == set()
+
+
+def test_bounds_import_leaves_hashlib_out():
+    # only the Monte Carlo block seeds and the scenario step seeds hash
+    assert "hashlib" not in modules_after("import sforge.bounds")
 
 
 def test_group_help_imports_no_engine_module():

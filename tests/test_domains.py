@@ -2,14 +2,16 @@ import time
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from itertools import combinations
 from math import comb, factorial
 
 from sforge.errors import CapacityError, ParseError, PreconditionError
-from sforge.family import GroundSet, SetFamily, canonical, link, trace_cover
+from sforge.family import GroundSet, SetFamily, canonical, restrict, trace_cover
 from sforge.domains import (
     Domain,
+    _counts_above,
+    _tau_homogeneity,
     check_assumptions,
     check_rt_spread,
     check_tau_homogeneous,
@@ -19,12 +21,14 @@ from sforge.domains import (
     remove_elements_homogeneous,
     verify_shadow_bound,
 )
-
+from sforge.pipelines import _min_homogeneity_upper
 from sforge.spread import _link_counts
 from support import (
     reference_check_rt_spread,
     reference_check_rt_spread_scan,
     reference_check_tau_homogeneous,
+    reference_link_counts,
+    reference_min_homogeneity_upper,
     reference_trace_cover,
 )
 
@@ -314,11 +318,18 @@ class TestAssumptions:
             check_assumptions(Domain.binomial(8, 2), 2, 2.0, 4, 2)
 
     def test_oversized_regularity_battery_refused_at_once(self):
+        # about 10M units of link-shadow work against the 5M cap
         A = Domain.binomial(20, 4)
         start = time.perf_counter()
         with pytest.raises(CapacityError):
-            check_assumptions(A, 2, 1, 4, 2)
+            check_assumptions(A, 3, 1, 4, 2)
         assert time.perf_counter() - start < 1
+
+    def test_binomial_14_4_at_depth_two_runs(self):
+        # about 139k units of link-shadow work; each regularity trial used
+        # to be charged |A| as well, 19.4M units in all, and was refused
+        rep = check_assumptions(Domain.binomial(14, 4), 2, 2, Fraction(7, 2), Fraction(7, 4))
+        assert rep.regularity_ok and rep.spread_ok
 
 
 class TestRegularityIdentity:
@@ -336,7 +347,7 @@ class TestRegularityIdentity:
     def test_link_level(self):
         A = Domain.binomial(6, 3)
         S = mask(1)
-        sub = link(A.family, S)
+        sub = restrict(A.family, S, S)
         assert regularity_identity_holds(A, S, sub, 1)
 
     def test_irregular_complex_fails(self):
@@ -514,13 +525,25 @@ class TestMemberIndex:
         A = data.draw(DOMAIN_KINDS[kind])
         S = data.draw(st.sampled_from(sorted(A.table)))
         L = A.link_domain(S)
-        assert L.family == link(A.family, S) and L.k == A.k - S.bit_count()
-        assert L.table == _link_counts(L.family.members)
+        assert L.family == restrict(A.family, S, S) and L.k == A.k - S.bit_count()
+        assert L.table == reference_link_counts(L.family.members)
         # a link of a link, as homogeneous_subfamily takes one
         P = data.draw(st.sampled_from(sorted(L.table)))
         LL = L.link_domain(P)
-        assert LL.family == link(A.family, S | P)
-        assert LL.table == _link_counts(LL.family.members)
+        assert LL.family == restrict(A.family, S | P, S | P)
+        assert LL.table == reference_link_counts(LL.family.members)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_deep_link_domain_matches_a_recount(self, kind, size, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        deep = [x for x in sorted(A.table) if x.bit_count() == size]
+        assume(deep)
+        S = data.draw(st.sampled_from(deep))
+        L = A.link_domain(S)
+        assert L.family == restrict(A.family, S, S) and L.k == A.k - size
+        assert L.table == reference_link_counts(L.family.members)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -540,3 +563,47 @@ class TestMemberIndex:
         pool = st.sampled_from(sorted(A.table)) | st.integers(0, A.family.ground.full_mask)
         B = SetFamily(A.family.ground, tuple(data.draw(st.lists(pool, max_size=6))))
         assert trace_cover(A.family, B, A.index) == reference_trace_cover(A.family, B)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_shallow_and_deep_links_of_a_large_domain_match_a_recount(size):
+    # binomial(16,4): a singleton link filters the parent table, a link of
+    # two or three elements reads the parent entry of each of its submasks
+    A = Domain.binomial(16, 4)
+    S = (1 << size) - 1
+    L = A.link_domain(S)
+    assert L.family == restrict(A.family, S, S)
+    assert L.table == reference_link_counts(L.family.members)
+
+
+def nonempty_subfamilies(A, rnd):
+    members = A.family.members
+    return A.family.replace_members(rnd.sample(members, rnd.randint(1, len(members))))
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+class TestCountsOnce:
+    """The homogeneity chain's checks read off one count of the family."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_min_homogeneity_upper_matches_the_per_set_reference(self, kind, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        F = nonempty_subfamilies(A, data.draw(st.randoms(use_true_random=False)))
+        bits = data.draw(st.sampled_from([4, 48]))
+        assert _min_homogeneity_upper(_link_counts(F.members), A, bits) == \
+            reference_min_homogeneity_upper(F, A, bits)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_derived_prefix_link_verdict_matches_a_recount(self, kind, data):
+        A = data.draw(DOMAIN_KINDS[kind])
+        F = nonempty_subfamilies(A, data.draw(st.randoms(use_true_random=False)))
+        tau = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
+        fcounts = _link_counts(F.members)
+        for P in canonical(fcounts):
+            if P.bit_count() > 2:
+                break
+            L = A.link_domain(P)
+            assert _tau_homogeneity(_counts_above(fcounts, P), L, tau) == \
+                check_tau_homogeneous(restrict(F, P, P), L, tau)

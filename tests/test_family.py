@@ -20,11 +20,9 @@ from sforge.family import (
     family_to_hex,
     family_to_json_obj,
     is_upward_closed,
-    link,
     mask_of,
     restrict,
     shadow,
-    submasks,
     trace_cover,
     transversal_number,
     upper_closure,
@@ -101,12 +99,6 @@ def test_restrict_avoiding():
     assert got.members == tuple(
         mask_of(c) for c in ([2, 3], [2, 4], [3, 4])
     )
-
-
-def test_link_equals_restrict_diag():
-    f = binomial_family(5, 3)
-    s = mask_of([2, 4])
-    assert link(f, s).members == restrict(f, s, s).members
 
 
 def test_trace_cover_example():
@@ -270,7 +262,6 @@ def test_restrict_partition_random_point(x):
 
 
 def test_submask_and_subset_helpers():
-    assert sorted(submasks(0b101)) == [0, 1, 4, 5]
     assert sorted(bit_subsets(0b111, 2)) == [3, 5, 6]
 
 

@@ -18,6 +18,7 @@ from sforge.spread import (
     covering_bound_bracket,
     remove_elements_spread,
     spread_lemma_mc,
+    _link_counts,
     _wilson_bounds,
 )
 
@@ -26,6 +27,7 @@ from support import (
     mc_instance,
     no_small_transversal,
     reference_frac_log2_bracket,
+    reference_link_counts,
     reference_mc_hits,
     seeded_spread_instance,
 )
@@ -356,3 +358,14 @@ class TestSpreadLemmaMC:
         assert not est.violation
         assert est.wilson_low > est.covering_bound_high
 
+
+
+MASKS = st.lists(st.sets(st.integers(0, 63), max_size=8).map(lambda es: sum(1 << e for e in es)),
+                 max_size=12)
+
+
+@given(MASKS)
+@settings(max_examples=200, deadline=None)
+def test_link_counts_match_the_definition_in_key_order(masks):
+    # the order is each mask in turn, its submasks in descending numeric order
+    assert list(_link_counts(masks).items()) == list(reference_link_counts(masks).items())

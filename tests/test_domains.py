@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from itertools import combinations
 from math import comb, factorial
 
+from sforge import domains as domains_module
 from sforge.errors import CapacityError, ParseError, PreconditionError
 from sforge.family import GroundSet, SetFamily, canonical, restrict, trace_cover
 from sforge.domains import (
@@ -442,6 +443,30 @@ class TestHomogeneousSubfamily:
         assert mask(4, 5, 6) not in res.family._member_set
         assert set(res.sparse_prefixes) == {mask(4), mask(5), mask(6)}
 
+    def test_every_prefix_left_in_the_kept_family_is_checked_from_f(self, monkeypatch):
+        # the prefix links are checked from counts derived from F's, for
+        # exactly the P of size 1..t-1 that a kept member still holds
+        A = Domain.binomial(12, 3)
+        star = [m for m in A.family.members if m & 1 and not (m & mask(4, 5, 6))]
+        F = A.family.replace_members(star + [mask(4, 5, 6)])
+        checked = []
+        core = domains_module._tau_homogeneity
+
+        def recording(fcounts, L, tau):
+            checked.append((fcounts, L))
+            return core(fcounts, L, tau)
+
+        monkeypatch.setattr(domains_module, "_tau_homogeneity", recording)
+        res = homogeneous_subfamily(F, A, 4, Fraction(1, 6))
+        (pre, _), *links = checked
+        assert pre == reference_link_counts(F.members)
+        kept = {P for m in res.family.members for P in reference_link_counts([m])
+                if 0 < P.bit_count() < 3}
+        assert [sum(1 << (e - 1) for e in L.params["S"]) for _, L in links] == canonical(kept)
+        for fcounts, L in links:
+            P = sum(1 << (e - 1) for e in L.params["S"])
+            assert fcounts == reference_link_counts(restrict(F, P, P).members)
+
     def test_alpha_cap(self):
         A = Domain.binomial(6, 3)
         with pytest.raises(PreconditionError):
@@ -576,7 +601,7 @@ def test_shallow_and_deep_links_of_a_large_domain_match_a_recount(size):
     assert L.table == reference_link_counts(L.family.members)
 
 
-def nonempty_subfamilies(A, rnd):
+def random_subfamily(A, rnd):
     members = A.family.members
     return A.family.replace_members(rnd.sample(members, rnd.randint(1, len(members))))
 
@@ -589,7 +614,7 @@ class TestCountsOnce:
     @settings(max_examples=60, deadline=None)
     def test_min_homogeneity_upper_matches_the_per_set_reference(self, kind, data):
         A = data.draw(DOMAIN_KINDS[kind])
-        F = nonempty_subfamilies(A, data.draw(st.randoms(use_true_random=False)))
+        F = random_subfamily(A, data.draw(st.randoms(use_true_random=False)))
         bits = data.draw(st.sampled_from([4, 48]))
         assert _min_homogeneity_upper(_link_counts(F.members), A, bits) == \
             reference_min_homogeneity_upper(F, A, bits)
@@ -598,7 +623,7 @@ class TestCountsOnce:
     @settings(max_examples=60, deadline=None)
     def test_a_derived_prefix_link_verdict_matches_a_recount(self, kind, data):
         A = data.draw(DOMAIN_KINDS[kind])
-        F = nonempty_subfamilies(A, data.draw(st.randoms(use_true_random=False)))
+        F = random_subfamily(A, data.draw(st.randoms(use_true_random=False)))
         tau = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
         fcounts = _link_counts(F.members)
         for P in canonical(fcounts):

@@ -31,6 +31,7 @@ from support import (
     oracle_simplify_trace,
     planted_instance,
     reference_delta_filter,
+    reference_link_counts,
     reference_peel,
     simplify_fixtures,
 )
@@ -509,6 +510,33 @@ class TestReduceIntersections:
         assert floor.verdict == "holds"
         hom = next(r for r in system.records if r.name == "block-homogeneity")
         assert hom.verdict == "holds"
+
+    def test_a_pruned_block_is_checked_from_its_own_count(self, monkeypatch):
+        # K_19 on 2..20 plus the edge {1,2}, as the link of {21,22} in
+        # binomial(22,4): point 1 is sparse, so pruning drops {1,2}
+        A = Domain.binomial(22, 4)
+        core = mask(21, 22)
+        F = fam(22, [list(e) for e in combinations(range(2, 21), 2)] + [[1, 2]])
+        D = Decomposition(
+            source=F.replace_members(m | core for m in F.members),
+            domain=A,
+            parts=(DecompositionPart(core, F),),
+            remainder=fam(22, []),
+            q=2,
+            tau=Fraction(2),
+        )
+        checked = []
+        kernel = pipelines._tau_homogeneity
+
+        def recording(fcounts, L, tau):
+            checked.append(fcounts)
+            return kernel(fcounts, L, tau)
+
+        monkeypatch.setattr(pipelines, "_tau_homogeneity", recording)
+        system = reduce_intersections(D, A, 3, 2, Fraction(1, 16))
+        U = system.parts[0].family
+        assert len(U.members) == len(F.members) - 1 and mask(1, 2) not in U._member_set
+        assert checked == [reference_link_counts(U.members)]
 
     def test_deep_block_intersection_is_caught(self):
         A = Domain.binomial(8, 4)

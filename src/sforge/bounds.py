@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
-from .domains import _MEMBER_CAP, Domain
+from .domains import Domain
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import GroundSet, SetFamily, trace_cover
+from .family import MEMBER_CAP, GroundSet, SetFamily, bit_subsets, trace_cover
 from .spread import frac_log2_bracket
 from .sunflowers import (
     CoreMode,
@@ -313,16 +312,10 @@ def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
             "skeleton carries an s-sunflower", witness=wit.as_report()
         )
 
-    if comb(n, k) > _MEMBER_CAP:
+    if comb(n, k) > MEMBER_CAP:
         raise CapacityError("too many k-subsets to enumerate", size=comb(n, k))
-    masks = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for c in combo:
-            m |= 1 << c
-        if (m & supp) in T:
-            masks.append(m)
-    out = SetFamily(GroundSet(n), tuple(masks))
+    ground = GroundSet(n)
+    out = SetFamily(ground, tuple(m for m in bit_subsets(ground.full_mask, k) if (m & supp) in T))
 
     sigma = supp.bit_count()
     if len(out.members) != len(T) * comb(n - sigma, k - t):

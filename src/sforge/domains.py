@@ -10,6 +10,9 @@ SetFamily over an encoded ground set of at most 64 bits:
 * ``complex_layer``      the k-element faces of a simplicial complex given
                          by its maximal faces.
 
+The first three are one ``family.block_product``, built and capped by
+``_block_domain``: binomial is one block of k, sequences k blocks of one.
+
 Everything downstream (depth-t spreadness, homogeneity, the assumption
 battery) runs off one lazily built table of exact link counts, so verdicts
 are independent of any closed form.  Closed forms exist for the symmetric
@@ -24,25 +27,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations as iter_permutations, product
-from math import comb
-from typing import Optional, Sequence
+from itertools import permutations as iter_permutations, repeat
+from math import comb, prod
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError, VerificationError
 from .family import (
+    MAX_GROUND,
+    MEMBER_CAP,
     GroundSet,
     SetFamily,
     bit_subsets,
+    block_product,
     canonical,
     elements_of,
     holders,
     member_index,
     restrict,
     select,
+    shadow,
 )
 from .spread import _as_fraction, _link_counts, check_spread
 
-_MEMBER_CAP = 200_000
 _PERMUTATION_CAP = 7
 _REGULARITY_CAP = 5_000_000  # link-shadow sets check_assumptions' regularity trials may visit
 
@@ -69,34 +75,14 @@ class Domain:
     def binomial(n: int, k: int) -> "Domain":
         if not (1 <= k <= n):
             raise PreconditionError("binomial domain needs 1 <= k <= n", n=n, k=k)
-        if comb(n, k) > _MEMBER_CAP:
-            raise CapacityError("binomial domain too large", size=comb(n, k))
-        masks = []
-        for combo in combinations(range(n), k):
-            m = 0
-            for c in combo:
-                m |= 1 << c
-            masks.append(m)
-        fam = SetFamily(GroundSet(n), tuple(masks))
-        return Domain("binomial", fam, k, {"n": n, "k": k})
+        return _block_domain("binomial", "binomial", n, 1, (k,), {"n": n, "k": k})
 
     @staticmethod
     def sequences(n: int, k: int) -> "Domain":
         """[n]^k: position i takes value v as bit i*n + (v-1)."""
         if n < 1 or k < 1:
             raise PreconditionError("sequences domain needs n, k >= 1", n=n, k=k)
-        if n * k > 64:
-            raise CapacityError("sequences ground set exceeds 64 bits", bits=n * k)
-        if n**k > _MEMBER_CAP:
-            raise CapacityError("sequences domain too large", size=n**k)
-        masks = []
-        for values in product(range(n), repeat=k):
-            m = 0
-            for i, v in enumerate(values):
-                m |= 1 << (i * n + v)
-            masks.append(m)
-        fam = SetFamily(GroundSet(n * k), tuple(masks))
-        return Domain("sequences", fam, k, {"n": n, "k": k})
+        return _block_domain("sequences", "sequences", n, k, repeat(1, k), {"n": n, "k": k})
 
     @staticmethod
     def kpartite_product(n: int, parts: Sequence[int]) -> "Domain":
@@ -106,32 +92,9 @@ class Domain:
             raise PreconditionError(
                 "each part size must lie in 1..n", n=n, parts=parts
             )
-        w = len(parts)
-        if n * w > 64:
-            raise CapacityError("k-partite ground set exceeds 64 bits", bits=n * w)
-        total = 1
-        for p in parts:
-            total *= comb(n, p)
-        if total > _MEMBER_CAP:
-            raise CapacityError("k-partite domain too large", size=total)
-        per_part: list[list[int]] = []
-        for j, p in enumerate(parts):
-            block = []
-            for combo in combinations(range(n), p):
-                m = 0
-                for c in combo:
-                    m |= 1 << (j * n + c)
-                block.append(m)
-            per_part.append(block)
-        masks = []
-        for pick in product(*per_part):
-            m = 0
-            for piece in pick:
-                m |= piece
-            masks.append(m)
-        fam = SetFamily(GroundSet(n * w), tuple(masks))
-        return Domain(
-            "kpartite_product", fam, sum(parts), {"n": n, "parts": list(parts)}
+        return _block_domain(
+            "kpartite_product", "k-partite", n, len(parts), parts,
+            {"n": n, "parts": list(parts)},
         )
 
     @staticmethod
@@ -163,7 +126,7 @@ class Domain:
                 out.update(bit_subsets(face, k))
         if not out:
             raise PreconditionError("complex has no faces of the requested size", k=k)
-        if len(out) > _MEMBER_CAP:
+        if len(out) > MEMBER_CAP:
             raise CapacityError("complex layer too large", size=len(out))
         fam = SetFamily(maximal_faces.ground, tuple(out))
         return Domain(
@@ -200,11 +163,6 @@ class Domain:
 
     def link_count(self, T: int) -> int:
         """|A(T)| for T in the |T|-shadow; errors on sets outside the shadow."""
-        if self.kind == "binomial" and T.bit_count() <= self.k:
-            n = self.params["n"]
-            if T & ~self.family.ground.full_mask:
-                raise PreconditionError("set outside the ground set", T=elements_of(T))
-            return comb(n - T.bit_count(), self.k - T.bit_count())
         cnt = self.table.get(T)
         if cnt is None:
             raise PreconditionError(
@@ -304,6 +262,25 @@ class Domain:
 
     def as_json_obj(self) -> dict:
         return {"kind": self.kind, **self.params}
+
+
+def _block_domain(
+    kind: str, label: str, n: int, w: int, parts: Iterable[int], params: dict
+) -> Domain:
+    """The ``block_product`` of ``parts`` on w blocks of n as a domain.
+
+    Refused past 64 ground bits, before ``parts`` is read (it may be a
+    repeat), or past ``MEMBER_CAP`` members, before any is built.
+    """
+    bits = n * w
+    if bits > MAX_GROUND:
+        raise CapacityError(f"{label} ground set exceeds 64 bits", bits=bits)
+    parts = tuple(parts)
+    size = prod(comb(n, p) for p in parts)
+    if size > MEMBER_CAP:
+        raise CapacityError(f"{label} domain too large", size=size)
+    fam = SetFamily(GroundSet(bits), tuple(block_product(n, parts)))
+    return Domain(kind, fam, sum(parts), params)
 
 
 def _int(v, key: str) -> int:
@@ -851,16 +828,14 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
 
 def verify_shadow_bound(F: SetFamily, A: Domain, tau, h: int) -> bool:
     """|shadow_h F| / |shadow_h A| >= tau^(-h) for a tau-homogeneous F."""
+    if h < 0:
+        raise PreconditionError("shadow depth must be nonnegative", h=h)
     tau = _as_fraction(tau, "tau")
     pre = check_tau_homogeneous(F, A, tau)
     if not pre.ok:
         raise PreconditionError("family is not tau-homogeneous")
-    fsh = set()
-    for m in F.members:
-        if m.bit_count() >= h:
-            fsh.update(bit_subsets(m, h))
     ash = A.shadow_layer(h)
     if not ash:
         raise PreconditionError("empty domain shadow at this depth", h=h)
     # |shadow_h F| * tau^h >= |shadow_h A|
-    return len(fsh) * tau.numerator**h >= len(ash) * tau.denominator**h
+    return len(shadow(F, h)) * tau.numerator**h >= len(ash) * tau.denominator**h

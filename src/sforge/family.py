@@ -12,13 +12,15 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError
 
 MAX_GROUND = 64
+MEMBER_CAP = 200_000  # members a built domain or construction may hold
 UPPER_CLOSURE_CAP = 24
+_TRANSVERSAL_CAP = 100_000  # search nodes of one transversal_number call
 
 
 def mask_of(elements: Iterable[int], n: int | None = None) -> int:
@@ -57,18 +59,28 @@ def canonical(masks: Iterable[int]) -> list[int]:
 
 
 def bit_subsets(mask: int, h: int) -> Iterator[int]:
-    """All subsets of ``mask`` with exactly ``h`` bits."""
+    """All subsets of ``mask`` with exactly ``h`` bits, in the
+    lexicographic order of their element lists."""
     bits = []
     m = mask
     while m:
         low = m & -m
         bits.append(low)
         m ^= low
-    for combo in combinations(bits, h):
-        s = 0
-        for b in combo:
-            s |= b
-        yield s
+    return map(sum, combinations(bits, h))  # the bits are disjoint: sum is OR
+
+
+def block_product(n: int, parts: Sequence[int]) -> Iterator[int]:
+    """The sets with ``parts[j]`` elements in block j for every j, block j
+    being bits j*n .. j*n + n - 1, in the lexicographic order of their
+    element lists.
+
+    One block of k gives the k-subsets of [n]; k blocks of one give [n]^k,
+    position j taking value v as bit j*n + v - 1.
+    """
+    full = (1 << n) - 1
+    picks = [list(bit_subsets(full << (j * n), p)) for j, p in enumerate(parts)]
+    return map(sum, product(*picks))
 
 
 @dataclass(frozen=True)
@@ -288,7 +300,8 @@ def transversal_number(F: SetFamily) -> tuple[int, int]:
     Branch and bound: always branch on the elements of an uncovered member
     with the fewest elements, pruning with a greedy disjoint-member packing
     lower bound.  The family must be nonempty and must not contain the empty
-    set (which no transversal can hit).
+    set (which no transversal can hit).  A search past
+    ``_TRANSVERSAL_CAP`` nodes raises CapacityError.
     """
     if not F.members:
         raise PreconditionError("transversal number of an empty family is undefined")
@@ -309,7 +322,13 @@ def transversal_number(F: SetFamily) -> tuple[int, int]:
                 cnt += 1
         return cnt
 
+    nodes = 0
+
     def dfs(chosen: int, size: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _TRANSVERSAL_CAP:
+            raise CapacityError("transversal search capped", cap=_TRANSVERSAL_CAP)
         # smallest uncovered member
         pivot = -1
         pivot_pc = 99

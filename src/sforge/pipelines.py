@@ -365,9 +365,6 @@ class Decomposition:
     records: tuple[BoundRecord, ...] = ()
     trace: tuple[dict, ...] = ()
 
-    def cores(self) -> SetFamily:
-        return self.source.replace_members(p.core for p in self.parts)
-
     def verify(self) -> None:
         if (self.tau is None) == (self.spread_r is None):
             raise PreconditionError(

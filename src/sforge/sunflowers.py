@@ -12,12 +12,22 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
 from .errors import CapacityError, PreconditionError
-from .family import SetFamily, canonical, elements_of, holders, member_index
+from .family import (
+    MEMBER_CAP,
+    GroundSet,
+    SetFamily,
+    bit_subsets,
+    block_product,
+    canonical,
+    elements_of,
+    holders,
+    member_index,
+)
 from .packing import find_packing
 
 # frames kept free below the deepest search node for the calls it makes:
@@ -191,16 +201,12 @@ def find_sunflower(
 def _core_index(members: Sequence[int], sizes: Sequence[int]) -> dict[int, list[int]]:
     """Each subset of a member with a size in ``sizes``, mapped to the
     members that contain it, in the order of ``members``."""
-    index: dict[int, list[int]] = {}
-    if 0 in sizes:  # every member contains the empty set
-        index[0] = list(members)
-    sizes = [c for c in sizes if c]
-    if sizes:
+    # every member contains the empty set
+    index: dict[int, list[int]] = {0: list(members)} if 0 in sizes else {}
+    for c in filter(None, sizes):
         for m in members:
-            bits = [1 << (e - 1) for e in elements_of(m)]
-            for c in sizes:
-                for combo in combinations(bits, c):
-                    index.setdefault(sum(combo), []).append(m)
+            for x in bit_subsets(m, c):
+                index.setdefault(x, []).append(m)
     return index
 
 
@@ -408,14 +414,18 @@ def oracle_max_sunflower_free(candidates: SetFamily, pred: CorePredicate) -> int
 def product_kernel(s: int, t: int) -> SetFamily:
     """(s-1)^t t-uniform sets on t blocks of s-1 labels, sunflower free.
 
-    Member (i_1, ..., i_t) picks label i_j from block j.  Verified free of
-    s-petal sunflowers (any core) before returning.
+    Member (i_1, ..., i_t) picks label i_j from block j: the
+    ``block_product`` of t blocks of one.  More than ``MEMBER_CAP`` members
+    raise CapacityError before any is built.  Verified free of s-petal
+    sunflowers (any core) before returning.
     """
     if s < 2 or t < 1:
         raise PreconditionError("need s >= 2 and t >= 1")
     b = s - 1
-    sets = [[j * b + i + 1 for j, i in enumerate(pick)] for pick in product(range(b), repeat=t)]
-    fam = SetFamily.from_sets(max(b * t, 1), sets)
+    ground = GroundSet(b * t)  # at most 64 bits, so b**t is small to compute
+    if b**t > MEMBER_CAP:
+        raise CapacityError("product kernel too large", size=b**t)
+    fam = SetFamily(ground, tuple(block_product(b, (1,) * t)))
     wit = find_sunflower(fam, CorePredicate(s, CoreMode.ANY))
     if wit is not None:
         raise PreconditionError("product kernel construction is not sunflower free",
@@ -468,9 +478,8 @@ def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> P
     hard = t * factorial(t) * (s - 1) ** t
     if hard > 4096:
         raise CapacityError("parameter range too large for certified search", s=s, t=t)
-    universe = SetFamily.from_sets(
-        support_bound, [list(c) for c in combinations(range(1, support_bound + 1), t)]
-    )
+    ground = GroundSet(support_bound)
+    universe = SetFamily(ground, tuple(bit_subsets(ground.full_mask, t)))
     res = max_sunflower_free(universe, CorePredicate(s, CoreMode.ANY),
                              budget=budget, symmetry="full")
     unconditional = res.certified and support_bound >= t * (res.optimum + 1)

@@ -827,3 +827,33 @@ def test_readme_scenario_runs(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(block)
     assert report_of(invoke("run", path))["steps"][-1]["op"] == "mc"
+
+
+def test_a_negative_shadow_depth_exits_1_with_one_json_line():
+    b42 = '{"kind":"binomial","n":4,"k":2}'
+    result = invoke("domains", "shadow-bound", PAIRS4, "--domain", b42, "--tau", 4, "--h", -1,
+                    expect=1)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "PreconditionError"
+    report = run_scenario({"schema": 1, "steps": [
+        {"op": "family", "name": "F", **json.loads(PAIRS4)},
+        {"op": "domain", "name": "A", "kind": "binomial", "n": 4, "k": 2},
+        {"op": "shadow-bound", "family": "F", "domain": "A", "tau": 4, "h": -1},
+    ]})
+    assert report.exit_code == 1
+    assert report.report["steps"][-1]["error"]["error"] == "PreconditionError"
+
+
+def test_a_hopeless_transversal_search_exits_3():
+    # a transversal of the edges of K_18 takes 17 points, found past the node cap
+    k18 = json.dumps({"n": 18, "sets": [list(c) for c in combinations(range(1, 19), 2)]})
+    result = invoke("family", "transversal", k18, expect=3)
+    assert error_of(result)["error"] == "CapacityError"
+
+
+def test_an_oversized_product_kernel_exits_3_at_once():
+    # 4^12 members, about 16.7 million
+    start = time.perf_counter()
+    result = invoke("sunflower", "kernel", "--petals", 5, "--core-size", 12, expect=3)
+    assert time.perf_counter() - start < 1
+    assert error_of(result)["error"] == "CapacityError"

@@ -3,12 +3,21 @@ import time
 import pytest
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 from sforge import domains as domains_module
 from sforge.errors import CapacityError, ParseError, PreconditionError
-from sforge.family import GroundSet, SetFamily, canonical, restrict, trace_cover
+from sforge.family import (
+    GroundSet,
+    SetFamily,
+    bit_subsets,
+    block_product,
+    canonical,
+    elements_of,
+    restrict,
+    trace_cover,
+)
 from sforge.domains import (
     Domain,
     _counts_above,
@@ -24,6 +33,7 @@ from sforge.domains import (
 )
 from sforge.pipelines import _min_homogeneity_upper
 from sforge.spread import _link_counts
+from sforge.sunflowers import product_kernel
 from support import (
     reference_check_rt_spread,
     reference_check_rt_spread_scan,
@@ -632,3 +642,49 @@ class TestCountsOnce:
             L = A.link_domain(P)
             assert _tau_homogeneity(_counts_above(fcounts, P), L, tau) == \
                 check_tau_homogeneous(restrict(F, P, P), L, tau)
+
+
+def brute_block_product(n, parts):
+    """Every mask of the ground of len(parts) blocks of n bits with parts[j]
+    bits in block j, in the lexicographic order of the element lists."""
+    full = (1 << n) - 1
+    fits = [x for x in range(1 << (n * len(parts)))
+            if all(((x >> j * n) & full).bit_count() == p for j, p in enumerate(parts))]
+    return sorted(fits, key=elements_of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subset_enumerators_and_product_domains_match_their_definitions(data):
+    mask = data.draw(st.integers(0, (1 << 12) - 1))
+    h = data.draw(st.integers(0, mask.bit_count() + 1))
+    assert list(bit_subsets(mask, h)) == sorted(
+        (x for x in range(mask + 1) if x & mask == x and x.bit_count() == h), key=elements_of)
+    n = data.draw(st.integers(1, 4))
+    parts = data.draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=12 // n))
+    assert list(block_product(n, parts)) == brute_block_product(n, parts)
+
+    # all k-subsets of [m]
+    m = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(1, m))
+    A = Domain.binomial(m, k)
+    assert (A.family.ground.n, A.k) == (m, k)
+    assert A.family.members == tuple(canonical(x for x in range(1 << m) if x.bit_count() == k))
+    # the functions f: [k] -> [n], position i taking value v as bit i*n + v
+    k = data.draw(st.integers(1, 12 // n))
+    A = Domain.sequences(n, k)
+    assert (A.family.ground.n, A.k) == (n * k, k)
+    assert A.family.members == tuple(canonical(
+        sum(1 << (i * n + v) for i, v in enumerate(f)) for f in product(range(n), repeat=k)))
+    # a parts[j]-subset of block j for every j
+    parts = [p for p in parts if 1 <= p <= n] or [n]
+    A = Domain.kpartite_product(n, parts)
+    assert (A.family.ground.n, A.k) == (n * len(parts), sum(parts))
+    assert A.family.members == tuple(canonical(brute_block_product(n, parts)))
+    # label i_j from block j of s-1 labels, for each of t blocks
+    s, t = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+    T = product_kernel(s, t)
+    assert T.ground.n == (s - 1) * t
+    assert T.members == tuple(canonical(
+        sum(1 << (j * (s - 1) + i) for j, i in enumerate(pick))
+        for pick in product(range(s - 1), repeat=t)))

@@ -20,7 +20,8 @@ sorts with ``key=canon_key`` itself.
 Threshold packing searches ("are there p disjoint masks?") go through
 ``packing.find_packing``, which runs the transversal pre-check first; no
 other module calls ``max_disjoint`` with ``stop_at`` or ``matching_number``
-with ``at_least``.
+with ``at_least``.  The h-subsets of a set come from ``family.bit_subsets``;
+no other module calls ``combinations(range(...), ...)``.
 """
 
 import ast
@@ -353,3 +354,37 @@ def test_threshold_packing_checker_flags_the_direct_searches():
         "    return packed, ok, best\n"
     )
     assert threshold_packings(src) == ["line 4", "line 5", "line 7", "line 8"]
+
+
+def range_combinations(source: str) -> list[str]:
+    """The lines of ``combinations(range(...), ...)`` calls: the k-subsets
+    of [n] written out by hand instead of taken from ``family.bit_subsets``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        fn, first = node.func, node.args[0]
+        name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+        if name == "combinations" and isinstance(first, ast.Call) \
+                and isinstance(first.func, ast.Name) and first.func.id == "range":
+            out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "family.py"],
+                         ids=lambda p: p.name)
+def test_subsets_of_a_range_come_from_bit_subsets(path):
+    assert range_combinations(path.read_text(encoding="utf-8")) == []
+
+
+def test_range_combination_checker_flags_the_hand_rolled_subsets():
+    src = (
+        "import itertools\n"
+        "from itertools import combinations\n"
+        "def f(n, k, members, bits):\n"
+        "    a = [sum(1 << c for c in combo) for combo in combinations(range(n), k)]\n"
+        "    b = list(itertools.combinations(range(1, n + 1), k))\n"
+        "    c = combinations(members, 2), combinations(bits, k), range(len(combinations))\n"
+        "    return a, b, c, combinations(list(range(n)), k)\n"
+    )
+    assert range_combinations(src) == ["line 4", "line 5"]

@@ -883,7 +883,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         red = simplify(F, A, s, t, eps)
         core = red.core_family
         residue = family_minus(F, trace_cover(F, core))
-        records.extend(_cover_remainder_record(residue, A, s, t, r, hyps))
+        records.extend(_cover_remainder_record(residue, A, s, t, r, log2_r, hyps))
         return CoverResult(
             source=F, mode="direct", core_family=core, residue=residue,
             decomposition=None, reduction=red,
@@ -965,7 +965,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         red = None
         core = empty
     residue = family_minus(F, trace_cover(F, core))
-    records.extend(_cover_remainder_record(residue, A, s, t, r, hyps))
+    records.extend(_cover_remainder_record(residue, A, s, t, r, log2_r, hyps))
     return CoverResult(
         source=F, mode="chain", core_family=core, residue=residue,
         decomposition=deco, reduction=red,
@@ -974,14 +974,14 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
 
 
 def _cover_remainder_record(
-    residue: SetFamily, A: Domain, s: int, t: int, r: Fraction, hyps: bool
+    residue: SetFamily, A: Domain, s: int, t: int, r: Fraction,
+    log2_r: tuple[Fraction, Fraction], hyps: bool,
 ) -> list[BoundRecord]:
     a_t = A.max_link(t)[1]
     if t == 1:
         rhs = _exactly(0)
     else:
         log_t = frac_log2_bracket(t)
-        log2_r = frac_log2_bracket(r)
         rhs = _iv_mul(
             _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t),
             _iv_mul(

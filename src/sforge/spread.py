@@ -215,6 +215,8 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
     if (num << max(-e, 0)) < (den << max(e, 0)):
         e -= 1
     p, q = num << max(-e, 0), den << max(e, 0)  # x / 2^e = p / q in [1, 2)
+    if p == q:  # x = 2^e: every digit is 0
+        return Fraction(e), e + Fraction(1, 1 << steps)
     two = 2 << _GRID
     digits = h = 0
     for i in range(steps):

@@ -465,7 +465,9 @@ def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> P
     labels with full-symmetry pruning.  The answer is unconditional (valid
     over every support) when ``support_bound >= t * (value + 1)``: a larger
     family would span at most that many elements, so it would already fit.
-    Otherwise the result is flagged support-restricted.
+    Otherwise the result is flagged support-restricted.  More than
+    ``MEMBER_CAP`` t-subsets of the support are refused with
+    ``CapacityError`` before any is built.
     """
     if s < 2 or t < 1:
         raise PreconditionError("need s >= 2 and t >= 1")
@@ -478,6 +480,9 @@ def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> P
     hard = t * factorial(t) * (s - 1) ** t
     if hard > 4096:
         raise CapacityError("parameter range too large for certified search", s=s, t=t)
+    size = comb(support_bound, t)
+    if size > MEMBER_CAP:
+        raise CapacityError("too many t-subsets of the support to search", size=size)
     ground = GroundSet(support_bound)
     universe = SetFamily(ground, tuple(bit_subsets(ground.full_mask, t)))
     res = max_sunflower_free(universe, CorePredicate(s, CoreMode.ANY),

@@ -456,6 +456,34 @@ def reference_frac_log2_bracket(x, steps=48):
     return lo_acc, hi_acc
 
 
+def reference_log2_bracket(x, steps=48):
+    """frac_log2_bracket as it was before powers of two returned at once:
+    the digit loop over integer endpoints on the 2^-192 grid, run for every
+    argument."""
+    grid = 192
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    if (num << max(-e, 0)) < (den << max(e, 0)):
+        e -= 1
+    p, q = num << max(-e, 0), den << max(e, 0)
+    two = 2 << grid
+    digits = h = 0
+    for i in range(steps):
+        if i == 0:
+            lo, r = divmod((p * p) << grid, q * q)
+            hi = lo + (r > 0)
+        else:
+            shift = grid + 2 * h
+            lo = (lo * lo) >> shift
+            hi = -((-hi * hi) >> shift)
+        h = int(lo >= two)
+        if h != (hi >= two):
+            return e + Fraction(digits, 1 << i), e + Fraction(digits + 1, 1 << i)
+        digits = 2 * digits + h
+    return e + Fraction(digits, 1 << steps), e + Fraction(digits + 1, 1 << steps)
+
+
 def reference_delta_filter(F, p, t):
     """delta_filter with every anchor test recomputing its matching numbers.
 

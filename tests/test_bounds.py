@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sforge import bounds
 from sforge.bounds import (
     BoundFormula,
     bound_names,
@@ -329,3 +330,52 @@ def _bound_row(rep, name):
         if row["name"] == name:
             return row
     raise AssertionError(f"no bound row named {name}")
+
+
+class TestSharedTermsOncePerCall:
+    @pytest.fixture
+    def bracketed(self, monkeypatch):
+        """The arguments of every log2 bracket the bound formulas take."""
+        seen = []
+        real = bounds.frac_log2_bracket
+
+        def counting(x, *args):
+            seen.append(Fraction(x))
+            return real(x, *args)
+
+        monkeypatch.setattr(bounds, "frac_log2_bracket", counting)
+        return seen
+
+    def test_verify_brackets_the_ratio_once(self, bracketed):
+        # log2(7/2) feeds three rows; log2(t) at t = 2 needs no bracket
+        verify_instance(Domain.binomial(7, 2), 3, 2)
+        assert bracketed == [Fraction(7, 2)]
+
+    def test_verify_brackets_each_distinct_argument_once(self, bracketed):
+        verify_instance(Domain.binomial(7, 3), 3, 3)
+        assert sorted(bracketed) == [Fraction(7, 3), Fraction(3)]
+
+    def test_a_ratio_equal_to_t_is_bracketed_once(self, bracketed):
+        # n/k = t = 3: the error term's log and the kernel estimate's log agree
+        verify_instance(Domain.binomial(9, 3), 2, 3)
+        assert bracketed == [Fraction(3)]
+
+    def test_no_term_is_kept_across_calls(self, bracketed):
+        p = {"n": 7, "k": 2, "s": 3, "t": 2}
+        bound_rhs("large-n-main", p)
+        bound_rhs("large-n-main", p)
+        assert bracketed == [Fraction(7, 2)] * 2
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (5, 3), (6, 3), (6, 4), (7, 5)])
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_bound_rhs_equals_the_verify_rows(self, n, k, s):
+        for t in range(1, k + 1):
+            rep = verify_instance(Domain.binomial(n, k), s, t)
+            rows = {row.pop("name"): row for row in rep["bounds"]}
+            assert sorted(rows) == bound_names()
+            for name in bound_names():
+                alone = bound_rhs(name, {"n": n, "k": k, "s": s, "t": t}).as_report()
+                assert alone.pop("name") == name
+                row = rows[name]
+                row.pop("applicable")
+                assert alone == row

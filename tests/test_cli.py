@@ -857,3 +857,10 @@ def test_an_oversized_product_kernel_exits_3_at_once():
     result = invoke("sunflower", "kernel", "--petals", 5, "--core-size", 12, expect=3)
     assert time.perf_counter() - start < 1
     assert error_of(result)["error"] == "CapacityError"
+
+
+def test_an_oversized_phi_universe_exits_3_at_once():
+    start = time.perf_counter()
+    result = invoke("sunflower", "phi", "--petals", 2, "--core-size", 4, "--support", 64, expect=3)
+    assert time.perf_counter() - start < 1
+    assert error_of(result)["error"] == "CapacityError"

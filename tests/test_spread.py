@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from support import (
     mc_instance,
     no_small_transversal,
     reference_frac_log2_bracket,
+    reference_log2_bracket,
     reference_link_counts,
     reference_mc_hits,
     seeded_spread_instance,
@@ -205,6 +207,28 @@ class TestLogBracket:
         lo, hi = frac_log2_bracket(x, 96)
         assert (lo, hi) == reference_frac_log2_bracket(x, 96)
         assert hi - lo == Fraction(1, 2 ** (j - 1))
+
+    BRACKET_STEPS = st.sampled_from([0, 1, 5, 48, 96])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(-70, 70).map(lambda e: Fraction(2) ** e), rationals),
+           BRACKET_STEPS)
+    def test_equals_the_digit_loop_at_powers_of_two_and_elsewhere(self, x, steps):
+        assert frac_log2_bracket(x, steps) == reference_log2_bracket(x, steps)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5, 48, 96])
+    def test_every_power_of_two_equals_the_digit_loop(self, steps):
+        for e in range(-70, 71):
+            x = Fraction(2) ** e
+            assert frac_log2_bracket(x, steps) == reference_log2_bracket(x, steps)
+            assert frac_log2_bracket(x, steps) == (Fraction(e), e + Fraction(1, 2 ** steps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, BRACKET_STEPS)
+    def test_bracket_holds_log2_within_float_tolerance(self, x, steps):
+        lo, hi = frac_log2_bracket(x, steps)
+        exact = math.log2(x.numerator) - math.log2(x.denominator)
+        assert float(lo) <= exact + 1e-9 and exact - 1e-9 <= float(hi)
 
     @settings(max_examples=100, deadline=None)
     @given(rationals, st.integers(1, 6))

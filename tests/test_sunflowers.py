@@ -422,3 +422,11 @@ def test_a_search_deeper_than_the_frame_limit_is_refused():
 def test_phi_capacity_gate():
     with pytest.raises(CapacityError):
         phi_exact(3, 4, support_bound=16)
+
+
+def test_an_oversized_phi_universe_is_refused_at_once():
+    # C(64, 4) = 635,376 four-sets of the support, past the member cap
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        phi_exact(2, 4, support_bound=64)
+    assert time.perf_counter() - start < 1

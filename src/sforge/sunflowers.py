@@ -10,7 +10,6 @@ as violations.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
@@ -29,17 +28,6 @@ from .family import (
     member_index,
 )
 from .packing import find_packing
-
-# frames kept free below the deepest search node for the calls it makes:
-# find_packing's searches nest at most one frame per ground element
-_FRAME_MARGIN = 100
-
-
-def _frames_in_use() -> int:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
 
 
 class CoreMode(enum.Enum):
@@ -235,6 +223,10 @@ def brute_force_find(
 # ---------------------------------------------------------------------------
 # extremal search
 
+# the largest family the search holds: its third-petal rows grow with the
+# square of the depth, and a wholly free domain would be walked to the end
+_DEPTH_CAP = 900
+
 
 @dataclass
 class SearchResult:
@@ -296,9 +288,14 @@ def max_sunflower_free(
     those whose petals f & ~core hold s - 2 disjoint ones (``find_packing``).
     Bounding by raw indices keeps the nodes and witness of testing each c
     against all of fam; past ``budget`` nodes the result is uncertified.
-    The search nests one frame per member of the family it holds, so a
-    family too deep for the interpreter's frame limit raises CapacityError.
+    The open frames are a list, not interpreter frames, and a family that
+    grows past ``_DEPTH_CAP`` (900) members raises CapacityError, whoever
+    the caller.
     """
+    if budget < 0:
+        raise PreconditionError("search budget must be nonnegative", budget=budget)
+    if symmetry not in (None, "full"):
+        raise PreconditionError('symmetry must be None or "full"', symmetry=symmetry)
     members = list(candidates.members)
     M, s = len(members), pred.s
     admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
@@ -307,8 +304,7 @@ def max_sunflower_free(
     roots = (1 << M) - 1
     if pred.degenerate_small_sets:
         roots = sum(1 << j for j, m in enumerate(members) if m.bit_count() > pred.bound)  # type: ignore[operator]
-    nodes, certified, best = 0, True, []
-    deepest = sys.getrecursionlimit() - _frames_in_use() - _FRAME_MARGIN
+    full = symmetry == "full"
 
     def survivors(fam: list[int], i: int, rest: int) -> int:
         x = members[i]
@@ -334,38 +330,45 @@ def max_sunflower_free(
                 rest &= ~(1 << e - 1)
         return rest
 
-    def dfs(fam: list[int], used_prefix: int, cands: int):
-        nonlocal nodes, certified, best
-        nodes += 1
-        if nodes > budget:
-            certified = False
-            return
-        depth = len(fam)
-        if depth > len(best):
-            if depth > deepest:
-                raise CapacityError(
-                    "search depth nears the interpreter's frame limit",
-                    depth=depth, limit=deepest,
-                )
-            best = list(fam)
-        while cands and certified:
+    # the current node's family, candidates and used label prefix; each open
+    # ancestor is one (candidates, prefix) entry of ``stack``
+    fam: list[int] = []
+    stack: list[tuple[int, int]] = []
+    nodes, depth, best = 1, 0, []  # the root is the first node
+    certified = nodes <= budget
+    cands, prefix = (roots if certified else 0), 0
+    while True:
+        if cands:
             low = cands & -cands
             cands ^= low  # now the candidates above idx
             idx = low.bit_length() - 1
-            if depth + M - idx <= len(best):
-                return
-            new_prefix = used_prefix
-            if symmetry == "full":
-                fresh = members[idx] >> used_prefix
-                if fresh & (fresh + 1):
-                    continue  # fresh labels not a contiguous next block
-                new_prefix = used_prefix + fresh.bit_length()
-            rest = survivors(fam, idx, cands) if cands else 0
-            fam.append(idx)
-            dfs(fam, new_prefix, rest)
-            fam.pop()
-
-    dfs([], 0, roots)
+            if depth + M - idx > len(best):
+                new_prefix = prefix
+                if full:
+                    fresh = members[idx] >> prefix
+                    if fresh & (fresh + 1):
+                        continue  # fresh labels not a contiguous next block
+                    new_prefix = prefix + fresh.bit_length()
+                rest = survivors(fam, idx, cands) if cands else 0
+                nodes += 1
+                if nodes > budget:
+                    certified = False
+                    break
+                stack.append((cands, prefix))
+                fam.append(idx)
+                cands, prefix, depth = rest, new_prefix, depth + 1
+                if depth > len(best):
+                    if depth > _DEPTH_CAP:
+                        raise CapacityError("search depth past the cap",
+                                            depth=depth, cap=_DEPTH_CAP)
+                    best = list(fam)
+                continue
+        # out of candidates, or the bound fails: leave the frame
+        if not stack:
+            break
+        cands, prefix = stack.pop()
+        fam.pop()
+        depth -= 1
     return SearchResult(
         optimum=len(best),
         witness=candidates.replace_members(members[j] for j in best),
@@ -416,8 +419,9 @@ def product_kernel(s: int, t: int) -> SetFamily:
 
     Member (i_1, ..., i_t) picks label i_j from block j: the
     ``block_product`` of t blocks of one.  More than ``MEMBER_CAP`` members
-    raise CapacityError before any is built.  Verified free of s-petal
-    sunflowers (any core) before returning.
+    raise CapacityError before any is built.  It has no s-petal sunflower
+    (any core): s distinct members differ in a block the core misses, where
+    no two share a label (it would be in the core); a block has s - 1 labels.
     """
     if s < 2 or t < 1:
         raise PreconditionError("need s >= 2 and t >= 1")
@@ -425,12 +429,7 @@ def product_kernel(s: int, t: int) -> SetFamily:
     ground = GroundSet(b * t)  # at most 64 bits, so b**t is small to compute
     if b**t > MEMBER_CAP:
         raise CapacityError("product kernel too large", size=b**t)
-    fam = SetFamily(ground, tuple(block_product(b, (1,) * t)))
-    wit = find_sunflower(fam, CorePredicate(s, CoreMode.ANY))
-    if wit is not None:
-        raise PreconditionError("product kernel construction is not sunflower free",
-                               witness=wit.as_report())
-    return fam
+    return SetFamily(ground, tuple(block_product(b, (1,) * t)))
 
 
 @dataclass

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import sforge
-from sforge.family import family_from_hex, load_family
+from sforge.family import SetFamily, family_from_hex, load_family
 from sforge.scenario import OPERATIONS, canonical_report_bytes, resolve, run_scenario
+from sforge.sunflowers import CoreMode, CorePredicate, max_sunflower_free
 from support import run_cli
 
 
@@ -767,11 +768,36 @@ def test_a_hopeless_packing_exits_3():
     assert error_of(result)["error"] == "CapacityError"
 
 
-def test_a_search_deeper_than_the_frame_limit_exits_3():
+def test_a_search_deeper_than_the_depth_cap_exits_3():
     deep = json.dumps({"n": 64, "sets": [[1, a, b] for a, b in combinations(range(2, 65), 2)]})
     result = invoke("sunflower", "max-free", deep, "--petals", 2, "--mode", "at-most",
                     "--core-bound", 0, expect=3)
     assert error_of(result)["error"] == "CapacityError"
+
+
+def test_a_deep_search_reports_the_same_from_the_api_the_command_and_a_run(tmp_path):
+    # 891 members that all hold 1: free together, one search level each
+    sets = [[1, a, b] for a, b in combinations(range(2, 65), 2)][:891]
+    res = max_sunflower_free(SetFamily.from_sets(64, sets), CorePredicate(2, CoreMode.AT_MOST, 0))
+    assert (res.optimum, res.certified) == (891, True)
+    want = canonical_report_bytes(res.as_report())
+    deep = json.dumps({"n": 64, "sets": sets})
+    got = invoke("sunflower", "max-free", deep, "--petals", 2, "--mode", "at-most",
+                 "--core-bound", 0)
+    assert got.stdout_bytes == want
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"schema": 1, "steps": [
+        {"op": "family", "name": "F", "n": 64, "sets": sets},
+        {"op": "max-free", "family": "F", "petals": 2, "mode": "at-most", "core-bound": 0},
+    ]}))
+    step = report_of(invoke("run", path))["steps"][-1]["report"]
+    assert canonical_report_bytes(step) == want
+
+
+def test_a_negative_search_budget_exits_1_with_one_json_line():
+    result = invoke("sunflower", "max-free", TRIPLES, "--petals", 3, "--budget", -5, expect=1)
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "PreconditionError"
 
 
 def test_verify_on_a_domain_missing_the_kernel_reports():
@@ -857,6 +883,14 @@ def test_an_oversized_product_kernel_exits_3_at_once():
     result = invoke("sunflower", "kernel", "--petals", 5, "--core-size", 12, expect=3)
     assert time.perf_counter() - start < 1
     assert error_of(result)["error"] == "CapacityError"
+
+
+def test_a_large_product_kernel_builds_at_once():
+    # 2^16 members, free by construction
+    start = time.perf_counter()
+    result = invoke("sunflower", "kernel", "--petals", 3, "--core-size", 16)
+    assert time.perf_counter() - start < 10
+    assert len(report_of(result)["sets"]) == 65_536
 
 
 def test_an_oversized_phi_universe_exits_3_at_once():

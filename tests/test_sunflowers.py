@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -325,11 +326,25 @@ def search_inputs(draw):
 # The bitset search must visit the nodes of the list-based search it
 # replaced, in the same order: same optimum, witness, node count and flag.
 @settings(max_examples=300, deadline=None)
-@given(search_inputs(), st.sampled_from([1, 7, 40, 2_000_000]))
-def test_max_free_matches_the_reference_search(inputs, budget):
+@given(search_inputs(), st.sampled_from([0, 1, 2, 7, 40, 2_000_000]),
+       st.sampled_from([None, "full"]))
+def test_max_free_matches_the_reference_search(inputs, budget, symmetry):
     fam, pred = inputs
-    got = max_sunflower_free(fam, pred, budget=budget)
-    assert search_key(got) == search_key(reference_max_sunflower_free(fam, pred, budget=budget))
+    got = max_sunflower_free(fam, pred, budget=budget, symmetry=symmetry)
+    want = reference_max_sunflower_free(fam, pred, budget=budget, symmetry=symmetry)
+    assert search_key(got) == search_key(want)
+
+
+def test_malformed_search_arguments_are_refused():
+    fam = binomial_family(6, 3)
+    pred = CorePredicate(3, CoreMode.ANY)
+    for bad in ({"budget": -5}, {"symmetry": "Full"}, {"symmetry": ""}):
+        with pytest.raises(PreconditionError):
+            max_sunflower_free(fam, pred, **bad)
+    with pytest.raises(PreconditionError):
+        phi_exact(3, 2, support_bound=6, budget=-1)
+    with pytest.raises(PreconditionError):
+        verify_instance(Domain.binomial(5, 2), 3, 2, budget=-1)
 
 
 @pytest.mark.parametrize("n,k,pred,budget", [
@@ -381,11 +396,14 @@ def test_max_free_keeps_no_table_of_all_pairs():
 
 
 def test_product_kernel_free():
-    for s, t in [(2, 1), (3, 2), (4, 3), (4, 2), (3, 3)]:
+    for s, t in [(2, 1), (3, 2), (4, 3), (4, 2), (3, 3), (3, 4), (5, 2), (6, 1), (2, 5)]:
         fam = product_kernel(s, t)
+        pred = CorePredicate(s, CoreMode.ANY)
         assert len(fam) == (s - 1) ** t
         assert fam.uniformity == t
-        assert family_is_free(fam, CorePredicate(s, CoreMode.ANY))
+        assert family_is_free(fam, pred)
+        if len(fam) <= 25:
+            assert brute_force_find(fam, pred) is None
 
 
 def test_phi_two_petals_always_one():
@@ -411,12 +429,27 @@ def test_phi_pairs_three_petals():
     assert family_is_free(res.witness, CorePredicate(3, CoreMode.ANY))
 
 
-def test_a_search_deeper_than_the_frame_limit_is_refused():
+def test_a_search_deeper_than_the_depth_cap_is_refused():
     # every member holds 1, so no two are disjoint and all 1953 are free
     # together: the search would nest one frame per member
     F = SetFamily.from_sets(64, [[1, a, b] for a, b in combinations(range(2, 65), 2)])
     with pytest.raises(CapacityError):
         max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 0))
+
+
+def test_a_deep_search_certifies_whatever_the_interpreter_frame_limit():
+    # the first 891 of the family above: free, and one level per member
+    F = SetFamily.from_sets(64, [[1, a, b] for a, b in combinations(range(2, 65), 2)][:891])
+    pred = CorePredicate(2, CoreMode.AT_MOST, 0)
+    want = max_sunflower_free(F, pred)
+    assert (want.optimum, want.certified) == (891, True)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        got = max_sunflower_free(F, pred)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert search_key(got) == search_key(want)
 
 
 def test_phi_capacity_gate():

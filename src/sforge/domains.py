@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations as iter_permutations, repeat
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError, VerificationError
@@ -647,13 +647,14 @@ def regularity_identity_holds(A: Domain, S: int, subfamily: SetFamily, h: int) -
                 "subfamily member outside A(S)", member=elements_of(m)
             )
     table = L.table
-    lhs = Fraction(len(subfamily), len(L))
-    total = Fraction(0)
+    # over the common denominator D of the link counts: E mu(F(H)) is
+    # num / (D |shadow|), and mu(F) = |F| / |A(S)|
+    D = lcm(*{table[H] for H in shadow_hs})
+    num = 0
     for H in shadow_hs:
         cnt = sum(1 for m in subfamily.members if m & H == H)
-        total += Fraction(cnt, table[H])
-    rhs = total / len(shadow_hs)
-    return lhs == rhs
+        num += cnt * (D // table[H])
+    return len(subfamily) * D * len(shadow_hs) == num * len(L)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Structural decomposition pipelines for sunflower-free families.
 
 Every operation takes an explicit family (usually with an ambient domain),
-produces a decomposition or a core family, and re-verifies the claims it is
-named after before returning.  Nothing here is sampled.  All certificates are
-exact integer or rational comparisons; inequalities whose right-hand side
-involves a logarithm are reported as three-way verdicts computed from
-certified rational brackets, never from floats.
+produces a decomposition or a core family, and checks the claims it is
+named after once before returning.  A :class:`Decomposition` or
+:class:`SystemSST` runs its ``verify`` when it is built, so every instance,
+however it was made, has passed its check.  Nothing here is sampled.  All
+certificates are exact integer or rational comparisons; inequalities whose
+right-hand side involves a logarithm are reported as three-way verdicts
+computed from certified rational brackets, never from floats.
 
 Hard guarantees (facts that follow from the construction at every scale) are
 asserted and raise :class:`VerificationError` when violated.  Guarantees that
@@ -263,20 +265,31 @@ class ExtractionThreshold:
         if t & (t - 1) == 0:  # power of two, log2 is an integer
             self.exact = max(base, self._scale * (t.bit_length() - 1))
             return
+        irrational_wins = self._scaled_log2_satisfies(
+            lambda x: x >= base,
+            "threshold branch comparison failed to resolve", s=s, q=q, t=t,
+        )
+        self.exact = None if irrational_wins else base
+
+    def _scaled_log2_satisfies(
+        self, pred: Callable[[Fraction], bool], message: str, **detail
+    ) -> bool:
+        """pred(scale * log2(t)) for a pred monotone in its argument.
+
+        The bracket of log2(t) is refined, doubling its steps, until pred
+        agrees at both ends.  log2(t) is irrational here, so no compare
+        against it is an equality and the refinement ends; past 2^20 steps
+        (unreachable) it raises ``message``.
+        """
         steps = 48
-        while True:
-            lo, hi = frac_log2_bracket(t, steps)
-            if self._scale * lo >= base:
-                self.exact = None  # irrational branch wins
-                return
-            if self._scale * hi < base:
-                self.exact = base
-                return
+        while steps <= 1 << 20:
+            lo, hi = frac_log2_bracket(self.t, steps)
+            if pred(self._scale * lo):
+                return True
+            if not pred(self._scale * hi):
+                return False
             steps *= 2
-            if steps > 1 << 20:  # unreachable: the bracket collapses to a point
-                raise VerificationError(
-                    "threshold branch comparison failed to resolve", s=s, q=q, t=t
-                )
+        raise VerificationError(message, **detail)
 
     def exceeds(self, count: int, j: int, total: int) -> bool:
         """Decide count * scale^j > total exactly."""
@@ -287,19 +300,11 @@ class ExtractionThreshold:
             return count * a.numerator ** j > total * a.denominator ** j
         if count == 0 or j == 0:
             return count > total
-        steps = 48
-        while True:
-            lo, hi = frac_log2_bracket(self.t, steps)
-            if count * (self._scale * lo) ** j > total:
-                return True
-            if count * (self._scale * hi) ** j <= total:
-                return False
-            steps *= 2
-            if steps > 1 << 20:
-                raise VerificationError(
-                    "threshold comparison failed to resolve",
-                    count=count, exponent=j, total=total,
-                )
+        return self._scaled_log2_satisfies(
+            lambda x: count * x**j > total,
+            "threshold comparison failed to resolve",
+            count=count, exponent=j, total=total,
+        )
 
     def bracket(self, steps: int = 96) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
@@ -350,8 +355,9 @@ class Decomposition:
     """A partition of ``source`` into cored parts plus a remainder.
 
     Exactly one of ``tau`` (homogeneous parts) and ``spread_r`` (spread
-    parts) is set; ``verify`` re-checks the partition identity and the
-    per-part certificate from scratch.
+    parts) is set.  ``verify`` checks the partition identity and the
+    per-part certificate from scratch; it runs when the decomposition is
+    built, so a decomposition that fails it never exists.
     """
 
     source: SetFamily
@@ -364,6 +370,9 @@ class Decomposition:
     measure_floor: Optional[Fraction] = None
     records: tuple[BoundRecord, ...] = ()
     trace: tuple[dict, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.verify()
 
     def verify(self) -> None:
         if (self.tau is None) == (self.spread_r is None):
@@ -459,8 +468,8 @@ def spread_approximation(
     set, only if its measure clears the floor; otherwise it is remainder).
 
     The remainder is certified against tau^-(q+1) |A|, with the floor folded
-    in when present.  Every part is re-certified homogeneous in its link
-    domain before returning.
+    in when present.  Building the returned decomposition certifies every
+    part homogeneous in its link domain.
     """
     tau = _as_fraction(tau, "tau")
     if tau < 1:
@@ -561,7 +570,7 @@ def spread_approximation(
             stop=stop,
         )
 
-    out = Decomposition(
+    return Decomposition(
         source=F,
         domain=A,
         parts=tuple(parts),
@@ -572,8 +581,6 @@ def spread_approximation(
         records=tuple(records),
         trace=tuple(trace),
     )
-    out.verify()
-    return out
 
 
 # -- uniformity reduction (the working-layer procedure) ----------------------
@@ -751,11 +758,9 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
                 member=list(elements_of(m)),
                 t=t,
             )
-    stray = find_sunflower(core, CorePredicate(s))
-    if stray is not None:
-        raise VerificationError(
-            "final core family contains an s-sunflower", witness=stray.as_report()
-        )
+    # distinct t-sets meet in fewer than t elements, so every s-sunflower of
+    # the t-uniform core family has a core of size at most t-1: the last
+    # _stage_consistency, or with no rounds the input check, ruled them out
 
     covered = trace_cover(S, core)
     uncovered = family_minus(S, covered)
@@ -931,7 +936,6 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         spread_r=R,
         trace=tuple(trace),
     )
-    deco.verify()
 
     if stop_reason == "depth" and stop_core is not None and stop_core.bit_count() >= t:
         rt = check_rt_spread(A, r, t)
@@ -1015,7 +1019,8 @@ class SystemSST:
     ``verify`` checks, exhaustively: cores have size at least t, no s of
     them form a sunflower with core of size exactly t-1, and whenever s
     distinct cores form a sunflower with core C of size at most t-2, every
-    choice of one member per block meets in at most t-|C|-2 elements.
+    choice of one member per block meets in at most t-|C|-2 elements.  It
+    runs when the system is built, so a system that fails it never exists.
     More than ``_SYSTEM_CAP`` s-subsets of cores, or more than ``_DEEP_CAP``
     nodes of the searches over one member per block, raise ``CapacityError``.
     """
@@ -1026,8 +1031,8 @@ class SystemSST:
     parts: tuple[DecompositionPart, ...]
     records: tuple[BoundRecord, ...] = ()
 
-    def cores(self) -> SetFamily:
-        return self.domain.family.replace_members(p.core for p in self.parts)
+    def __post_init__(self) -> None:
+        self.verify()
 
     def verify(self) -> None:
         if self.s < 2 or self.t < 1:
@@ -1141,11 +1146,13 @@ def reduce_intersections(
 
     Requires a remainder-free tau decomposition of a family with no
     s-sunflower whose core has size exactly t-1, and alpha in (0, 1/(4k)].
-    Each pruned block keeps at least a (1 - 2 alpha k) share of its block,
-    stays homogeneous at the inflated parameter tau'/(1 - 2 alpha k) (tau'
-    a certified upper bound on the block's minimal homogeneity), and its
-    shadows at every depth stay dense; all three facts are asserted.  The
-    result's system properties are verified exhaustively.
+    Each pruned block keeps at least a (1 - 2 alpha k) share of its block
+    (``homogeneous_subfamily`` asserts the larger share 1 - 2 alpha k' of
+    the link's uniformity k' < k), stays homogeneous at the inflated parameter
+    tau'/(1 - 2 alpha k) (tau' a certified upper bound on the block's
+    minimal homogeneity), and its shadows at every depth stay dense; all
+    three facts are asserted.  Building the result verifies its system
+    properties exhaustively.
 
     Each block F is counted once (``_link_counts``), and the count serves
     the pruning (``homogeneous_subfamily``'s checks) and the bound tau'.
@@ -1176,7 +1183,6 @@ def reduce_intersections(
             "source family has an s-sunflower at the forbidden core size",
             witness=wit.as_report(),
         )
-    D.verify()
 
     shrink = 1 - 2 * alpha * k
     parts_out: list[DecompositionPart] = []
@@ -1192,20 +1198,14 @@ def reduce_intersections(
         pruned = _homogeneous_subfamily(part.family, fcounts, sub, D.tau, alpha, t)
         U = pruned.family
         # a lower bound on the kept size, so the floor goes on the left
-        floor_rec = _record(
-            "retained-floor",
-            shrink * len(part.family.members),
-            _exactly(len(U.members)),
-            note=f"kept-size floor, core={list(elements_of(part.core))}",
-        )
-        if Fraction(len(U.members)) < shrink * len(part.family.members):
-            raise VerificationError(
-                "pruned block lost too many members",
-                core=list(elements_of(part.core)),
-                kept=len(U.members),
-                floor=str(shrink * len(part.family.members)),
+        records.append(
+            _record(
+                "retained-floor",
+                shrink * len(part.family.members),
+                _exactly(len(U.members)),
+                note=f"kept-size floor, core={list(elements_of(part.core))}",
             )
-        records.append(floor_rec)
+        )
         tau_prime = min(_min_homogeneity_upper(fcounts, sub), D.tau)
         tau_hat = tau_prime / shrink
         ucounts = fcounts if U is part.family else _link_counts(U.members)
@@ -1237,11 +1237,9 @@ def reduce_intersections(
         )
         parts_out.append(DecompositionPart(part.core, U))
 
-    system = SystemSST(
+    return SystemSST(
         domain=A, s=s, t=t, parts=tuple(parts_out), records=tuple(records)
     )
-    system.verify()
-    return system
 
 
 # -- clustering a system into few cores --------------------------------------
@@ -1311,7 +1309,6 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
     lam = _as_fraction(lam, "lam")
     if not 0 < lam <= 1:
         raise PreconditionError("lambda must lie in (0, 1]", lam=str(lam))
-    U.verify()
     if U.domain.family.members != A.family.members:
         raise PreconditionError("system was built over a different domain")
     s, t = U.s, U.t
@@ -1603,14 +1600,6 @@ class DeltaFilterResult:
     removed: SetFamily
     rounds: int
 
-    def anchor(self, member: int) -> int:
-        for m, T in self.chosen:
-            if m == member:
-                return T
-        raise PreconditionError(
-            "not a surviving member", member=list(elements_of(member))
-        )
-
     def as_report(self) -> dict:
         return {
             "family": self.family.as_sets(),
@@ -1660,10 +1649,10 @@ def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     A t-subset T of a member m is valid when every E with T <= E < m is the
     core of a sunflower with p petals inside the current family.  Members
     without a valid T are dropped, all at once per round, until nothing
-    changes; the scan order cannot influence the result.  The final anchor
-    map is recomputed and re-checked on the fixed point.  A member has
-    C(k, t) (2^(k-t) - 1) pairs (T, E) to test; more than ``_ANCHOR_CAP``
-    raise ``CapacityError`` before any search.
+    changes; the scan order cannot influence the result.  The anchor map is
+    the last round's, the round that found every member of the fixed point
+    anchored.  A member has C(k, t) (2^(k-t) - 1) pairs (T, E) to test; more
+    than ``_ANCHOR_CAP`` raise ``CapacityError`` before any search.
     """
     if p < 2:
         raise PreconditionError("petal count must be at least 2", p=p)
@@ -1684,21 +1673,13 @@ def delta_filter(F: SetFamily, p: int, t: int) -> DeltaFilterResult:
     while True:
         rounds += 1
         verdicts: dict[int, bool] = {}
-        keep = [m for m in G.members if _delta_anchor(m, G, p, t, verdicts) is not None]
-        if len(keep) == len(G.members):
+        anchors = ((m, _delta_anchor(m, G, p, t, verdicts)) for m in G.members)
+        chosen = [(m, T) for m, T in anchors if T is not None]
+        if len(chosen) == len(G.members):
             break
-        G = G.replace_members(keep)
+        G = G.replace_members(m for m, _ in chosen)
         if not G.members:
             break
-    chosen = []
-    verdicts = {}  # fresh, so the re-check does not reuse the loop's verdicts
-    for m in G.members:
-        T = _delta_anchor(m, G, p, t, verdicts)
-        if T is None:
-            raise VerificationError(
-                "fixed point lost a member on re-check", member=list(elements_of(m))
-            )
-        chosen.append((m, T))
     return DeltaFilterResult(
         family=G,
         chosen=tuple(chosen),

@@ -721,6 +721,18 @@ def reference_check_tau_homogeneous(F, A, tau):
     return HomogeneityVerdict(tau=tau, ok=ok, worst_x=worst_x, worst_ratio=worst, family_size=fsize)
 
 
+def reference_regularity_identity(A, S, subfamily, h):
+    """``domains.regularity_identity_holds`` with one Fraction per shadow
+    set: mu(F) against the mean of mu(F(H)) over the h-shadow of A(S)."""
+    L = A if S == 0 else A.link_domain(S)
+    shadow_hs = L.shadow_layer(h)
+    total = Fraction(0)
+    for H in shadow_hs:
+        cnt = sum(1 for m in subfamily.members if m & H == H)
+        total += Fraction(cnt, L.table[H])
+    return Fraction(len(subfamily), len(L)) == total / len(shadow_hs)
+
+
 def reference_min_homogeneity_upper(F, A, bits=_ROOT_BITS):
     """``pipelines._min_homogeneity_upper`` with a Fraction ratio and a
     root for every nonempty X of F's counts."""

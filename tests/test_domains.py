@@ -40,6 +40,7 @@ from support import (
     reference_check_tau_homogeneous,
     reference_link_counts,
     reference_min_homogeneity_upper,
+    reference_regularity_identity,
     reference_trace_cover,
 )
 
@@ -598,6 +599,25 @@ class TestMemberIndex:
         pool = st.sampled_from(sorted(A.table)) | st.integers(0, A.family.ground.full_mask)
         B = SetFamily(A.family.ground, tuple(data.draw(st.lists(pool, max_size=6))))
         assert trace_cover(A.family, B, A.index) == reference_trace_cover(A.family, B)
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_regularity_identity_matches_the_fraction_reference(kind, data):
+    # check_assumptions' trials (the whole link and each singleton) plus one
+    # random subfamily, at every depth; S = 0 half the time, since the links
+    # of a complex layer are more often regular than the layer itself
+    A = data.draw(DOMAIN_KINDS[kind])
+    S = data.draw(st.just(0) | st.sampled_from(sorted(A.table)))
+    L = A if S == 0 else A.link_domain(S)
+    picked = data.draw(st.lists(st.sampled_from(L.family.members)))
+    trials = [L.family, L.family.replace_members(picked)]
+    trials += [L.family.replace_members([m]) for m in L.family.members]
+    for h in range(L.k + 1):
+        for sub in trials:
+            assert regularity_identity_holds(A, S, sub, h) == \
+                reference_regularity_identity(A, S, sub, h)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

@@ -21,7 +21,9 @@ Threshold packing searches ("are there p disjoint masks?") go through
 ``packing.find_packing``, which runs the transversal pre-check first; no
 other module calls ``max_disjoint`` with ``stop_at`` or ``matching_number``
 with ``at_least``.  The h-subsets of a set come from ``family.bit_subsets``;
-no other module calls ``combinations(range(...), ...)``.
+no other module calls ``combinations(range(...), ...)``.  A certificate's
+``verify`` runs when its object is built: no code calls ``.verify()``
+except a ``__post_init__``.
 """
 
 import ast
@@ -388,3 +390,45 @@ def test_range_combination_checker_flags_the_hand_rolled_subsets():
         "    return a, b, c, combinations(list(range(n)), k)\n"
     )
     assert range_combinations(src) == ["line 4", "line 5"]
+
+
+def verify_calls(source: str) -> list[str]:
+    """The ``.verify()`` calls outside a ``__post_init__``, with the
+    function they sit in."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "verify" and owner != "__post_init__":
+                out.append(f"line {child.lineno}: {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_certificates_verify_only_when_built(path):
+    assert verify_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_verify_call_checker_flags_a_repeated_check():
+    src = (
+        "class Decomposition:\n"
+        "    def __post_init__(self):\n"
+        "        self.verify()\n"
+        "    def verify(self):\n"
+        "        return verify_instance(self)\n"
+        "def reduce_intersections(D, A):\n"
+        "    wit = find_sunflower(D.source)\n"
+        "    D.verify()\n"
+        "    def inner():\n"
+        "        return D.parts[0].verify()\n"
+        "    return [D.verify] + [inner()]\n"
+        "Decomposition().verify()\n"
+    )
+    assert verify_calls(src) == ["line 8: reduce_intersections", "line 10: inner", "line 12: <module>"]

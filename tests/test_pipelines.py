@@ -241,25 +241,23 @@ class TestSpreadApproximation:
     def test_verify_rejects_tampered_remainder(self):
         A = Domain.binomial(8, 3)
         d = spread_approximation(star(A, mask(1, 2)), A, Fraction(3), 2)
-        bad = dataclasses.replace(
-            d, remainder=A.family.replace_members([mask(5, 6, 7)])
-        )
         with pytest.raises(VerificationError, match="partition"):
-            bad.verify()
+            dataclasses.replace(
+                d, remainder=A.family.replace_members([mask(5, 6, 7)])
+            )
 
     def test_verify_rejects_core_overlap(self):
         A = Domain.binomial(8, 3)
         d = spread_approximation(star(A, mask(1, 2)), A, Fraction(3), 2)
-        bad = dataclasses.replace(
-            d,
-            parts=(
-                DecompositionPart(
-                    mask(1, 2), A.family.replace_members([mask(1, 3)])
-                ),
-            ),
-        )
         with pytest.raises(VerificationError, match="overlaps"):
-            bad.verify()
+            dataclasses.replace(
+                d,
+                parts=(
+                    DecompositionPart(
+                        mask(1, 2), A.family.replace_members([mask(1, 3)])
+                    ),
+                ),
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -505,7 +503,7 @@ class TestReduceIntersections:
         assert len(system.parts) == 1
         assert system.parts[0].core == mask(1, 2)
         assert set(system.parts[0].family.members) == set(d.parts[0].family.members)
-        assert set(system.cores().members) == {mask(1, 2)}
+        assert [p.core for p in system.parts] == [mask(1, 2)]
         floor = next(r for r in system.records if r.name == "retained-floor")
         assert floor.verdict == "holds"
         hom = next(r for r in system.records if r.name == "block-homogeneity")
@@ -671,12 +669,27 @@ class TestClusterSystem:
 
     def test_system_verification_runs_first(self):
         A = Domain.binomial(8, 3)
-        bad = SystemSST(
-            domain=A, s=3, t=2,
-            parts=(DecompositionPart(mask(1, 2), fam(8, [[1, 6]])),),
-        )
         with pytest.raises(VerificationError, match="extend its core"):
+            bad = SystemSST(
+                domain=A, s=3, t=2,
+                parts=(DecompositionPart(mask(1, 2), fam(8, [[1, 6]])),),
+            )
             cluster_system(bad, A, Fraction(1, 3))
+
+
+def test_a_chain_verifies_its_decomposition_and_system_once(monkeypatch):
+    calls = {}
+    for cls in (Decomposition, SystemSST):
+        def counting(self, verify=cls.verify, name=cls.__name__):
+            calls[name] = calls.get(name, 0) + 1
+            verify(self)
+        monkeypatch.setattr(cls, "verify", counting)
+    A = Domain.binomial(12, 4)
+    d = spread_approximation(star(A, mask(1, 2)), A, Fraction(3), 2)
+    system = reduce_intersections(d, A, 3, 2, Fraction(1, 16))
+    res = cluster_system(system, A, Fraction(1, 3))
+    assert set(res.core_family.members) == {mask(1, 2)}
+    assert calls == {"Decomposition": 1, "SystemSST": 1}
 
 
 def test_system_verification_is_capped():
@@ -688,9 +701,8 @@ def test_system_verification_is_capped():
         DecompositionPart(mask(a, b), fam(8, [[min(set(range(1, 9)) - {a, b})]]))
         for a, b in combinations(range(1, 9), 2)
     )
-    U = SystemSST(domain=A, s=10, t=2, parts=parts)
     with pytest.raises(CapacityError, match="system verification"):
-        U.verify()
+        SystemSST(domain=A, s=10, t=2, parts=parts)
 
 
 def test_system_intersection_search_is_capped():
@@ -706,13 +718,11 @@ def test_system_intersection_search_is_capped():
         DecompositionPart(mask(4, 5), fam(64, [[1, y] for y in range(37, 65)])),
         DecompositionPart(mask(6, 7), fam(64, [list(p) for p in combinations(range(8, 65), 2)])),
     )
-    U = SystemSST(domain=A, s=3, t=2, parts=parts)
     with pytest.raises(CapacityError, match="intersection search"):
-        U.verify()
+        SystemSST(domain=A, s=3, t=2, parts=parts)
     # with a two-member third block the search fits and certifies the system
-    small = dataclasses.replace(U, parts=parts[:2] + (
+    SystemSST(domain=A, s=3, t=2, parts=parts[:2] + (
         DecompositionPart(mask(6, 7), fam(64, [[8, 9], [10, 11]])),))
-    small.verify()
 
 
 def test_smallest_cover_is_capped():
@@ -871,9 +881,25 @@ class TestDeltaFilter:
         assert set(res.family.members) == set(star(A, mask(1)).members)
         assert res.removed.members == (mask(6, 7, 8),)
         assert res.rounds == 2
-        assert res.anchor(mask(1, 2, 3)) == mask(1)
-        with pytest.raises(PreconditionError):
-            res.anchor(mask(6, 7, 8))
+        assert dict(res.chosen)[mask(1, 2, 3)] == mask(1)
+
+    def test_each_round_is_one_pass(self, monkeypatch):
+        # every pass hands its calls one fresh verdict cache
+        caches = []
+        anchor = pipelines._delta_anchor
+
+        def recording(m, G, p, t, verdicts):
+            if not any(c is verdicts for c in caches):
+                caches.append(verdicts)
+            return anchor(m, G, p, t, verdicts)
+
+        monkeypatch.setattr(pipelines, "_delta_anchor", recording)
+        A = Domain.binomial(8, 3)
+        F = star(A, mask(1)).replace_members(
+            list(star(A, mask(1)).members) + [mask(6, 7, 8)]
+        )
+        res = delta_filter(F, 3, 1)
+        assert res.rounds == 2 and len(caches) == 2
 
     def test_removal_cascades_to_a_fixed_point(self):
         # dropping the lone outsider starves the remaining stubs round by

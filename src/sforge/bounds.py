@@ -14,7 +14,10 @@ denominators and made a ``Fraction`` once, at the end.
 
 ``verify_instance`` ties the pieces together: exact optimum by search,
 skeleton-based constructions from below, every registered bound from above,
-and a table that flags any ordering violation.
+and a table that flags any ordering violation.  It builds each construction
+once and checks each family once: on a binomial domain the skeleton lift of
+``example_23`` and ``fstar_family`` is one family, made and verified once
+for both of their rows.
 """
 
 from __future__ import annotations
@@ -332,18 +335,52 @@ def _evaluate(name: str, params: dict, terms: _Terms) -> BoundFormula:
     return BoundFormula(name, p, **row.evaluate(terms, *p.values()))
 
 
-def _bounds_family_size(row: _Formula, k: int, t: int, pred: CorePredicate) -> bool:
-    """Whether the row's formula bounds the size of every pred-free family.
+def _bounds_family_size(row: _Formula, k: int, t: int, admits: list[bool]) -> bool:
+    """Whether the row's formula bounds the size of every family free of
+    the predicate whose ``admits_core_size(c)`` is ``admits[c]``.
 
     Soundness direction: a formula proved for families avoiding a fixed set
     of core sizes transfers to any predicate that forbids at least those
     sizes, since the legal families only shrink.
     """
     sizes = row.avoids(k, t) if row.avoids else None
-    return sizes is not None and all(pred.admits_core_size(c) for c in sizes)
+    return sizes is not None and all(admits[c] for c in sizes)
 
 
 # -- extremal constructions --------------------------------------------------
+
+
+def _check_skeleton(T: SetFamily, s: int) -> None:
+    wit = find_sunflower(T, CorePredicate(s, CoreMode.ANY))
+    if wit is not None:
+        raise PreconditionError(
+            "skeleton carries an s-sunflower", witness=wit.as_report()
+        )
+
+
+def _check_lift_size(out: SetFamily, n: int, k: int, t: int, T: SetFamily) -> None:
+    """``example_23``'s counting identity and closed-form size floor."""
+    expected = len(T) * comb(n - T.support().bit_count(), k - t)
+    if len(out.members) != expected:
+        raise VerificationError(
+            "construction size disagrees with the counting identity",
+            got=len(out.members),
+            expected=expected,
+        )
+    floor = Fraction(len(T) * comb(n - t, k - t))
+    if k > t:
+        floor -= Fraction(t * len(T) ** 2 * (k - t), n - t) * comb(n - t, k - t)
+    if Fraction(len(out.members)) < floor:
+        raise VerificationError(
+            "construction fell below its closed-form size floor",
+            size=len(out.members), floor=str(floor),
+        )
+
+
+def _forbidden(bad) -> VerificationError:
+    return VerificationError(
+        "construction carries a forbidden sunflower", witness=bad.as_report()
+    )
 
 
 def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
@@ -370,38 +407,16 @@ def example_23(n: int, k: int, s: int, t: int, T: SetFamily) -> SetFamily:
     supp = T.support()
     if supp.bit_length() > n:
         raise PreconditionError("skeleton support exceeds the ground set", n=n)
-    wit = find_sunflower(T, CorePredicate(s, CoreMode.ANY))
-    if wit is not None:
-        raise PreconditionError(
-            "skeleton carries an s-sunflower", witness=wit.as_report()
-        )
+    _check_skeleton(T, s)
 
     if comb(n, k) > MEMBER_CAP:
         raise CapacityError("too many k-subsets to enumerate", size=comb(n, k))
     ground = GroundSet(n)
     out = SetFamily(ground, tuple(m for m in bit_subsets(ground.full_mask, k) if (m & supp) in T))
-
-    sigma = supp.bit_count()
-    if len(out.members) != len(T) * comb(n - sigma, k - t):
-        raise VerificationError(
-            "construction size disagrees with the counting identity",
-            got=len(out.members),
-            expected=len(T) * comb(n - sigma, k - t),
-        )
-    floor = Fraction(len(T) * comb(n - t, k - t))
-    if k > t:
-        floor -= Fraction(t * len(T) ** 2 * (k - t), n - t) * comb(n - t, k - t)
-    if Fraction(len(out.members)) < floor:
-        raise VerificationError(
-            "construction fell below its closed-form size floor",
-            size=len(out.members), floor=str(floor),
-        )
+    _check_lift_size(out, n, k, t, T)
     bad = find_sunflower(out, CorePredicate(s, CoreMode.EXACT, t - 1))
     if bad is not None:
-        raise VerificationError(
-            "construction carries a forbidden sunflower",
-            witness=bad.as_report(),
-        )
+        raise _forbidden(bad)
     return out
 
 
@@ -436,23 +451,28 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
             raise PreconditionError(
                 "skeleton set misses the domain shadow", member=T
             )
-    wit = find_sunflower(T_star, CorePredicate(s, CoreMode.ANY))
-    if wit is not None:
-        raise PreconditionError(
-            "skeleton carries an s-sunflower", witness=wit.as_report()
-        )
+    return _domain_lift(A, T_star, s, t, counted=False)
 
+
+def _domain_lift(A: Domain, T_star: SetFamily, s: int, t: int, counted: bool) -> SetFamily:
+    """``fstar_family`` past its argument checks.
+
+    With ``counted`` (a binomial domain, where the result is also
+    ``example_23``'s family) it makes ``example_23``'s checks as well, in the
+    order the two functions would make them one after the other.
+    """
+    _check_skeleton(T_star, s)
     supp = T_star.support()
-    out = A.family.replace_members(
-        m for m in A.family.members if (m & supp) in T_star
-    )
-
+    out = A.family.replace_members(m for m in A.family.members if (m & supp) in T_star)
+    if counted:
+        _check_lift_size(out, A.ground_bits, A.k, t, T_star)
     bad = find_sunflower(out, CorePredicate(s, CoreMode.AT_MOST, t - 1))
     if bad is not None:
-        raise VerificationError(
-            "construction carries a forbidden sunflower",
-            witness=bad.as_report(),
-        )
+        # every core-exactly-(t-1) witness is also one of this check, so
+        # example_23's own check, which would have come first, runs only here
+        if counted:
+            bad = find_sunflower(out, CorePredicate(s, CoreMode.EXACT, t - 1)) or bad
+        raise _forbidden(bad)
     spread_r = A.nominal_parameters().get("spread_r")
     if spread_r is not None and t < A.k:
         gap = len(trace_cover(A.family, T_star, A.index).members) - len(out.members)
@@ -486,6 +506,10 @@ def verify_instance(
     have their hypotheses met.  Any ordering violation lands in
     ``violations`` rather than raising.  Exhausting the search budget
     downgrades the report to bounds-only.
+
+    Each construction is built once and each family checked once: on a
+    binomial domain the ``skeleton-lift`` and ``domain-skeleton`` rows share
+    one family with the checks of both ``example_23`` and ``fstar_family``.
     """
     if not (2 <= s and 1 <= t <= A.k):
         raise PreconditionError("need s >= 2 and 1 <= t <= domain uniformity")
@@ -504,26 +528,34 @@ def verify_instance(
     optimum = search.optimum if search.certified else None
 
     constructions = []  # (kind, size, legal)
-
-    def admit(kind: str, F: SetFamily) -> None:
-        constructions.append((kind, len(F.members), family_is_free(F, pred)))
-
     kernel = None
     if t * (s - 1) <= n:
-        kernel = SetFamily.from_sets(n, product_kernel(s, t).as_sets())
+        kernel = SetFamily(GroundSet(n), product_kernel(s, t).members)
+    kinds = []
     if kernel is not None and A.kind == "binomial":
-        admit("skeleton-lift", example_23(n, k, s, t, kernel))
+        kinds.append("skeleton-lift")
     if kernel is not None and all(T in A.table for T in kernel.members):
-        admit("domain-skeleton", fstar_family(A, kernel, s))
+        kinds.append("domain-skeleton")
+    if kinds:
+        # on a binomial domain example_23 and fstar_family build the same
+        # family, all k-subsets: it is built and checked once for both rows
+        lift = (_domain_lift(A, kernel, s, t, counted=True) if A.kind == "binomial"
+                else fstar_family(A, kernel, s))
+        # the lift has passed the check for cores below t
+        legal = pred == CorePredicate(s, CoreMode.AT_MOST, t - 1) or family_is_free(lift, pred)
+        constructions += [(kind, len(lift.members), legal) for kind in kinds]
     if A.family.members:
-        admit("single-member", A.family.replace_members(A.family.members[:1]))
+        single = A.family.replace_members(A.family.members[:1])
+        constructions.append(("single-member", 1, family_is_free(single, pred)))
     best_size = max((size for _, size, legal in constructions if legal), default=None)
 
     nkst = {"n": n, "k": k, "s": s, "t": t}
     terms = _Terms()
+    # an s-sunflower of k-sets has a core of at most k - 1 elements
+    admits = [pred.admits_core_size(c) for c in range(k)]
     rows = [
         (_evaluate(name, nkst, terms),
-         _bounds_family_size(_FORMULAS[name], k, t, pred))
+         _bounds_family_size(_FORMULAS[name], k, t, admits))
         for name in bound_names()
     ]
 

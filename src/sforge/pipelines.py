@@ -1615,13 +1615,14 @@ class DeltaFilterResult:
 def _delta_anchor(
     m: int, G: SetFamily, p: int, t: int, verdicts: dict[int, bool]
 ) -> Optional[int]:
-    """The lex-least valid t-subset of m, by element tuples, or None.
+    """The lex-least valid t-subset of m, by element tuples, or None;
+    ``bit_subsets`` yields the t-subsets in that order.
 
     ``verdicts`` caches, per core E, whether E has p disjoint petals in G; it
     must only be shared between calls on the same G.
     """
     members = G.members
-    for T in sorted(bit_subsets(m, t), key=elements_of):
+    for T in bit_subsets(m, t):
         ok = True
         rest = m & ~T
         for j in range(0, rest.bit_count()):

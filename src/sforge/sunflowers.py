@@ -300,29 +300,21 @@ def max_sunflower_free(
     M, s = len(members), pred.s
     admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
     third = _third_petals(members, admits) if s > 2 else None
-    rows: dict[int, list] = {}  # i -> [third(i, j) for j < i], filled on first use
+    rows: list = [None] * M  # rows[i] = [third(i, j) for j < i], filled on first use
     roots = (1 << M) - 1
     if pred.degenerate_small_sets:
         roots = sum(1 << j for j, m in enumerate(members) if m.bit_count() > pred.bound)  # type: ignore[operator]
     full = symmetry == "full"
 
-    def survivors(fam: list[int], i: int, rest: int) -> int:
+    def survivors(fam: list[int], i: int, rest: int, touched: int) -> int:
+        """The candidates in ``rest`` still free once members[i] joins fam;
+        for s >= 4 only those in ``touched`` (third(i, j) over fam) can go."""
         x = members[i]
         if s == 2:  # each c whose core with x has an admissible size goes
             for e in elements_of(rest):
                 if admits[(x & members[e - 1]).bit_count()]:
                     rest ^= 1 << e - 1
             return rest
-        if i not in rows:
-            rows[i] = [None] * i
-        row, touched = rows[i], 0
-        for j in fam:
-            got = row[j]
-            if got is None:
-                got = row[j] = third(i, j)
-            touched |= got
-        if s == 3:
-            return rest & ~touched
         for e in elements_of(touched & rest):  # member e - 1
             core, union = x & members[e - 1], x | members[e - 1]
             petals = [members[j] & ~core for j in fam if members[j] & union == core]
@@ -334,7 +326,7 @@ def max_sunflower_free(
     # ancestor is one (candidates, prefix) entry of ``stack``
     fam: list[int] = []
     stack: list[tuple[int, int]] = []
-    nodes, depth, best = 1, 0, []  # the root is the first node
+    nodes, depth, best, best_size = 1, 0, [], 0  # the root is the first node
     certified = nodes <= budget
     cands, prefix = (roots if certified else 0), 0
     while True:
@@ -342,14 +334,27 @@ def max_sunflower_free(
             low = cands & -cands
             cands ^= low  # now the candidates above idx
             idx = low.bit_length() - 1
-            if depth + M - idx > len(best):
+            if depth + M - idx > best_size:
                 new_prefix = prefix
                 if full:
                     fresh = members[idx] >> prefix
                     if fresh & (fresh + 1):
                         continue  # fresh labels not a contiguous next block
                     new_prefix = prefix + fresh.bit_length()
-                rest = survivors(fam, idx, cands) if cands else 0
+                rest = 0
+                if cands and s == 2:
+                    rest = survivors(fam, idx, cands, 0)
+                elif cands:  # the OR of third(idx, j) over fam, inline: every node runs it
+                    row = rows[idx]
+                    if row is None:
+                        row = rows[idx] = [None] * idx
+                    touched = 0
+                    for j in fam:
+                        got = row[j]
+                        if got is None:
+                            got = row[j] = third(idx, j)
+                        touched |= got
+                    rest = cands & ~touched if s == 3 else survivors(fam, idx, cands, touched)
                 nodes += 1
                 if nodes > budget:
                     certified = False
@@ -357,11 +362,11 @@ def max_sunflower_free(
                 stack.append((cands, prefix))
                 fam.append(idx)
                 cands, prefix, depth = rest, new_prefix, depth + 1
-                if depth > len(best):
+                if depth > best_size:
                     if depth > _DEPTH_CAP:
                         raise CapacityError("search depth past the cap",
                                             depth=depth, cap=_DEPTH_CAP)
-                    best = list(fam)
+                    best, best_size = list(fam), depth
                 continue
         # out of candidates, or the bound fails: leave the frame
         if not stack:
@@ -370,7 +375,7 @@ def max_sunflower_free(
         fam.pop()
         depth -= 1
     return SearchResult(
-        optimum=len(best),
+        optimum=best_size,
         witness=candidates.replace_members(members[j] for j in best),
         nodes=nodes,
         certified=certified,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sforge import bounds
+from sforge import bounds, sunflowers
 from sforge.bounds import (
     BoundFormula,
     bound_names,
@@ -19,6 +19,7 @@ from sforge.family import SetFamily, trace_cover
 from sforge.sunflowers import (
     CoreMode,
     CorePredicate,
+    family_is_free,
     find_sunflower,
     oracle_max_sunflower_free,
     product_kernel,
@@ -323,6 +324,58 @@ class TestVerifyInstance:
         a = verify_instance(Domain.binomial(6, 2), 3, 2)
         b = verify_instance(Domain.binomial(6, 2), 3, 2)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestConstructionsOncePerCall:
+    @pytest.mark.parametrize("n, k", [(7, 2), (6, 3)])
+    def test_verify_runs_three_sunflower_searches(self, monkeypatch, n, k):
+        # the skeleton, the one lift for both construction rows, and the
+        # single member
+        A = Domain.binomial(n, k)
+        calls = []
+        real = sunflowers.find_sunflower
+
+        def counting(F, pred):
+            calls.append(pred)
+            return real(F, pred)
+
+        monkeypatch.setattr(bounds, "find_sunflower", counting)
+        monkeypatch.setattr(sunflowers, "find_sunflower", counting)
+        rep = verify_instance(A, 3, 2)
+        assert [c["kind"] for c in rep["constructions"]] == [
+            "skeleton-lift", "domain-skeleton", "single-member"]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("A", [
+        Domain.binomial(6, 2), Domain.binomial(6, 3),
+        Domain.sequences(3, 2), Domain.kpartite_product(3, (2, 1)),
+    ], ids=["binomial(6,2)", "binomial(6,3)", "sequences(3,2)", "kpartite(3,[2,1])"])
+    def test_legal_flags_match_the_public_constructions(self, A):
+        # every predicate a caller may pass, not only the default one
+        n, k = A.ground_bits, A.k
+        for s in (2, 3):
+            preds = [CorePredicate(s, CoreMode.ANY)]
+            for bound in range(k + 1):
+                preds += [CorePredicate(s, CoreMode.EXACT, bound),
+                          CorePredicate(s, CoreMode.AT_MOST, bound),
+                          CorePredicate(s, CoreMode.AT_MOST, bound, True)]
+            for t in range(1, k + 1):
+                if t * (s - 1) > n:
+                    continue
+                kernel = fam(n, product_kernel(s, t).as_sets())
+                families = {}
+                if A.kind == "binomial":
+                    families["skeleton-lift"] = example_23(n, k, s, t, kernel)
+                if all(T in A.table for T in kernel.members):
+                    families["domain-skeleton"] = fstar_family(A, kernel, s)
+                for pred in preds:
+                    # the constructions do not depend on the search
+                    rep = verify_instance(A, s, t, pred=pred, budget=0)
+                    rows = rep["constructions"]
+                    assert [c["kind"] for c in rows] == [*families, "single-member"]
+                    for c, F in zip(rows, families.values()):
+                        assert (c["size"], c["legal"]) == (len(F), family_is_free(F, pred)), \
+                            (c["kind"], s, t, pred.describe())
 
 
 def _bound_row(rep, name):

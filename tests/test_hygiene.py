@@ -21,7 +21,9 @@ Threshold packing searches ("are there p disjoint masks?") go through
 ``packing.find_packing``, which runs the transversal pre-check first; no
 other module calls ``max_disjoint`` with ``stop_at`` or ``matching_number``
 with ``at_least``.  The h-subsets of a set come from ``family.bit_subsets``;
-no other module calls ``combinations(range(...), ...)``.  A certificate's
+no other module calls ``combinations(range(...), ...)``, and no ``sorted``
+wraps a ``bit_subsets`` call, which already yields the lexicographic order
+of element lists.  A certificate's
 ``verify`` runs when its object is built: no code calls ``.verify()``
 except a ``__post_init__``.
 """
@@ -432,3 +434,39 @@ def test_verify_call_checker_flags_a_repeated_check():
         "Decomposition().verify()\n"
     )
     assert verify_calls(src) == ["line 8: reduce_intersections", "line 10: inner", "line 12: <module>"]
+
+
+def sorted_bit_subsets(source: str) -> list[str]:
+    """The lines of ``sorted(...)`` calls with a ``bit_subsets(...)`` call
+    inside their arguments."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted"):
+            continue
+        for inner in ast.walk(node):
+            fn = inner.func if isinstance(inner, ast.Call) else None
+            name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+            if name == "bit_subsets":
+                out.append(node.lineno)
+                break
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_bit_subsets_are_not_sorted_again(path):
+    assert sorted_bit_subsets(path.read_text(encoding="utf-8")) == []
+
+
+def test_sorted_bit_subsets_checker_flags_the_resorts():
+    src = (
+        "from . import family\n"
+        "from .family import bit_subsets, elements_of\n"
+        "def f(m, t, masks):\n"
+        "    for T in sorted(bit_subsets(m, t), key=elements_of):\n"
+        "        pass\n"
+        "    a = sorted(x | 1 for x in family.bit_subsets(m, 2))\n"
+        "    b = list(bit_subsets(m, t)), sorted(masks), sorted(masks, key=elements_of)\n"
+        "    return a, b, [sorted(elements_of(T)) for T in bit_subsets(m, t)]\n"
+    )
+    assert sorted_bit_subsets(src) == ["line 4", "line 6"]

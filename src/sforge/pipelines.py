@@ -14,6 +14,13 @@ asserted and raise :class:`VerificationError` when violated.  Guarantees that
 only hold under large-parameter hypotheses are recorded as
 :class:`BoundRecord` entries with a ``hypotheses_met`` flag, so a "fails"
 verdict on a desk-scale instance is information rather than an error.
+
+Shared pieces: ``_peel`` takes dense stars off a family, largest core
+first; ``_layer_round`` runs it on the top layer of a working family for
+``simplify`` and ``peel_high_uniformity``; ``_kernel_scale`` brackets the
+kernel scale (2^14 s log2 x)^t that the bound records share; and
+``_small_core_sunflower`` is the one search for an s-sunflower whose core
+is below t.
 """
 
 from __future__ import annotations
@@ -97,12 +104,15 @@ def _exactly(x) -> tuple[Fraction, Fraction]:
     return f, f
 
 
-def _verdict(lhs: Fraction, rhs_lo: Fraction, rhs_hi: Fraction) -> str:
-    if lhs <= rhs_lo:
-        return "holds"
-    if lhs > rhs_hi:
-        return "fails"
-    return "unresolved"
+def _kernel_scale(s: int, t: int, x, *factors) -> tuple[Fraction, Fraction]:
+    """A certified bracket of (2^14 s log2 x)^t times the brackets in
+    ``factors``; exactly 0 at x = 1, where nothing is multiplied."""
+    if x == 1:
+        return _exactly(0)
+    out = _iv_pow(_iv_mul(_exactly(2 ** 14 * s), frac_log2_bracket(x)), t)
+    for f in factors:
+        out = _iv_mul(out, f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,8 @@ def _record(
 ) -> BoundRecord:
     lhs = Fraction(lhs)
     lo, hi = rhs
-    return BoundRecord(name, lhs, lo, hi, _verdict(lhs, lo, hi), hypotheses_met, note)
+    verdict = "holds" if lhs <= lo else "fails" if lhs > hi else "unresolved"
+    return BoundRecord(name, lhs, lo, hi, verdict, hypotheses_met, note)
 
 
 def _iroot_floor(n: int, j: int) -> int:
@@ -494,65 +505,40 @@ def spread_approximation(
     remainder = F.replace_members(())
     stop = "exhausted"
     for best, members in _peel(F.members, overdense):
-        fsize = len(members)
-        if best is None:
-            if not members:
-                break
-            mu = Fraction(fsize, asize)
-            if floor is not None and mu < floor:
-                remainder = F.replace_members(members)
-                stop = "thin"
-                trace.append({"action": "remainder", "reason": "thin", "size": fsize})
-                break
-            parts.append(DecompositionPart(0, F.replace_members(members)))
-            trace.append({"action": "part", "core": [], "size": fsize})
+        if best is None and not members:
+            break
+        # with no overdense core left the whole family is the part of core 0
+        core = best or 0
+        link_members = tuple(m & ~core for m in members if m & core == core)
+        mu_link = Fraction(len(link_members), table[core])
+        below_floor = floor is not None and mu_link < floor
+        if core.bit_count() > q:
+            reason, detail = "depth", {"core": list(elements_of(core)), "size": len(members)}
+        elif below_floor and core:
+            reason = "floor"
+            detail = {"core": list(elements_of(core)), "link_measure": str(mu_link)}
+        elif below_floor:
+            reason, detail = "thin", {"size": len(members)}
+        else:
+            parts.append(DecompositionPart(core, F.replace_members(link_members)))
+            trace.append(
+                {"action": "part", "core": list(elements_of(core)), "size": len(link_members)}
+            )
+            if core:
+                continue
             stop = "homogeneous"
             break
-        bsize = best.bit_count()
-        link_members = tuple(m & ~best for m in members if m & best == best)
-        if bsize > q:
-            remainder = F.replace_members(members)
-            stop = "depth"
-            trace.append(
-                {
-                    "action": "remainder",
-                    "reason": "depth",
-                    "core": list(elements_of(best)),
-                    "size": fsize,
-                }
-            )
-            break
-        mu_link = Fraction(len(link_members), table[best])
-        if floor is not None and mu_link < floor:
-            remainder = F.replace_members(members)
-            stop = "floor"
-            trace.append(
-                {
-                    "action": "remainder",
-                    "reason": "floor",
-                    "core": list(elements_of(best)),
-                    "link_measure": str(mu_link),
-                }
-            )
-            break
-        parts.append(DecompositionPart(best, F.replace_members(link_members)))
-        trace.append(
-            {
-                "action": "part",
-                "core": list(elements_of(best)),
-                "size": len(link_members),
-            }
-        )
+        remainder = F.replace_members(members)
+        stop = reason
+        trace.append({"action": "remainder", "reason": reason, **detail})
+        break
 
-    records = []
     rsize = len(remainder.members)
-    plain_cap = Fraction(asize) * tau ** -(q + 1)
-    if floor is None:
-        cap = plain_cap
-        records.append(_record("remainder-size", rsize, _exactly(cap)))
-    else:
-        cap = max(plain_cap, floor * asize)
-        records.append(_record("remainder-size", rsize, _exactly(cap)))
+    cap = Fraction(asize) * tau ** -(q + 1)
+    if floor is not None:
+        cap = max(cap, floor * asize)
+    records = [_record("remainder-size", rsize, _exactly(cap))]
+    if floor is not None:
         records.append(
             _record(
                 "remainder-display",
@@ -630,16 +616,37 @@ class SimplifyResult:
         }
 
 
-def _stage_consistency(fam: SetFamily, s: int, t: int, where: str) -> None:
-    w = find_sunflower(
-        fam, CorePredicate(s, CoreMode.AT_MOST, t - 1, degenerate_small_sets=True)
+def _layer_round(
+    cur: SetFamily, top_size: int, i: int, dense: Callable[[int, int, tuple[int, ...]], bool]
+) -> tuple[tuple[ExtractionStep, ...], tuple[int, ...], list[int]]:
+    """Round ``i`` of peeling the top layer, the members of size ``top_size``.
+
+    ``_peel`` takes dense stars off the layer until no core is dense or the
+    densest is a whole member.  Returns the extraction of each star (its
+    core and link, in order), the residual layer, and the smaller members
+    that the round does not touch.  The stars are checked to be exactly
+    the members that left the layer.
+    """
+    top = [m for m in cur.members if m.bit_count() == top_size]
+    steps: list[ExtractionStep] = []
+    removed: set[int] = set()
+    for best, W in _peel(top, dense):
+        if best is None or best.bit_count() == top_size:
+            break
+        block = [m for m in W if m & best == best]
+        steps.append(ExtractionStep(i, best, cur.replace_members(m & ~best for m in block)))
+        removed.update(block)
+    if set(top) - set(W) != removed:
+        raise VerificationError("round blocks do not account for the removed sets")
+    return tuple(steps), W, [m for m in cur.members if m.bit_count() < top_size]
+
+
+def _small_core_sunflower(F: SetFamily, s: int, t: int):
+    """An s-sunflower of F with a core below t, members below t counting as
+    degenerate ones, or None."""
+    return find_sunflower(
+        F, CorePredicate(s, CoreMode.AT_MOST, t - 1, degenerate_small_sets=True)
     )
-    if w is not None:
-        raise VerificationError(
-            "a working stage lost sunflower-freeness",
-            stage=where,
-            witness=w.as_report(),
-        )
 
 
 def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
@@ -680,20 +687,23 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
         raise PreconditionError(
             "t exceeds the largest member size", t=t, largest=q
         )
-    pre = find_sunflower(
-        S, CorePredicate(s, CoreMode.AT_MOST, t - 1, degenerate_small_sets=True)
-    )
+    pre = _small_core_sunflower(S, s, t)
     if pre is not None:
         raise PreconditionError(
             "input family carries an s-sunflower with a small core",
             witness=pre.as_report(),
         )
+    return _simplify(S, A, s, t, eps, q)
 
+
+def _simplify(
+    S: SetFamily, A: Domain, s: int, t: int, eps: Fraction, q: int
+) -> SimplifyResult:
+    """The layer loop of ``simplify`` on a family that passed its checks,
+    with q its largest member size."""
     thr = ExtractionThreshold(s, q, t)
-    nominal = A.nominal_parameters()
-    eps_r_ok = False
-    if "spread_r" in nominal:
-        eps_r_ok = eps * nominal["spread_r"] > Fraction(2 ** 17 * s * q)
+    r = A.nominal_parameters().get("spread_r")
+    eps_r_ok = r is not None and eps * r > Fraction(2 ** 17 * s * q)
 
     def overdense(x: int, c: int, members: tuple[int, ...]) -> bool:
         # strict, so the empty core (c = |members|) never is
@@ -707,36 +717,17 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
 
     for i in range(q - t):
         top_size = q - i
-        top = [m for m in cur.members if m.bit_count() == top_size]
-        carry = [m for m in cur.members if m.bit_count() < top_size]
-        round_cores: list[int] = []
-        block_union: set[int] = set()
-        for best, W in _peel(top, overdense):
-            if best is None or best.bit_count() == top_size:
-                break
-            block = [m for m in W if m & best == best]
-            link_members = tuple(m & ~best for m in block)
-            if not thr.spread_ok(link_members):
+        steps, W, carry = _layer_round(cur, top_size, i, overdense)
+        for step in steps:
+            if not thr.spread_ok(step.family.members):
                 raise VerificationError(
                     "extracted block is not spread at the working scale",
                     round=i,
-                    core=list(elements_of(best)),
+                    core=list(elements_of(step.core)),
                 )
-            extractions.append(
-                ExtractionStep(i, best, cur.replace_members(link_members))
-            )
-            round_cores.append(best)
-            block_union.update(block)
-        # round partition identity: removed top sets are exactly the blocks
-        if set(top) - set(W) != block_union:
-            raise VerificationError("round blocks do not account for the removed sets")
-        residual = cur.replace_members(W)
-        layers.append(residual)
-        log_top = frac_log2_bracket(top_size)
-        rhs = _iv_mul(
-            _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_top), t),
-            _iv_pow(thr.bracket(), top_size - t),
-        )
+        extractions.extend(steps)
+        layers.append(cur.replace_members(W))
+        rhs = _kernel_scale(s, t, top_size, _iv_pow(thr.bracket(), top_size - t))
         records.append(
             _record(
                 f"layer-{i}",
@@ -746,9 +737,15 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
                 note=f"residual top layer of round {i}",
             )
         )
-        cur = cur.replace_members(set(round_cores) | set(carry))
+        cur = cur.replace_members({step.core for step in steps} | set(carry))
         stages.append(cur)
-        _stage_consistency(cur, s, t, where=f"round-{i}")
+        w = _small_core_sunflower(cur, s, t)
+        if w is not None:
+            raise VerificationError(
+                "a working stage lost sunflower-freeness",
+                stage=f"round-{i}",
+                witness=w.as_report(),
+            )
 
     core = cur
     for m in core.members:
@@ -760,25 +757,17 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
             )
     # distinct t-sets meet in fewer than t elements, so every s-sunflower of
     # the t-uniform core family has a core of size at most t-1: the last
-    # _stage_consistency, or with no rounds the input check, ruled them out
+    # round's stage check, or with no rounds the input check, ruled them out
 
     covered = trace_cover(S, core)
     uncovered = family_minus(S, covered)
     # an empty uncovered family needs no member index, which a fresh domain would build
     lhs_total = len(trace_cover(A.family, uncovered, A.index).members) if uncovered.members else 0
-    if t == 1:
-        rhs_total = _exactly(0)
-    else:
-        log_t = frac_log2_bracket(t)
-        rhs_total = _iv_mul(
-            _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t),
-            _exactly(eps / (1 - eps) * A.max_link(t)[1]),
-        )
     records.append(
         _record(
             "uncovered-ambient",
             lhs_total,
-            rhs_total,
+            _kernel_scale(s, t, t, _exactly(eps / (1 - eps) * A.max_link(t)[1])),
             hypotheses_met=t >= 2 and eps_r_ok,
             note="domain members above inputs missed by the core family",
         )
@@ -859,19 +848,12 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
             source=F, mode="direct", core_family=empty, residue=empty,
             decomposition=None, reduction=None,
         )
-    pre = find_sunflower(
-        F, CorePredicate(s, CoreMode.AT_MOST, t - 1, degenerate_small_sets=True)
-    )
+    pre = _small_core_sunflower(F, s, t)
     if pre is not None:
         raise PreconditionError(
             "family carries an s-sunflower with a small core", witness=pre.as_report()
         )
-    nominal = A.nominal_parameters()
-    if "spread_r" not in nominal:
-        raise PreconditionError(
-            "domain lacks a nominal spreadness", kind=A.kind
-        )
-    r = nominal["spread_r"]
+    r = _nominal_spread(A)
     eps = Fraction(1, 2)
 
     # hypotheses of the covering statement, decided by brackets
@@ -885,115 +867,87 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
     trace: list[dict] = []
 
     if Fraction(k) <= w:
-        red = simplify(F, A, s, t, eps)
-        core = red.core_family
-        residue = family_minus(F, trace_cover(F, core))
-        records.extend(_cover_remainder_record(residue, A, s, t, r, log2_r, hyps))
-        return CoverResult(
-            source=F, mode="direct", core_family=core, residue=residue,
-            decomposition=None, reduction=red,
-            records=tuple(records), trace=tuple(trace),
-        )
+        # F passed every check simplify would make: it is a nonempty
+        # k-uniform subfamily of A, t <= k, with no small-core sunflower
+        mode, deco = "direct", None
+        red = _simplify(F, A, s, t, eps, k)
+    else:
+        mode = "chain"
+        R = r / 2
 
-    R = r / 2
+        def unspread(S: int, c: int, members: tuple[int, ...]) -> bool:
+            j = S.bit_count()
+            return S != 0 and c * R.numerator**j >= len(members) * R.denominator**j
 
-    def unspread(S: int, c: int, members: tuple[int, ...]) -> bool:
-        j = S.bit_count()
-        return S != 0 and c * R.numerator**j >= len(members) * R.denominator**j
-
-    parts: list[DecompositionPart] = []
-    remainder = empty
-    stop_core: Optional[int] = None
-    stop_reason = "exhausted"
-    for best, members in _peel(F.members, unspread):
-        if best is None:
-            if members:
+        parts: list[DecompositionPart] = []
+        remainder = empty
+        stop_core: Optional[int] = None
+        stop_reason = "exhausted"
+        for best, members in _peel(F.members, unspread):
+            if best is None:
+                if members:
+                    remainder = F.replace_members(members)
+                    stop_reason = "spread"
+                    trace.append({"action": "stop", "reason": "spread", "left": len(members)})
+                break
+            bsize = best.bit_count()
+            if Fraction(bsize) > w or bsize < t:
                 remainder = F.replace_members(members)
-                stop_reason = "spread"
-                trace.append({"action": "stop", "reason": "spread", "left": len(members)})
-            break
-        bsize = best.bit_count()
-        if Fraction(bsize) > w or bsize < t:
-            remainder = F.replace_members(members)
-            stop_core = best
-            stop_reason = "depth" if Fraction(bsize) > w else "small-core"
+                stop_core = best
+                stop_reason = "depth" if Fraction(bsize) > w else "small-core"
+                trace.append(
+                    {"action": "stop", "reason": stop_reason, "core": list(elements_of(best))}
+                )
+                break
+            link_members = tuple(m & ~best for m in members if m & best == best)
+            parts.append(DecompositionPart(best, F.replace_members(link_members)))
             trace.append(
-                {"action": "stop", "reason": stop_reason, "core": list(elements_of(best))}
+                {"action": "part", "core": list(elements_of(best)), "size": len(link_members)}
             )
-            break
-        link_members = tuple(m & ~best for m in members if m & best == best)
-        parts.append(DecompositionPart(best, F.replace_members(link_members)))
-        trace.append(
-            {"action": "part", "core": list(elements_of(best)), "size": len(link_members)}
+
+        deco = Decomposition(
+            source=F,
+            domain=A,
+            parts=tuple(parts),
+            remainder=remainder,
+            q=w,
+            spread_r=R,
+            trace=tuple(trace),
         )
 
-    deco = Decomposition(
-        source=F,
-        domain=A,
-        parts=tuple(parts),
-        remainder=remainder,
-        q=w,
-        spread_r=R,
-        trace=tuple(trace),
-    )
-
-    if stop_reason == "depth" and stop_core is not None and stop_core.bit_count() >= t:
-        rt = check_rt_spread(A, r, t)
-        if rt.ok:
-            j = stop_core.bit_count()
-            a_t = A.max_link(t)[1]
-            cap = R ** j * r ** (t - j) * a_t
-            records.append(_record("residue-chain", len(remainder.members), _exactly(cap)))
-            if Fraction(len(remainder.members)) > cap:
-                raise VerificationError(
-                    "chain remainder exceeds its certified cap",
-                    remainder=len(remainder.members),
-                    cap=str(cap),
+        if stop_reason == "depth" and stop_core is not None and stop_core.bit_count() >= t:
+            rt = check_rt_spread(A, r, t)
+            if rt.ok:
+                j = stop_core.bit_count()
+                a_t = A.max_link(t)[1]
+                cap = R ** j * r ** (t - j) * a_t
+                records.append(_record("residue-chain", len(remainder.members), _exactly(cap)))
+                if Fraction(len(remainder.members)) > cap:
+                    raise VerificationError(
+                        "chain remainder exceeds its certified cap",
+                        remainder=len(remainder.members),
+                        cap=str(cap),
+                    )
+            else:
+                records.append(
+                    _record(
+                        "residue-chain",
+                        len(remainder.members),
+                        _exactly(len(remainder.members)),
+                        hypotheses_met=False,
+                        note="domain is not (r,t)-spread; chain cap not certified",
+                    )
                 )
-        else:
-            records.append(
-                _record(
-                    "residue-chain",
-                    len(remainder.members),
-                    _exactly(len(remainder.members)),
-                    hypotheses_met=False,
-                    note="domain is not (r,t)-spread; chain cap not certified",
-                )
-            )
 
-    cores = F.replace_members(p.core for p in parts)
-    if cores.members:
-        red = simplify(cores, A, s, t, eps)
-        core = red.core_family
-    else:
-        red = None
-        core = empty
+        cores = F.replace_members(p.core for p in parts)
+        red = simplify(cores, A, s, t, eps) if cores.members else None
+
+    core = empty if red is None else red.core_family
     residue = family_minus(F, trace_cover(F, core))
-    records.extend(_cover_remainder_record(residue, A, s, t, r, log2_r, hyps))
-    return CoverResult(
-        source=F, mode="chain", core_family=core, residue=residue,
-        decomposition=deco, reduction=red,
-        records=tuple(records), trace=tuple(trace),
+    rhs = _kernel_scale(
+        s, t, t, _exactly(Fraction(2 ** 19 * s * (t + 1)) / r), log2_r, _exactly(A.max_link(t)[1])
     )
-
-
-def _cover_remainder_record(
-    residue: SetFamily, A: Domain, s: int, t: int, r: Fraction,
-    log2_r: tuple[Fraction, Fraction], hyps: bool,
-) -> list[BoundRecord]:
-    a_t = A.max_link(t)[1]
-    if t == 1:
-        rhs = _exactly(0)
-    else:
-        log_t = frac_log2_bracket(t)
-        rhs = _iv_mul(
-            _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t),
-            _iv_mul(
-                _iv_mul(_exactly(Fraction(2 ** 19 * s * (t + 1), 1) / r), log2_r),
-                _exactly(a_t),
-            ),
-        )
-    return [
+    records.append(
         _record(
             "cover-remainder",
             len(residue.members),
@@ -1001,7 +955,20 @@ def _cover_remainder_record(
             hypotheses_met=hyps,
             note="uncovered members against the covering statement",
         )
-    ]
+    )
+    return CoverResult(
+        source=F, mode=mode, core_family=core, residue=residue,
+        decomposition=deco, reduction=red,
+        records=tuple(records), trace=tuple(trace),
+    )
+
+
+def _nominal_spread(A: Domain) -> Fraction:
+    """The domain's nominal spreadness r; a domain without one is refused."""
+    r = A.nominal_parameters().get("spread_r")
+    if r is None:
+        raise PreconditionError("domain lacks a nominal spreadness", kind=A.kind)
+    return r
 
 
 # -- intersection systems ----------------------------------------------------
@@ -1291,9 +1258,7 @@ def _phi_interval(s: int, t: int) -> tuple[Fraction, Fraction]:
     if s == 2:
         return _exactly(1)
     lo = Fraction(6) if (s, t) == (3, 2) else Fraction(1)
-    log_t = frac_log2_bracket(t)
-    hi = (Fraction(2 ** 14 * s) * log_t[1]) ** t
-    return lo, hi
+    return lo, _kernel_scale(s, t, t)[1]
 
 
 def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
@@ -1312,10 +1277,7 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
     if U.domain.family.members != A.family.members:
         raise PreconditionError("system was built over a different domain")
     s, t = U.s, U.t
-    nominal = A.nominal_parameters()
-    if "spread_r" not in nominal:
-        raise PreconditionError("domain lacks a nominal spreadness", kind=A.kind)
-    r = nominal["spread_r"]
+    r = _nominal_spread(A)
     eps = Fraction(2) / (r + 2)
 
     layer = A.shadow_layer(t - 1)
@@ -1391,15 +1353,9 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
         S for S in shadows if any(S & T == T for T in out.members)
     }
     left = sum(len(fam_of[S].members) for S in shadows if S not in covered_cores)
-    if t == 1:
-        rem_rhs = _exactly(0)
-    else:
-        log_t = frac_log2_bracket(t)
-        a_t = A.max_link(t)[1]
-        rem_rhs = _iv_mul(
-            _iv_mul(_exactly(Fraction(4) / (lam * r)), ln_shadow),
-            _iv_mul(_iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t), _exactly(a_t)),
-        )
+    rem_rhs = _kernel_scale(
+        s, t, t, _exactly(Fraction(4) / (lam * r)), ln_shadow, _exactly(A.max_link(t)[1])
+    )
     records.append(
         _record(
             "cluster-remainder",
@@ -1515,10 +1471,6 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
     records: list[BoundRecord] = []
     for i in range(k - 2 * t - 1):
         top_size = k - i
-        top = [m for m in cur.members if m.bit_count() == top_size]
-        carry = [m for m in cur.members if m.bit_count() < top_size]
-        big: list[int] = []
-        small: list[int] = []
 
         def spread_link(x: int, c: int, members: tuple[int, ...]) -> bool:
             # the c link members have size j = top_size - |x|; with c < alpha^j
@@ -1528,17 +1480,10 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
                 F.replace_members(m & ~x for m in members if m & x == x), alpha
             ).ok
 
-        for best, W in _peel(top, spread_link):
-            if best is None:
-                break
-            link_members = tuple(m & ~best for m in W if m & best == best)
-            extractions.append(
-                ExtractionStep(i, best, cur.replace_members(link_members))
-            )
-            if best.bit_count() > 2 * t - 1:
-                big.append(best)
-            else:
-                small.append(best)
+        steps, W, carry = _layer_round(cur, top_size, i, spread_link)
+        extractions.extend(steps)
+        big = [e.core for e in steps if e.core.bit_count() > 2 * t - 1]
+        small = [e.core for e in steps if e.core.bit_count() <= 2 * t - 1]
         w_layers.append(cur.replace_members(W))
         cap = alpha ** top_size
         records.append(_record(f"residual-{i}", len(W), _exactly(cap)))

@@ -898,3 +898,16 @@ def test_an_oversized_phi_universe_exits_3_at_once():
     result = invoke("sunflower", "phi", "--petals", 2, "--core-size", 4, "--support", 64, expect=3)
     assert time.perf_counter() - start < 1
     assert error_of(result)["error"] == "CapacityError"
+
+
+def test_a_cover_of_a_family_with_a_small_core_sunflower_is_refused():
+    # direct mode (k = 3 <= w); the error is down_closed_cover's own, not simplify's
+    matching = json.dumps({"n": 9, "sets": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]})
+    domain = json.dumps({"kind": "binomial", "n": 9, "k": 3})
+    result = invoke("pipeline", "cover", matching, "--domain", domain,
+                    "--petals", 3, "--core-size", 1, "--w", 3, expect=1)
+    assert result.stdout_bytes == b""
+    assert result.stderr == (
+        '{"details":{"witness":"{\'core\': [], \'sets\': [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}"},'
+        '"error":"PreconditionError","message":"family carries an s-sunflower with a small core"}\n'
+    )

@@ -25,7 +25,8 @@ no other module calls ``combinations(range(...), ...)``, and no ``sorted``
 wraps a ``bit_subsets`` call, which already yields the lexicographic order
 of element lists.  A certificate's
 ``verify`` runs when its object is built: no code calls ``.verify()``
-except a ``__post_init__``.
+except a ``__post_init__``.  In ``pipelines.py`` the kernel scale
+``2 ** 14`` is built only by ``_kernel_scale`` and ``ExtractionThreshold``.
 """
 
 import ast
@@ -470,3 +471,51 @@ def test_sorted_bit_subsets_checker_flags_the_resorts():
         "    return a, b, [sorted(elements_of(T)) for T in bit_subsets(m, t)]\n"
     )
     assert sorted_bit_subsets(src) == ["line 4", "line 6"]
+
+
+SCALE_OWNERS = {"_kernel_scale", "ExtractionThreshold"}
+
+
+def scale_builds(source: str) -> list[str]:
+    """The lines of ``2 ** 14`` expressions outside the module-level
+    definitions named in ``SCALE_OWNERS``, with the definition they sit in."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        if owner in SCALE_OWNERS:
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow) \
+                    and isinstance(inner.left, ast.Constant) and inner.left.value == 2 \
+                    and isinstance(inner.right, ast.Constant) and inner.right.value == 14:
+                out.append(f"line {inner.lineno}: {owner}")
+    return out
+
+
+def test_the_kernel_scale_is_built_by_its_helper():
+    assert scale_builds((SRC / "pipelines.py").read_text(encoding="utf-8")) == []
+
+
+def test_scale_build_checker_flags_the_copies():
+    # the shape of pipelines.py before the helper: six builds of 2 ** 14
+    src = (
+        "class ExtractionThreshold:\n"
+        "    def __init__(self, s, q, t):\n"
+        "        self._scale = Fraction(2 ** 14 * s)\n"
+        "def simplify(S, A, s, t, eps, log_top, log_t):\n"
+        "    rhs = _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_top), t)\n"
+        "    if t > 1:\n"
+        "        rhs = _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t)\n"
+        "def _cover_remainder_record(s, t, log_t):\n"
+        "    return _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t)\n"
+        "def _phi_interval(s, t, log_t):\n"
+        "    return (Fraction(2**14 * s) * log_t[1]) ** t\n"
+        "def cluster_system(s, t, log_t):\n"
+        "    return _iv_pow(_iv_mul(_exactly(2 ** 14 * s), log_t), t), 2 ** 17, 3 ** 14, 2 * 14\n"
+        "def _kernel_scale(s, t, x):\n"
+        "    return _iv_pow(_iv_mul(_exactly(2 ** 14 * s), frac_log2_bracket(x)), t)\n"
+    )
+    assert scale_builds(src) == [
+        "line 5: simplify", "line 7: simplify", "line 9: _cover_remainder_record",
+        "line 11: _phi_interval", "line 13: cluster_system",
+    ]

@@ -1006,3 +1006,38 @@ class TestDeltaFilter:
         again = delta_filter(res.family, 2, t)
         assert again.family.members == res.family.members
         assert again.removed.members == ()
+
+
+def test_direct_mode_cover_checks_its_family_once(monkeypatch):
+    # the small-core freeness of F is searched by down_closed_cover itself;
+    # the layer loop it runs in direct mode does not search F again
+    calls = []
+    find = pipelines.find_sunflower
+
+    def counting(F, pred):
+        calls.append(F)
+        return find(F, pred)
+
+    monkeypatch.setattr(pipelines, "find_sunflower", counting)
+    A = Domain.binomial(12, 3)
+    F = star(A, mask(1, 2))
+    for w in (Fraction(3), Fraction(4)):
+        calls.clear()
+        cov = down_closed_cover(F, A, 3, 2, w)
+        assert cov.mode == "direct"
+        assert sum(G is F for G in calls) == 1
+    # simplify called on its own still checks its input
+    calls.clear()
+    simplify(F, A, 3, 2, Fraction(1, 2))
+    assert sum(G is F for G in calls) == 1
+
+
+def test_direct_mode_cover_keeps_its_own_error():
+    A = Domain.binomial(9, 3)
+    matching = fam(9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(PreconditionError) as exc:
+        down_closed_cover(matching, A, 3, 1, Fraction(3))
+    assert exc.value.message == "family carries an s-sunflower with a small core"
+    with pytest.raises(PreconditionError) as exc:
+        simplify(matching, A, 3, 1, Fraction(1, 2))
+    assert exc.value.message == "input family carries an s-sunflower with a small core"

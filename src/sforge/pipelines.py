@@ -693,14 +693,14 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
             "input family carries an s-sunflower with a small core",
             witness=pre.as_report(),
         )
-    return _simplify(S, A, s, t, eps, q)
+    return _simplify(S, A, s, t, eps, q)[0]
 
 
 def _simplify(
     S: SetFamily, A: Domain, s: int, t: int, eps: Fraction, q: int
-) -> SimplifyResult:
+) -> tuple[SimplifyResult, SetFamily]:
     """The layer loop of ``simplify`` on a family that passed its checks,
-    with q its largest member size."""
+    with q its largest member size; also the members of S above no core."""
     thr = ExtractionThreshold(s, q, t)
     r = A.nominal_parameters().get("spread_r")
     eps_r_ok = r is not None and eps * r > Fraction(2 ** 17 * s * q)
@@ -759,8 +759,7 @@ def _simplify(
     # the t-uniform core family has a core of size at most t-1: the last
     # round's stage check, or with no rounds the input check, ruled them out
 
-    covered = trace_cover(S, core)
-    uncovered = family_minus(S, covered)
+    uncovered = family_minus(S, trace_cover(S, core))
     # an empty uncovered family needs no member index, which a fresh domain would build
     lhs_total = len(trace_cover(A.family, uncovered, A.index).members) if uncovered.members else 0
     records.append(
@@ -781,7 +780,7 @@ def _simplify(
         threshold=thr.as_report(),
         eps=eps,
         records=tuple(records),
-    )
+    ), uncovered
 
 
 # -- covering down-closed instances ------------------------------------------
@@ -870,7 +869,8 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         # F passed every check simplify would make: it is a nonempty
         # k-uniform subfamily of A, t <= k, with no small-core sunflower
         mode, deco = "direct", None
-        red = _simplify(F, A, s, t, eps, k)
+        red, residue = _simplify(F, A, s, t, eps, k)
+        core = red.core_family
     else:
         mode = "chain"
         R = r / 2
@@ -941,9 +941,9 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
 
         cores = F.replace_members(p.core for p in parts)
         red = simplify(cores, A, s, t, eps) if cores.members else None
+        core = empty if red is None else red.core_family
+        residue = family_minus(F, trace_cover(F, core))
 
-    core = empty if red is None else red.core_family
-    residue = family_minus(F, trace_cover(F, core))
     rhs = _kernel_scale(
         s, t, t, _exactly(Fraction(2 ** 19 * s * (t + 1)) / r), log2_r, _exactly(A.max_link(t)[1])
     )

@@ -226,6 +226,9 @@ def brute_force_find(
 # the largest family the search holds: its third-petal rows grow with the
 # square of the depth, and a wholly free domain would be walked to the end
 _DEPTH_CAP = 900
+# member pairs an s = 2 search without symmetry may test at its root, where
+# every member is a child that scans all later ones (a few seconds at the cap)
+_PAIR_CAP = 10_000_000
 
 
 @dataclass
@@ -290,7 +293,8 @@ def max_sunflower_free(
     against all of fam; past ``budget`` nodes the result is uncertified.
     The open frames are a list, not interpreter frames, and a family that
     grows past ``_DEPTH_CAP`` (900) members raises CapacityError, whoever
-    the caller.
+    the caller.  So does an s = 2 search without symmetry over more than
+    ``_PAIR_CAP`` member pairs, before any node is visited.
     """
     if budget < 0:
         raise PreconditionError("search budget must be nonnegative", budget=budget)
@@ -298,6 +302,9 @@ def max_sunflower_free(
         raise PreconditionError('symmetry must be None or "full"', symmetry=symmetry)
     members = list(candidates.members)
     M, s = len(members), pred.s
+    if s == 2 and symmetry is None and M * (M - 1) // 2 > _PAIR_CAP:
+        raise CapacityError("too many member pairs for an s = 2 search without symmetry",
+                            members=M, cap=_PAIR_CAP)
     admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
     third = _third_petals(members, admits) if s > 2 else None
     rows: list = [None] * M  # rows[i] = [third(i, j) for j < i], filled on first use

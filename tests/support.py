@@ -24,7 +24,7 @@ from sforge.family import (
 )
 from sforge.packing import find_packing
 from sforge.pipelines import _ROOT_BITS, _iroot_ceil
-from sforge.spread import _block_seed, check_spread
+from sforge.spread import SpreadVerdict, _block_seed, check_spread
 from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness
 
 
@@ -541,6 +541,23 @@ def reference_link_counts(masks):
         for x in submasks_of(m):
             counts[x] = counts.get(x, 0) + 1
     return counts
+
+
+def reference_check_spread(F, R):
+    """check_spread with the per-key loop: every link in canonical order,
+    each tested by cross-multiplying with num^i and den^i."""
+    R = Fraction(R)
+    size = len(F)
+    num, den = R.numerator, R.denominator
+    counts = reference_link_counts(F.members)
+    for x in sorted(counts, key=canon_key):
+        if x == 0:
+            continue
+        i = x.bit_count()
+        # |F(X)| * R^i <= |F|  <=>  |F(X)| * num^i <= |F| * den^i
+        if counts[x] * num**i > size * den**i:
+            return SpreadVerdict(R=R, ok=False, violation=x, family_size=size)
+    return SpreadVerdict(R=R, ok=True, violation=None, family_size=size)
 
 
 def reference_peel(members, dense):

@@ -775,6 +775,18 @@ def test_a_search_deeper_than_the_depth_cap_exits_3():
     assert error_of(result)["error"] == "CapacityError"
 
 
+def test_a_quadratic_s2_search_exits_3_at_once():
+    # the 6,435 7-subsets of [15] pairwise meet in at most 6 elements; an
+    # s = 2 search without symmetry would test every pair
+    sevens = json.dumps({"n": 15, "sets": [list(c) for c in combinations(range(1, 16), 7)]})
+    start = time.perf_counter()
+    result = invoke("sunflower", "max-free", sevens, "--petals", 2, "--mode", "at-most",
+                    "--core-bound", 6, expect=3)
+    assert time.perf_counter() - start < 10
+    assert result.stdout == ""
+    assert error_of(result)["error"] == "CapacityError"
+
+
 def test_a_deep_search_reports_the_same_from_the_api_the_command_and_a_run(tmp_path):
     # 891 members that all hold 1: free together, one search level each
     sets = [[1, a, b] for a, b in combinations(range(2, 65), 2)][:891]

@@ -1032,6 +1032,32 @@ def test_direct_mode_cover_checks_its_family_once(monkeypatch):
     assert sum(G is F for G in calls) == 1
 
 
+def test_direct_mode_cover_finds_its_residue_once(monkeypatch):
+    # the layer loop's uncovered members of F are the cover's residue, so
+    # direct mode traces the core family on F once
+    calls = []
+    trace = pipelines.trace_cover
+
+    def counting(F, B, index=None):
+        calls.append(F)
+        return trace(F, B, index)
+
+    monkeypatch.setattr(pipelines, "trace_cover", counting)
+    sparse, dense = Domain.binomial(12, 3), Domain.binomial(17, 2)
+    cases = [
+        (sparse, star(sparse, mask(1, 2)), 3, 2, Fraction(3)),  # no core: all residue
+        (dense, star(dense, mask(1)), 2, 1, Fraction(2)),  # core {1}: no residue
+    ]
+    for A, F, s, t, w in cases:
+        calls.clear()
+        cov = down_closed_cover(F, A, s, t, w)
+        assert cov.mode == "direct"
+        assert sum(G is F for G in calls) == 1
+        core = cov.core_family.members
+        assert cov.residue.members == tuple(
+            m for m in F.members if not any(c & m == c for c in core))
+
+
 def test_direct_mode_cover_keeps_its_own_error():
     A = Domain.binomial(9, 3)
     matching = fam(9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sforge import spread
 from sforge.errors import CapacityError, PreconditionError
-from sforge.family import SetFamily, transversal_number
+from sforge.family import SetFamily, elements_of, transversal_number
 from sforge.spread import (
     check_spread,
     exact_hit_probability,
@@ -27,6 +27,7 @@ from support import (
     binom_family,
     mc_instance,
     no_small_transversal,
+    reference_check_spread,
     reference_frac_log2_bracket,
     reference_log2_bracket,
     reference_link_counts,
@@ -102,6 +103,57 @@ class TestCheckSpread:
             x = v.violation
             cnt = sum(1 for mm in F.members if mm & x == x)
             assert Fraction(cnt) * R ** x.bit_count() > size
+
+
+# member lists on [8]: mixed sizes, the empty set included, or one wide member
+SPREAD_SETS = st.one_of(
+    st.lists(st.sets(st.integers(1, 8), max_size=8), min_size=1, max_size=10),
+    st.sets(st.integers(1, 8), min_size=5, max_size=8).map(lambda es: [es]),
+)
+# R in [1/2, 4]: small denominators, which meet the families' own ratios,
+# and numerators up to 4 * 10^18
+SPREAD_RATIOS = st.one_of(
+    st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=12),
+    st.integers(1, 10**18).flatmap(
+        lambda d: st.integers((d + 1) // 2, 4 * d).map(lambda n: Fraction(n, d))
+    ),
+)
+
+
+class TestCheckSpreadOracle:
+    """check_spread's whole verdict against the per-key loop of
+    ``reference_check_spread``: ok, the canonically first violator and the
+    family size."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(SPREAD_SETS, SPREAD_RATIOS)
+    def test_verdict_equals_the_per_key_reference(self, sets, R):
+        F = fam(8, [sorted(s) for s in sets])
+        assert check_spread(F, R) == reference_check_spread(F, R)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SPREAD_SETS, SPREAD_RATIOS, st.sets(st.integers(1, 8), max_size=3))
+    def test_removal_verdicts_follow_the_reference(self, sets, R, xs):
+        F = fam(8, [sorted(s) for s in sets])
+        X = sum(1 << e - 1 for e in xs)
+        if len(xs) >= R:
+            return
+        outer = reference_check_spread(F, R)
+        if not outer.ok:
+            with pytest.raises(PreconditionError) as info:
+                remove_elements_spread(F, R, X)
+            assert info.value.details["violation"] == elements_of(outer.violation)
+            return
+        cert = remove_elements_spread(F, R, X)
+        if cert.family.members and cert.parameter > 0:
+            assert reference_check_spread(cert.family, cert.parameter).ok
+
+    def test_the_first_violator_is_the_smallest_canonical_one(self):
+        # {1,2,3} at R = 4: every nonempty subset of it violates, and the
+        # canonically first is the singleton {1}, not the member itself
+        v = check_spread(fam(3, [[1, 2, 3]]), 4)
+        assert v.violation == 0b1
+        assert v == reference_check_spread(fam(3, [[1, 2, 3]]), 4)
 
 
 class TestRemoveElements:
@@ -393,3 +445,12 @@ MASKS = st.lists(st.sets(st.integers(0, 63), max_size=8).map(lambda es: sum(1 <<
 def test_link_counts_match_the_definition_in_key_order(masks):
     # the order is each mask in turn, its submasks in descending numeric order
     assert list(_link_counts(masks).items()) == list(reference_link_counts(masks).items())
+
+
+@pytest.mark.parametrize("trials", [65_535, 65_536, 65_537, 131_073])
+def test_hits_match_reference_across_slice_boundaries(trials):
+    # 64 blocks of 1,024 trials share one bit-slice: inside one slice, exactly
+    # one, a second slice of one trial, a third slice of one trial
+    F = binom_family(9, 2)
+    est = spread_lemma_mc(F, Fraction(9, 2), 2, Fraction(1, 8), trials, seed=trials)
+    assert est.hits == reference_mc_hits(F, Fraction(1, 4), trials, trials)

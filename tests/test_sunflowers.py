@@ -1,3 +1,4 @@
+import signal
 import sys
 import time
 import tracemalloc
@@ -435,6 +436,37 @@ def test_a_search_deeper_than_the_depth_cap_is_refused():
     F = SetFamily.from_sets(64, [[1, a, b] for a, b in combinations(range(2, 65), 2)])
     with pytest.raises(CapacityError):
         max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 0))
+
+
+def test_a_quadratic_s2_search_is_refused_within_10_s():
+    # any two 10-subsets of [20] meet in at most 9 elements, so the optimum
+    # is 1; without symmetry the root would try all 184,756 members, each
+    # against every later one
+    def expired(signum, frame):
+        raise TimeoutError("the s = 2 search still ran after 10 s")
+
+    F = Domain.binomial(20, 10).family
+    saved = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CapacityError) as exc:
+            max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 9))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+    assert exc.value.details["members"] == 184_756
+
+
+def test_the_s2_pair_guard_spares_full_symmetry_and_small_families():
+    # binomial(15,7) has 6,435 members, over 20 million pairs, but with full
+    # symmetry its root has one child; binomial(12,6) stays below the cap
+    F = Domain.binomial(15, 7).family
+    with pytest.raises(CapacityError):
+        max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 6))
+    res = max_sunflower_free(F, CorePredicate(2, CoreMode.AT_MOST, 6), symmetry="full")
+    assert (res.optimum, res.nodes, res.certified) == (1, 2, True)
+    res = max_sunflower_free(Domain.binomial(12, 6).family, CorePredicate(2, CoreMode.AT_MOST, 5))
+    assert (res.optimum, res.nodes, res.certified) == (1, 924, True)
 
 
 def test_a_deep_search_certifies_whatever_the_interpreter_frame_limit():

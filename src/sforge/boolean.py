@@ -26,6 +26,7 @@ from .family import (
     canon_key,
     elements_of,
     is_upward_closed,
+    restrict,
     upper_closure,
 )
 from .spread import _LN2_LO, _as_fraction, frac_log2_bracket
@@ -841,9 +842,9 @@ def remove_elements_global(F: SetFamily, p, tau, X: int) -> GlobalRemoval:
     if not verdict.ok:
         raise PreconditionError("family is not tau-global", **verdict.as_report())
 
-    G = F.replace_members(m for m in F.members if not m & X)
+    G = restrict(F, 0, X)
     mu_f = biased_measure(F, pf)
-    mu_g = biased_measure(G, pf) if G.members else Fraction(0)
+    mu_g = biased_measure(G, pf)
     floor = shrink * mu_f
     if mu_g < floor:
         raise VerificationError(

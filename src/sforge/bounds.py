@@ -6,11 +6,12 @@ always a legitimate upper estimate.  Formulas built around constants that
 only come with growth guarantees (the double-exponential uniformity costs)
 refuse to produce a number and surface a symbolic token instead.
 
-The terms several formulas share (the log2 brackets of n/k and t, the
-kernel optimum and its general estimate, C(n-t, k-t)) live in one
-``_Terms`` per call, which computes each of them at most once and keeps
-none past the call.  Each value is built from integer numerators and
-denominators and made a ``Fraction`` once, at the end.
+Each formula is a plain function of its parameters.  The terms several
+formulas share (the log2 brackets of n/k and t, the kernel optimum and its
+general estimate, C(n-t, k-t)) are module functions; the one costly term,
+``frac_log2_bracket``, keeps its own process-wide cache.  Each value is
+built from integer numerators and denominators and made a ``Fraction``
+once, at the end.
 
 ``verify_instance`` ties the pieces together: exact optimum by search,
 skeleton-based constructions from below, every registered bound from above,
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .domains import Domain
@@ -91,7 +92,7 @@ class BoundFormula:
 # -- the shared terms ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _phi_certified(s: int, t: int) -> int | None:
     """The largest sunflower-free t-uniform family size where the certified
     search reaches it, else None."""
@@ -109,64 +110,33 @@ def _phi_certified(s: int, t: int) -> int | None:
     return None
 
 
-class _Terms:
-    """The terms the formulas share, for one call: each distinct term is
-    computed on first use and at most once, and dropped with the object.
+def _log2_hi(num: int, den: int) -> tuple[int, int]:
+    """Upper rational estimate of log2(num/den), exact at integral powers
+    of two."""
+    x = Fraction(num, den)
+    p = x.numerator
+    if x.denominator == 1 and p & (p - 1) == 0:
+        return p.bit_length() - 1, 1
+    hi = frac_log2_bracket(x)[1]
+    return hi.numerator, hi.denominator
 
-    Rational terms come as (numerator, denominator) integer pairs, so an
-    evaluator builds its value in integers and makes one ``Fraction``.
-    """
 
-    def __init__(self) -> None:
-        self._memo: dict = {}
+def _phi_cap(s: int, t: int) -> tuple[int, int]:
+    """The kernel optimum's general estimate: s - 1 at depth one, else the
+    scale (2^14 * s * log2 t)^t."""
+    if t == 1:
+        return s - 1, 1
+    a, b = _log2_hi(t, 1)
+    return (2 ** 14 * s * a) ** t, b ** t
 
-    def _once(self, key: tuple, compute: Callable[[], object]):
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
 
-    def log2_hi(self, num: int, den: int) -> tuple[int, int]:
-        """Upper rational estimate of log2(num/den), exact at integral
-        powers of two."""
-        g = gcd(num, den)
-        num, den = num // g, den // g
-
-        def compute() -> tuple[int, int]:
-            if den == 1 and num & (num - 1) == 0:
-                return num.bit_length() - 1, 1
-            hi = frac_log2_bracket(Fraction(num, den))[1]
-            return hi.numerator, hi.denominator
-
-        return self._once(("log2", num, den), compute)
-
-    def phi_cap(self, s: int, t: int) -> tuple[int, int]:
-        """The kernel optimum's general estimate: s - 1 at depth one, else
-        the scale (2^14 * s * log2 t)^t."""
-
-        def compute() -> tuple[int, int]:
-            if t == 1:
-                return s - 1, 1
-            a, b = self.log2_hi(t, 1)
-            return (2 ** 14 * s * a) ** t, b ** t
-
-        return self._once(("phi_cap", s, t), compute)
-
-    def phi(self, s: int, t: int) -> tuple[int, int, str]:
-        """The kernel optimum, exact where the certified search reaches it,
-        otherwise the general estimate, with its source."""
-
-        def compute() -> tuple[int, int, str]:
-            exact = _phi_certified(s, t)
-            if exact is not None:
-                return exact, 1, "exact"
-            return (*self.phi_cap(s, t), "upper-estimate")
-
-        return self._once(("phi", s, t), compute)
-
-    def binom(self, a: int, b: int) -> int:
-        return self._once(("binom", a, b), lambda: comb(a, b))
+def _phi(s: int, t: int) -> tuple[int, int, str]:
+    """The kernel optimum, exact where the certified search reaches it,
+    otherwise the general estimate, with its source."""
+    exact = _phi_certified(s, t)
+    if exact is not None:
+        return exact, 1, "exact"
+    return (*_phi_cap(s, t), "upper-estimate")
 
 
 def _need(params: dict, *names: str) -> dict:
@@ -187,26 +157,26 @@ def _check_nkst(n: int, k: int, s: int, t: int) -> None:
 
 
 # -- the formula table -------------------------------------------------------
-# Each evaluator takes the call's ``_Terms`` and then the row's parameters in
-# order, and returns the ``BoundFormula`` fields past name and params.
+# Each evaluator takes the row's parameters in order and returns the
+# ``BoundFormula`` fields past name and params.
 
 
-def _erdos_rado(terms: _Terms, s: int, k: int) -> dict:
+def _erdos_rado(s: int, k: int) -> dict:
     if s < 2:
         raise PreconditionError("need s >= 2")
     return dict(value=Fraction(factorial(k) * (s - 1) ** k),
                 note="any k-uniform family above this carries an s-sunflower")
 
 
-def _phi_cap_row(terms: _Terms, s: int, t: int) -> dict:
+def _phi_cap_row(s: int, t: int) -> dict:
     if t < 1 or s < 2:
         raise PreconditionError("need s >= 2 and t >= 1")
-    return dict(value=Fraction(*terms.phi_cap(s, t)),
+    return dict(value=Fraction(*_phi_cap(s, t)),
                 note="kernel optimum, exact at depth one" if t == 1
                 else "kernel optimum estimate, upper-rounded at the log")
 
 
-def _erdos_matching(terms: _Terms, n: int, k: int, s: int) -> dict:
+def _erdos_matching(n: int, k: int, s: int) -> dict:
     if not (2 <= s and 1 <= k <= n):
         raise PreconditionError("need s >= 2 and 1 <= k <= n")
     clique = comb(k * s - 1, k)
@@ -220,16 +190,16 @@ def _erdos_matching(terms: _Terms, n: int, k: int, s: int) -> dict:
     )
 
 
-def _lead_plus_error(const: int, power: int, note: str, terms: _Terms,
+def _lead_plus_error(const: int, power: int, note: str,
                      n: int, k: int, s: int, t: int) -> dict:
     """phi(s,t)*C(n-t,k-t) plus, past depth one, the large-n error term
     phi_cap * const * s^2 t^2 * (k/n) * log2(n/k)^power * C(n-t,k-t)."""
-    phi_num, phi_den, src = terms.phi(s, t)
-    lead = terms.binom(n - t, k - t)
+    phi_num, phi_den, src = _phi(s, t)
+    lead = comb(n - t, k - t)
     num, den = phi_num * lead, phi_den
     if t > 1 and const:
-        cap_num, cap_den = terms.phi_cap(s, t)
-        log_num, log_den = terms.log2_hi(n, k)
+        cap_num, cap_den = _phi_cap(s, t)
+        log_num, log_den = _log2_hi(n, k)
         err_num = cap_num * const * s * s * t * t * k * log_num ** power * lead
         err_den = cap_den * n * log_den ** power
         num, den = num * err_den + err_num * den, den * err_den
@@ -237,21 +207,20 @@ def _lead_plus_error(const: int, power: int, note: str, terms: _Terms,
                 phi_source=src, note=note)
 
 
-def _symbolic(shape: str, note: str, terms: _Terms, *params: int) -> dict:
+def _symbolic(shape: str, note: str, *params: int) -> dict:
     return dict(value=None, symbolic=shape, hypotheses_met=False, note=note)
 
 
-def _downclosed_cover(terms: _Terms, n: int, k: int, s: int, t: int) -> dict:
+def _downclosed_cover(n: int, k: int, s: int, t: int) -> dict:
     if t == 1:
         return dict(value=Fraction(0), hypotheses_met=False,
                     note="cover residue estimate, vacuous at depth one")
     # phi_cap * 2^19 s (t+1) / r * log2(r) * C(n-t,k-t) at r = n/k
-    cap_num, cap_den = terms.phi_cap(s, t)
-    log_num, log_den = terms.log2_hi(n, k)
+    cap_num, cap_den = _phi_cap(s, t)
+    log_num, log_den = _log2_hi(n, k)
     return dict(
         value=Fraction(
-            cap_num * 2 ** 19 * s * (t + 1) * k * log_num
-            * terms.binom(n - t, k - t),
+            cap_num * 2 ** 19 * s * (t + 1) * k * log_num * comb(n - t, k - t),
             cap_den * n * log_den,
         ),
         hypotheses_met=False,
@@ -260,10 +229,9 @@ def _downclosed_cover(terms: _Terms, n: int, k: int, s: int, t: int) -> dict:
 
 
 class _Formula(NamedTuple):
-    """A formula's parameter names, its evaluator (taking a ``_Terms`` and
-    then them in order), and the core sizes a family must avoid for it to
-    bound the family's size, given (k, t); None where the formula bounds
-    something else.
+    """A formula's parameter names, its evaluator (taking them in order),
+    and the core sizes a family must avoid for it to bound the family's
+    size, given (k, t); None where the formula bounds something else.
     Every formula on (n, k, s, t) needs s >= 2 and 1 <= t <= k <= n."""
 
     params: tuple[str, ...]
@@ -318,11 +286,6 @@ def bound_rhs(name: str, params: dict) -> BoundFormula:
     rows holding phi(s, t) (large-n-main, -alt, frankl-furedi) run two exact
     ``phi_exact`` searches, about 60 s the first time in a process.
     """
-    return _evaluate(name, params, _Terms())
-
-
-def _evaluate(name: str, params: dict, terms: _Terms) -> BoundFormula:
-    """``bound_rhs`` with the call's shared terms passed in."""
     try:
         row = _FORMULAS[name]
     except KeyError:
@@ -332,7 +295,7 @@ def _evaluate(name: str, params: dict, terms: _Terms) -> BoundFormula:
     p = _need(params, *row.params)
     if row.params == _NKST:
         _check_nkst(*p.values())
-    return BoundFormula(name, p, **row.evaluate(terms, *p.values()))
+    return BoundFormula(name, p, **row.evaluate(*p.values()))
 
 
 def _bounds_family_size(row: _Formula, k: int, t: int, admits: list[bool]) -> bool:
@@ -550,14 +513,10 @@ def verify_instance(
     best_size = max((size for _, size, legal in constructions if legal), default=None)
 
     nkst = {"n": n, "k": k, "s": s, "t": t}
-    terms = _Terms()
     # an s-sunflower of k-sets has a core of at most k - 1 elements
     admits = [pred.admits_core_size(c) for c in range(k)]
-    rows = [
-        (_evaluate(name, nkst, terms),
-         _bounds_family_size(_FORMULAS[name], k, t, admits))
-        for name in bound_names()
-    ]
+    rows = [(bound_rhs(name, nkst), _bounds_family_size(_FORMULAS[name], k, t, admits))
+            for name in bound_names()]
 
     violations = []
     if best_size is not None and optimum is not None and best_size > optimum:

@@ -220,7 +220,7 @@ class Domain:
                         table[x] = parent[x | S]
                     x = (x - 1) & m
         else:
-            table = {x & ~S: c for x, c in parent.items() if x & S == S}
+            table = _counts_above(parent, S)
         # fills the cached_property, which stores its value in the instance dict
         vars(sub)["table"] = table
         return sub

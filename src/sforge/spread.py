@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import ceil, isqrt
 from operator import and_
 from typing import Iterable, Optional
@@ -198,6 +198,7 @@ _LN2_HI = Fraction(693148, 1_000_000)
 _GRID = 192  # bracket endpoints live on the grid 2^-_GRID
 
 
+@lru_cache(maxsize=4096)
 def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]:
     """Rational (lo, hi) with lo <= log2(x) <= hi, via digit extraction.
 
@@ -205,6 +206,11 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
     squaring, so the bracket stays sound and the integers stay small.  Each
     endpoint is an integer numerator over 2^(_GRID + h), where h is the last
     digit (a 1 halves both endpoints); only the result is built as Fractions.
+
+    Results are cached per process: the bracket is a pure function of
+    (x, steps), x is read only as ``Fraction(x)`` and the pair is immutable,
+    so a cached pair is what a fresh call would return for any equal x.  A
+    refused x (x <= 0) raises and is not cached.
     """
     x = Fraction(x)
     if x <= 0:
@@ -238,12 +244,15 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
 def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 1):
     """Rational bracket for 1 - (5/log2(R*delta))^m * mu_norm.
 
-    Returns (lo, hi, vacuous) for positive R and delta.  The bound is vacuous
-    whenever R*delta <= 32 (the ratio is then >= 1, with mu_norm >= 1) and
-    meaningless for R*delta <= 1; both cases get (None, None, True).
+    Returns (lo, hi, vacuous) for positive R and delta, m >= 1 and
+    mu_norm >= 1.  The bound is vacuous whenever R*delta <= 32 (the ratio is
+    then >= 1) and meaningless for R*delta <= 1; both cases get
+    (None, None, True).
     """
     if R <= 0 or delta <= 0:
         raise PreconditionError("R and delta must be positive", R=str(R), delta=str(delta))
+    if m < 1 or mu_norm < 1:
+        raise PreconditionError("m and mu_norm must be at least 1", m=m, mu_norm=mu_norm)
     arg = R * delta
     if arg <= 1:
         return None, None, True

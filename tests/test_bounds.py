@@ -16,6 +16,8 @@ from sforge.bounds import (
 from sforge.domains import Domain
 from sforge.errors import PreconditionError, VerificationError
 from sforge.family import SetFamily, trace_cover
+from sforge.scenario import canonical_report_bytes
+from sforge.spread import frac_log2_bracket
 from sforge.sunflowers import (
     CoreMode,
     CorePredicate,
@@ -386,38 +388,59 @@ def _bound_row(rep, name):
 
 
 class TestSharedTermsOncePerCall:
+    """The one costly term, the log2 bracket, is computed once per distinct
+    argument and then kept for the process by ``frac_log2_bracket``'s cache."""
+
     @pytest.fixture
-    def bracketed(self, monkeypatch):
-        """The arguments of every log2 bracket the bound formulas take."""
-        seen = []
-        real = bounds.frac_log2_bracket
+    def misses(self):
+        """The number of brackets computed since the cache was emptied."""
+        frac_log2_bracket.cache_clear()
+        return lambda: frac_log2_bracket.cache_info().misses
 
-        def counting(x, *args):
-            seen.append(Fraction(x))
-            return real(x, *args)
-
-        monkeypatch.setattr(bounds, "frac_log2_bracket", counting)
-        return seen
-
-    def test_verify_brackets_the_ratio_once(self, bracketed):
+    def test_verify_brackets_the_ratio_once(self, misses):
         # log2(7/2) feeds three rows; log2(t) at t = 2 needs no bracket
         verify_instance(Domain.binomial(7, 2), 3, 2)
-        assert bracketed == [Fraction(7, 2)]
+        frac_log2_bracket(Fraction(7, 2))
+        assert misses() == 1
 
-    def test_verify_brackets_each_distinct_argument_once(self, bracketed):
+    def test_verify_brackets_each_distinct_argument_once(self, misses):
         verify_instance(Domain.binomial(7, 3), 3, 3)
-        assert sorted(bracketed) == [Fraction(7, 3), Fraction(3)]
+        assert misses() == 2
+        frac_log2_bracket(Fraction(7, 3))
+        frac_log2_bracket(Fraction(3))
+        assert misses() == 2
 
-    def test_a_ratio_equal_to_t_is_bracketed_once(self, bracketed):
+    def test_a_ratio_equal_to_t_is_bracketed_once(self, misses):
         # n/k = t = 3: the error term's log and the kernel estimate's log agree
         verify_instance(Domain.binomial(9, 3), 2, 3)
-        assert bracketed == [Fraction(3)]
+        assert misses() == 1
+        frac_log2_bracket(Fraction(3))
+        assert misses() == 1
 
-    def test_no_term_is_kept_across_calls(self, bracketed):
+    def test_a_repeated_call_brackets_nothing(self, misses):
         p = {"n": 7, "k": 2, "s": 3, "t": 2}
         bound_rhs("large-n-main", p)
+        assert misses() == 1
         bound_rhs("large-n-main", p)
-        assert bracketed == [Fraction(7, 2)] * 2
+        verify_instance(Domain.binomial(7, 2), 3, 2)
+        verify_instance(Domain.binomial(7, 2), 3, 2)
+        assert misses() == 1
+
+    @pytest.mark.parametrize("n, k, s", [(5, 2, 3), (7, 2, 2), (6, 3, 3), (6, 4, 3), (7, 3, 2)])
+    def test_reports_are_the_same_from_a_cold_and_a_warm_cache(self, n, k, s):
+        def reports():
+            out = []
+            for t in range(1, k + 1):
+                out.append(canonical_report_bytes(verify_instance(Domain.binomial(n, k), s, t)))
+                p = {"n": n, "k": k, "s": s, "t": t}
+                out += [canonical_report_bytes(bound_rhs(name, p).as_report())
+                        for name in bound_names()]
+            return out
+
+        frac_log2_bracket.cache_clear()
+        cold = reports()
+        assert frac_log2_bracket.cache_info().currsize > 0
+        assert reports() == cold
 
     @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (5, 3), (6, 3), (6, 4), (7, 5)])
     @pytest.mark.parametrize("s", [2, 3, 5])

@@ -527,6 +527,10 @@ def test_usage_error_exits_2_with_one_json_line(args):
     ["spread", "bracket", "-R", 0, "--delta", "1/16", "--m", 8],
     ["spread", "bracket", "-R", -4096, "--delta", "1/16", "--m", 8],
     ["spread", "bracket", "-R", 4096, "--delta", "-1/16", "--m", 8],
+    ["spread", "bracket", "-R", 64, "--delta", 1, "--m", 1, "--mu-norm", -3],
+    ["spread", "bracket", "-R", 64, "--delta", 1, "--m", 1, "--mu-norm", 0],
+    ["spread", "bracket", "-R", 9, "--delta", 4, "--m", -2],
+    ["spread", "bracket", "-R", 4096, "--delta", "1/16", "--m", 0],
 ])
 def test_non_positive_spread_parameters_exit_1(args):
     result = invoke(*args, expect=1)

@@ -27,6 +27,9 @@ of element lists.  A certificate's
 ``verify`` runs when its object is built: no code calls ``.verify()``
 except a ``__post_init__``.  In ``pipelines.py`` the kernel scale
 ``2 ** 14`` is built only by ``_kernel_scale`` and ``ExtractionThreshold``.
+Every ``lru_cache`` has a finite ``maxsize``, and no function is wrapped in
+the unbounded ``functools.cache``, so no memo grows with the inputs a
+long-lived process sees.
 """
 
 import ast
@@ -519,3 +522,69 @@ def test_scale_build_checker_flags_the_copies():
         "line 5: simplify", "line 7: simplify", "line 9: _cover_remainder_record",
         "line 11: _phi_interval", "line 13: cluster_system",
     ]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functions decorated with ``cache``, with a bare ``lru_cache``, or
+    with an ``lru_cache`` whose maxsize is None or left at its default."""
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            fn = name(call.func if call else deco)
+            if fn == "cache":
+                out.append(f"line {deco.lineno}: {node.name}")
+            elif fn == "lru_cache":
+                size = None
+                if call and call.args:
+                    size = call.args[0]
+                elif call:
+                    size = next((kw.value for kw in call.keywords if kw.arg == "maxsize"), None)
+                if size is None or isinstance(size, ast.Constant) and size.value is None:
+                    out.append(f"line {deco.lineno}: {node.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_unbounded_cache_checker_flags_the_open_memos():
+    src = (
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(x):\n"
+        "    return x\n"
+        "@functools.lru_cache\n"
+        "def b(x):\n"
+        "    return x\n"
+        "@lru_cache()\n"
+        "def c(x):\n"
+        "    return x\n"
+        "@cache\n"
+        "def d(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(None, typed=True)\n"
+        "def e(x):\n"
+        "    return x\n"
+        "@lru_cache(maxsize=4096)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(64)\n"
+        "def g(x):\n"
+        "    return x\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def h(self):\n"
+        "        return 1\n"
+    )
+    assert unbounded_caches(src) == [
+        "line 3: a", "line 6: b", "line 9: c", "line 12: d", "line 15: e"]

@@ -324,6 +324,13 @@ class TestPaperBound:
         assert 0 < lo <= hi < 1
         assert hi - lo < Fraction(1, 2**40)
 
+    @pytest.mark.parametrize("m, mu_norm", [(0, 1), (-2, 1), (1, 0), (1, -3), (-1, -1)])
+    @pytest.mark.parametrize("R, delta", [(9, 4), (64, 1), (48, 1), (2, Fraction(1, 4))])
+    def test_m_and_mu_norm_below_one_rejected(self, R, delta, m, mu_norm):
+        # covering_bound_bracket(9, 4, -2) once returned lo > hi
+        with pytest.raises(PreconditionError):
+            covering_bound_bracket(Fraction(R), Fraction(delta), m, mu_norm)
+
     @pytest.mark.parametrize("R,delta", [(4, 0), (4, Fraction(-1, 8)), (0, Fraction(1, 8)),
                                          (-4096, Fraction(1, 16)), (-2, Fraction(-1, 2))])
     def test_non_positive_parameters_rejected(self, R, delta):

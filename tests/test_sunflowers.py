@@ -246,6 +246,26 @@ def test_max_free_matches_oracle(n, s, t, expect):
     assert res.optimum == oracle_max_sunflower_free(fam, pred) == expect
 
 
+def erdos_gallai(n, s):
+    """The most edges on [n] with no s pairwise disjoint ones (Erdős and
+    Gallai, 1959): all of them below 2s - 1 vertices, else the larger of a
+    clique on 2s - 1 vertices and the edges meeting a fixed (s-1)-set."""
+    if n < 2 * s - 1:
+        return comb(n, 2)
+    return max(comb(2 * s - 1, 2), comb(s - 1, 2) + (s - 1) * (n - s + 1))
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for s in (2, 3) for n in range(2, 11)]
+                         + [(n, 4) for n in range(2, 9)])
+def test_max_free_pairs_meet_the_erdos_gallai_number(n, s):
+    # an s-sunflower of edges with an empty core is a matching of size s,
+    # so the optimum is a closed form and needs no oracle
+    res = max_sunflower_free(Domain.binomial(n, 2).family,
+                             CorePredicate(s, CoreMode.AT_MOST, 0), symmetry="full")
+    assert res.certified
+    assert res.optimum == erdos_gallai(n, s)
+
+
 # Node counts enter CLI and scenario reports, so the forward-checking filter
 # must visit exactly the nodes of testing each candidate against the whole
 # partial family; these are that search's values.

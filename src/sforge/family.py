@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, compress, product
+from functools import cached_property, reduce
+from itertools import combinations, compress, count, product
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError
@@ -294,63 +295,57 @@ def is_upward_closed(F: SetFamily) -> bool:
     return True
 
 
-def transversal_number(F: SetFamily) -> tuple[int, int]:
-    """Exact minimum hitting-set size and a witness mask.
+def hitting_set(masks: Sequence[int], h: int, budget: list[int]) -> int | None:
+    """A set of at most ``h`` elements meeting every mask, or None.
 
-    Branch and bound: always branch on the elements of an uncovered member
-    with the fewest elements, pruning with a greedy disjoint-member packing
-    lower bound.  The family must be nonempty and must not contain the empty
-    set (which no transversal can hit).  A search past
-    ``_TRANSVERSAL_CAP`` nodes raises CapacityError.
+    Some element of the first smallest mask not met yet is in any such set,
+    so each node tries its elements in ascending order, to depth ``h``; at
+    depth 1 it takes the lowest element of the intersection of the masks
+    left.  An empty mask is never met; no masks are met by the empty set for
+    h >= 0.  Each node takes one from ``budget[0]``, which calls may share;
+    past zero a node answers None, so only a set is a certificate.
+    """
+
+    def hit(rest: Sequence[int], h: int) -> int | None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            return None
+        if h == 1:
+            meet = reduce(and_, rest)
+            return meet & -meet or None
+        smallest = min(rest, key=int.bit_count)
+        while smallest:
+            low = smallest & -smallest
+            smallest ^= low
+            left = [m for m in rest if not m & low]
+            found = hit(left, h - 1) if left else 0
+            if found is not None:
+                return found | low
+        return None
+
+    if not masks:
+        return 0 if h >= 0 else None
+    return hit(masks, h) if h > 0 else None
+
+
+def transversal_number(F: SetFamily) -> tuple[int, int]:
+    """Exact minimum hitting-set size and a witness mask: ``hitting_set``
+    at depth 1, 2, ... over one budget of ``_TRANSVERSAL_CAP`` nodes, whose
+    first find is the first minimum transversal in branching order.  The
+    family must be nonempty and free of the empty set (which no transversal
+    can hit).  A depth that runs the budget out raises CapacityError.
     """
     if not F.members:
         raise PreconditionError("transversal number of an empty family is undefined")
     if 0 in F._member_set:
         raise PreconditionError("family containing the empty set has no transversal")
-
-    members = F.members
-    best: list = [len(elements_of(F.support())), F.support()]
-
-    def packing_bound(chosen: int) -> int:
-        used = 0
-        cnt = 0
-        for m in members:
-            if m & chosen:
-                continue
-            if m & used == 0:
-                used |= m
-                cnt += 1
-        return cnt
-
-    nodes = 0
-
-    def dfs(chosen: int, size: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > _TRANSVERSAL_CAP:
+    budget = [_TRANSVERSAL_CAP]
+    for h in count(1):  # ends by h = |support|, which the support meets
+        found = hitting_set(F.members, h, budget)
+        if budget[0] < 0:
             raise CapacityError("transversal search capped", cap=_TRANSVERSAL_CAP)
-        # smallest uncovered member
-        pivot = -1
-        pivot_pc = 99
-        for m in members:
-            if m & chosen == 0:
-                pc = m.bit_count()
-                if pc < pivot_pc:
-                    pivot, pivot_pc = m, pc
-        if pivot == -1:
-            if size < best[0]:
-                best[0], best[1] = size, chosen
-            return
-        if size + packing_bound(chosen) >= best[0]:
-            return
-        rest = pivot
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            dfs(chosen | low, size + 1)
-
-    dfs(0, 0)
-    return best[0], best[1]
+        if found is not None:
+            return h, found
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Exact packing primitives: disjoint-set matchings and small transversals.
+"""Exact packing: the largest pairwise-disjoint subcollection of masks.
 
-These are the small search kernels the sunflower machinery leans on.  All
-searches are exhaustive branch and bound, and each runs under a node budget.
+The sunflower machinery packs petals with ``max_disjoint``, an exhaustive
+branch and bound under a node cap.  ``find_packing`` first asks
+``family.hitting_set``, the one hitting-set search, whether p - 1 elements
+meet every mask; then no p masks are disjoint and no packing search runs.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapacityError
-from .family import canonical, elements_of
+from .family import canonical, elements_of, hitting_set
 
 _PACKING_CAP = 1_000_000  # search nodes one max_disjoint call may take
 
@@ -71,52 +73,16 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
     return best[0]
 
 
-def hit_by_at_most(masks: Sequence[int], h: int, budget: int) -> bool:
-    """True when some set of at most ``h`` elements meets every mask.
-
-    Exact branching: some element of the smallest mask not met yet is in any
-    such set, so each node tries each of its elements in turn, to depth
-    ``h``; at the last level one element must lie in every mask left, that
-    is in their intersection.  An empty mask is never met.  After
-    ``budget`` nodes the search gives up and answers False, so only True
-    is a certificate.
-    """
-    nodes = 0
-
-    def hit(rest: list[int], h: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return False
-        if h == 1:
-            meet = rest[0]
-            for m in rest:
-                meet &= m
-            return meet != 0
-        smallest = min(rest, key=int.bit_count)
-        while smallest:
-            low = smallest & -smallest
-            smallest ^= low
-            left = [m for m in rest if not m & low]
-            if not left or hit(left, h - 1):
-                return True
-        return False
-
-    if not masks:
-        return h >= 0
-    return h > 0 and hit(list(masks), h)
-
-
 def find_packing(masks: Sequence[int], p: int) -> list[int] | None:
     """``p`` pairwise-disjoint masks from ``masks``, or None if there are none.
 
     The matching number is at most the transversal number, so when at most
-    p - 1 elements meet every mask (``hit_by_at_most``, with a budget of one
+    p - 1 elements meet every mask (``hitting_set``, with a budget of one
     node per mask) there is no such packing and no search runs.  Otherwise
     the answer is that of ``max_disjoint(masks, stop_at=p)``: the same p
     masks in the same order.
     """
-    if hit_by_at_most(masks, p - 1, len(masks)):
+    if hitting_set(masks, p - 1, [len(masks)]) is not None:
         return None
     packed = max_disjoint(masks, stop_at=p)
     return packed if len(packed) >= p else None

@@ -78,11 +78,12 @@ __all__ = [
 # -- exact scalar plumbing ---------------------------------------------------
 
 _ROOT_BITS = 48
+_REPORT_STEPS = 96  # log2 digits behind _ln_bracket and ExtractionThreshold.bracket
 
 
-def _ln_bracket(x, steps: int = 96) -> tuple[Fraction, Fraction]:
+def _ln_bracket(x) -> tuple[Fraction, Fraction]:
     """A certified rational bracket of ln(x) for rational x > 0."""
-    lo2, hi2 = frac_log2_bracket(x, steps)
+    lo2, hi2 = frac_log2_bracket(x, _REPORT_STEPS)
     prods = (lo2 * _LN2_LO, lo2 * _LN2_HI, hi2 * _LN2_LO, hi2 * _LN2_HI)
     return min(prods), max(prods)
 
@@ -317,10 +318,10 @@ class ExtractionThreshold:
             count=count, exponent=j, total=total,
         )
 
-    def bracket(self, steps: int = 96) -> tuple[Fraction, Fraction]:
+    def bracket(self) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
             return self.exact, self.exact
-        lo, hi = frac_log2_bracket(self.t, steps)
+        lo, hi = frac_log2_bracket(self.t, _REPORT_STEPS)
         return self._scale * lo, self._scale * hi
 
     def spread_ok(self, masks: Sequence[int]) -> bool:

@@ -175,7 +175,7 @@ def exact_hit_probability(F: SetFamily, p: Fraction) -> Fraction:
     n = F.ground.n
     if n > 20:
         raise CapacityError("exact hit probability enumerates 2^n subsets", n=n)
-    p = Fraction(p)
+    p = _as_fraction(p, "p")
     if not (0 <= p <= 1):
         raise PreconditionError("probability out of range", p=str(p))
     members = F.members
@@ -198,7 +198,6 @@ _LN2_HI = Fraction(693148, 1_000_000)
 _GRID = 192  # bracket endpoints live on the grid 2^-_GRID
 
 
-@lru_cache(maxsize=4096)
 def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]:
     """Rational (lo, hi) with lo <= log2(x) <= hi, via digit extraction.
 
@@ -207,12 +206,15 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
     endpoint is an integer numerator over 2^(_GRID + h), where h is the last
     digit (a 1 halves both endpoints); only the result is built as Fractions.
 
-    Results are cached per process: the bracket is a pure function of
-    (x, steps), x is read only as ``Fraction(x)`` and the pair is immutable,
-    so a cached pair is what a fresh call would return for any equal x.  A
-    refused x (x <= 0) raises and is not cached.
+    Results are cached per process under ``(Fraction(x), steps)``, so equal
+    arguments of any type share one entry; the pair is immutable.  A refused
+    x (x <= 0) raises and is not cached.
     """
-    x = Fraction(x)
+    return _log2_bracket(Fraction(x), steps)
+
+
+@lru_cache(maxsize=4096)
+def _log2_bracket(x: Fraction, steps: int) -> tuple[Fraction, Fraction]:
     if x <= 0:
         raise PreconditionError("log2 argument must be positive", x=str(x))
     num, den = x.numerator, x.denominator
@@ -241,6 +243,10 @@ def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]
     return e + Fraction(digits, 1 << steps), e + Fraction(digits + 1, 1 << steps)
 
 
+frac_log2_bracket.cache_info = _log2_bracket.cache_info
+frac_log2_bracket.cache_clear = _log2_bracket.cache_clear
+
+
 def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 1):
     """Rational bracket for 1 - (5/log2(R*delta))^m * mu_norm.
 
@@ -251,6 +257,8 @@ def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 
     """
     if R <= 0 or delta <= 0:
         raise PreconditionError("R and delta must be positive", R=str(R), delta=str(delta))
+    if type(m) is not int or type(mu_norm) is not int:
+        raise PreconditionError("m and mu_norm must be integers", m=m, mu_norm=mu_norm)
     if m < 1 or mu_norm < 1:
         raise PreconditionError("m and mu_norm must be at least 1", m=m, mu_norm=mu_norm)
     arg = R * delta

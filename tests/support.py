@@ -15,7 +15,9 @@ from math import ceil, comb
 from sforge.boolean import GlobalnessVerdict
 from sforge.cli import main
 from sforge.domains import Domain, HomogeneityVerdict, SpreadnessReport
+from sforge.errors import CapacityError, PreconditionError
 from sforge.family import (
+    _TRANSVERSAL_CAP,
     GroundSet,
     SetFamily,
     bit_subsets,
@@ -321,6 +323,76 @@ def reference_max_disjoint(masks, stop_at=None):
 
     dfs(0, 0, [])
     return best[0]
+
+
+def brute_force_transversal(masks):
+    """The fewest elements meeting every mask (0 for no masks), or None if
+    an empty mask leaves no transversal: every subset of the support in
+    order of size."""
+    support = 0
+    for m in masks:
+        support |= m
+    elems = [1 << i for i in range(support.bit_length()) if support >> i & 1]
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            T = sum(combo)
+            if all(m & T for m in masks):
+                return size
+    return None
+
+
+def reference_transversal_number(F):
+    """transversal_number as a branch and bound: branch on the elements of
+    the smallest uncovered member, prune with a greedy disjoint-member
+    packing bound, start from the support as the incumbent."""
+    if not F.members:
+        raise PreconditionError("transversal number of an empty family is undefined")
+    if 0 in F._member_set:
+        raise PreconditionError("family containing the empty set has no transversal")
+
+    members = F.members
+    best: list = [len(elements_of(F.support())), F.support()]
+
+    def packing_bound(chosen: int) -> int:
+        used = 0
+        cnt = 0
+        for m in members:
+            if m & chosen:
+                continue
+            if m & used == 0:
+                used |= m
+                cnt += 1
+        return cnt
+
+    nodes = 0
+
+    def dfs(chosen: int, size: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _TRANSVERSAL_CAP:
+            raise CapacityError("transversal search capped", cap=_TRANSVERSAL_CAP)
+        # smallest uncovered member
+        pivot = -1
+        pivot_pc = 99
+        for m in members:
+            if m & chosen == 0:
+                pc = m.bit_count()
+                if pc < pivot_pc:
+                    pivot, pivot_pc = m, pc
+        if pivot == -1:
+            if size < best[0]:
+                best[0], best[1] = size, chosen
+            return
+        if size + packing_bound(chosen) >= best[0]:
+            return
+        rest = pivot
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            dfs(chosen | low, size + 1)
+
+    dfs(0, 0)
+    return best[0], best[1]
 
 
 def reference_find_sunflower(F, pred):

@@ -426,6 +426,15 @@ class TestSharedTermsOncePerCall:
         verify_instance(Domain.binomial(7, 2), 3, 2)
         assert misses() == 1
 
+    def test_equal_arguments_of_any_type_share_one_entry(self, misses):
+        # down_closed_cover brackets log2(k) of an int k, the bound rows a Fraction
+        assert frac_log2_bracket(3) == frac_log2_bracket(Fraction(3))
+        frac_log2_bracket(Fraction(6, 2), 48)
+        frac_log2_bracket(3, steps=48)
+        assert misses() == 1
+        frac_log2_bracket(3, 96)
+        assert misses() == 2
+
     @pytest.mark.parametrize("n, k, s", [(5, 2, 3), (7, 2, 2), (6, 3, 3), (6, 4, 3), (7, 3, 2)])
     def test_reports_are_the_same_from_a_cold_and_a_warm_cache(self, n, k, s):
         def reports():

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sforge import family
 from sforge.errors import CapacityError, ParseError, PreconditionError
 from sforge.family import (
     GroundSet,
@@ -19,6 +20,7 @@ from sforge.family import (
     family_minus,
     family_to_hex,
     family_to_json_obj,
+    hitting_set,
     is_upward_closed,
     mask_of,
     restrict,
@@ -28,7 +30,7 @@ from sforge.family import (
     upper_closure,
 )
 
-from support import reference_trace_cover
+from support import brute_force_transversal, reference_trace_cover, reference_transversal_number
 
 
 def binomial_family(n, k):
@@ -198,16 +200,6 @@ def test_transversal_errors():
         transversal_number(SetFamily.from_sets(3, [[], [1]]))
 
 
-def oracle_transversal(f):
-    n = f.ground.n
-    for size in range(0, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            t = mask_of(combo)
-            if all(m & t for m in f.members):
-                return size
-    raise AssertionError
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_transversal_matches_oracle(data):
@@ -221,9 +213,65 @@ def test_transversal_matches_oracle(data):
     )
     f = SetFamily.from_sets(n, [sorted(s) for s in sets])
     size, wit = transversal_number(f)
-    assert size == oracle_transversal(f)
+    assert size == brute_force_transversal(f.members)
     assert all(m & wit for m in f.members)
     assert wit.bit_count() == size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_transversal_is_the_branch_and_bound_answer(data):
+    # the same size and the same witness as the search it replaced
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    sets = data.draw(st.lists(
+        st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=n),
+        min_size=1, max_size=7,
+    ))
+    f = SetFamily.from_sets(n, [sorted(s) for s in sets])
+    assert transversal_number(f) == reference_transversal_number(f)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (7, 3), (9, 2), (6, 4), (5, 5)])
+def test_transversal_of_binomial_is_the_branch_and_bound_answer(n, k):
+    f = binomial_family(n, k)
+    size, wit = transversal_number(f)
+    assert size == n - k + 1
+    assert (size, wit) == reference_transversal_number(f)
+
+
+def test_transversal_budget_spans_every_depth(monkeypatch):
+    # the edges of K_6 need 5 points, and depths 1..4 take their nodes from
+    # the same budget: a cap of all five depths' nodes answers, one less raises
+    f = binomial_family(6, 2)
+    need = 0
+    for h in range(1, 6):
+        budget = [10**9]
+        hitting_set(f.members, h, budget)
+        need += 10**9 - budget[0]
+    monkeypatch.setattr(family, "_TRANSVERSAL_CAP", need)
+    assert transversal_number(f)[0] == 5
+    monkeypatch.setattr(family, "_TRANSVERSAL_CAP", need - 1)
+    with pytest.raises(CapacityError):
+        transversal_number(f)
+
+
+def test_hitting_set_takes_the_first_set_in_branching_order():
+    # pivot {1,2} (the first smallest); branch 1 leaves {2,3}, whose
+    # intersection gives 2: the answer is {1,2}, not {2} alone at depth 2
+    masks = [0b011, 0b110]
+    assert hitting_set(masks, 2, [100]) == 0b011
+    assert hitting_set(masks, 1, [100]) == 0b010
+    assert hitting_set([], 0, [0]) == 0
+    assert hitting_set([], -1, [100]) is None
+    assert hitting_set([0b1], 0, [100]) is None
+
+
+def test_hitting_set_shares_its_budget_and_then_answers_none():
+    budget = [2]
+    assert hitting_set([0b01, 0b10], 2, budget) == 0b11  # two nodes
+    assert budget == [0]
+    assert hitting_set([0b01, 0b10], 2, budget) is None
+    assert budget[0] < 0
 
 
 @settings(max_examples=60, deadline=None)

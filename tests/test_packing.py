@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from sforge import packing
 from sforge.errors import CapacityError
-from sforge.packing import find_packing, hit_by_at_most, max_disjoint
-from support import reference_max_disjoint
+from sforge.family import hitting_set
+from sforge.packing import find_packing, max_disjoint
+from support import brute_force_transversal, reference_max_disjoint
 
 masks8 = st.lists(st.integers(0, 255), max_size=14)
 
@@ -79,36 +80,36 @@ def test_empty_and_zero_masks():
 
 
 def brute_force_hit(masks, h) -> bool:
-    """Some set of at most h elements of the support meets every mask."""
-    support = 0
-    for m in masks:
-        support |= m
-    elems = [1 << i for i in range(support.bit_length()) if support >> i & 1]
-    for size in range(min(h, len(elems)) + 1):
-        for combo in combinations(elems, size):
-            T = sum(combo)
-            if all(m & T for m in masks):
-                return True
-    return False
+    """Some set of at most h elements meets every mask."""
+    tau = brute_force_transversal(masks)
+    return tau is not None and tau <= h
+
+
+def meets_all(masks, found, h) -> bool:
+    return found.bit_count() <= h and all(m & found for m in masks)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=10), st.integers(-1, 5))
 def test_transversal_test_is_the_brute_force_answer(masks, h):
-    assert hit_by_at_most(masks, h, budget=10**9) == brute_force_hit(masks, h)
+    found = hitting_set(masks, h, [10**9])
+    assert (found is not None) == brute_force_hit(masks, h)
+    assert found is None or meets_all(masks, found, h)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=12), st.integers(0, 5), st.integers(0, 12))
 def test_a_budgeted_yes_is_still_a_certificate(masks, h, budget):
-    if hit_by_at_most(masks, h, budget):
+    found = hitting_set(masks, h, [budget])
+    if found is not None:
         assert brute_force_hit(masks, h)
+        assert meets_all(masks, found, h)
 
 
 def test_an_empty_mask_is_never_met():
-    assert not hit_by_at_most([0], 3, budget=100)
-    assert not hit_by_at_most([0b1, 0b1, 0], 1, budget=100)
-    assert hit_by_at_most([0b1, 0b11], 1, budget=100)
+    assert hitting_set([0], 3, [100]) is None
+    assert hitting_set([0b1, 0b1, 0], 1, [100]) is None
+    assert hitting_set([0b1, 0b11], 1, [100]) == 0b1
     # the empty mask and {1} are two disjoint masks
     assert find_packing([0, 0b1], 2) == [0, 0b1]
 
@@ -139,7 +140,7 @@ def test_the_budget_bounds_a_deep_transversal_test():
     # would branch 3 ways to depth 20 before saying so
     blocks = [0b111 << (3 * i) for i in range(21)]
     start = time.perf_counter()
-    assert not hit_by_at_most(blocks, 20, budget=len(blocks))
+    assert hitting_set(blocks, 20, [len(blocks)]) is None
     assert find_packing(blocks, 21) == blocks
     assert find_packing(blocks + [0b1001], 22) is None
     assert time.perf_counter() - start < 5

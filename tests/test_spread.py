@@ -210,6 +210,16 @@ class TestHitProbability:
         with pytest.raises(CapacityError):
             exact_hit_probability(binom_family(21, 1), Fraction(1, 2))
 
+    @pytest.mark.parametrize("p", [0.5, 1e-3, "x", None])
+    def test_p_must_be_exact(self, p):
+        with pytest.raises(PreconditionError):
+            exact_hit_probability(fam(2, [[1, 2]]), p)
+
+    def test_p_may_be_an_int_or_a_string(self):
+        F = fam(2, [[1, 2]])
+        assert exact_hit_probability(F, 1) == 1
+        assert exact_hit_probability(F, "1/3") == Fraction(1, 9)
+
 
 class TestLogBracket:
     def test_power_of_two(self):
@@ -331,6 +341,13 @@ class TestPaperBound:
         with pytest.raises(PreconditionError):
             covering_bound_bracket(Fraction(R), Fraction(delta), m, mu_norm)
 
+    @pytest.mark.parametrize("m, mu_norm", [(Fraction(3, 2), 1), (1.5, 1), (True, 1), (1, Fraction(3, 2)),
+                                            (1, 1.5), (1, True), (2.0, 1), (Fraction(2), 1)])
+    def test_m_and_mu_norm_must_be_ints(self, m, mu_norm):
+        # a Fraction or float exponent once left exact arithmetic for floats
+        with pytest.raises(PreconditionError):
+            covering_bound_bracket(Fraction(64), Fraction(1), m, mu_norm)
+
     @pytest.mark.parametrize("R,delta", [(4, 0), (4, Fraction(-1, 8)), (0, Fraction(1, 8)),
                                          (-4096, Fraction(1, 16)), (-2, Fraction(-1, 2))])
     def test_non_positive_parameters_rejected(self, R, delta):
@@ -387,6 +404,16 @@ class TestSpreadLemmaMC:
         F = fam(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
         with pytest.raises(PreconditionError):
             spread_lemma_mc(F, 2, 4, delta, 16)
+
+    @pytest.mark.parametrize("m", [True, 1.0, Fraction(2)])
+    def test_a_non_int_m_rejected_before_sampling(self, monkeypatch, m):
+        def sample(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr(spread, "_block_seed", sample)
+        F = fam(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        with pytest.raises(PreconditionError):
+            spread_lemma_mc(F, 2, m, Fraction(1, 8), 16)
 
     def test_seed_determinism(self):
         F = binom_family(10, 2)

@@ -301,9 +301,11 @@ def hitting_set(masks: Sequence[int], h: int, budget: list[int]) -> int | None:
     Some element of the first smallest mask not met yet is in any such set,
     so each node tries its elements in ascending order, to depth ``h``; at
     depth 1 it takes the lowest element of the intersection of the masks
-    left.  An empty mask is never met; no masks are met by the empty set for
-    h >= 0.  Each node takes one from ``budget[0]``, which calls may share;
-    past zero a node answers None, so only a set is a certificate.
+    left.  A node whose masks left hold more than ``h`` pairwise disjoint
+    ones, picked greedily, answers None at once.  An empty mask is never
+    met; no masks are met by the empty set for h >= 0.  Each node takes one
+    from ``budget[0]``, which calls may share; past zero a node answers
+    None, so only a set is a certificate.
     """
 
     def hit(rest: Sequence[int], h: int) -> int | None:
@@ -313,6 +315,13 @@ def hitting_set(masks: Sequence[int], h: int, budget: list[int]) -> int | None:
         if h == 1:
             meet = reduce(and_, rest)
             return meet & -meet or None
+        used = disjoint = 0
+        for m in rest:
+            if not m & used:
+                used |= m
+                disjoint += 1
+        if disjoint > h:
+            return None
         smallest = min(rest, key=int.bit_count)
         while smallest:
             low = smallest & -smallest

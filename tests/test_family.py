@@ -255,6 +255,47 @@ def test_transversal_budget_spans_every_depth(monkeypatch):
         transversal_number(f)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_transversal_of_sparse_families_is_the_branch_and_bound_answer(data):
+    # many small members on a larger ground set, where the depths below the
+    # answer are many
+    n = data.draw(st.integers(min_value=12, max_value=24))
+    sets = data.draw(st.lists(
+        st.sets(st.integers(min_value=1, max_value=n), min_size=2, max_size=3),
+        min_size=1, max_size=24,
+    ))
+    f = SetFamily.from_sets(n, [sorted(s) for s in sets])
+    assert transversal_number(f) == reference_transversal_number(f)
+
+
+def _disjoint_blocks(count, size):
+    return [list(range(size * i + 1, size * i + size + 1)) for i in range(count)]
+
+
+@pytest.mark.parametrize("n, sets", [
+    (36, _disjoint_blocks(12, 3)),
+    (34, _disjoint_blocks(17, 2)),
+    (64, _disjoint_blocks(16, 4)),
+    (36, _disjoint_blocks(12, 3) + [[1, 4, 7], [2, 30], [9, 20, 31]]),
+    # six disjoint 5-cycles: 3 points each, though no 3 edges of one are disjoint
+    (30, [[5 * i + j + 1, 5 * i + (j + 1) % 5 + 1] for i in range(6) for j in range(5)]),
+])
+def test_transversal_of_many_disjoint_parts_is_the_branch_and_bound_answer(n, sets):
+    # a depth below the size of a greedy disjoint subfamily is refused at its
+    # root, so these answer inside the cap, as the branch and bound did
+    f = SetFamily.from_sets(n, sets)
+    assert transversal_number(f) == reference_transversal_number(f)
+
+
+def test_hitting_set_refuses_more_disjoint_masks_than_its_depth_at_once():
+    blocks = [0b111 << (3 * i) for i in range(12)]
+    budget = [1]
+    assert hitting_set(blocks, 11, budget) is None
+    assert budget == [0]
+    assert hitting_set(blocks, 12, [12]) == sum(0b1 << (3 * i) for i in range(12))
+
+
 def test_hitting_set_takes_the_first_set_in_branching_order():
     # pivot {1,2} (the first smallest); branch 1 leaves {2,3}, whose
     # intersection gives 2: the answer is {1,2}, not {2} alone at depth 2

@@ -8,7 +8,8 @@ both sides of an inequality to a common integer power.
 
 A family that stands for an upward-closed function must already be
 materialized as one (see :func:`sforge.family.upper_closure`); measures sum
-over the listed members only.
+over the listed members only.  The noise operator and stability both run
+their coordinate passes on integers and divide once at the end.
 """
 
 from __future__ import annotations
@@ -77,21 +78,15 @@ def drop_coordinates(F: SetFamily, X: int) -> SetFamily:
     keep = [i for i in range(n) if not X >> i & 1]
     if not keep:
         raise PreconditionError("cannot drop every coordinate")
-    pos = {1 << i: 1 << j for j, i in enumerate(keep)}
-    out = []
-    for m in F.members:
-        if m & X:
-            raise PreconditionError(
-                "member meets the dropped coordinates", member=elements_of(m & X)
-            )
-        mm = 0
-        s = m
-        while s:
-            low = s & -s
-            s ^= low
-            mm |= pos[low]
-        out.append(mm)
-    return SetFamily(GroundSet(len(keep)), tuple(out))
+    bad = next((m for m in F.members if m & X), 0)
+    if bad:
+        raise PreconditionError(
+            "member meets the dropped coordinates", member=elements_of(bad & X)
+        )
+    new_bit = {i + 1: 1 << j for j, i in enumerate(keep)}  # label -> new bit
+    return SetFamily(GroundSet(len(keep)), tuple(
+        sum(map(new_bit.__getitem__, elements_of(m))) for m in F.members
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -247,43 +242,36 @@ def _diagonal_sufficient(F: SetFamily, p: Fraction, tau: Fraction) -> bool:
     a 1/(1-p) factor against a tau allowance) and for upward-closed families
     (F(A, B) is contained in F(B, B) there).
     """
-    if 1 < tau * (1 - p):
-        return True
-    return is_upward_closed(F)
+    return 1 < tau * (1 - p) or is_upward_closed(F)
 
 
 def _use_exhaustive(
     F: SetFamily, p: Fraction, tau: Fraction, exhaustive: bool | None, what: str
 ) -> tuple[bool, bool | None]:
-    """The engine a globalness computation runs on, after its guards, and
-    the ``_diagonal_sufficient`` verdict if choosing needed it (else None).
+    """Whether to run the exhaustive engine, after the guards, and the
+    ``_diagonal_sufficient`` verdict if choosing needed it (else None).
 
     ``None`` picks the diagonal engine where it is complete and fits, else
     the exhaustive one where it fits; an explicit choice must fit, and the
     diagonal one must also be complete.
     """
     n = F.ground.n
-    if exhaustive is None:
-        sufficient = _diagonal_sufficient(F, p, tau) if n <= DIAGONAL_CAP else None
-        if sufficient:
-            return False, True
-        if n <= EXHAUSTIVE_CAP:
-            return True, sufficient
+    sufficient = _diagonal_sufficient(F, p, tau) if not exhaustive and n <= DIAGONAL_CAP else None
+    engine = not sufficient if exhaustive is None else bool(exhaustive)
+    if exhaustive is None and engine and n > EXHAUSTIVE_CAP:
         raise CapacityError(
             f"{what} needs the diagonal reduction above ground size "
             f"{EXHAUSTIVE_CAP}; it is not valid here", n=n
         )
-    if not exhaustive:
-        if n > DIAGONAL_CAP:
-            raise CapacityError(f"diagonal engine capped at n={DIAGONAL_CAP}, got n={n}")
-        if not _diagonal_sufficient(F, p, tau):
-            raise PreconditionError(
-                "diagonal verdict needs an upward-closed family or 1/(1-p) < tau"
-            )
-        return False, True
-    if n > EXHAUSTIVE_CAP:
+    if not engine and n > DIAGONAL_CAP:
+        raise CapacityError(f"diagonal engine capped at n={DIAGONAL_CAP}, got n={n}")
+    if not engine and not sufficient:
+        raise PreconditionError(
+            "diagonal verdict needs an upward-closed family or 1/(1-p) < tau"
+        )
+    if engine and n > EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive engine capped at n={EXHAUSTIVE_CAP}, got n={n}")
-    return True, None
+    return engine, sufficient
 
 
 def _parameters(p, tau) -> tuple[Fraction, Fraction]:
@@ -405,14 +393,11 @@ def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None)
 def _certified_restriction(
     F: SetFamily, p: Fraction, tau: Fraction, amask: int, bmask: int, value: Fraction
 ) -> GlobalRestriction:
-    picked = F.replace_members(
-        m & ~bmask for m in F.members if m & bmask == amask
-    )
     if bmask == F.ground.full_mask:
         raise PreconditionError(
             "restriction by the full ground set leaves no coordinates"
         )
-    projected = drop_coordinates(picked, bmask)
+    projected = drop_coordinates(restrict(F, amask, bmask), bmask)
     verdict = check_global(projected, p, tau)
     if not verdict.ok:
         raise VerificationError(
@@ -430,7 +415,9 @@ def noise_operator(F: SetFamily, p, rho) -> tuple[Fraction, ...]:
     """Pointwise values of T_rho f over all 2^n inputs, indexed by mask.
 
     The kernel factorizes per coordinate: y_i copies x_i with probability
-    rho and is resampled from the p-biased bit otherwise.
+    rho and is resampled from the p-biased bit otherwise.  The coordinate
+    passes run on integers over the common denominator d = den(rho) den(p),
+    and each point becomes one Fraction over d^n at the end.
     """
     pf = _probability(p, "p")
     rf = _as_fraction(rho, "rho")
@@ -439,19 +426,20 @@ def noise_operator(F: SetFamily, p, rho) -> tuple[Fraction, ...]:
     n = F.ground.n
     if n > POINTWISE_CAP:
         raise CapacityError(f"pointwise operator capped at n={POINTWISE_CAP}, got n={n}")
-    ms = F._member_set
-    vals = [Fraction(1 if x in ms else 0) for x in range(1 << n)]
-    q0 = (1 - rf) * pf          # P(y_i = 1 | x_i = 0)
-    q1 = rf + (1 - rf) * pf     # P(y_i = 1 | x_i = 1)
+    d = rf.denominator * pf.denominator
+    q0 = (rf.denominator - rf.numerator) * pf.numerator  # d P(y_i = 1 | x_i = 0)
+    q1 = rf.numerator * pf.denominator + q0              # d P(y_i = 1 | x_i = 1)
+    vals = _weight_vector(F, 1, 1)  # f itself; after the loop, d^n T_rho f
     for i in range(n):
         bit = 1 << i
         for x in range(1 << n):
             if x & bit:
                 continue
             lo, hi = vals[x], vals[x | bit]
-            vals[x] = (1 - q0) * lo + q0 * hi
-            vals[x | bit] = (1 - q1) * lo + q1 * hi
-    return tuple(vals)
+            vals[x] = (d - q0) * lo + q0 * hi
+            vals[x | bit] = (d - q1) * lo + q1 * hi
+    dn = d**n
+    return tuple(Fraction(v, dn) for v in vals)
 
 
 def stability(F: SetFamily, p, rho) -> Fraction:
@@ -632,9 +620,9 @@ def measure_upgrade(F: SetFamily, p, tau, z: int, m: int) -> MeasureUpgradeRepor
     tf = _as_fraction(tau, "tau")
     if tf < 2:
         raise PreconditionError("tau must be at least 2", tau=str(tf))
-    if not isinstance(z, int) or z < 1:
+    if type(z) is not int or z < 1:
         raise PreconditionError(f"z must be a positive integer, got {z!r}")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise PreconditionError(f"m must be a positive integer, got {m!r}")
     if not is_upward_closed(F):
         raise PreconditionError("measure upgrade needs an upward-closed family")
@@ -660,12 +648,7 @@ def measure_upgrade(F: SetFamily, p, tau, z: int, m: int) -> MeasureUpgradeRepor
     for i in range(m):
         step = max_global_restriction(current, p_i, tf, exhaustive=False)
         smask = step.b
-        orig = 0
-        s = smask
-        while s:
-            low = s & -s
-            s ^= low
-            orig |= 1 << coords[low.bit_length() - 1]
+        orig = sum(1 << coords[e - 1] for e in elements_of(smask))
         if smask.bit_count() * 4**i > z * 3**i:
             raise VerificationError(
                 "round restriction exceeded its geometric budget",
@@ -733,7 +716,7 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
     if tf < 1:
         raise PreconditionError("tau must be at least 1", tau=str(tf))
     rf = _as_fraction(rho, "rho")
-    if not isinstance(q, int) or q <= 2:
+    if type(q) is not int or q <= 2:
         raise PreconditionError(f"q must be an integer greater than 2, got {q!r}")
     n = F.ground.n
     if n > POINTWISE_CAP:

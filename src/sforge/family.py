@@ -91,7 +91,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not (1 <= self.n <= MAX_GROUND):
+        if type(self.n) is not int or not (1 <= self.n <= MAX_GROUND):
             raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {self.n!r}")
 
     @property

@@ -523,7 +523,7 @@ def load_scenario(source) -> dict:
     if obj.get("schema") != SCHEMA:
         raise ParseError(f"scenario schema must be {SCHEMA}", found=obj.get("schema"))
     seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if type(seed) is not int:
         raise ParseError("scenario seed must be an integer")
     steps = obj.get("steps", [])
     if not isinstance(steps, list):

@@ -255,6 +255,7 @@ def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 
     then >= 1) and meaningless for R*delta <= 1; both cases get
     (None, None, True).
     """
+    R, delta = _as_fraction(R, "R"), _as_fraction(delta, "delta")
     if R <= 0 or delta <= 0:
         raise PreconditionError("R and delta must be positive", R=str(R), delta=str(delta))
     if type(m) is not int or type(mu_norm) is not int:
@@ -381,7 +382,7 @@ def spread_lemma_mc(
 
     R = _as_fraction(R, "R")
     delta = _as_fraction(delta, "delta")
-    if m < 1 or trials < 1:
+    if type(trials) is not int or m < 1 or trials < 1:
         raise PreconditionError("m and trials must be positive", m=m, trials=trials)
     blo, bhi, vac = covering_bound_bracket(R, delta, m)
     p = m * delta

@@ -709,6 +709,25 @@ def reference_superset_sums(F, a, b):
     return z
 
 
+def reference_noise_operator(F, p, rho):
+    """noise_operator with one Fraction per cell in every coordinate pass."""
+    p, rho = Fraction(p), Fraction(rho)
+    n = F.ground.n
+    ms = F._member_set
+    vals = [Fraction(1 if x in ms else 0) for x in range(1 << n)]
+    q0 = (1 - rho) * p          # P(y_i = 1 | x_i = 0)
+    q1 = rho + (1 - rho) * p    # P(y_i = 1 | x_i = 1)
+    for i in range(n):
+        bit = 1 << i
+        for x in range(1 << n):
+            if x & bit:
+                continue
+            lo, hi = vals[x], vals[x | bit]
+            vals[x] = (1 - q0) * lo + q0 * hi
+            vals[x | bit] = (1 - q1) * lo + q1 * hi
+    return tuple(vals)
+
+
 def _restriction_cells(F, a, b, bmask):
     """The A -> weight of cell (A, B) table of one B: sum of a^|m-B| b^(n-|B|-|m-B|)."""
     free = F.ground.n - bmask.bit_count()

@@ -29,6 +29,7 @@ from support import (
     binom_family,
     reference_check_global_exhaustive,
     reference_max_global_restriction,
+    reference_noise_operator,
     reference_superset_sums,
 )
 
@@ -467,6 +468,18 @@ class TestNoiseOperator:
         with pytest.raises(CapacityError):
             noise_operator(fam(13, [[1]]), F2, F2)
 
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.builds(
+            lambda ms: SetFamily(GroundSet(n), tuple(ms)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        )),
+        st.fractions(0, 1, max_denominator=40).filter(lambda p: 0 < p < 1),
+        st.one_of(st.sampled_from([0, 1]), st.fractions(0, 1, max_denominator=40)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_loop(self, F, p, rho):
+        assert noise_operator(F, p, rho) == reference_noise_operator(F, p, rho)
+
     @given(fam_strategy, prob_strategy, st.sampled_from([F2, F3, Fraction(4, 5)]))
     @settings(max_examples=30, deadline=None)
     def test_inner_product_is_stability(self, F, p, rho):
@@ -574,8 +587,18 @@ class TestSharpThreshold:
             verify_sharp_threshold(full_cube(3), Fraction(1, 512), F8, tau=2)
 
     def test_upgrade_checks_p_range(self):
-        with pytest.raises(PreconditionError):
-            verify_sharp_threshold(full_cube(3), Fraction(1, 128), 1, tau=2)
+        # p_tilde = 2^6 tau p holds, so only p < 2^-7 / tau is left to fail
+        with pytest.raises(PreconditionError, match=r"needs p < 2\^-7 / tau"):
+            verify_sharp_threshold(full_cube(3), Fraction(1, 256), F2, tau=2)
+
+    def test_upgrade_checks_the_tau_floor(self):
+        with pytest.raises(PreconditionError, match="tau must be at least 1"):
+            verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4, tau=F2)
+
+    def test_upgraded_report_carries_tau(self):
+        rep = verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4, tau=2)
+        assert rep.as_report()["tau"] == "2"
+        assert "tau" not in verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4).as_report()
 
     def test_not_monotone_rejected(self):
         with pytest.raises(PreconditionError):
@@ -635,6 +658,12 @@ class TestMeasureUpgrade:
     def test_tau_floor(self):
         with pytest.raises(PreconditionError):
             measure_upgrade(full_cube(3), Fraction(1, 512), Fraction(3, 2), z=1, m=1)
+
+    @pytest.mark.parametrize("z, m, name", [(True, 1, "z"), (1, True, "m"), (1.0, 1, "z")])
+    def test_counts_must_be_ints(self, z, m, name):
+        # a bool is no count, though isinstance(True, int) holds
+        with pytest.raises(PreconditionError, match=f"{name} must be a positive integer"):
+            measure_upgrade(full_cube(3), Fraction(1, 512), 2, z=z, m=m)
 
 
 class TestHypercontractivity:

@@ -101,6 +101,13 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             Domain.complex_layer(faces, 3)
 
+    def test_nominal_parameters_of_equal_parts_and_permutations(self):
+        # mu = n w / k only when every part has the same size
+        assert Domain.kpartite_product(4, [2, 2]).nominal_parameters() == {
+            "spread_r": 2, "assumption_r": 1, "eta": 2, "mu": 2}
+        assert "mu" not in Domain.kpartite_product(4, [2, 1]).nominal_parameters()
+        assert Domain.permutations(4).nominal_parameters() == {"spread_r": 1}
+
     def test_json_round_trip(self):
         for obj in (
             {"kind": "binomial", "n": 5, "k": 2},
@@ -328,6 +335,17 @@ class TestAssumptions:
     def test_float_rejected(self):
         with pytest.raises(PreconditionError):
             check_assumptions(Domain.binomial(8, 2), 2, 2.0, 4, 2)
+
+    def test_regularity_failure_carries_its_witness(self):
+        faces = SetFamily.from_sets(4, [[1, 2, 3], [3, 4]])
+        rep = check_assumptions(Domain.complex_layer(faces, 2), 2, 1, 1, 1)
+        assert not rep.regularity_ok and not rep.all_ok
+        assert rep.as_report()["regularity_witness"] == {"S": [], "h": 1, "subfamily_size": 1}
+
+    def test_spread_violation_is_reported(self):
+        rep = check_assumptions(Domain.binomial(6, 2), 1, 1, 1, 4)
+        assert not rep.spread_ok and not rep.all_ok
+        assert rep.as_report()["spread_violation"] == {"T": [], "S": [1]}
 
     def test_oversized_regularity_battery_refused_at_once(self):
         # about 10M units of link-shadow work against the 5M cap

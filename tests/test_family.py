@@ -71,6 +71,13 @@ def test_ground_size_limits():
     GroundSet(64)
 
 
+@pytest.mark.parametrize("bad", [True, 3.0], ids=repr)
+def test_non_int_ground_size_rejected(bad):
+    # GroundSet(True) was once the ground set [1]
+    with pytest.raises(CapacityError, match="ground set size"):
+        GroundSet(bad)
+
+
 def test_empty_set_is_legal_member():
     f = SetFamily.from_sets(4, [[], [1]])
     assert 0 in f.members

@@ -29,7 +29,9 @@ except a ``__post_init__``.  In ``pipelines.py`` the kernel scale
 ``2 ** 14`` is built only by ``_kernel_scale`` and ``ExtractionThreshold``.
 Every ``lru_cache`` has a finite ``maxsize``, and no function is wrapped in
 the unbounded ``functools.cache``, so no memo grows with the inputs a
-long-lived process sees.
+long-lived process sees.  No module tests for an integer with
+``isinstance(x, int)``, which admits ``True`` as 1; ``type(x) is not int``
+refuses it.
 """
 
 import ast
@@ -588,3 +590,44 @@ def test_unbounded_cache_checker_flags_the_open_memos():
     )
     assert unbounded_caches(src) == [
         "line 3: a", "line 6: b", "line 9: c", "line 12: d", "line 15: e"]
+
+
+def int_isinstance_checks(source: str) -> list[str]:
+    """The lines of ``isinstance`` calls whose type argument is ``int`` or a
+    tuple holding ``int``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kind = node.args[1]
+        kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+            out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_integers_are_not_tested_with_isinstance(path):
+    assert int_isinstance_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_int_isinstance_checker_flags_the_bool_admitting_tests():
+    # the count checks of boolean.py and the seed check of scenario.py before
+    # they became type(x) is not int, and what the checker lets through
+    src = (
+        "def measure_upgrade(F, p, tau, z, m):\n"
+        "    if not isinstance(z, int) or z < 1:\n"
+        "        raise PreconditionError('z')\n"
+        "    if not isinstance(m, int) or m < 1:\n"
+        "        raise PreconditionError('m')\n"
+        "def hypercontractivity_check(F, p, tau, rho, q):\n"
+        "    if not isinstance(q, int) or q <= 2:\n"
+        "        raise PreconditionError('q')\n"
+        "def load_scenario(seed, v, steps):\n"
+        "    if isinstance(seed, bool) or not isinstance(seed, int):\n"
+        "        raise ParseError('seed')\n"
+        "    ok = type(seed) is not int, isinstance(v, (Fraction, int)), isinstance(v, bool)\n"
+        "    return ok, isinstance(steps, list), isinstance(v, float)\n"
+    )
+    assert int_isinstance_checks(src) == ["line 2", "line 4", "line 7", "line 10", "line 12"]

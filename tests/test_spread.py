@@ -354,6 +354,12 @@ class TestPaperBound:
         with pytest.raises(PreconditionError):
             covering_bound_bracket(Fraction(R), Fraction(delta), 1)
 
+    @pytest.mark.parametrize("R, delta", [(64.0, Fraction(1)), (Fraction(64), 0.5)])
+    def test_float_parameters_rejected(self, R, delta):
+        # a float once reached arg.numerator and died with AttributeError
+        with pytest.raises(PreconditionError, match="must be exact"):
+            covering_bound_bracket(R, delta, 1)
+
 
 class TestWilson:
     def test_half(self):
@@ -414,6 +420,17 @@ class TestSpreadLemmaMC:
         F = fam(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
         with pytest.raises(PreconditionError):
             spread_lemma_mc(F, 2, m, Fraction(1, 8), 16)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 16.0, Fraction(16)])
+    def test_a_non_int_trial_count_rejected_before_sampling(self, monkeypatch, trials):
+        # trials=True once ran one trial and reported "trials": true
+        def sample(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr(spread, "_block_seed", sample)
+        F = fam(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        with pytest.raises(PreconditionError, match="m and trials must be positive"):
+            spread_lemma_mc(F, 2, 2, Fraction(1, 8), trials)
 
     def test_seed_determinism(self):
         F = binom_family(10, 2)

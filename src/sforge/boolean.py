@@ -734,14 +734,14 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
         raise PreconditionError("family is not tau-global", **verdict.as_report())
 
     mu = biased_measure(F, pf)
-    tf_vals = noise_operator(F, pf, rf)
+    # each value of T_rho f is some v / d^n, d = den(rho) den(p); under p = a/c
+    # the moment is the integer sum of a^|x| (c-a)^(n-|x|) v^q over c^n d^(nq)
+    dn = (rf.denominator * pf.denominator) ** n
     a, c = pf.numerator, pf.denominator
-    b = c - a
-    lhs = Fraction(0)
-    for x, val in enumerate(tf_vals):
-        if val:
-            j = x.bit_count()
-            lhs += Fraction(a**j * b ** (n - j), c**n) * val**q
+    weight = [a**j * (c - a) ** (n - j) for j in range(n + 1)]
+    total = sum(weight[x.bit_count()] * (val.numerator * (dn // val.denominator)) ** q
+                for x, val in enumerate(noise_operator(F, pf, rf)))
+    lhs = Fraction(total, c**n * dn**q)
     if lhs * lhs > mu**q:
         raise VerificationError(
             "hypercontractive inequality failed",

@@ -227,8 +227,10 @@ def brute_force_find(
 # square of the depth, and a wholly free domain would be walked to the end
 _DEPTH_CAP = 900
 # member pairs an s = 2 search without symmetry may test at its root, where
-# every member is a child that scans all later ones (a few seconds at the cap)
+# every member is a child whose row tests it against every later one
 _PAIR_CAP = 10_000_000
+# flag bytes 0 and 1 to the digits of a base-2 numeral
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass
@@ -285,12 +287,23 @@ def max_sunflower_free(
 
     Each node carries the later candidates that keep its family free, as a
     bitset of member indices.  On adding x, fam + x and fam + c are free, so
-    a new forbidden sunflower has petals x, c and core x & c; for s = 2 each
-    c with an admissible core goes.  Each further petal f puts c in
-    ``_third_petals``' set for (x, f); for s = 3 those c go, for s >= 4
-    those whose petals f & ~core hold s - 2 disjoint ones (``find_packing``).
-    Bounding by raw indices keeps the nodes and witness of testing each c
-    against all of fam; past ``budget`` nodes the result is uncertified.
+    a new forbidden sunflower has petals x, c and core x & c, and the child
+    keeps the candidates outside a ``touched`` set read from x's row.  For
+    s = 2 the row is the later members whose core with x is admissible,
+    built the first time x enters a child, and all of it goes.  Otherwise each
+    further petal f puts c in ``_third_petals``' set for (x, f), and
+    touched is the OR of those over fam; for s = 3 it all goes, for s >= 4
+    a touched c stays unless its petals f & ~core hold s - 2 disjoint ones
+    (``find_packing``).  Bounding by raw indices keeps the nodes and witness
+    of testing each c against all of fam; past ``budget`` nodes the result
+    is uncertified.
+
+    Members are tried lowest index first, a subtree is pruned only when it
+    cannot beat the incumbent, and only a strictly larger family replaces
+    it.  So a certified result's witness is the lexicographically least
+    optimal subfamily in member order, with or without ``symmetry`` (moving
+    a member's fresh labels down to the next unused ones gives a smaller
+    isomorphic family).  An uncertified incumbent carries no such promise.
     The open frames are a list, not interpreter frames, and a family that
     grows past ``_DEPTH_CAP`` (900) members raises CapacityError, whoever
     the caller.  So does an s = 2 search without symmetry over more than
@@ -307,27 +320,13 @@ def max_sunflower_free(
                             members=M, cap=_PAIR_CAP)
     admits = [pred.admits_core_size(c) for c in range(candidates.ground.n + 1)]
     third = _third_petals(members, admits) if s > 2 else None
-    rows: list = [None] * M  # rows[i] = [third(i, j) for j < i], filled on first use
+    # filled on first use: for s = 2 rows[i] is the bitset of the later members
+    # whose core with members[i] is admissible, else [third(i, j) for j < i]
+    rows: list = [None] * M
     roots = (1 << M) - 1
     if pred.degenerate_small_sets:
         roots = sum(1 << j for j, m in enumerate(members) if m.bit_count() > pred.bound)  # type: ignore[operator]
     full = symmetry == "full"
-
-    def survivors(fam: list[int], i: int, rest: int, touched: int) -> int:
-        """The candidates in ``rest`` still free once members[i] joins fam;
-        for s >= 4 only those in ``touched`` (third(i, j) over fam) can go."""
-        x = members[i]
-        if s == 2:  # each c whose core with x has an admissible size goes
-            for e in elements_of(rest):
-                if admits[(x & members[e - 1]).bit_count()]:
-                    rest ^= 1 << e - 1
-            return rest
-        for e in elements_of(touched & rest):  # member e - 1
-            core, union = x & members[e - 1], x | members[e - 1]
-            petals = [members[j] & ~core for j in fam if members[j] & union == core]
-            if len(petals) >= s - 2 and find_packing(petals, s - 2) is not None:
-                rest &= ~(1 << e - 1)
-        return rest
 
     # the current node's family, candidates and used label prefix; each open
     # ancestor is one (candidates, prefix) entry of ``stack``
@@ -349,19 +348,31 @@ def max_sunflower_free(
                         continue  # fresh labels not a contiguous next block
                     new_prefix = prefix + fresh.bit_length()
                 rest = 0
-                if cands and s == 2:
-                    rest = survivors(fam, idx, cands, 0)
-                elif cands:  # the OR of third(idx, j) over fam, inline: every node runs it
+                if cands:  # drop each candidate that would complete a forbidden sunflower
                     row = rows[idx]
-                    if row is None:
-                        row = rows[idx] = [None] * idx
-                    touched = 0
-                    for j in fam:
-                        got = row[j]
-                        if got is None:
-                            got = row[j] = third(idx, j)
-                        touched |= got
-                    rest = cands & ~touched if s == 3 else survivors(fam, idx, cands, touched)
+                    if s == 2:
+                        if row is None:
+                            x = members[idx]  # a flag byte per later member, the last first
+                            flags = bytes([admits[(x & m).bit_count()] for m in members[:idx:-1]])
+                            row = rows[idx] = int(flags.translate(_DIGITS), 2) << idx + 1
+                        touched = row
+                    else:  # the OR of third(idx, j) over fam, inline: every node runs it
+                        if row is None:
+                            row = rows[idx] = [None] * idx
+                        touched = 0
+                        for j in fam:
+                            got = row[j]
+                            if got is None:
+                                got = row[j] = third(idx, j)
+                            touched |= got
+                    rest = cands & ~touched
+                    if s > 3:  # a touched c stays unless its petals pack s - 2 disjoint ones
+                        x = members[idx]
+                        for e in elements_of(touched & cands):  # member e - 1
+                            core, union = x & members[e - 1], x | members[e - 1]
+                            petals = [members[j] & ~core for j in fam if members[j] & union == core]
+                            if len(petals) < s - 2 or find_packing(petals, s - 2) is None:
+                                rest |= 1 << e - 1
                 nodes += 1
                 if nodes > budget:
                     certified = False

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
-from sforge.boolean import GlobalnessVerdict
+from sforge.boolean import GlobalnessVerdict, HypercontractivityReport, biased_measure
 from sforge.cli import main
 from sforge.domains import Domain, HomogeneityVerdict, SpreadnessReport
 from sforge.errors import CapacityError, PreconditionError
@@ -26,8 +26,8 @@ from sforge.family import (
 )
 from sforge.packing import find_packing
 from sforge.pipelines import _ROOT_BITS, _iroot_ceil
-from sforge.spread import SpreadVerdict, _block_seed, check_spread
-from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness
+from sforge.spread import _LN2_LO, SpreadVerdict, _block_seed, check_spread, frac_log2_bracket
+from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness, is_sunflower
 
 
 @dataclass
@@ -488,6 +488,39 @@ def reference_max_sunflower_free(candidates, pred, budget=2_000_000, symmetry=No
     )
 
 
+def least_optimal_family(candidates, pred):
+    """The lexicographically least largest free subfamily, in member order.
+
+    Depth first over the members in order, keeping the first strictly
+    larger family met; each new member is tested against every (s - 1)-subset
+    of the family, as oracle_max_sunflower_free does.  No bitsets, no bound.
+    """
+    members = list(candidates.members)
+    best = []
+
+    def creates(fam, new):
+        if pred.degenerate_small_sets and new.bit_count() <= pred.bound:
+            return True
+        for combo in combinations(fam, pred.s - 1):
+            core = is_sunflower([*combo, new])
+            if core is not None and pred.admits_core_size(core.bit_count()):
+                return True
+        return False
+
+    def dfs(start, fam):
+        nonlocal best
+        if len(fam) > len(best):
+            best = list(fam)
+        for idx in range(start, len(members)):
+            if not creates(fam, members[idx]):
+                fam.append(members[idx])
+                dfs(idx + 1, fam)
+                fam.pop()
+
+    dfs(0, [])
+    return candidates.replace_members(best)
+
+
 def reference_frac_log2_bracket(x, steps=48):
     """frac_log2_bracket on Fractions: square, round outward to 2^-192, compare."""
 
@@ -726,6 +759,22 @@ def reference_noise_operator(F, p, rho):
             vals[x] = (1 - q0) * lo + q0 * hi
             vals[x | bit] = (1 - q1) * lo + q1 * hi
     return tuple(vals)
+
+
+def reference_hypercontractivity_check(F, p, tau, rho, q):
+    """hypercontractivity_check's report, its moment summed one Fraction per
+    point over reference_noise_operator's values; no preconditions checked."""
+    p, tau, rho = Fraction(p), Fraction(tau), Fraction(rho)
+    n = F.ground.n
+    gate = frac_log2_bracket(Fraction(q))[0] * _LN2_LO / (16 * q * tau)
+    a, c = p.numerator, p.denominator
+    b = c - a
+    lhs = Fraction(0)
+    for x, val in enumerate(reference_noise_operator(F, p, rho)):
+        if val:
+            j = x.bit_count()
+            lhs += Fraction(a**j * b ** (n - j), c**n) * val**q
+    return HypercontractivityReport(q, rho, gate, biased_measure(F, p), lhs)
 
 
 def _restriction_cells(F, a, b, bmask):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +29,7 @@ from sforge.family import GroundSet, SetFamily, canon_key, is_upward_closed, upp
 from support import (
     binom_family,
     reference_check_global_exhaustive,
+    reference_hypercontractivity_check,
     reference_max_global_restriction,
     reference_noise_operator,
     reference_superset_sums,
@@ -697,6 +699,21 @@ class TestHypercontractivity:
     def test_globalness_enforced(self):
         with pytest.raises(PreconditionError):
             hypercontractivity_check(binom_family(4, 2), F2, 1, Fraction(1, 100), 4)
+
+    def test_reports_match_the_fraction_reference_on_seeded_families(self):
+        # tau = 1 / min(p, 1 - p) makes every family tau-global, and rho =
+        # 1/200 or less stays under the gate for q <= 5 at tau <= 4
+        rng = random.Random(26)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            F = full_cube(n).replace_members(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            p = rng.choice([F4, F3, F2, Fraction(2, 3)])
+            tau = 1 / min(p, 1 - p)
+            rho = rng.choice([Fraction(1, 200), Fraction(3, 1000), Fraction(1, 999)])
+            q = rng.randint(3, 5)
+            got = hypercontractivity_check(F, p, tau, rho, q)
+            want = reference_hypercontractivity_check(F, p, tau, rho, q)
+            assert got == want and got.as_report() == want.as_report()
 
 
 class TestUniformBiasedFloor:

@@ -2,7 +2,7 @@ import time
 
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -264,12 +264,15 @@ class TestRtSpread:
 
 
 @st.composite
-def complex_layers(draw):
+def complex_layers(draw, least=1):
     """A layer of a random complex on at most 7 points: link counts differ
-    within a level, so no level's largest count settles it."""
+    within a level, so no level's largest count settles it.  The layer's
+    uniformity is at least ``least`` (at most 3)."""
     n = draw(st.integers(3, 7))
     faces = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
-    k = draw(st.integers(1, max(f.bit_count() for f in faces)))
+    if max(f.bit_count() for f in faces) < least:
+        faces.append((1 << least) - 1)
+    k = draw(st.integers(least, max(f.bit_count() for f in faces)))
     return Domain.complex_layer(SetFamily(GroundSet(n), tuple(faces)), k)
 
 
@@ -555,17 +558,23 @@ class TestShadowBound:
 
 
 
-DOMAIN_KINDS = {
-    "binomial": st.integers(1, 7).flatmap(
-        lambda n: st.integers(1, n).map(lambda k: Domain.binomial(n, k))),
-    "sequences": st.tuples(st.integers(1, 4), st.integers(1, 3)).map(
-        lambda nk: Domain.sequences(*nk)),
-    "kpartite_product": st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.integers(1, n), min_size=1, max_size=3).map(
-            lambda parts: Domain.kpartite_product(n, parts))),
-    "permutations": st.integers(1, 4).map(Domain.permutations),
-    "complex_layer": complex_layers(),
-}
+def domain_kinds(least=1):
+    """A strategy per domain kind, each drawing domains of uniformity at
+    least ``least`` (at most 3)."""
+    return {
+        "binomial": st.integers(least, 7).flatmap(
+            lambda n: st.integers(least, n).map(lambda k: Domain.binomial(n, k))),
+        "sequences": st.tuples(st.integers(1, 4), st.integers(least, 3)).map(
+            lambda nk: Domain.sequences(*nk)),
+        "kpartite_product": st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.integers(1, n), min_size=least, max_size=3).map(
+                lambda parts: Domain.kpartite_product(n, parts))),
+        "permutations": st.integers(least, 4).map(Domain.permutations),
+        "complex_layer": complex_layers(least),
+    }
+
+
+DOMAIN_KINDS = domain_kinds()
 
 
 @pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
@@ -591,10 +600,8 @@ class TestMemberIndex:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_deep_link_domain_matches_a_recount(self, kind, size, data):
-        A = data.draw(DOMAIN_KINDS[kind])
-        deep = [x for x in sorted(A.table) if x.bit_count() == size]
-        assume(deep)
-        S = data.draw(st.sampled_from(deep))
+        A = data.draw(domain_kinds(size)[kind])
+        S = data.draw(st.sampled_from(A.layers[size]))
         L = A.link_domain(S)
         assert L.family == restrict(A.family, S, S) and L.k == A.k - size
         assert L.table == reference_link_counts(L.family.members)

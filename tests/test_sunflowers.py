@@ -30,7 +30,7 @@ from sforge.sunflowers import (
     product_kernel,
 )
 
-from support import reference_find_sunflower, reference_max_sunflower_free
+from support import least_optimal_family, reference_find_sunflower, reference_max_sunflower_free
 
 
 def binomial_family(n, k):
@@ -332,12 +332,13 @@ def search_key(res):
 
 
 @st.composite
-def search_inputs(draw):
-    """A family of up to 16 distinct sets on at most 8 elements and a predicate."""
+def search_inputs(draw, max_members=16, max_s=5):
+    """A family of up to ``max_members`` distinct sets on at most 8 elements
+    and a predicate of up to ``max_s`` petals."""
     n = draw(st.integers(1, 8))
-    sets = draw(st.sets(st.frozensets(st.integers(1, n)), max_size=16))
+    sets = draw(st.sets(st.frozensets(st.integers(1, n)), max_size=max_members))
     fam = SetFamily.from_sets(n, [sorted(x) for x in sets])
-    s = draw(st.integers(2, 5))
+    s = draw(st.integers(2, max_s))
     mode = draw(st.sampled_from(list(CoreMode)))
     bound = None if mode is CoreMode.ANY else draw(st.integers(0, 3))
     degenerate = mode is CoreMode.AT_MOST and draw(st.booleans())
@@ -414,6 +415,56 @@ def test_max_free_keeps_no_table_of_all_pairs():
         tracemalloc.stop()
     assert (res.nodes, res.certified) == (101, False)
     assert peak < 4 * 2**20
+
+
+def test_max_free_builds_a_two_petal_row_only_for_a_visited_member():
+    # 3,003 candidates: a row of every member would hold about nine million
+    # bits, over 1.1 MB; a hundred nodes build at most a hundred rows
+    fam = binomial_family(15, 5)
+    pred = CorePredicate(2, CoreMode.AT_MOST, 1)
+    tracemalloc.start()
+    try:
+        res = max_sunflower_free(fam, pred, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.nodes, res.certified) == (101, False)
+    assert peak < 2**20
+
+
+# The witness contract: a certified search returns the lexicographically
+# least optimal subfamily in member order, whatever it prunes on the way.
+@settings(max_examples=150, deadline=None)
+@given(search_inputs(max_members=14, max_s=4))
+def test_a_certified_witness_is_the_least_optimal_family(inputs):
+    fam, pred = inputs
+    res = max_sunflower_free(fam, pred)
+    assert res.certified
+    assert res.witness.members == least_optimal_family(fam, pred).members
+
+
+def core_shapes(k):
+    """Every (mode, bound, degenerate) of a predicate whose bound is below k."""
+    return ([(CoreMode.ANY, None, False)]
+            + [(CoreMode.AT_MOST, b, d) for b in range(k) for d in (False, True)]
+            + [(CoreMode.EXACT, b, False) for b in range(k)])
+
+
+SMALL_BINOMIAL_SEARCHES = [
+    (n, k, CorePredicate(s, *shape), symmetry)
+    for n in range(1, 13) for k in range(1, n + 1) if comb(n, k) <= 12
+    for s in (2, 3, 4) for shape in core_shapes(k) for symmetry in (None, "full")
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_BINOMIAL_SEARCHES))
+def test_a_certified_binomial_witness_is_the_least_optimal_family(case):
+    n, k, pred, symmetry = case
+    fam = binomial_family(n, k)
+    res = max_sunflower_free(fam, pred, symmetry=symmetry)
+    assert res.certified
+    assert res.witness.members == least_optimal_family(fam, pred).members
 
 
 def test_product_kernel_free():

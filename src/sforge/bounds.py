@@ -414,27 +414,11 @@ def fstar_family(A: Domain, T_star: SetFamily, s: int) -> SetFamily:
             raise PreconditionError(
                 "skeleton set misses the domain shadow", member=T
             )
-    return _domain_lift(A, T_star, s, t, counted=False)
-
-
-def _domain_lift(A: Domain, T_star: SetFamily, s: int, t: int, counted: bool) -> SetFamily:
-    """``fstar_family`` past its argument checks.
-
-    With ``counted`` (a binomial domain, where the result is also
-    ``example_23``'s family) it makes ``example_23``'s checks as well, in the
-    order the two functions would make them one after the other.
-    """
     _check_skeleton(T_star, s)
     supp = T_star.support()
     out = A.family.replace_members(m for m in A.family.members if (m & supp) in T_star)
-    if counted:
-        _check_lift_size(out, A.ground_bits, A.k, t, T_star)
     bad = find_sunflower(out, CorePredicate(s, CoreMode.AT_MOST, t - 1))
     if bad is not None:
-        # every core-exactly-(t-1) witness is also one of this check, so
-        # example_23's own check, which would have come first, runs only here
-        if counted:
-            bad = find_sunflower(out, CorePredicate(s, CoreMode.EXACT, t - 1)) or bad
         raise _forbidden(bad)
     spread_r = A.nominal_parameters().get("spread_r")
     if spread_r is not None and t < A.k:
@@ -472,7 +456,9 @@ def verify_instance(
 
     Each construction is built once and each family checked once: on a
     binomial domain the ``skeleton-lift`` and ``domain-skeleton`` rows share
-    one family with the checks of both ``example_23`` and ``fstar_family``.
+    one family.  ``fstar_family`` builds and checks it; its check of cores
+    below t covers ``example_23``'s of cores of exactly t - 1, and
+    ``example_23``'s size identity and floor are checked on it as well.
     """
     if not (2 <= s and 1 <= t <= A.k):
         raise PreconditionError("need s >= 2 and 1 <= t <= domain uniformity")
@@ -501,9 +487,11 @@ def verify_instance(
         kinds.append("domain-skeleton")
     if kinds:
         # on a binomial domain example_23 and fstar_family build the same
-        # family, all k-subsets: it is built and checked once for both rows
-        lift = (_domain_lift(A, kernel, s, t, counted=True) if A.kind == "binomial"
-                else fstar_family(A, kernel, s))
+        # family, all k-subsets: it is built and checked once for both rows,
+        # example_23's counts included
+        lift = fstar_family(A, kernel, s)
+        if A.kind == "binomial":
+            _check_lift_size(lift, n, k, t, kernel)
         # the lift has passed the check for cores below t
         legal = pred == CorePredicate(s, CoreMode.AT_MOST, t - 1) or family_is_free(lift, pred)
         constructions += [(kind, len(lift.members), legal) for kind in kinds]

@@ -73,6 +73,7 @@ class Domain:
 
     @staticmethod
     def binomial(n: int, k: int) -> "Domain":
+        n, k = _int(n, "n"), _int(k, "k")
         if not (1 <= k <= n):
             raise PreconditionError("binomial domain needs 1 <= k <= n", n=n, k=k)
         return _block_domain("binomial", "binomial", n, 1, (k,), {"n": n, "k": k})
@@ -80,6 +81,7 @@ class Domain:
     @staticmethod
     def sequences(n: int, k: int) -> "Domain":
         """[n]^k: position i takes value v as bit i*n + (v-1)."""
+        n, k = _int(n, "n"), _int(k, "k")
         if n < 1 or k < 1:
             raise PreconditionError("sequences domain needs n, k >= 1", n=n, k=k)
         return _block_domain("sequences", "sequences", n, k, repeat(1, k), {"n": n, "k": k})
@@ -87,7 +89,7 @@ class Domain:
     @staticmethod
     def kpartite_product(n: int, parts: Sequence[int]) -> "Domain":
         """One [n]-block per part; part j contributes a parts[j]-subset."""
-        parts = tuple(int(p) for p in parts)
+        n, parts = _int(n, "n"), tuple(_int(p, "parts") for p in parts)
         if not parts or any(p < 1 or p > n for p in parts):
             raise PreconditionError(
                 "each part size must lie in 1..n", n=n, parts=parts
@@ -100,6 +102,7 @@ class Domain:
     @staticmethod
     def permutations(n: int) -> "Domain":
         """Bijections of [n], encoded on the n x n grid: sigma(i)=j is bit (i-1)*n + (j-1)."""
+        n = _int(n, "n")
         if n < 1:
             raise PreconditionError("permutations domain needs n >= 1", n=n)
         if n > _PERMUTATION_CAP:
@@ -118,6 +121,7 @@ class Domain:
     @staticmethod
     def complex_layer(maximal_faces: SetFamily, k: int) -> "Domain":
         """The k-th layer of the complex generated by the given faces."""
+        k = _int(k, "k")
         if k < 0:
             raise PreconditionError("layer index must be nonnegative", k=k)
         out = set()
@@ -191,16 +195,18 @@ class Domain:
     def link_domain(self, S: int) -> "Domain":
         """The ambient family A(S), as its own domain on the same ground bits.
 
-        Its members are those the ``index`` finds holding S, with S
-        stripped.  Its table is the parent's: A(S) has |A(S | X)| members
-        above each X disjoint from S, so nothing is recounted.  A shallow
-        link filters the parent table for the entries above S; a deep one,
-        whose members have fewer submasks (|A(S)| 2^(k-|S|)) than the parent
-        table has entries, reads the parent entry of each submask instead.
-        The two fill the table in different key orders; every reader of a
-        table looks its keys up or sorts them (``layers``), so the order is
-        free.
+        The link of the empty set is the domain itself.  Otherwise its
+        members are those the ``index`` finds holding S, with S stripped.
+        Its table is the parent's: A(S) has |A(S | X)| members above each X
+        disjoint from S, so nothing is recounted.  A shallow link filters the
+        parent table for the entries above S; a deep one, whose members have
+        fewer submasks (|A(S)| 2^(k-|S|)) than the parent table has entries,
+        reads the parent entry of each submask instead.  The two fill the
+        table in different key orders; every reader of a table looks its
+        keys up or sorts them (``layers``), so the order is free.
         """
+        if not S:
+            return self
         members = self.family.members
         above = select(members, holders(self.index, S, (1 << len(members)) - 1))
         if not above:
@@ -301,18 +307,18 @@ def domain_from_json_obj(obj) -> Domain:
     kind = obj["kind"]
     try:
         if kind == "binomial":
-            return Domain.binomial(_int(obj["n"], "n"), _int(obj["k"], "k"))
+            return Domain.binomial(obj["n"], obj["k"])
         if kind == "sequences":
-            return Domain.sequences(_int(obj["n"], "n"), _int(obj["k"], "k"))
+            return Domain.sequences(obj["n"], obj["k"])
         if kind == "kpartite_product":
-            return Domain.kpartite_product(_int(obj["n"], "n"), _list_of(obj["parts"], "parts"))
+            return Domain.kpartite_product(obj["n"], _list_of(obj["parts"], "parts"))
         if kind == "permutations":
-            return Domain.permutations(_int(obj["n"], "n"))
+            return Domain.permutations(obj["n"])
         if kind == "complex_layer":
             faces = _list_of(obj["maximal_faces"], "maximal_faces", item=_list_of)
             n = _int(obj["n"], "n") if "n" in obj else max((max(f) for f in faces if f), default=1)
             fam = SetFamily.from_sets(n, faces)
-            return Domain.complex_layer(fam, _int(obj["k"], "k"))
+            return Domain.complex_layer(fam, obj["k"])
     except KeyError as exc:
         raise ParseError(f"domain spec missing key {exc}", kind=kind)
     raise ParseError(f"unknown domain kind {kind!r}")
@@ -631,12 +637,11 @@ def regularity_identity_holds(A: Domain, S: int, subfamily: SetFamily, h: int) -
     """Exact check of mu(F) = E mu(F(H)) with H uniform on the h-shadow of A(S).
 
     The subfamily lives inside A(S), i.e. its members already have S removed.
-    A(S) comes from ``link_domain``, so its h-shadow is its ``layers[h]``;
-    with S empty it is A itself.
+    A(S) is ``link_domain(S)``, so its h-shadow is its ``layers[h]``.
     """
     if S not in A.table:
         raise PreconditionError("S is not in the domain shadow", S=elements_of(S))
-    L = A if S == 0 else A.link_domain(S)
+    L = A.link_domain(S)
     shadow_hs = L.shadow_layer(h)
     if not shadow_hs:
         raise PreconditionError("empty h-shadow", S=elements_of(S), h=h)
@@ -646,14 +651,13 @@ def regularity_identity_holds(A: Domain, S: int, subfamily: SetFamily, h: int) -
             raise PreconditionError(
                 "subfamily member outside A(S)", member=elements_of(m)
             )
+    # m lies in F(H) exactly for its own h-subsets H: E mu(F(H)) is the sum
+    # over m and H of 1 / |A(S)(H)|, over |shadow|; the sum is num / D over
+    # the common denominator D of the counts read, and mu(F) = |F| / |A(S)|
     table = L.table
-    # over the common denominator D of the link counts: E mu(F(H)) is
-    # num / (D |shadow|), and mu(F) = |F| / |A(S)|
-    D = lcm(*{table[H] for H in shadow_hs})
-    num = 0
-    for H in shadow_hs:
-        cnt = sum(1 for m in subfamily.members if m & H == H)
-        num += cnt * (D // table[H])
+    counts = [table[H] for m in subfamily.members for H in bit_subsets(m, h)]
+    D = lcm(*counts)
+    num = sum(D // c for c in counts)
     return len(subfamily) * D * len(shadow_hs) == num * len(L)
 
 
@@ -721,9 +725,10 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
 
     * depth-q spreadness of every link at parameter r;
     * max-link density A_t >= r^(-eta t)|A| for each t in 1..q-1;
-    * the regularity identity on every S in the depth-q shadow, for the
-      full link and every singleton subfamily (sufficient by linearity),
-      h up to q-1 within the link's uniformity;
+    * the regularity identity on every S in the depth-q shadow, for every
+      singleton subfamily of the link, h up to q-1 within the link's
+      uniformity: by linearity that decides every subfamily, and the whole
+      link always passes (each H lies in |A(S)(H)| of its members);
     * the shadow-ratio floor |shadow_h A(R)| / |shadow_h A| >=
       (1 - |R|/(mu k))^h for every R in the depth-q shadow, h up to q within
       range.
@@ -731,8 +736,10 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     Verdicts are exact.  The regularity checks are counted ahead, each
     weighted by the link shadow it visits, bounded from the link's size
     without building it; more than ``_REGULARITY_CAP`` raise CapacityError
-    before any check runs.  Each link A(S) is built once, from the member
-    index and the parent table.
+    before any check runs.  The count over-states the work: there are
+    |A(S)| trials, not 1 + |A(S)|, and each reads C(k - |S|, h) counts, not
+    a whole shadow.  Each link A(S) is built once, from the member index and
+    the parent table.
     """
     eta = _as_fraction(eta, "eta")
     mu = _as_fraction(mu, "mu")
@@ -749,15 +756,15 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
     for S in shadow_q:
         a_s, size = table[S], S.bit_count()
         depth = k - size
-        # 1 + a_s trials, each visiting the h-shadow of A(S): at most the
-        # h-sets off S, and at most C(depth, h) per member of A(S)
+        # charged as 1 + a_s trials, each visiting the h-shadow of A(S): at
+        # most the h-sets off S, and at most C(depth, h) per member of A(S)
         work += sum((1 + a_s) * min(comb(A.ground_bits - size, h), a_s * comb(depth, h))
                     for h in range(1, min(q - 1, depth) + 1))
     if work > _REGULARITY_CAP:
         raise CapacityError("regularity identity checks capped", work=work, cap=_REGULARITY_CAP)
 
     sp = check_rt_spread(A, r, q)
-    links = {S: A if S == 0 else A.link_domain(S) for S in shadow_q}
+    links = {S: A.link_domain(S) for S in shadow_q}
 
     density_ok, density_witness = True, None
     for t in range(1, q):
@@ -767,26 +774,17 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
             density_witness = {"t": t, "A_t": A_t, "family_size": total}
             break
 
-    regularity_ok, regularity_witness = True, None
-    for S in shadow_q:
-        if not regularity_ok:
-            break
-        L = links[S]
-        depth = k - S.bit_count()
-        for h in range(1, min(q - 1, depth) + 1):
-            trial_subfamilies = [L.family]
-            for m in L.family.members:
-                trial_subfamilies.append(L.family.replace_members([m]))
-            for sub in trial_subfamilies:
-                if not regularity_identity_holds(L, 0, sub, h):
-                    regularity_ok = False
-                    regularity_witness = {
-                        "S": list(elements_of(S)), "h": h,
-                        "subfamily_size": len(sub),
-                    }
-                    break
-            if not regularity_ok:
-                break
+    # the first (S, h) at which some member alone breaks the identity
+    broken = next(
+        ((S, h) for S, L in links.items() for h in range(1, min(q - 1, L.k) + 1)
+         if not all(regularity_identity_holds(L, 0, L.family.replace_members((m,)), h)
+                    for m in L.family.members)),
+        None,
+    )
+    regularity_ok = broken is None
+    regularity_witness = None if regularity_ok else {
+        "S": list(elements_of(broken[0])), "h": broken[1], "subfamily_size": 1,
+    }
 
     shadow_ok, shadow_witness = True, None
     for R in shadow_q:

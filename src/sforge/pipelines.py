@@ -420,7 +420,7 @@ class Decomposition:
             )
         for part in self.parts:
             if self.tau is not None:
-                sub = self.domain if part.core == 0 else self.domain.link_domain(part.core)
+                sub = self.domain.link_domain(part.core)
                 v = check_tau_homogeneous(part.family, sub, self.tau)
                 if not v.ok:
                     raise VerificationError(
@@ -1156,7 +1156,7 @@ def reduce_intersections(
     parts_out: list[DecompositionPart] = []
     records: list[BoundRecord] = []
     for part in D.parts:
-        sub = A if part.core == 0 else A.link_domain(part.core)
+        sub = A.link_domain(part.core)
         if sub.k < 1:
             raise PreconditionError(
                 "a block core exhausts the domain uniformity; nothing to prune",

@@ -176,13 +176,7 @@ def find_sunflower(
             continue
         packed = find_packing([m & ~core for m in above], pred.s)
         if packed is not None:
-            chosen = set(packed)
-            sets = []
-            for m in above:
-                if (m & ~core) in chosen:
-                    sets.append(m)
-                    chosen.discard(m & ~core)
-            return SunflowerWitness(tuple(sets), core)
+            return SunflowerWitness(tuple(p | core for p in packed), core)
     return None
 
 

@@ -132,6 +132,23 @@ class TestConstruction:
         with pytest.raises(ParseError):
             domain_from_json_obj({"kind": "binomial", "n": True, "k": 1})
 
+    @pytest.mark.parametrize("ctor, args, key", [
+        ("binomial", (True, 1), "n"),
+        ("binomial", (4.0, 2), "n"),
+        ("binomial", (4, "2"), "k"),
+        ("sequences", (3, True), "k"),
+        ("sequences", (3.0, 2), "n"),
+        ("kpartite_product", (3, [True, 2.0]), "parts"),
+        ("kpartite_product", (3, ["2"]), "parts"),
+        ("kpartite_product", (False, [1]), "n"),
+        ("permutations", (True,), "n"),
+        ("complex_layer", (SetFamily.from_sets(3, [[1, 2]]), 2.0), "k"),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_constructors_refuse_non_integers(self, ctor, args, key):
+        # the check and message a JSON spec gets, with no coercion
+        with pytest.raises(ParseError, match=f"domain parameter '{key}' must be an integer"):
+            getattr(Domain, ctor)(*args)
+
 
 class TestLinkCount:
     def test_binomial_closed_form(self):
@@ -630,7 +647,7 @@ class TestMemberIndex:
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_regularity_identity_matches_the_fraction_reference(kind, data):
-    # check_assumptions' trials (the whole link and each singleton) plus one
+    # the whole link, each singleton (check_assumptions' trials) and one
     # random subfamily, at every depth; S = 0 half the time, since the links
     # of a complex layer are more often regular than the layer itself
     A = data.draw(DOMAIN_KINDS[kind])
@@ -643,6 +660,34 @@ def test_regularity_identity_matches_the_fraction_reference(kind, data):
         for sub in trials:
             assert regularity_identity_holds(A, S, sub, h) == \
                 reference_regularity_identity(A, S, sub, h)
+
+
+def reference_regularity_battery(A, q):
+    """check_assumptions' regularity verdict and witness by a plain loop:
+    for each S of the depth-q shadow in canonical order and each h, the
+    whole link A(S) and then each singleton in member order, every trial
+    through the Fraction reference."""
+    for S in canonical(x for x in A.table if x.bit_count() <= q):
+        L = A if S == 0 else A.link_domain(S)
+        trials = [L.family] + [L.family.replace_members([m]) for m in L.family.members]
+        for h in range(1, min(q - 1, L.k) + 1):
+            for sub in trials:
+                if not reference_regularity_identity(L, 0, sub, h):
+                    return False, {"S": list(elements_of(S)), "h": h, "subfamily_size": len(sub)}
+    return True, None
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_regularity_battery_matches_the_plain_loop(kind, data):
+    # below depth 2 the battery runs no trial; about one complex layer in
+    # seven drawn here breaks the identity
+    A = data.draw(domain_kinds(2)[kind])
+    q = data.draw(st.integers(2, min(A.k, 3)))
+    rep = check_assumptions(A, q, 1, 1, 1)
+    assert (rep.regularity_ok, rep.regularity_witness) == reference_regularity_battery(A, q)
+    assert A.link_domain(0) is A
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

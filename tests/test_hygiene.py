@@ -31,7 +31,8 @@ Every ``lru_cache`` has a finite ``maxsize``, and no function is wrapped in
 the unbounded ``functools.cache``, so no memo grows with the inputs a
 long-lived process sees.  No module tests for an integer with
 ``isinstance(x, int)``, which admits ``True`` as 1; ``type(x) is not int``
-refuses it.
+refuses it.  ``Domain.link_domain(0)`` is the domain itself, so no
+conditional expression chooses between a value and its ``.link_domain(...)``.
 """
 
 import ast
@@ -631,3 +632,37 @@ def test_int_isinstance_checker_flags_the_bool_admitting_tests():
         "    return ok, isinstance(steps, list), isinstance(v, float)\n"
     )
     assert int_isinstance_checks(src) == ["line 2", "line 4", "line 7", "line 10", "line 12"]
+
+
+def empty_link_choices(source: str) -> list[str]:
+    """The lines of conditional expressions whose one branch is a value and
+    the other that value's ``.link_domain(...)``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.IfExp) and any(
+            isinstance(link, ast.Call) and isinstance(link.func, ast.Attribute)
+            and link.func.attr == "link_domain" and ast.dump(link.func.value) == ast.dump(value)
+            for value, link in ((node.body, node.orelse), (node.orelse, node.body))
+        ):
+            out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_empty_link_is_not_special_cased(path):
+    assert empty_link_choices(path.read_text(encoding="utf-8")) == []
+
+
+def test_empty_link_checker_flags_the_hand_made_choices():
+    # the four choices of domains.py and pipelines.py before link_domain(0)
+    # returned the domain, one turned round, and what the checker lets through
+    src = (
+        "def f(A, S, self, part, shadow_q, B):\n"
+        "    L = A if S == 0 else A.link_domain(S)\n"
+        "    links = {S: A if S == 0 else A.link_domain(S) for S in shadow_q}\n"
+        "    sub = self.domain if part.core == 0 else self.domain.link_domain(part.core)\n"
+        "    M = A.link_domain(S) if S else A\n"
+        "    ok = A.link_domain(S), B if S else A.link_domain(S), A if S else B\n"
+        "    return L, links, sub, M, ok, A.link_domain(0) if S else A.link_domain(S)\n"
+    )
+    assert empty_link_choices(src) == ["line 2", "line 3", "line 4", "line 5"]

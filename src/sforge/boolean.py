@@ -10,21 +10,32 @@ A family that stands for an upward-closed function must already be
 materialized as one (see :func:`sforge.family.upper_closure`); measures sum
 over the listed members only.  The noise operator and stability both run
 their coordinate passes on integers and divide once at the end.
+
+Both globalness engines run on packed integers: every restriction cell is a
+fixed-width field of one Python int, wide enough that even the largest
+possible cell leaves the field's top bit clear.  That bit is a guard: after
+setting every guard and subtracting limit + 1 from every field at once, a
+field's guard survives exactly when its cell exceeds the limit.  The top
+coordinates split the packed indicator into contiguous halves; each leaf
+transforms the low 8 coordinates in place, 3^8 cells (exhaustive) or 2^8
+(diagonal), with a few shifts, masks and small-scalar multiplies per
+coordinate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
-from math import comb
-from operator import add, mul
+from math import comb, gcd
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError, VerificationError
 from .family import (
     GroundSet,
     SetFamily,
-    canon_key,
     elements_of,
     is_upward_closed,
     restrict,
@@ -126,108 +137,160 @@ def _weight_vector(F: SetFamily, a: int, b: int) -> list[int]:
     return v
 
 
-def _superset_sums(F: SetFamily, a: int, b: int) -> list[int]:
-    # z[B] = sum of a^|m| b^(n-|m|) over members m >= B.  Each bit adds the
-    # upper half of every pair of runs into the lower half, as whole slices:
-    # runs of length 2^i when there are few, else every 2^(i+1)-th mask
-    # from each offset, so a bit costs at most sqrt(2^n) Python steps.
-    n = F.ground.n
-    size = 1 << n
-    z = _weight_vector(F, a, b)
-    for i in range(n):
-        bit = 1 << i
-        run = bit << 1
-        if bit * bit < size:
-            for r in range(bit):
-                z[r::run] = map(add, z[r::run], z[r + bit :: run])
-        else:
-            for base in range(0, size, run):
-                z[base : base + bit] = map(add, z[base : base + bit], z[base + bit : base + run])
-    return z
-
-
-def _diagonal_cells(F: SetFamily, a: int, b: int, c: int, tn: int, td: int) -> list[int]:
-    """The A = B cells scaled by (td c)^|B| (tn a)^(n-|B|), indexed by B.
-
-    Cell B is a violation exactly when it exceeds cell 0, and every cell is
-    (tn a)^n c^n times its restriction value tau^-|B| mu_p^-B(F(B, B)).
-    """
-    n = F.ground.n
-    scale = [(td * c) ** j * (tn * a) ** (n - j) for j in range(n + 1)]
-    z = _superset_sums(F, a, b)
-    return list(map(mul, z, map(scale.__getitem__, map(int.bit_count, range(1 << n)))))
-
-
-def _first_diagonal(cells: list[int], pick) -> int:
-    """The canonically first B whose cell satisfies ``pick``."""
-    return min(compress(range(len(cells)), map(pick, cells)), key=canon_key)
-
-
 # Coordinates are split into the top ones, fixed one at a time, and the low
-# _BLOCK_DIGITS, whose 3^_BLOCK_DIGITS cells form one block; only one block
-# and the top halves above it are alive at any time.
+# _BLOCK_DIGITS, which one leaf transforms in place: 3^_BLOCK_DIGITS cells in
+# the exhaustive engine, 2^_BLOCK_DIGITS in the diagonal one.  Only one leaf
+# and the pending siblings of its ancestors are alive at any time.
 _BLOCK_DIGITS = 8
 
 
-def _cell_blocks(F: SetFamily, a: int, b: int, c: int, tn: int, td: int):
-    """Every restriction cell (A, B), scaled, one block at a time.
+def _repeat(unit: int, bits: int, count: int) -> int:
+    """``count`` copies of the ``bits``-wide pattern ``unit``, by doubling shifts."""
+    x, have = unit, 1
+    while have < count:
+        x |= x << have * bits
+        have <<= 1
+    return x & ((1 << count * bits) - 1)
 
-    A cell puts each coordinate in one of three states: in B but not A, in
-    A, or free (outside B).  Its value is the ternary transform of F's
-    indicator: a free coordinate takes a * (value with it in) + b * (value
-    with it out), and the weights are scaled by td c per B coordinate and
-    tn per free one.  The cell (A, B) then equals c^n tn^n times
-    tau^-|B| mu_p^-B(F(A, B)), so it is a violation exactly when it exceeds
-    c^n tn^n mu_p(F) = tn^n * (sum of a^|m| b^(n-|m|) over members m).
 
-    Yields ``(keys, top, block)``: cell i of ``block`` has canonical key
-    ``keys[i] + top``, where a key packs (|B|, B, |A|, A) into one integer
-    whose order is the canonical (B, then A) order; decode with
-    :func:`_cell_of`.
+@lru_cache(maxsize=4)
+def _leaf_masks(
+    width: int, low: int, radix: int
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """For a leaf of radix^low fields of ``width`` bytes: a 1 in every
+    field, every field's guard (top) bit, and for each low coordinate i the
+    fields whose position modulo radix^(i+1) is below 2^i and, for radix 3,
+    below 3^i (those whose ternary digit i is 0)."""
+    w = 8 * width
+
+    def runs(run: int, i: int) -> int:
+        return _repeat((1 << w * run) - 1, w * radix ** (i + 1), radix ** (low - i - 1))
+
+    ones = _repeat(1, w, radix**low)
+    binary = tuple(runs(2**i, i) for i in range(low))
+    ternary = tuple(runs(3**i, i) for i in range(low)) if radix == 3 else ()
+    return ones, ones << w - 1, binary, ternary
+
+
+class _Cells(NamedTuple):
+    keys: list[int]  # canonical key of each cell of a leaf, less the leaf's key
+    width: int  # bytes per field
+    ones: int  # a 1 in every field of a leaf
+    guard: int  # the top bit of every field of a leaf
+    scale: int  # a cell is scale * tau^-|B| mu_p^-B(F(A, B))
+    leaves: Iterator[tuple[int, int]]  # (leaf key, packed leaf), key 0 first
+
+
+def _packed_cells(F: SetFamily, p: Fraction, tau: Fraction, exhaustive: bool) -> _Cells:
+    """The restriction cells (A, B) of F as integers, one packed leaf at a time.
+
+    A field has the fewest bytes that keep the largest possible cell below
+    its top bit, the guard of :func:`_above`.  A cell is ``scale`` times
+    tau^-|B| mu_p^-B(F(A, B)), so it breaks tau-globalness exactly when it
+    exceeds cell (0, 0) = scale * mu_p(F), field 0 of the first leaf.  A
+    key packs (|B|, B, |A|, A) into one integer whose order is the
+    canonical (B, then A) order; decode with :func:`_cell_of`.
+
+    The top coordinates split the packed 2^n-field indicator of F into
+    contiguous halves (one mask and one shift).  Exhaustive engine (every
+    A <= B): a free coordinate (outside B) takes tn a * (value with it in)
+    + tn b * (value with it out), one in B td c * (value with it as in A),
+    so the largest cell is max(td c, tn c)^n.  A leaf moves its binary
+    positions to ternary ones, then gives each coordinate i its ternary
+    digit: free, in B but not A, in A.  Diagonal engine (A = B): with
+    S = td c and R = tn a divided by their gcd, a coordinate in B takes
+    a S * (value with it in), one outside R b * (value with it out) +
+    R a * (value with it in), so the largest cell is max(a S, R c)^n.
     """
     n = F.ground.n
     low = min(n, _BLOCK_DIGITS)
-    s = td * c
-    fa, fb = tn * a, tn * b
+    a, c = p.numerator, p.denominator
+    b = c - a
+    tn, td = tau.numerator, tau.denominator
 
     def parts(i: int) -> tuple[int, int]:
         # what coordinate i adds to a key in state B-A and in state A
         out = (1 << 3 * n) + (1 << 2 * n + i)
         return out, out + (1 << n) + (1 << i)
 
-    def expand(v: list[int]) -> list[int]:
-        # one low coordinate per pass, taken from the bottom bit of the
-        # binary index and put on top as ternary digit: B-A, A, free
-        for _ in range(low):
-            lo, hi = v[0::2], v[1::2]
-            v = list(map(s.__mul__, lo))
-            v += map(s.__mul__, hi)
-            v += map(add, map(fa.__mul__, hi), map(fb.__mul__, lo))
-        return v
-
     keys = [0]
-    for i in range(low):
-        out, inside = parts(i)
-        keys = [k + out for k in keys] + [k + inside for k in keys] + keys
+    if exhaustive:
+        s, fa, fb = td * c, tn * a, tn * b
+        top, scale, radix = max(s, tn * c) ** n, (tn * c) ** n, 3
+        for i in range(low):
+            out, inside = parts(i)
+            keys += [k + out for k in keys] + [k + inside for k in keys]
 
-    def split(v: list[int], top: int, key: int):
-        if top == low:
-            yield key, expand(v)
-            return
-        i = top - 1
-        half = len(v) >> 1
-        lo, hi = v[:half], v[half:]
-        del v
-        out, inside = parts(i)
-        yield from split(list(map(s.__mul__, lo)), i, key + out)
-        yield from split(list(map(s.__mul__, hi)), i, key + inside)
-        yield from split(list(map(add, map(fa.__mul__, hi), map(fb.__mul__, lo))), i, key)
+        def split(lo: int, hi: int, i: int):
+            out, inside = parts(i)
+            return (fa * hi + fb * lo, 0), (s * lo, out), (s * hi, inside)
 
-    g = [0] * (1 << n)
+        def leaf(x: int) -> int:
+            for j in reversed(range(low)):  # binary digit j to ternary digit j
+                lo = x & binary[j]
+                x = lo | (x ^ lo) << w * (3**j - 2**j)
+            for i in range(low):  # out and in move up to digits 1 and 2, free fills 0
+                lo = x & ternary[i]
+                hi = (x ^ lo) >> w * 3**i
+                x = fa * hi + fb * lo + (s * x << w * 3**i)
+            return x
+    else:
+        g = gcd(td * c, tn * a)
+        S, R = td * c // g, tn * a // g
+        rb, ra, aS = R * b, R * a, a * S
+        top, scale, radix = max(aS, R * c) ** n, (R * c) ** n, 2
+        for i in range(low):
+            inside = parts(i)[1]
+            keys += [k + inside for k in keys]
+
+        def split(lo: int, hi: int, i: int):
+            return (rb * lo + ra * hi, 0), (aS * hi, parts(i)[1])
+
+        def leaf(x: int) -> int:
+            for i in range(low):
+                lo = x & binary[i]
+                up = x ^ lo
+                x = rb * lo + ra * (up >> (w << i)) + aS * up
+            return x
+
+    width = top.bit_length() // 8 + 1
+    w = 8 * width
+    ones, guard, binary, ternary = _leaf_masks(width, low, radix)
+    flags = bytearray(1 << n)
     for m in F.members:
-        g[m] = 1
-    for top, block in split(g, n, 0):
-        yield keys, top, block
+        flags[m] = 1
+    packed = bytearray(len(flags) * width)
+    packed[::width] = flags
+
+    def leaves(stack):
+        while stack:
+            x, k, key = stack.pop()
+            if k == low:
+                yield key, leaf(x)
+                continue
+            half = w << k - 1
+            stack += [(child, k - 1, key + part)
+                      for child, part in reversed(split(x & ((1 << half) - 1), x >> half, k - 1))]
+            del x
+
+    stack = [(int.from_bytes(packed, "little"), n, 0)]
+    return _Cells(keys, width, ones, guard, scale, leaves(stack))
+
+
+def _above(x: int, limit: int, cells: _Cells) -> int:
+    """The guard bits of the fields of leaf ``x`` whose cell exceeds ``limit``.
+
+    ``limit`` is -1 or a cell, so limit + 1, like every cell, fits below the
+    guard bit: subtracting it from each guarded field borrows from no
+    neighbour and leaves the guard set exactly where the cell exceeds it.
+    """
+    return ((x | cells.guard) - (limit + 1) * cells.ones) & cells.guard
+
+
+def _unpack(x: int, cells: _Cells) -> list[int]:
+    width = cells.width
+    raw = x.to_bytes(len(cells.keys) * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _cell_of(key: int, n: int) -> tuple[int, int]:
@@ -288,38 +351,34 @@ def check_global(F: SetFamily, p, tau, exhaustive: bool | None = None) -> Global
     A violation is reported as the first offending (A, B) in canonical
     order: B first, then A.  Two exact engines.  ``exhaustive=True``
     decides every (A, B) cell through a ternary (3^n) transform of the
-    family, computed in blocks of at most 3^8 cells (ground capped at 12).
+    family, computed in leaves of at most 3^8 cells (ground capped at 12).
     ``exhaustive=False`` decides only the diagonal A = B cells through a
     superset sum (ground capped at 16), which is a complete verdict exactly
     when the diagonal dominates; that, in turn, is guaranteed for
     upward-closed families and whenever 1/(1-p) < tau.  The default picks
     the cheapest valid engine.
+
+    Each leaf is one packed integer with a guarded field per cell (see
+    :func:`_packed_cells`); one guard test marks its cells above the limit,
+    cell (0, 0), and the canonically first of them is read off one flag
+    byte per cell.
     """
     pf, tf = _parameters(p, tau)
     exhaustive, _ = _use_exhaustive(F, pf, tf, exhaustive, "globalness")
-    n = F.ground.n
-    a, c = pf.numerator, pf.denominator
-    b = c - a
-    tn, td = tf.numerator, tf.denominator
-
-    if not exhaustive:
-        cells = _diagonal_cells(F, a, b, c, tn, td)
-        limit = cells[0]
-        if max(cells) > limit:
-            bmask = _first_diagonal(cells, limit.__lt__)
-            return GlobalnessVerdict(tf, pf, False, "diagonal", (bmask, bmask), len(F))
-        return GlobalnessVerdict(tf, pf, True, "diagonal", None, len(F))
-
-    limit = tn**n * sum(a ** m.bit_count() * b ** (n - m.bit_count()) for m in F.members)
-    first = None
-    for keys, top, block in _cell_blocks(F, a, b, c, tn, td):
-        if max(block) > limit:
-            key = min(compress(keys, map(limit.__lt__, block))) + top
-            if first is None or key < first:
-                first = key
-    if first is not None:
-        return GlobalnessVerdict(tf, pf, False, "exhaustive", _cell_of(first, n), len(F))
-    return GlobalnessVerdict(tf, pf, True, "exhaustive", None, len(F))
+    cells = _packed_cells(F, pf, tf, exhaustive)
+    width = cells.width
+    first = limit = None
+    for top, x in cells.leaves:
+        if limit is None:
+            limit = x & ((1 << 8 * width) - 1)  # cell (0, 0), in the first leaf
+        hits = _above(x, limit, cells)
+        if hits:  # one 0/1 byte per cell: its guard bit
+            flags = (hits >> 8 * width - 1).to_bytes(len(cells.keys) * width, "little")[::width]
+            key = min(compress(cells.keys, flags)) + top
+            first = key if first is None else min(first, key)
+    mode = "exhaustive" if exhaustive else "diagonal"
+    violation = None if first is None else _cell_of(first, F.ground.n)
+    return GlobalnessVerdict(tf, pf, first is None, mode, violation, len(F))
 
 
 @dataclass(frozen=True)
@@ -353,34 +412,29 @@ def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None)
     failure raises VerificationError.  Whenever the diagonal dominates
     (upward-closed family, or 1/(1-p) < tau) the exhaustive engine asserts
     that the winning value is already attained with A = B.
+
+    Both read the packed leaves of :func:`check_global`.  A leaf none of
+    whose cells reaches the running best fails the guard test and is
+    skipped; only the other leaves are unpacked into integers.
     """
     pf, tf = _parameters(p, tau)
     exhaustive, sufficient = _use_exhaustive(F, pf, tf, exhaustive, "restriction search")
     n = F.ground.n
-    a, c = pf.numerator, pf.denominator
-    b = c - a
-    tn, td = tf.numerator, tf.denominator
-
     diag_best: Fraction | None = None
     if sufficient is None:
         sufficient = _diagonal_sufficient(F, pf, tf)
     if sufficient:
-        cells = _diagonal_cells(F, a, b, c, tn, td)
-        most = max(cells)
-        diag_best = Fraction(most, (tn * a * c) ** n)
+        cells = _packed_cells(F, pf, tf, False)
+        most, key = _best_cell(cells)
+        diag_best = Fraction(most, cells.scale)
         if not exhaustive:
-            bmask = _first_diagonal(cells, most.__eq__)
+            bmask = _cell_of(key, n)[1]
             return _certified_restriction(F, pf, tf, bmask, bmask, diag_best)
 
-    best, first = -1, 0
-    for keys, top, block in _cell_blocks(F, a, b, c, tn, td):
-        most = max(block)
-        if most >= best:
-            key = min(compress(keys, map(most.__eq__, block))) + top
-            if most > best or key < first:
-                best, first = most, key
+    cells = _packed_cells(F, pf, tf, True)
+    best, first = _best_cell(cells)
     best_a, best_b = _cell_of(first, n)
-    best_val = Fraction(best, (tn * c) ** n)
+    best_val = Fraction(best, cells.scale)
     if diag_best is not None and best_val != diag_best:
         raise VerificationError(
             "diagonal cells should dominate here but the best pair is off-diagonal",
@@ -388,6 +442,25 @@ def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None)
             best_diagonal=str(diag_best),
         )
     return _certified_restriction(F, pf, tf, best_a, best_b, best_val)
+
+
+def _best_cell(cells: _Cells) -> tuple[int, int]:
+    """The largest cell and the key of the first cell that attains it.
+
+    A leaf with no cell at least the running best is skipped by the guard
+    test; only the others are unpacked.
+    """
+    best, first = -1, 0
+    for top, x in cells.leaves:
+        if best >= 0 and not _above(x, best - 1, cells):
+            continue
+        values = _unpack(x, cells)
+        most = max(values)
+        if most >= best:
+            key = min(compress(cells.keys, map(most.__eq__, values))) + top
+            if most > best or key < first:
+                best, first = most, key
+    return best, first
 
 
 def _certified_restriction(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sforge import boolean
 from sforge.boolean import (
@@ -149,6 +149,28 @@ pair_strategy = st.sampled_from(
 
 # blocks of 3^1 and 3^2 cells put the block boundaries inside small families
 block_digits_strategy = st.sampled_from([1, 2, 8])
+
+# families on 1-6 coordinates, the empty family and the full cube among them
+edge_fam_strategy = st.integers(1, 6).flatmap(
+    lambda n: st.one_of(
+        st.just(SetFamily(GroundSet(n), ())),
+        st.just(full_cube(n)),
+        st.builds(
+            lambda ms: SetFamily(GroundSet(n), tuple(ms)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        ),
+    )
+)
+# p and tau with terms up to 10^13, so that cells need fields of over 64 bits
+big_prob_strategy = st.one_of(
+    prob_strategy,
+    st.builds(lambda c, a: Fraction(1 + a % (c - 1), c),
+              st.integers(2, 10**13), st.integers(0, 10**13)),
+)
+big_tau_strategy = st.one_of(
+    st.sampled_from([1, Fraction(3, 2), 4, Fraction(10**12 + 1, 10**12)]),
+    st.builds(Fraction, st.integers(1, 10**13), st.integers(1, 10**13)),
+)
 
 
 def reference_diagonal(F, p, tau):
@@ -307,11 +329,45 @@ class TestCheckGlobal:
         assert v.ok == (first is None)
         assert v.violation == (None if first is None else (first, first))
 
-    @given(wide_fam_strategy, prob_strategy)
+    @given(wide_fam_strategy, prob_strategy, block_digits_strategy)
     @settings(max_examples=60, deadline=None)
-    def test_superset_sums_match_reference(self, F, p):
+    def test_superset_sums_match_reference(self, F, p, digits):
+        # at tau = 1/p every scale factor of a diagonal cell is 1, so the
+        # unpacked cell of B is the superset sum z[B]
         a, b = p.numerator, p.denominator - p.numerator
-        assert boolean._superset_sums(F, a, b) == reference_superset_sums(F, a, b)
+        n = F.ground.n
+        z = [None] * (1 << n)
+        with mock.patch.object(boolean, "_BLOCK_DIGITS", digits):
+            cells = boolean._packed_cells(F, p, 1 / p, False)
+            for top, x in cells.leaves:
+                for key, cell in zip(cells.keys, boolean._unpack(x, cells)):
+                    z[boolean._cell_of(key + top, n)[1]] = cell
+        assert z == reference_superset_sums(F, a, b)
+
+    @given(edge_fam_strategy, big_prob_strategy, big_tau_strategy, st.sampled_from([1, 2, 3]))
+    @example(fam(3, [[1]]), F4, 4, 1)  # tau = 1/p: cell ({1}, {1}) equals the limit
+    @example(full_cube(3), F3, 1, 2)  # tau = 1: every cell equals the limit
+    @example(fam(1, [[]]), F2, Fraction(1, 64), 1)  # the violating cell, 128, fills 8 bits
+    @example(fam(1, [[1]]), F2, Fraction(1, 64), 1)  # and so does a diagonal one
+    @settings(max_examples=150, deadline=None)
+    def test_packed_edges_match_reference(self, F, p, tau, digits):
+        # large terms in p and tau make fields wider than 64 bits; a cell at
+        # the limit is no violation, and the largest cell must stay below
+        # its field's guard bit
+        with mock.patch.object(boolean, "_BLOCK_DIGITS", digits):
+            assert check_global(F, p, tau, exhaustive=True) == \
+                reference_check_global_exhaustive(F, p, tau)
+            if not (1 < tau * (1 - p) or is_upward_closed(F)):
+                F = upper_closure(F)
+            v = check_global(F, p, tau, exhaustive=False)
+        first = reference_diagonal(F, p, tau)
+        assert v.ok == (first is None)
+        assert v.violation == (None if first is None else (first, first))
+
+    def test_large_terms_need_fields_over_64_bits(self):
+        tau = Fraction(10**12 + 1, 10**12)
+        assert boolean._packed_cells(full_cube(3), F3, tau, True).width > 8
+        assert check_global(full_cube(3), F3, tau, exhaustive=True).ok
 
     def test_exhaustive_keeps_memory_to_blocks(self):
         # a list of all 3^10 cells alone would take about 3 MB
@@ -323,6 +379,22 @@ class TestCheckGlobal:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("p, tau", [(F4, 2), (F2, Fraction(3, 2))])
+    def test_diagonal_keeps_memory_to_leaves(self, p, tau):
+        # the upward closure of random sets of sizes 3, 4, 4, 5, 5, 5 on 16
+        # coordinates; a list of all 2^16 cells alone would take about 2.8 MB
+        rng = random.Random(16)
+        gens = [sum(1 << e for e in rng.sample(range(16), size)) for size in (3, 4, 4, 5, 5, 5)]
+        F = SetFamily(GroundSet(16), tuple(
+            m for m in range(1 << 16) if any(m & g == g for g in gens)))
+        tracemalloc.start()
+        try:
+            check_global(F, p, tau, exhaustive=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @given(fam_strategy, st.sampled_from([F8, Fraction(1, 6)]))
     @settings(max_examples=30, deadline=None)
@@ -373,10 +445,10 @@ class TestMaxGlobalRestriction:
 
     @pytest.mark.parametrize("n, exhaustive", [(18, False), (13, True)])
     def test_capacity_before_any_sum(self, monkeypatch, n, exhaustive):
-        def no_sums(*args):
-            raise AssertionError("superset sums computed past the capacity guard")
+        def no_cells(*args):
+            raise AssertionError("cells transformed past the capacity guard")
 
-        monkeypatch.setattr(boolean, "_superset_sums", no_sums)
+        monkeypatch.setattr(boolean, "_packed_cells", no_cells)
         F = fam(n, [[1]])
         with pytest.raises(CapacityError):
             check_global(F, F8, 2, exhaustive=exhaustive)

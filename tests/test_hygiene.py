@@ -33,6 +33,8 @@ long-lived process sees.  No module tests for an integer with
 ``isinstance(x, int)``, which admits ``True`` as 1; ``type(x) is not int``
 refuses it.  ``Domain.link_domain(0)`` is the domain itself, so no
 conditional expression chooses between a value and its ``.link_domain(...)``.
+Only ``spread.spread_lemma_mc`` imports numpy, so every other kernel runs on
+exact Python integers.
 """
 
 import ast
@@ -666,3 +668,51 @@ def test_empty_link_checker_flags_the_hand_made_choices():
         "    return L, links, sub, M, ok, A.link_domain(0) if S else A.link_domain(S)\n"
     )
     assert empty_link_choices(src) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+NUMPY_OWNERS = {"spread.py": {"spread_lemma_mc"}}
+
+
+def numpy_imports(source: str) -> list[str]:
+    """The imports of numpy, each as ``line N: f`` with ``f`` the innermost
+    function around it, or ``<module>`` at module level."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if any(m.split(".")[0] == "numpy" for m in imported_modules([child])):
+                out.append(f"line {child.lineno}: {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_monte_carlo_estimator_imports_numpy(path):
+    owners = {entry.split(": ", 1)[1] for entry in numpy_imports(path.read_text(encoding="utf-8"))}
+    assert owners <= NUMPY_OWNERS.get(path.name, set())
+
+
+def test_numpy_import_checker_flags_every_import_and_its_function():
+    src = (
+        "import numpy as np\n"
+        "def spread_lemma_mc(F):\n"
+        "    import numpy as np\n"
+        "    def draw():\n"
+        "        from numpy.random import Generator\n"
+        "        return Generator\n"
+        "    return np, draw\n"
+        "class K:\n"
+        "    def f(self):\n"
+        "        if self:\n"
+        "            from numpy import uint64\n"
+        "        import numpyro, json\n"
+        "        from . import boolean\n"
+        "        return uint64, numpyro, json, boolean\n"
+    )
+    assert numpy_imports(src) == [
+        "line 1: <module>", "line 3: spread_lemma_mc", "line 5: draw", "line 11: f"]

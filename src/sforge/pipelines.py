@@ -18,7 +18,8 @@ verdict on a desk-scale instance is information rather than an error.
 Shared pieces: ``_peel`` takes dense stars off a family, largest core
 first; ``_layer_round`` runs it on the top layer of a working family for
 ``simplify`` and ``peel_high_uniformity``; ``_kernel_scale`` brackets the
-kernel scale (2^14 s log2 x)^t that the bound records share; and
+kernel scale (2^14 s log2 x)^t that the bound records share, as an integer
+triple that ``_record`` alone turns into Fractions; and
 ``_small_core_sunflower`` is the one search for an s-sunflower whose core
 is below t.
 """
@@ -81,36 +82,45 @@ _ROOT_BITS = 48
 _REPORT_STEPS = 96  # log2 digits behind _ln_bracket and ExtractionThreshold.bracket
 
 
-def _ln_bracket(x) -> tuple[Fraction, Fraction]:
-    """A certified rational bracket of ln(x) for rational x > 0."""
-    lo2, hi2 = frac_log2_bracket(x, _REPORT_STEPS)
-    prods = (lo2 * _LN2_LO, lo2 * _LN2_HI, hi2 * _LN2_LO, hi2 * _LN2_HI)
-    return min(prods), max(prods)
+# A bracket is an integer triple (lo, hi, d) with d > 0: the interval
+# [lo/d, hi/d].  The helpers multiply numerators and denominators and never
+# reduce; a rational pair enters through _bracket, and only _record builds
+# Fractions, which reduce to the same rationals the report prints.
 
 
-def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
+def _bracket(pair) -> tuple[int, int, int]:
+    """The triple of a rational pair (lo, hi), such as a log2 bracket."""
+    (a, b), (c, d) = (x.as_integer_ratio() for x in pair)
+    return a * d, c * b, b * d
+
+
+def _ln_bracket(x) -> tuple[int, int, int]:
+    """A certified bracket of ln(x) for rational x > 0."""
+    return _iv_mul(_bracket(frac_log2_bracket(x, _REPORT_STEPS)), _bracket((_LN2_LO, _LN2_HI)))
+
+
+def _iv_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(prods), max(prods)
+    return min(prods), max(prods), a[2] * b[2]
 
 
-def _iv_pow(a: tuple[Fraction, Fraction], e: int) -> tuple[Fraction, Fraction]:
+def _iv_pow(a: tuple[int, int, int], e: int) -> tuple[int, int, int]:
     """Interval power for nonnegative intervals and e >= 0."""
     if a[0] < 0:
         raise PreconditionError("interval power needs a nonnegative lower end")
-    return a[0] ** e, a[1] ** e
+    return a[0] ** e, a[1] ** e, a[2] ** e
 
 
-def _exactly(x) -> tuple[Fraction, Fraction]:
-    f = Fraction(x)
-    return f, f
+def _exactly(x) -> tuple[int, int, int]:
+    return x.numerator, x.numerator, x.denominator
 
 
-def _kernel_scale(s: int, t: int, x, *factors) -> tuple[Fraction, Fraction]:
+def _kernel_scale(s: int, t: int, x, *factors) -> tuple[int, int, int]:
     """A certified bracket of (2^14 s log2 x)^t times the brackets in
     ``factors``; exactly 0 at x = 1, where nothing is multiplied."""
     if x == 1:
         return _exactly(0)
-    out = _iv_pow(_iv_mul(_exactly(2 ** 14 * s), frac_log2_bracket(x)), t)
+    out = _iv_pow(_iv_mul(_exactly(2 ** 14 * s), _bracket(frac_log2_bracket(x))), t)
     for f in factors:
         out = _iv_mul(out, f)
     return out
@@ -150,14 +160,15 @@ class BoundRecord:
 def _record(
     name: str,
     lhs,
-    rhs: tuple[Fraction, Fraction],
+    rhs: tuple[int, int, int],
     hypotheses_met: bool = True,
     note: str = "",
 ) -> BoundRecord:
     lhs = Fraction(lhs)
-    lo, hi = rhs
-    verdict = "holds" if lhs <= lo else "fails" if lhs > hi else "unresolved"
-    return BoundRecord(name, lhs, lo, hi, verdict, hypotheses_met, note)
+    lo, hi, d = rhs
+    n, m = lhs.numerator * d, lhs.denominator
+    verdict = "holds" if n <= lo * m else "fails" if n > hi * m else "unresolved"
+    return BoundRecord(name, lhs, Fraction(lo, d), Fraction(hi, d), verdict, hypotheses_met, note)
 
 
 def _iroot_floor(n: int, j: int) -> int:
@@ -219,7 +230,8 @@ def _peel(
     """Peel stars off ``members``, the largest dense core first.
 
     Each step tries the submasks of the members left in descending size,
-    canonically first among equals, the empty core last.  The first X with
+    canonically first among equals, the empty core last: two sorts keyed in
+    C, by value and then stably by size, descending.  The first X with
     ``dense(X, |members left containing X|, members left)`` is the core:
     the step yields ``(core, members left)``, then the core's star leaves.
     The counts of the members left are the old counts less the star's, or
@@ -230,7 +242,7 @@ def _peel(
     """
     members = tuple(members)
     counts = _link_counts(members)
-    order = sorted(counts, key=lambda x: (-x.bit_count(), x))
+    order = sorted(sorted(counts), key=int.bit_count, reverse=True)
     while True:
         core = next(
             (x for x in order if x in counts and dense(x, counts[x], members)), None
@@ -269,36 +281,37 @@ class ExtractionThreshold:
                 "threshold needs s >= 2, q >= 1, t >= 1", s=s, q=q, t=t
             )
         self.s, self.q, self.t = s, q, t
-        self._scale = Fraction(2 ** 14 * s)
+        self._scale = 2 ** 14 * s
         base = Fraction(s * q)
         if t == 1:
             self.exact: Optional[Fraction] = base
             return
         if t & (t - 1) == 0:  # power of two, log2 is an integer
-            self.exact = max(base, self._scale * (t.bit_length() - 1))
+            self.exact = max(base, Fraction(self._scale * (t.bit_length() - 1)))
             return
         irrational_wins = self._scaled_log2_satisfies(
-            lambda x: x >= base,
+            lambda n, d: n >= s * q * d,
             "threshold branch comparison failed to resolve", s=s, q=q, t=t,
         )
         self.exact = None if irrational_wins else base
 
     def _scaled_log2_satisfies(
-        self, pred: Callable[[Fraction], bool], message: str, **detail
+        self, pred: Callable[[int, int], bool], message: str, **detail
     ) -> bool:
-        """pred(scale * log2(t)) for a pred monotone in its argument.
+        """pred(n, d) for n/d = scale * log2(t), pred monotone in n/d.
 
         The bracket of log2(t) is refined, doubling its steps, until pred
-        agrees at both ends.  log2(t) is irrational here, so no compare
+        agrees at both ends, each end read as an integer numerator n over
+        its denominator d.  log2(t) is irrational here, so no compare
         against it is an equality and the refinement ends; past 2^20 steps
         (unreachable) it raises ``message``.
         """
         steps = 48
         while steps <= 1 << 20:
             lo, hi = frac_log2_bracket(self.t, steps)
-            if pred(self._scale * lo):
+            if pred(self._scale * lo.numerator, lo.denominator):
                 return True
-            if not pred(self._scale * hi):
+            if not pred(self._scale * hi.numerator, hi.denominator):
                 return False
             steps *= 2
         raise VerificationError(message, **detail)
@@ -313,7 +326,7 @@ class ExtractionThreshold:
         if count == 0 or j == 0:
             return count > total
         return self._scaled_log2_satisfies(
-            lambda x: count * x**j > total,
+            lambda n, d: count * n**j > total * d**j,
             "threshold comparison failed to resolve",
             count=count, exponent=j, total=total,
         )
@@ -495,11 +508,12 @@ def spread_approximation(
 
     asize = len(A)
     table = A.table
+    tn, td = tau.numerator, tau.denominator
 
     def overdense(S: int, c: int, members: tuple[int, ...]) -> bool:
         # strict, so the empty core (c = |members|, table[0] = |A|) never is
         j = S.bit_count()
-        return c * tau.denominator**j * asize > tau.numerator**j * len(members) * table[S]
+        return c * td**j * asize > tn**j * len(members) * table[S]
 
     parts: list[DecompositionPart] = []
     trace: list[dict] = []
@@ -728,7 +742,7 @@ def _simplify(
                 )
         extractions.extend(steps)
         layers.append(cur.replace_members(W))
-        rhs = _kernel_scale(s, t, top_size, _iv_pow(thr.bracket(), top_size - t))
+        rhs = _kernel_scale(s, t, top_size, _iv_pow(_bracket(thr.bracket()), top_size - t))
         records.append(
             _record(
                 f"layer-{i}",
@@ -875,10 +889,11 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
     else:
         mode = "chain"
         R = r / 2
+        Rn, Rd = R.numerator, R.denominator
 
         def unspread(S: int, c: int, members: tuple[int, ...]) -> bool:
             j = S.bit_count()
-            return S != 0 and c * R.numerator**j >= len(members) * R.denominator**j
+            return S != 0 and c * Rn**j >= len(members) * Rd**j
 
         parts: list[DecompositionPart] = []
         remainder = empty
@@ -946,7 +961,8 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
         residue = family_minus(F, trace_cover(F, core))
 
     rhs = _kernel_scale(
-        s, t, t, _exactly(Fraction(2 ** 19 * s * (t + 1)) / r), log2_r, _exactly(A.max_link(t)[1])
+        s, t, t, _exactly(Fraction(2 ** 19 * s * (t + 1)) / r), _bracket(log2_r),
+        _exactly(A.max_link(t)[1]),
     )
     records.append(
         _record(
@@ -1247,7 +1263,7 @@ class ClusterResult:
         }
 
 
-def _phi_interval(s: int, t: int) -> tuple[Fraction, Fraction]:
+def _phi_interval(s: int, t: int) -> tuple[int, int, int]:
     """A certified bracket on the largest t-uniform family free of
     s-sunflowers.
 
@@ -1258,8 +1274,8 @@ def _phi_interval(s: int, t: int) -> tuple[Fraction, Fraction]:
         return _exactly(s - 1)
     if s == 2:
         return _exactly(1)
-    lo = Fraction(6) if (s, t) == (3, 2) else Fraction(1)
-    return lo, _kernel_scale(s, t, t)[1]
+    _, hi, d = _kernel_scale(s, t, t)
+    return (6 if (s, t) == (3, 2) else 1) * d, hi, d
 
 
 def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
@@ -1329,15 +1345,12 @@ def cluster_system(U: SystemSST, A: Domain, lam) -> ClusterResult:
     ln_shadow = _ln_bracket(lam * shadow_count)
     phi = _phi_interval(s, t)
     eps_r_ok = eps * r > Fraction(2 ** 17 * s * q)
-    phi_ln = _iv_mul(phi, ln_shadow)
+    lo, hi, d = _iv_mul(phi, ln_shadow)
     records = [
         _record(
             "cluster-count",
             len(out.members),
-            _iv_mul(
-                _exactly(1 / lam),
-                (1 + 2 * phi_ln[0], 1 + 2 * phi_ln[1]),
-            ),
+            _iv_mul(_exactly(1 / lam), (d + 2 * lo, d + 2 * hi, d)),
             hypotheses_met=eps_r_ok,
             note="total cores against the clustering statement",
         ),
@@ -1462,7 +1475,7 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
             "family carries an s-sunflower at the forbidden core size",
             witness=wit.as_report(),
         )
-    alpha = Fraction(s * k)
+    alpha = s * k
 
     cur = F
     t_layers = [F]

@@ -25,8 +25,15 @@ from sforge.family import (
     elements_of,
 )
 from sforge.packing import find_packing
-from sforge.pipelines import _ROOT_BITS, _iroot_ceil
-from sforge.spread import _LN2_LO, SpreadVerdict, _block_seed, check_spread, frac_log2_bracket
+from sforge.pipelines import _REPORT_STEPS, _ROOT_BITS, BoundRecord, _iroot_ceil
+from sforge.spread import (
+    _LN2_HI,
+    _LN2_LO,
+    SpreadVerdict,
+    _block_seed,
+    check_spread,
+    frac_log2_bracket,
+)
 from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness, is_sunflower
 
 
@@ -905,3 +912,72 @@ def reference_min_homogeneity_upper(F, A, bits=_ROOT_BITS):
         n_int = -(-target.numerator // target.denominator)
         best = max(best, Fraction(_iroot_ceil(n_int, j), scale))
     return best
+
+
+# -- the pipeline brackets on Fractions ---------------------------------------
+# pipelines.py keeps a bracket as an integer triple (lo, hi, d); these are its
+# helpers as they were on Fraction pairs (lo, hi), every step reduced.
+
+
+def reference_iv_mul(a, b):
+    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(prods), max(prods)
+
+
+def reference_iv_pow(a, e):
+    if a[0] < 0:
+        raise PreconditionError("interval power needs a nonnegative lower end")
+    return a[0] ** e, a[1] ** e
+
+
+def reference_ln_bracket(x):
+    lo2, hi2 = frac_log2_bracket(x, _REPORT_STEPS)
+    prods = (lo2 * _LN2_LO, lo2 * _LN2_HI, hi2 * _LN2_LO, hi2 * _LN2_HI)
+    return min(prods), max(prods)
+
+
+def reference_kernel_scale(s, t, x, *factors):
+    if x == 1:
+        return Fraction(0), Fraction(0)
+    scale = Fraction(2 ** 14 * s)
+    out = reference_iv_pow(reference_iv_mul((scale, scale), frac_log2_bracket(x)), t)
+    for f in factors:
+        out = reference_iv_mul(out, f)
+    return out
+
+
+def reference_record(name, lhs, rhs, hypotheses_met=True, note=""):
+    lhs = Fraction(lhs)
+    lo, hi = rhs
+    verdict = "holds" if lhs <= lo else "fails" if lhs > hi else "unresolved"
+    return BoundRecord(name, lhs, lo, hi, verdict, hypotheses_met, note)
+
+
+def reference_threshold_exceeds(s, q, t, count, j, total):
+    """ExtractionThreshold(s, q, t).exceeds(count, j, total) on Fractions:
+    the scale max(s q, 2^14 s log2 t), and off the exact path the bracket
+    of log2(t) refined, doubling its steps from 48, until the compare
+    agrees at both ends."""
+    scale, base = Fraction(2 ** 14 * s), Fraction(s * q)
+
+    def satisfies(pred):
+        steps = 48
+        while True:
+            lo, hi = frac_log2_bracket(t, steps)
+            if pred(scale * lo):
+                return True
+            if not pred(scale * hi):
+                return False
+            steps *= 2
+
+    if t == 1:
+        exact = base
+    elif t & (t - 1) == 0:
+        exact = max(base, scale * (t.bit_length() - 1))
+    else:
+        exact = None if satisfies(lambda x: x >= base) else base
+    if exact is not None:
+        return count * exact ** j > total
+    if count == 0 or j == 0:
+        return count > total
+    return satisfies(lambda x: count * x ** j > total)

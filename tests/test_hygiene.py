@@ -26,7 +26,9 @@ wraps a ``bit_subsets`` call, which already yields the lexicographic order
 of element lists.  A certificate's
 ``verify`` runs when its object is built: no code calls ``.verify()``
 except a ``__post_init__``.  In ``pipelines.py`` the kernel scale
-``2 ** 14`` is built only by ``_kernel_scale`` and ``ExtractionThreshold``.
+``2 ** 14`` is built only by ``_kernel_scale`` and ``ExtractionThreshold``,
+and its bracket helpers, which work on integer triples (lo, hi, d), never
+name ``Fraction``: ``_record`` is the one place a bracket becomes Fractions.
 Every ``lru_cache`` has a finite ``maxsize``, and no function is wrapped in
 the unbounded ``functools.cache``, so no memo grows with the inputs a
 long-lived process sees.  No module tests for an integer with
@@ -527,6 +529,47 @@ def test_scale_build_checker_flags_the_copies():
         "line 5: simplify", "line 7: simplify", "line 9: _cover_remainder_record",
         "line 11: _phi_interval", "line 13: cluster_system",
     ]
+
+
+INTEGER_BRACKETS = {
+    "_bracket", "_exactly", "_iv_mul", "_iv_pow", "_ln_bracket", "_kernel_scale", "_phi_interval",
+}
+
+
+def fraction_in_brackets(source: str) -> list[str]:
+    """The lines where a module-level function named in ``INTEGER_BRACKETS``
+    names ``Fraction``, in its body or its annotations, with the function."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_BRACKETS:
+            out.update(
+                (inner.lineno, node.name)
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Name) and inner.id == "Fraction"
+                or isinstance(inner, ast.Attribute) and inner.attr == "Fraction"
+            )
+    return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+def test_pipeline_brackets_stay_integer():
+    assert fraction_in_brackets((SRC / "pipelines.py").read_text(encoding="utf-8")) == []
+
+
+def test_integer_bracket_checker_flags_the_fraction_helpers():
+    # the Fraction-pair helpers that the integer triples replaced
+    src = (
+        "def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):\n"
+        "    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])\n"
+        "    return min(prods), max(prods)\n"
+        "def _exactly(x):\n"
+        "    f = fractions.Fraction(x)\n"
+        "    return f, f\n"
+        "def _iv_pow(a, e):\n"
+        "    return a[0] ** e, a[1] ** e, a[2] ** e\n"
+        "def _record(name, lhs, rhs):\n"
+        "    return Fraction(rhs[0], rhs[2]), Fraction(rhs[1], rhs[2])\n"
+    )
+    assert fraction_in_brackets(src) == ["line 1: _iv_mul", "line 5: _exactly"]
 
 
 def unbounded_caches(source: str) -> list[str]:

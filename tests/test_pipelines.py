@@ -15,7 +15,14 @@ from sforge.pipelines import (
     Decomposition,
     ExtractionThreshold,
     SystemSST,
+    _bracket,
+    _exactly,
+    _iv_mul,
+    _iv_pow,
+    _kernel_scale,
+    _ln_bracket,
     _peel,
+    _record,
     _smallest_cover,
     cluster_system,
     delta_filter,
@@ -25,14 +32,21 @@ from sforge.pipelines import (
     simplify,
     spread_approximation,
 )
+from sforge.spread import frac_log2_bracket
 from sforge.sunflowers import CorePredicate, find_sunflower
 
 from support import (
     oracle_simplify_trace,
     planted_instance,
     reference_delta_filter,
+    reference_iv_mul,
+    reference_iv_pow,
+    reference_kernel_scale,
     reference_link_counts,
+    reference_ln_bracket,
     reference_peel,
+    reference_record,
+    reference_threshold_exceeds,
     simplify_fixtures,
 )
 
@@ -1067,3 +1081,133 @@ def test_direct_mode_cover_keeps_its_own_error():
     with pytest.raises(PreconditionError) as exc:
         simplify(matching, A, 3, 1, Fraction(1, 2))
     assert exc.value.message == "input family carries an s-sunflower with a small core"
+
+
+# -- integer brackets against their Fraction originals -----------------------
+
+_RATS = st.fractions(min_value=-40, max_value=40, max_denominator=500)
+_POS = st.fractions(min_value=Fraction(1, 400), max_value=60, max_denominator=400)
+
+
+def _pair(lo, hi):
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+# signed intervals, and zero-width ones
+_BRACKETS = st.one_of(st.builds(_pair, _RATS, _RATS), _RATS.map(lambda x: (x, x)))
+_NONNEG = st.one_of(
+    st.builds(_pair, _RATS.map(abs), _RATS.map(abs)), _RATS.map(lambda x: (abs(x), abs(x)))
+)
+
+
+def _fractions(triple):
+    lo, hi, d = triple
+    assert d > 0
+    return Fraction(lo, d), Fraction(hi, d)
+
+
+class TestIntegerBrackets:
+    """Each helper on (lo, hi, d) triples gives the rationals its Fraction
+    original gives, so every record's bytes stay the same."""
+
+    @given(st.one_of(st.integers(-10**6, 10**6), _RATS))
+    def test_exactly(self, x):
+        assert _fractions(_exactly(x)) == (Fraction(x), Fraction(x))
+
+    @given(_BRACKETS, _BRACKETS)
+    def test_iv_mul(self, a, b):
+        assert _fractions(_iv_mul(_bracket(a), _bracket(b))) == reference_iv_mul(a, b)
+
+    @given(_NONNEG, st.integers(0, 4))
+    def test_iv_pow(self, a, e):
+        assert _fractions(_iv_pow(_bracket(a), e)) == reference_iv_pow(a, e)
+
+    @given(_RATS.filter(lambda x: x < 0), _RATS, st.integers(0, 4))
+    @example(Fraction(-1), Fraction(1), 0)
+    def test_iv_pow_refuses_a_negative_lower_end(self, lo, width, e):
+        a = (lo, lo + abs(width))
+        with pytest.raises(PreconditionError) as exc:
+            _iv_pow(_bracket(a), e)
+        assert exc.value.message == "interval power needs a nonnegative lower end"
+        with pytest.raises(PreconditionError):
+            reference_iv_pow(a, e)
+
+    @given(_POS)
+    @example(Fraction(1))
+    @example(Fraction(1, 3))
+    @example(Fraction(8))
+    def test_ln_bracket(self, x):
+        # ln of x < 1 is negative, so the bracket is signed there
+        assert _fractions(_ln_bracket(x)) == reference_ln_bracket(x)
+
+    @given(
+        st.integers(2, 5), st.integers(0, 4), _POS, st.lists(_BRACKETS, max_size=2)
+    )
+    @example(3, 2, Fraction(1), [(Fraction(-1), Fraction(2))])
+    @example(2, 0, Fraction(5), [])
+    def test_kernel_scale(self, s, t, x, factors):
+        try:
+            want = reference_kernel_scale(s, t, x, *factors)
+        except PreconditionError:  # log2 of x < 1 is negative
+            with pytest.raises(PreconditionError):
+                _kernel_scale(s, t, x, *map(_bracket, factors))
+            return
+        assert _fractions(_kernel_scale(s, t, x, *map(_bracket, factors))) == want
+
+    @given(_BRACKETS, st.sampled_from(["lo", "hi", "free"]), _RATS, st.booleans())
+    def test_record(self, rhs, at, free, met):
+        lhs = {"lo": rhs[0], "hi": rhs[1], "free": free}[at]
+        got = _record("r", lhs, _bracket(rhs), hypotheses_met=met, note="n")
+        want = reference_record("r", lhs, rhs, hypotheses_met=met, note="n")
+        assert got == want
+        assert got.as_report() == want.as_report()
+
+    def test_record_at_the_ends(self):
+        rhs = (Fraction(1, 3), Fraction(1, 2))
+        at_lo = _record("r", Fraction(1, 3), _bracket(rhs))
+        at_hi = _record("r", Fraction(1, 2), _bracket(rhs))
+        assert (at_lo.verdict, at_hi.verdict) == ("holds", "unresolved")
+        assert _record("r", 1, _exactly(1)).verdict == "holds"
+        assert _record("r", 2, _exactly(1)).verdict == "fails"
+
+
+def _near_boundary(s, t, count, j):
+    """floor(count * (scale * log2 t)^j) from a 200-step bracket, below the
+    true value and, for j = 4, inside the 48-step bracket."""
+    lo = frac_log2_bracket(t, 200)[0]
+    v = count * (2 ** 14 * s * lo) ** j
+    return v.numerator // v.denominator
+
+
+class TestThresholdOffTheExactPath:
+    """t neither 1 nor a power of two: exceeds decides on integer numerators."""
+
+    @given(
+        st.sampled_from([3, 5, 6, 7]), st.integers(2, 4), st.integers(1, 6),
+        st.integers(0, 40), st.integers(0, 4), st.integers(-3, 3),
+        st.one_of(st.none(), st.integers(0, 10 ** 22)),
+    )
+    def test_matches_the_fraction_form(self, t, s, q, count, j, delta, total):
+        if total is None:
+            total = max(_near_boundary(s, t, count, j) + delta, 0)
+        thr = ExtractionThreshold(s, q, t)
+        assert thr.exact is None
+        assert thr.exceeds(count, j, total) == reference_threshold_exceeds(
+            s, q, t, count, j, total
+        )
+
+    @pytest.mark.parametrize("t", [3, 5, 6, 7])
+    def test_a_compare_that_needs_one_doubling(self, t):
+        s, count, j = 3, 1, 4
+        total = _near_boundary(s, t, count, j)
+        scale = 2 ** 14 * s
+        lo, hi = frac_log2_bracket(t, 48)
+        assert (scale * lo) ** j <= total < (scale * hi) ** j
+        lo, hi = frac_log2_bracket(t, 96)
+        assert total < (scale * lo) ** j
+        thr = ExtractionThreshold(s, 5, t)
+        assert thr.exceeds(count, j, total) is True
+        assert reference_threshold_exceeds(s, 5, t, count, j, total) is True
+        assert thr.exceeds(count, j, total + 1) == reference_threshold_exceeds(
+            s, 5, t, count, j, total + 1
+        )

@@ -25,7 +25,6 @@ coordinate.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -33,6 +32,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError, VerificationError
+from .exact import _LN2_LO, _as_fraction, frac_log2_bracket
 from .family import (
     GroundSet,
     SetFamily,
@@ -41,7 +41,6 @@ from .family import (
     restrict,
     upper_closure,
 )
-from .spread import _LN2_LO, _as_fraction, frac_log2_bracket
 
 MEASURE_CAP = 30
 DIAGONAL_CAP = 16
@@ -104,8 +103,7 @@ def drop_coordinates(F: SetFamily, X: int) -> SetFamily:
 # globalness
 
 
-@dataclass(frozen=True)
-class GlobalnessVerdict:
+class GlobalnessVerdict(NamedTuple):
     """Outcome of a tau-globalness check under mu_p."""
 
     tau: Fraction
@@ -381,8 +379,7 @@ def check_global(F: SetFamily, p, tau, exhaustive: bool | None = None) -> Global
     return GlobalnessVerdict(tf, pf, first is None, mode, violation, len(F))
 
 
-@dataclass(frozen=True)
-class GlobalRestriction:
+class GlobalRestriction(NamedTuple):
     """Maximizer of tau^{-|B|} mu_p^{-B}(F(A, B)) with its certificate."""
 
     a: int
@@ -559,8 +556,7 @@ def stability(F: SetFamily, p, rho) -> Fraction:
 # sharp thresholds
 
 
-@dataclass(frozen=True)
-class SharpThresholdReport:
+class SharpThresholdReport(NamedTuple):
     p: Fraction
     p_tilde: Fraction
     rho: Fraction
@@ -645,8 +641,7 @@ def verify_sharp_threshold(F: SetFamily, p, p_tilde, tau=None) -> SharpThreshold
     return SharpThresholdReport(pf, ptf, rho, mu_lo, mu_hi, stab, tf, upgraded)
 
 
-@dataclass(frozen=True)
-class UpgradeRound:
+class UpgradeRound(NamedTuple):
     restriction: int  # mask in the original coordinates
     p_in: Fraction
     measure_in: Fraction
@@ -661,8 +656,7 @@ class UpgradeRound:
         }
 
 
-@dataclass(frozen=True)
-class MeasureUpgradeReport:
+class MeasureUpgradeReport(NamedTuple):
     r_mask: int
     rounds: tuple[UpgradeRound, ...]
     final_p: Fraction
@@ -757,8 +751,7 @@ def measure_upgrade(F: SetFamily, p, tau, z: int, m: int) -> MeasureUpgradeRepor
 # hypercontractivity
 
 
-@dataclass(frozen=True)
-class HypercontractivityReport:
+class HypercontractivityReport(NamedTuple):
     q: int
     rho: Fraction
     rho_gate: Fraction
@@ -827,8 +820,7 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
 # bridges between uniform and biased measures
 
 
-@dataclass(frozen=True)
-class UniformBiasedFloor:
+class UniformBiasedFloor(NamedTuple):
     p: Fraction
     mu: Fraction
     floor: Fraction
@@ -860,8 +852,7 @@ def check_uniform_biased_floor(F: SetFamily) -> UniformBiasedFloor:
     return UniformBiasedFloor(p, mu, floor)
 
 
-@dataclass(frozen=True)
-class GlobalRemoval:
+class GlobalRemoval(NamedTuple):
     family: SetFamily
     tau_hat: Fraction
     measure: Fraction

@@ -23,16 +23,14 @@ for both of their rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .domains import Domain
 from .errors import CapacityError, PreconditionError, VerificationError
+from .exact import frac_log2_bracket
 from .family import MEMBER_CAP, GroundSet, SetFamily, bit_subsets, trace_cover
-from .spread import frac_log2_bracket
 from .sunflowers import (
     CoreMode,
     CorePredicate,
@@ -42,6 +40,9 @@ from .sunflowers import (
     phi_exact,
     product_kernel,
 )
+
+if TYPE_CHECKING:  # annotations only: ``bounds eval`` never loads domains.py
+    from .domains import Domain
 
 __all__ = [
     "BoundFormula",
@@ -53,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundFormula:
+class BoundFormula(NamedTuple):
     """One evaluated upper-bound expression.
 
     ``value`` is the exact (possibly upper-rounded) rational, or None when

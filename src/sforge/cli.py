@@ -18,7 +18,6 @@ canonical JSON error line to stderr.
 
 from __future__ import annotations
 
-import inspect
 import sys
 
 from .errors import ParseError, SforgeError
@@ -121,6 +120,8 @@ def _parse(params, args: list[str], cmd: str, seed=None, nested=False) -> tuple[
 
 def _help(cmd: str, node) -> str:
     """Usage, description, options and commands of one level, from the table."""
+    import inspect  # here: only --help reads a docstring
+
     group = isinstance(node, dict)
     params = (_GLOBALS if cmd == "sforge" else ()) if group else node.params
     about = _ABOUT[cmd.split()[-1]] if group else inspect.getdoc(resolve(node.run)) or ""

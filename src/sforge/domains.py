@@ -29,14 +29,16 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations as iter_permutations, repeat
 from math import comb, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError, VerificationError
+from .exact import _as_fraction
 from .family import (
     MAX_GROUND,
     MEMBER_CAP,
     GroundSet,
     SetFamily,
+    _link_counts,
     bit_subsets,
     block_product,
     canonical,
@@ -47,7 +49,6 @@ from .family import (
     select,
     shadow,
 )
-from .spread import _as_fraction, _link_counts, check_spread
 
 _PERMUTATION_CAP = 7
 _REGULARITY_CAP = 5_000_000  # link-shadow sets check_assumptions' regularity trials may visit
@@ -328,8 +329,7 @@ def domain_from_json_obj(obj) -> Domain:
 # depth-t spreadness
 
 
-@dataclass(frozen=True)
-class SpreadnessReport:
+class SpreadnessReport(NamedTuple):
     r: Fraction
     t: int
     ok: bool
@@ -388,8 +388,7 @@ def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
 # homogeneity
 
 
-@dataclass(frozen=True)
-class HomogeneityVerdict:
+class HomogeneityVerdict(NamedTuple):
     tau: Fraction
     ok: bool
     worst_x: int
@@ -472,8 +471,7 @@ def _counts_above(counts: dict[int, int], P: int) -> dict[int, int]:
     return {x & ~P: c for x, c in counts.items() if x & P == P}
 
 
-@dataclass(frozen=True)
-class HomogeneousSubfamily:
+class HomogeneousSubfamily(NamedTuple):
     family: SetFamily
     removed: int
     sparse_prefixes: tuple[int, ...]
@@ -569,8 +567,7 @@ def _homogeneous_subfamily(
     )
 
 
-@dataclass(frozen=True)
-class HomogeneousRemoval:
+class HomogeneousRemoval(NamedTuple):
     family: SetFamily
     parameter: Fraction
     size_floor: Fraction
@@ -590,6 +587,8 @@ def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> Homo
     tau / (1 - |X| tau / r) homogeneous and at least a (1 - |X| tau / r)
     fraction of G, both by exact re-check.
     """
+    from .spread import check_spread  # here: no other domains command loads spread.py
+
     tau = _as_fraction(tau, "tau")
     r = _as_fraction(r, "r")
     if X & ~G.ground.full_mask:
@@ -661,8 +660,7 @@ def regularity_identity_holds(A: Domain, S: int, subfamily: SetFamily, h: int) -
     return len(subfamily) * D * len(shadow_hs) == num * len(L)
 
 
-@dataclass(frozen=True)
-class AssumptionsReport:
+class AssumptionsReport(NamedTuple):
     q: int
     eta: Fraction
     mu: Fraction

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, compress, count, product
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParseError, PreconditionError
 
@@ -84,37 +83,55 @@ def block_product(n: int, parts: Sequence[int]) -> Iterator[int]:
     return map(sum, product(*picks))
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(NamedTuple("GroundSet", [("n", int)])):
     """Universe [n] = {1, ..., n}."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.n) is not int or not (1 <= self.n <= MAX_GROUND):
-            raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {self.n!r}")
+    def __new__(cls, n: int):
+        if type(n) is not int or not (1 <= n <= MAX_GROUND):
+            raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {n!r}")
+        return tuple.__new__(cls, (n,))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
 class SetFamily:
-    """Immutable, canonically ordered family of subsets of a ground set."""
+    """Immutable, canonically ordered family of subsets of a ground set,
+    equal and hashed by ``(ground, members)``."""
 
+    __slots__ = ("ground", "members", "__dict__")  # the dict keeps the cached _member_set
     ground: GroundSet
     members: tuple[int, ...]
 
-    def __post_init__(self):
-        full = self.ground.full_mask
-        for m in self.members:
+    def __init__(self, ground: GroundSet, members: tuple[int, ...]):
+        full = ground.full_mask
+        for m in members:
             # an int mask only: a bool is no set, and a str or float no mask
             if type(m) is not int or m < 0 or m & ~full:
                 raise PreconditionError(
                     f"member {m!r} is not a subset of the ground set", member=m
                 )
-        object.__setattr__(self, "members", tuple(canonical(set(self.members))))
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "members", tuple(canonical(set(members))))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.members) == (other.ground, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.members))
+
+    def __reduce__(self):  # copies and pickles are built, and checked, anew
+        return SetFamily, (self.ground, self.members)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -194,6 +211,26 @@ def member_index(members: Sequence[int]) -> dict[int, int]:
             row[byte] |= bit
             m ^= low
     return {e: int.from_bytes(row, "little") for e, row in rows.items()}
+
+
+def _link_counts(masks: Iterable[int]) -> dict[int, int]:
+    """How many of ``masks`` contain X, for every X below one of them.
+
+    Keys are in first-visit order: the masks in turn, each mask's submasks
+    in descending numeric order (the mask first, 0 last).  A root domain's
+    ``table`` is this dict, so it has the same order; a link domain's table
+    is derived and need not.  The submasks are walked inline
+    (x = (x - 1) & m), one dict read and write per visit.
+    """
+    counts: dict[int, int] = {}
+    get = counts.get
+    for m in masks:
+        x = m
+        while x:
+            counts[x] = get(x, 0) + 1
+            x = (x - 1) & m
+        counts[0] = get(0, 0) + 1
+    return counts
 
 
 def holders(index: dict[int, int], b: int, everyone: int) -> int:

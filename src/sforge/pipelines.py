@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import (
     Domain,
@@ -41,8 +41,10 @@ from .domains import (
     check_tau_homogeneous,
 )
 from .errors import CapacityError, PreconditionError, VerificationError
+from .exact import _LN2_HI, _LN2_LO, _as_fraction, frac_log2_bracket
 from .family import (
     SetFamily,
+    _link_counts,
     bit_subsets,
     canonical,
     elements_of,
@@ -51,7 +53,7 @@ from .family import (
     trace_cover,
 )
 from .packing import find_packing
-from .spread import _LN2_HI, _LN2_LO, _as_fraction, _link_counts, check_spread, frac_log2_bracket
+from .spread import check_spread
 from .sunflowers import CoreMode, CorePredicate, find_sunflower, is_sunflower
 
 __all__ = [
@@ -126,8 +128,7 @@ def _kernel_scale(s: int, t: int, x, *factors) -> tuple[int, int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """One checked inequality, both sides exact.
 
     ``verdict`` is "holds", "fails", or "unresolved" (the rational bracket
@@ -361,18 +362,14 @@ class ExtractionThreshold:
 # -- decompositions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionPart:
+class DecompositionPart(NamedTuple):
     """One piece (S, F_S): the sets that contained core S, with S removed."""
 
     core: int
     family: SetFamily
 
     def as_report(self) -> dict:
-        return {
-            "core": list(elements_of(self.core)),
-            "family": self.family.as_sets(),
-        }
+        return {"core": list(elements_of(self.core)), "family": self.family.as_sets()}
 
 
 @dataclass(frozen=True)
@@ -406,25 +403,23 @@ class Decomposition:
             )
         seen = set()
         rebuilt = list(self.remainder.members)
-        for part in self.parts:
-            if not part.family.members:
+        for core, family in self.parts:
+            if not family.members:
                 raise VerificationError(
                     "decomposition has an empty part",
-                    core=list(elements_of(part.core)),
+                    core=list(elements_of(core)),
                 )
-            if part.core in seen:
-                raise VerificationError(
-                    "duplicate core", core=list(elements_of(part.core))
-                )
-            seen.add(part.core)
-            for m in part.family.members:
-                if m & part.core:
+            if core in seen:
+                raise VerificationError("duplicate core", core=list(elements_of(core)))
+            seen.add(core)
+            for m in family.members:
+                if m & core:
                     raise VerificationError(
                         "part member overlaps its own core",
-                        core=list(elements_of(part.core)),
+                        core=list(elements_of(core)),
                         member=list(elements_of(m)),
                     )
-                rebuilt.append(m | part.core)
+                rebuilt.append(m | core)
         if sorted(rebuilt) != sorted(self.source.members):
             raise VerificationError(
                 "decomposition does not partition its source",
@@ -587,8 +582,7 @@ def spread_approximation(
 # -- uniformity reduction (the working-layer procedure) ----------------------
 
 
-@dataclass(frozen=True)
-class ExtractionStep:
+class ExtractionStep(NamedTuple):
     round_index: int
     core: int
     family: SetFamily
@@ -601,8 +595,7 @@ class ExtractionStep:
         }
 
 
-@dataclass(frozen=True)
-class SimplifyResult:
+class SimplifyResult(NamedTuple):
     """Outcome of the top-layer peeling loop.
 
     ``core_family`` is the final t-uniform family; ``layers`` holds the
@@ -1023,28 +1016,24 @@ class SystemSST:
             raise PreconditionError("need s >= 2 and t >= 1", s=self.s, t=self.t)
         amembers = self.domain.family._member_set
         seen = set()
-        for part in self.parts:
-            c = part.core.bit_count()
+        for core, family in self.parts:
+            c = core.bit_count()
             if not self.t <= c <= self.domain.k:
                 raise VerificationError(
                     "core size out of range",
-                    core=list(elements_of(part.core)),
+                    core=list(elements_of(core)),
                     t=self.t,
                 )
-            if part.core in seen:
-                raise VerificationError(
-                    "duplicate core", core=list(elements_of(part.core))
-                )
-            seen.add(part.core)
-            if not part.family.members:
-                raise VerificationError(
-                    "empty block", core=list(elements_of(part.core))
-                )
-            for m in part.family.members:
-                if m & part.core or (m | part.core) not in amembers:
+            if core in seen:
+                raise VerificationError("duplicate core", core=list(elements_of(core)))
+            seen.add(core)
+            if not family.members:
+                raise VerificationError("empty block", core=list(elements_of(core)))
+            for m in family.members:
+                if m & core or (m | core) not in amembers:
                     raise VerificationError(
                         "block member does not extend its core inside the domain",
-                        core=list(elements_of(part.core)),
+                        core=list(elements_of(core)),
                         member=list(elements_of(m)),
                     )
         cores = [p.core for p in self.parts]
@@ -1229,8 +1218,7 @@ def reduce_intersections(
 # -- clustering a system into few cores --------------------------------------
 
 
-@dataclass(frozen=True)
-class ClusterRound:
+class ClusterRound(NamedTuple):
     point: int
     captured: SetFamily
     reduction: SimplifyResult
@@ -1243,8 +1231,7 @@ class ClusterRound:
         }
 
 
-@dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(NamedTuple):
     core_family: SetFamily
     rounds: tuple[ClusterRound, ...]
     final_cores: SetFamily
@@ -1415,8 +1402,7 @@ def _smallest_cover(cores: list[int], t: int, A: Domain) -> SetFamily:
 # -- peeling high uniformity down to roughly 2t ------------------------------
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     """Outcome of peeling a k-uniform family down to sizes 2t and 2t+1.
 
     ``t_layers`` holds the family at every round boundary (first entry is
@@ -1545,8 +1531,7 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
 # -- the petal-count filter --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaFilterResult:
+class DeltaFilterResult(NamedTuple):
     """Greatest subfamily in which every member anchors a rich tail.
 
     ``chosen`` pairs each surviving member with its anchor, the

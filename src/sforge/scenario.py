@@ -31,10 +31,8 @@ from __future__ import annotations
 import functools
 import importlib
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter, methodcaller
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, SforgeError, VerificationError
 from .family import (
@@ -56,8 +54,7 @@ def canonical_report_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     report: dict
     exit_code: int
 
@@ -82,8 +79,7 @@ def resolve(ref):
     return getattr(importlib.import_module("." + module, __package__), attr)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One parameter of an operation.
 
     ``kind`` is "int", "frac", "flag", "str", "object" (a JSON object),
@@ -120,6 +116,8 @@ def coerce(kind, value, label: str, text: bool = False):
             return value
         raise ParseError(f"{label} must be an integer")
     if kind == "frac":
+        from fractions import Fraction  # here: commands without one never load it
+
         if type(value) not in (int, str):
             raise ParseError(f"{label} must be a number or 'a/b' string")
         try:
@@ -181,8 +179,7 @@ P, TAU, RHO = Param("p", "frac"), Param("tau", "frac"), Param("rho", "frac")
 # operations
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One operation: ``run`` takes the parameter values in order.
 
     ``run`` is a function or the ``"module:attr"`` name of one, imported

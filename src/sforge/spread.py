@@ -11,51 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import ceil, isqrt
 from operator import and_
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapacityError, PreconditionError, VerificationError
-from .family import SetFamily, canon_key, elements_of, restrict
+from .exact import _as_fraction, frac_log2_bracket
+from .family import SetFamily, _link_counts, canon_key, elements_of, restrict
 
 _ENUM_CAP = 8_000_000
 
 
-def _as_fraction(value, name: str) -> Fraction:
-    """``value`` as an exact Fraction; floats and non-rationals are refused."""
-    if isinstance(value, float):
-        raise PreconditionError(
-            f"{name} must be exact (int, Fraction, or string), not a float", value=value
-        )
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"{name} is not a rational number: {value!r}") from exc
-
-
-def _link_counts(masks: Iterable[int]) -> dict[int, int]:
-    """How many of ``masks`` contain X, for every X below one of them.
-
-    Keys are in first-visit order: the masks in turn, each mask's submasks
-    in descending numeric order (the mask first, 0 last).  A root domain's
-    ``table`` is this dict, so it has the same order; a link domain's table
-    is derived and need not.  The submasks are walked inline
-    (x = (x - 1) & m), one dict read and write per visit.
-    """
-    counts: dict[int, int] = {}
-    get = counts.get
-    for m in masks:
-        x = m
-        while x:
-            counts[x] = get(x, 0) + 1
-            x = (x - 1) & m
-        counts[0] = get(0, 0) + 1
-    return counts
-
-
-@dataclass(frozen=True)
-class SpreadVerdict:
+class SpreadVerdict(NamedTuple):
     """Outcome of an exhaustive R-spreadness check."""
 
     R: Fraction
@@ -96,8 +64,7 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
     return SpreadVerdict(R=R, ok=first is None, violation=first, family_size=size)
 
 
-@dataclass(frozen=True)
-class RemovalCertificate:
+class RemovalCertificate(NamedTuple):
     """F with the elements of X excluded, plus the surviving guarantees.
 
     ``parameter`` is R - |X|: exclusion can only cost |X| worth of
@@ -189,62 +156,6 @@ def exact_hit_probability(F: SetFamily, p: Fraction) -> Fraction:
                 total += weights[w_mask.bit_count()]
                 break
     return total
-
-
-# Certified: 0.693147 < ln 2 < 0.693148.
-_LN2_LO = Fraction(693147, 1_000_000)
-_LN2_HI = Fraction(693148, 1_000_000)
-
-_GRID = 192  # bracket endpoints live on the grid 2^-_GRID
-
-
-def frac_log2_bracket(x: Fraction, steps: int = 48) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi) with lo <= log2(x) <= hi, via digit extraction.
-
-    Interval endpoints are rounded outward to a fixed 192-bit grid at each
-    squaring, so the bracket stays sound and the integers stay small.  Each
-    endpoint is an integer numerator over 2^(_GRID + h), where h is the last
-    digit (a 1 halves both endpoints); only the result is built as Fractions.
-
-    Results are cached per process under ``(Fraction(x), steps)``, so equal
-    arguments of any type share one entry; the pair is immutable.  A refused
-    x (x <= 0) raises and is not cached.
-    """
-    return _log2_bracket(Fraction(x), steps)
-
-
-@lru_cache(maxsize=4096)
-def _log2_bracket(x: Fraction, steps: int) -> tuple[Fraction, Fraction]:
-    if x <= 0:
-        raise PreconditionError("log2 argument must be positive", x=str(x))
-    num, den = x.numerator, x.denominator
-    e = num.bit_length() - den.bit_length()
-    if (num << max(-e, 0)) < (den << max(e, 0)):
-        e -= 1
-    p, q = num << max(-e, 0), den << max(e, 0)  # x / 2^e = p / q in [1, 2)
-    if p == q:  # x = 2^e: every digit is 0
-        return Fraction(e), e + Fraction(1, 1 << steps)
-    two = 2 << _GRID
-    digits = h = 0
-    for i in range(steps):
-        if i == 0:
-            lo, r = divmod((p * p) << _GRID, q * q)
-            hi = lo + (r > 0)
-        else:
-            shift = _GRID + 2 * h
-            lo = (lo * lo) >> shift
-            hi = -((-hi * hi) >> shift)
-        h = int(lo >= two)
-        if h != (hi >= two):
-            # endpoints disagree; the bracket cannot be tightened further
-            return e + Fraction(digits, 1 << i), e + Fraction(digits + 1, 1 << i)
-        digits = 2 * digits + h
-    # the remaining fractional part is below one more digit
-    return e + Fraction(digits, 1 << steps), e + Fraction(digits + 1, 1 << steps)
-
-
-frac_log2_bracket.cache_info = _log2_bracket.cache_info
-frac_log2_bracket.cache_clear = _log2_bracket.cache_clear
 
 
 def covering_bound_bracket(R: Fraction, delta: Fraction, m: int, mu_norm: int = 1):

@@ -10,10 +10,9 @@ as violations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityError, PreconditionError
 from .family import (
@@ -36,8 +35,14 @@ class CoreMode(enum.Enum):
     ANY = "any"
 
 
-@dataclass(frozen=True)
-class CorePredicate:
+class _PredicateFields(NamedTuple):
+    s: int
+    mode: CoreMode = CoreMode.ANY
+    bound: int | None = None
+    degenerate_small_sets: bool = False
+
+
+class CorePredicate(_PredicateFields):
     """Which s-petal sunflowers are forbidden.
 
     ``bound`` is the core-size bound for EXACT / AT_MOST modes and ignored
@@ -46,12 +51,10 @@ class CorePredicate:
     tiny set yields a sunflower of s copies of itself).
     """
 
-    s: int
-    mode: CoreMode = CoreMode.ANY
-    bound: int | None = None
-    degenerate_small_sets: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.s < 2:
             raise PreconditionError("a sunflower needs at least 2 petals")
         if self.mode is not CoreMode.ANY:
@@ -61,6 +64,7 @@ class CorePredicate:
             raise PreconditionError(
                 "degenerate small-set convention applies to AT_MOST predicates"
             )
+        return self
 
     def admits_core_size(self, c: int) -> bool:
         if self.mode is CoreMode.ANY:
@@ -77,24 +81,22 @@ class CorePredicate:
         return f"{self.s} petals, core size {rel} {self.bound}{extra}"
 
 
-@dataclass(frozen=True)
-class SunflowerWitness:
-    """s member sets forming a sunflower with the given core."""
+class SunflowerWitness(NamedTuple("SunflowerWitness", [("petals", tuple), ("core", int)])):
+    """s member sets forming a sunflower with the given core; the petals
+    are kept in canonical order."""
 
-    petals: tuple[int, ...]
-    core: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        ps = self.petals
-        if len(ps) < 2 or len(set(ps)) != len(ps):
+    def __new__(cls, petals: tuple[int, ...], core: int):
+        if len(petals) < 2 or len(set(petals)) != len(petals):
             raise PreconditionError("witness petals must be at least 2 distinct sets")
-        for a, b in combinations(ps, 2):
-            if a & b != self.core:
+        for a, b in combinations(petals, 2):
+            if a & b != core:
                 raise PreconditionError(
                     "witness pairwise intersections must equal the core",
                     pair=(elements_of(a), elements_of(b)),
                 )
-        object.__setattr__(self, "petals", tuple(canonical(ps)))
+        return tuple.__new__(cls, (tuple(canonical(petals)), core))
 
     @property
     def s(self) -> int:
@@ -107,8 +109,7 @@ class SunflowerWitness:
         }
 
 
-@dataclass(frozen=True)
-class DegenerateWitness:
+class DegenerateWitness(NamedTuple):
     """A member of size <= t-1, read as s copies of itself."""
 
     member: int
@@ -155,26 +156,27 @@ def find_sunflower(
     witness is the same.
     """
     members = list(F.members) if isinstance(F, SetFamily) else canonical(set(F))
+    s = pred.s
     if pred.degenerate_small_sets:
         for m in members:
             if m.bit_count() <= pred.bound:  # type: ignore[operator]
-                return DegenerateWitness(m, pred.s)
-    if len(members) < pred.s:
+                return DegenerateWitness(m, s)
+    if len(members) < s:
         return None
     width = members[-1].bit_count()  # canonical order ends with a widest member
     admits = [pred.admits_core_size(c) for c in range(width + 1)]
     sizes = [c for c in range(width + 1) if admits[c]]
     if len(members) * sum(comb(width, c) for c in sizes) < comb(len(members), 2):
         index = _core_index(members, sizes)
-        cores = [K for K, above in index.items() if len(above) >= pred.s]
+        cores = [K for K, above in index.items() if len(above) >= s]
     else:
         index = None
         cores = [c for c in {a & b for a, b in combinations(members, 2)} if admits[c.bit_count()]]
     for core in canonical(cores):
         above = index[core] if index is not None else [m for m in members if m & core == core]
-        if len(above) < pred.s:
+        if len(above) < s:
             continue
-        packed = find_packing([m & ~core for m in above], pred.s)
+        packed = find_packing([m & ~core for m in above], s)
         if packed is not None:
             return SunflowerWitness(tuple(p | core for p in packed), core)
     return None
@@ -227,8 +229,7 @@ _PAIR_CAP = 10_000_000
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     optimum: int
     witness: SetFamily
     nodes: int
@@ -449,8 +450,7 @@ def product_kernel(s: int, t: int) -> SetFamily:
     return SetFamily(ground, tuple(block_product(b, (1,) * t)))
 
 
-@dataclass
-class PhiResult:
+class PhiResult(NamedTuple):
     s: int
     t: int
     support_bound: int

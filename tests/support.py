@@ -16,6 +16,7 @@ from sforge.boolean import GlobalnessVerdict, HypercontractivityReport, biased_m
 from sforge.cli import main
 from sforge.domains import Domain, HomogeneityVerdict, SpreadnessReport
 from sforge.errors import CapacityError, PreconditionError
+from sforge.exact import _LN2_HI, _LN2_LO, frac_log2_bracket
 from sforge.family import (
     _TRANSVERSAL_CAP,
     GroundSet,
@@ -26,14 +27,7 @@ from sforge.family import (
 )
 from sforge.packing import find_packing
 from sforge.pipelines import _REPORT_STEPS, _ROOT_BITS, BoundRecord, _iroot_ceil
-from sforge.spread import (
-    _LN2_HI,
-    _LN2_LO,
-    SpreadVerdict,
-    _block_seed,
-    check_spread,
-    frac_log2_bracket,
-)
+from sforge.spread import SpreadVerdict, _block_seed, check_spread
 from sforge.sunflowers import DegenerateWitness, SearchResult, SunflowerWitness, is_sunflower
 
 
@@ -646,7 +640,7 @@ def submasks_of(mask):
 
 
 def reference_link_counts(masks):
-    """``spread._link_counts`` by the definition: each mask's submasks,
+    """``family._link_counts`` by the definition: each mask's submasks,
     from ``submasks_of``, counted in turn; the keys in first-visit order."""
     counts = {}
     for m in masks:

@@ -823,7 +823,8 @@ def test_verify_on_a_domain_missing_the_kernel_reports():
 
 
 ENGINE = {"sforge." + m for m in
-          ("boolean", "bounds", "domains", "pipelines", "spread", "sunflowers", "packing")}
+          ("boolean", "bounds", "domains", "exact", "pipelines", "spread", "sunflowers",
+           "packing")}
 
 
 def modules_after(code: str) -> set:
@@ -839,6 +840,27 @@ def modules_after(code: str) -> set:
 def test_cli_import_leaves_numpy_out():
     # and every engine module and click: a command imports what it runs
     assert modules_after("import sforge.cli") & (ENGINE | {"click", "numpy"}) == set()
+
+
+def test_front_end_and_kernel_load_no_dataclasses_inspect_or_fractions():
+    # their records are NamedTuples or slotted classes, only --help reads a
+    # docstring, and only a fraction-valued parameter builds a Fraction
+    loaded = modules_after("import sforge.cli, sforge.family, sforge.sunflowers")
+    assert loaded & {"dataclasses", "inspect", "fractions"} == set()
+
+
+def test_boolean_and_bounds_imports_leave_domains_spread_and_dataclasses_out():
+    # bounds names Domain in annotations only and both take their log2
+    # brackets from exact.py, so `boolean global` and `bounds eval` compile
+    # neither domains.py nor spread.py, and load no dataclasses
+    loaded = modules_after("import sforge.boolean, sforge.bounds")
+    assert loaded & {"sforge.domains", "sforge.spread", "dataclasses", "inspect"} == set()
+
+
+def test_domains_import_leaves_spread_out():
+    # the link counts live in family.py, and only the homogeneous removal
+    # checks spreadness, so `domains check` and `verify` never compile spread.py
+    assert "sforge.spread" not in modules_after("import sforge.domains")
 
 
 def test_bounds_import_leaves_hashlib_out():

@@ -36,7 +36,13 @@ long-lived process sees.  No module tests for an integer with
 refuses it.  ``Domain.link_domain(0)`` is the domain itself, so no
 conditional expression chooses between a value and its ``.link_domain(...)``.
 Only ``spread.spread_lemma_mc`` imports numpy, so every other kernel runs on
-exact Python integers.
+exact Python integers.  Records are ``NamedTuple``s or slotted classes, which
+build no generated code at import: only the five classes in ``DATACLASSES``
+carry ``@dataclass``, and no code calls ``._replace`` or ``._make``, which
+build a tuple past a validating subclass's ``__new__``.  No module-level
+import loads a package module for names read only in annotations: such an
+import goes under ``if TYPE_CHECKING:``, so no command compiles a module it
+never runs.
 """
 
 import ast
@@ -47,7 +53,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sforge"
 MODULES = sorted(SRC.glob("*.py"))
-ENGINE = {"boolean", "bounds", "domains", "packing", "pipelines", "spread", "sunflowers"}
+ENGINE = {"boolean", "bounds", "domains", "exact", "packing", "pipelines", "spread",
+          "sunflowers"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -759,3 +766,99 @@ def test_numpy_import_checker_flags_every_import_and_its_function():
     )
     assert numpy_imports(src) == [
         "line 1: <module>", "line 3: spread_lemma_mc", "line 5: draw", "line 11: f"]
+
+
+# the records kept as dataclasses: Domain keeps a cached ``index`` (a tuple
+# method name) and an uncompared field; Decomposition and SystemSST validate
+# and the tests ``dataclasses.replace`` them; the benchmark's smoke run
+# ``dataclasses.replace``s CoverResult and SpreadLemmaEstimate
+DATACLASSES = {
+    "domains.py": {"Domain"},
+    "pipelines.py": {"Decomposition", "SystemSST", "CoverResult"},
+    "spread.py": {"SpreadLemmaEstimate"},
+}
+
+
+def record_checks(source: str) -> tuple[set[str], list[str]]:
+    """The classes decorated with ``dataclass`` in any spelling, and the
+    ``._replace`` and ``._make`` calls, each as ``line N: name``."""
+    classes, calls = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                fn = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+                    classes.add(node.name)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("_replace", "_make"):
+            calls.append(f"line {node.lineno}: {node.func.attr}")
+    return classes, calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_named_records_are_dataclasses(path):
+    classes, calls = record_checks(path.read_text(encoding="utf-8"))
+    assert classes == DATACLASSES.get(path.name, set())
+    assert calls == []
+
+
+def test_record_checker_flags_dataclasses_and_tuple_rebuilds():
+    src = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    x: int\n"
+        "class C(NamedTuple):\n"
+        "    x: int\n"
+        "def f(c, make):\n"
+        "    return c._replace(x=1), C._make([2]), c.replace('a', 'b'), make(c)\n"
+    )
+    assert record_checks(src) == ({"A", "B"}, ["line 13: _replace", "line 13: _make"])
+
+
+def annotation_only_imports(source: str) -> list[str]:
+    """The module-level ``from .m import ...`` statements all of whose names
+    are read only inside annotations, as ``line N: m``."""
+    tree = ast.parse(source)
+    in_annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            notes = [a.annotation for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                            args.vararg, args.kwarg) if a is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        in_annotations.update(id(n) for note in notes if note for n in ast.walk(note))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in in_annotations}
+    return [f"line {node.lineno}: {node.module}" for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level
+            and not any((a.asname or a.name) in read for a in node.names)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_is_loaded_for_annotations_only(path):
+    assert annotation_only_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_annotation_import_checker_flags_the_type_only_modules():
+    src = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .domains import Domain\n"
+        "from .family import SetFamily, canonical\n"
+        "from .spread import SpreadVerdict as V\n"
+        "if TYPE_CHECKING:\n"
+        "    from .pipelines import Decomposition\n"
+        "def f(A: Domain, *rest: V, D: Decomposition = None) -> SetFamily:\n"
+        "    x: V = canonical(rest)\n"
+        "    return x\n"
+    )
+    assert annotation_only_imports(src) == ["line 3: domains", "line 5: spread"]

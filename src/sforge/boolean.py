@@ -38,6 +38,7 @@ from .family import (
     SetFamily,
     elements_of,
     is_upward_closed,
+    report,
     restrict,
     upper_closure,
 )
@@ -113,18 +114,11 @@ class GlobalnessVerdict(NamedTuple):
     violation: tuple[int, int] | None  # first offending (A, B) masks
     family_size: int
 
-    def as_report(self) -> dict:
-        rep = {
-            "tau": str(self.tau),
-            "p": str(self.p),
-            "ok": self.ok,
-            "mode": self.mode,
-            "family_size": self.family_size,
-        }
-        if self.violation is not None:
-            a, b = self.violation
-            rep["violation"] = {"A": elements_of(a), "B": elements_of(b)}
-        return rep
+    # the violation keeps its element tuples: a verdict's report is spread
+    # into error details, which print each value's repr
+    _report_optional = ("violation",)
+    _report_derived = {"violation": lambda v: v.violation and dict(
+        zip("AB", map(elements_of, v.violation)))}
 
 
 def _weight_vector(F: SetFamily, a: int, b: int) -> list[int]:
@@ -388,14 +382,10 @@ class GlobalRestriction(NamedTuple):
     family: SetFamily  # F(A, B) reindexed onto the surviving coordinates
     verdict: GlobalnessVerdict
 
-    def as_report(self) -> dict:
-        return {
-            "A": elements_of(self.a),
-            "B": elements_of(self.b),
-            "value": str(self.value),
-            "restricted_size": len(self.family),
-            "verdict": self.verdict.as_report(),
-        }
+    _report_keys = {"a": "A", "b": "B"}
+    _report_masks = ("a", "b")
+    _report_omit = ("family",)
+    _report_derived = {"restricted_size": lambda r: len(r.family)}
 
 
 def max_global_restriction(F: SetFamily, p, tau, exhaustive: bool | None = None) -> GlobalRestriction:
@@ -566,19 +556,8 @@ class SharpThresholdReport(NamedTuple):
     global_tau: Fraction | None
     upgraded: bool
 
-    def as_report(self) -> dict:
-        rep = {
-            "p": str(self.p),
-            "p_tilde": str(self.p_tilde),
-            "rho": str(self.rho),
-            "mu_p": str(self.mu_p),
-            "mu_tilde": str(self.mu_tilde),
-            "stability": str(self.stab),
-            "upgraded": self.upgraded,
-        }
-        if self.global_tau is not None:
-            rep["tau"] = str(self.global_tau)
-        return rep
+    _report_keys = {"stab": "stability", "global_tau": "tau"}
+    _report_optional = ("global_tau",)
 
 
 def verify_sharp_threshold(F: SetFamily, p, p_tilde, tau=None) -> SharpThresholdReport:
@@ -630,7 +609,7 @@ def verify_sharp_threshold(F: SetFamily, p, p_tilde, tau=None) -> SharpThreshold
         verdict = check_global(F, pf, tf)
         if not verdict.ok:
             raise PreconditionError(
-                "family is not tau-global", **verdict.as_report()
+                "family is not tau-global", **report(verdict)
             )
         if mu_hi**4 < mu_lo**3:
             raise VerificationError(
@@ -647,13 +626,8 @@ class UpgradeRound(NamedTuple):
     measure_in: Fraction
     measure_restricted: Fraction
 
-    def as_report(self) -> dict:
-        return {
-            "restriction": elements_of(self.restriction),
-            "p": str(self.p_in),
-            "measure": str(self.measure_in),
-            "measure_restricted": str(self.measure_restricted),
-        }
+    _report_keys = {"p_in": "p", "measure_in": "measure"}
+    _report_masks = ("restriction",)
 
 
 class MeasureUpgradeReport(NamedTuple):
@@ -663,14 +637,10 @@ class MeasureUpgradeReport(NamedTuple):
     final_measure: Fraction
     final_family: SetFamily
 
-    def as_report(self) -> dict:
-        return {
-            "R": elements_of(self.r_mask),
-            "rounds": [r.as_report() for r in self.rounds],
-            "final_p": str(self.final_p),
-            "final_measure": str(self.final_measure),
-            "final_size": len(self.final_family),
-        }
+    _report_keys = {"r_mask": "R"}
+    _report_masks = ("r_mask",)
+    _report_omit = ("final_family",)
+    _report_derived = {"final_size": lambda r: len(r.final_family)}
 
 
 def measure_upgrade(F: SetFamily, p, tau, z: int, m: int) -> MeasureUpgradeReport:
@@ -758,14 +728,7 @@ class HypercontractivityReport(NamedTuple):
     mu: Fraction
     lhs: Fraction  # E[(T_rho f)^q]
 
-    def as_report(self) -> dict:
-        return {
-            "q": self.q,
-            "rho": str(self.rho),
-            "rho_gate": str(self.rho_gate),
-            "mu": str(self.mu),
-            "moment": str(self.lhs),
-        }
+    _report_keys = {"lhs": "moment"}
 
 
 def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> HypercontractivityReport:
@@ -797,7 +760,7 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
         )
     verdict = check_global(F, pf, tf)
     if not verdict.ok:
-        raise PreconditionError("family is not tau-global", **verdict.as_report())
+        raise PreconditionError("family is not tau-global", **report(verdict))
 
     mu = biased_measure(F, pf)
     # each value of T_rho f is some v / d^n, d = den(rho) den(p); under p = a/c
@@ -824,9 +787,6 @@ class UniformBiasedFloor(NamedTuple):
     p: Fraction
     mu: Fraction
     floor: Fraction
-
-    def as_report(self) -> dict:
-        return {"p": str(self.p), "mu": str(self.mu), "floor": str(self.floor)}
 
 
 def check_uniform_biased_floor(F: SetFamily) -> UniformBiasedFloor:
@@ -858,13 +818,8 @@ class GlobalRemoval(NamedTuple):
     measure: Fraction
     measure_floor: Fraction
 
-    def as_report(self) -> dict:
-        return {
-            "size": len(self.family),
-            "tau_hat": str(self.tau_hat),
-            "measure": str(self.measure),
-            "measure_floor": str(self.measure_floor),
-        }
+    _report_omit = ("family",)
+    _report_derived = {"size": lambda r: len(r.family)}
 
 
 def remove_elements_global(F: SetFamily, p, tau, X: int) -> GlobalRemoval:
@@ -887,7 +842,7 @@ def remove_elements_global(F: SetFamily, p, tau, X: int) -> GlobalRemoval:
         )
     verdict = check_global(F, pf, tf)
     if not verdict.ok:
-        raise PreconditionError("family is not tau-global", **verdict.as_report())
+        raise PreconditionError("family is not tau-global", **report(verdict))
 
     G = restrict(F, 0, X)
     mu_f = biased_measure(F, pf)
@@ -903,6 +858,6 @@ def remove_elements_global(F: SetFamily, p, tau, X: int) -> GlobalRemoval:
     if not out.ok:
         raise VerificationError(
             "removal broke globalness at the adjusted parameter",
-            **out.as_report(),
+            **report(out),
         )
     return GlobalRemoval(G, tau_hat, mu_g, floor)

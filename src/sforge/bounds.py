@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import CapacityError, PreconditionError, VerificationError
 from .exact import frac_log2_bracket
-from .family import MEMBER_CAP, GroundSet, SetFamily, bit_subsets, trace_cover
+from .family import MEMBER_CAP, GroundSet, SetFamily, bit_subsets, report, trace_cover
 from .sunflowers import (
     CoreMode,
     CorePredicate,
@@ -73,20 +73,12 @@ class BoundFormula(NamedTuple):
     phi_source: str = ""
     note: str = ""
 
+    _report_derived = {"params": lambda b: {k: str(v) for k, v in b.params.items()}}
+    as_report = report  # a method too: the pinned bound digest reads rows by it
+
     @property
     def comparable(self) -> bool:
         return self.value is not None
-
-    def as_report(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "value": None if self.value is None else str(self.value),
-            "symbolic": self.symbolic,
-            "hypotheses_met": self.hypotheses_met,
-            "phi_source": self.phi_source,
-            "note": self.note,
-        }
 
 
 # -- the shared terms ----------------------------------------------------------
@@ -317,7 +309,7 @@ def _check_skeleton(T: SetFamily, s: int) -> None:
     wit = find_sunflower(T, CorePredicate(s, CoreMode.ANY))
     if wit is not None:
         raise PreconditionError(
-            "skeleton carries an s-sunflower", witness=wit.as_report()
+            "skeleton carries an s-sunflower", witness=report(wit)
         )
 
 
@@ -342,7 +334,7 @@ def _check_lift_size(out: SetFamily, n: int, k: int, t: int, T: SetFamily) -> No
 
 def _forbidden(bad) -> VerificationError:
     return VerificationError(
-        "construction carries a forbidden sunflower", witness=bad.as_report()
+        "construction carries a forbidden sunflower", witness=report(bad)
     )
 
 
@@ -541,7 +533,7 @@ def verify_instance(
             for kind, size, legal in constructions
         ],
         "bounds": [
-            dict(formula.as_report(), applicable=applicable)
+            dict(report(formula), applicable=applicable)
             for formula, applicable in rows
         ],
         "violations": violations,

@@ -42,6 +42,7 @@ from .family import (
     bit_subsets,
     block_product,
     canonical,
+    element_lists,
     elements_of,
     holders,
     member_index,
@@ -336,14 +337,9 @@ class SpreadnessReport(NamedTuple):
     violation: Optional[tuple[int, int]] = None  # (T, S)
     domain: str = ""
 
-    def as_report(self) -> dict:
-        out = {"r": str(self.r), "t": self.t, "ok": self.ok, "domain": self.domain}
-        if self.violation is not None:
-            T, S = self.violation
-            out["violation"] = {
-                "T": list(elements_of(T)), "S": list(elements_of(S))
-            }
-        return out
+    _report_optional = ("violation",)
+    _report_derived = {"violation": lambda v: v.violation and dict(
+        zip("TS", element_lists(v.violation)))}
 
 
 def check_rt_spread(A: Domain, r, t: int) -> SpreadnessReport:
@@ -395,14 +391,7 @@ class HomogeneityVerdict(NamedTuple):
     worst_ratio: Fraction
     family_size: int
 
-    def as_report(self) -> dict:
-        return {
-            "tau": str(self.tau),
-            "ok": self.ok,
-            "worst_x": list(elements_of(self.worst_x)),
-            "worst_ratio": str(self.worst_ratio),
-            "family_size": self.family_size,
-        }
+    _report_masks = ("worst_x",)
 
 
 def _require_subfamily(F: SetFamily, A: Domain):
@@ -477,13 +466,9 @@ class HomogeneousSubfamily(NamedTuple):
     sparse_prefixes: tuple[int, ...]
     tau_out: Fraction
 
-    def as_report(self) -> dict:
-        return {
-            "size": len(self.family),
-            "removed": self.removed,
-            "sparse_prefixes": [list(elements_of(P)) for P in self.sparse_prefixes],
-            "tau_out": str(self.tau_out),
-        }
+    _report_masks = ("sparse_prefixes",)
+    _report_omit = ("family",)
+    _report_derived = {"size": lambda r: len(r.family)}
 
 
 def homogeneous_subfamily(
@@ -513,7 +498,7 @@ def _homogeneous_subfamily(
     k = A.k
     if t is None:
         t = k
-    if not (0 < alpha <= Fraction(1, 2 * k)):
+    if not (0 < alpha and 2 * k * alpha <= 1):  # no 1/(2k) for k = 0
         raise PreconditionError(
             "alpha must lie in (0, 1/(2k)]", alpha=str(alpha), k=k
         )
@@ -572,12 +557,8 @@ class HomogeneousRemoval(NamedTuple):
     parameter: Fraction
     size_floor: Fraction
 
-    def as_report(self) -> dict:
-        return {
-            "size": len(self.family),
-            "parameter": str(self.parameter),
-            "size_floor": str(self.size_floor),
-        }
+    _report_omit = ("family",)
+    _report_derived = {"size": lambda r: len(r.family)}
 
 
 def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> HomogeneousRemoval:
@@ -673,7 +654,15 @@ class AssumptionsReport(NamedTuple):
     regularity_witness: Optional[dict]
     shadow_ratio_ok: bool
     shadow_ratio_witness: Optional[dict]
-    nominal: dict
+    nominal: dict  # values are Fractions and bools
+
+    _report_optional = ("spread_violation", "density_witness", "regularity_witness",
+                        "shadow_ratio_witness")
+    _report_derived = {
+        "all_ok": lambda a: a.all_ok,
+        "spread_violation": lambda a: a.spread_violation and dict(
+            zip("TS", element_lists(a.spread_violation))),
+    }
 
     @property
     def all_ok(self) -> bool:
@@ -681,31 +670,6 @@ class AssumptionsReport(NamedTuple):
             self.spread_ok and self.density_ok
             and self.regularity_ok and self.shadow_ratio_ok
         )
-
-    def as_report(self) -> dict:
-        out = {
-            "q": self.q, "eta": str(self.eta), "mu": str(self.mu), "r": str(self.r),
-            "spread_ok": self.spread_ok,
-            "density_ok": self.density_ok,
-            "regularity_ok": self.regularity_ok,
-            "shadow_ratio_ok": self.shadow_ratio_ok,
-            "all_ok": self.all_ok,
-            "nominal": {k2: v if isinstance(v, bool) else str(v)
-                        for k2, v in self.nominal.items()},
-        }
-        for name, wit in (
-            ("density_witness", self.density_witness),
-            ("regularity_witness", self.regularity_witness),
-            ("shadow_ratio_witness", self.shadow_ratio_witness),
-        ):
-            if wit is not None:
-                out[name] = wit
-        if self.spread_violation is not None:
-            T, S = self.spread_violation
-            out["spread_violation"] = {
-                "T": list(elements_of(T)), "S": list(elements_of(S))
-            }
-        return out
 
 
 def _density_holds(A_t: int, total: int, r: Fraction, eta_t: Fraction) -> bool:
@@ -789,8 +753,8 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
         if not shadow_ok:
             break
         rsize = R.bit_count()
-        base = 1 - Fraction(rsize) / (mu * k)
         for h in range(1, min(q, k - rsize) + 1):
+            base = 1 - Fraction(rsize) / (mu * k)  # k > |R| here, so mu k > 0
             lhs = Fraction(len(links[R].layers[h]), len(A.layers[h]))
             if lhs < base**h:
                 shadow_ok = False

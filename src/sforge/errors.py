@@ -21,6 +21,7 @@ class SforgeError(Exception):
         self.message = message
         self.details = details
 
+    # its own: an error is no record, and it prints each detail's repr
     def as_report(self) -> dict:
         rep = {"error": type(self).__name__, "message": self.message}
         if self.details:

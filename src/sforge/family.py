@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress, count, product
 from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -392,6 +392,90 @@ def transversal_number(F: SetFamily) -> tuple[int, int]:
             raise CapacityError("transversal search capped", cap=_TRANSVERSAL_CAP)
         if found is not None:
             return h, found
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def element_lists(masks) -> list:
+    """The element list of a mask, or of each mask of a sequence."""
+    if type(masks) is int:
+        return list(elements_of(masks))
+    return [list(elements_of(m)) for m in masks]
+
+
+_PLAIN = (type(None), bool, int, str)  # reported as they are
+
+
+def report(value):
+    """The canonical report of a record or of a value inside one.
+
+    A class with its own ``as_report`` builds its report there; a class
+    attribute ``as_report = report`` only lends the encoder a method name.
+    A record (a ``NamedTuple`` or a dataclass) becomes a dict of its fields
+    in field order.  None, bools, ints and strings stay as they are; a
+    ``SetFamily`` becomes its element lists, a record its report, a list or
+    tuple a list and a dict keeps its keys, their values converted; anything
+    else, a ``Fraction`` say, becomes its ``str``.  A record declares only
+    its exceptions, as class attributes:
+
+    * ``_report_keys``: field -> the key it is reported under;
+    * ``_report_masks``: fields holding a mask, or a sequence of masks,
+      reported as element lists;
+    * ``_report_omit``: fields left out;
+    * ``_report_optional``: fields, and derived keys, left out when None;
+    * ``_report_derived``: key -> a function of the record giving that key's
+      value, reported as it is, after the fields; a field reported under
+      the same key gives way to it.
+    """
+    cls = type(value)
+    if cls in _PLAIN:
+        return value
+    if cls is SetFamily:
+        return value.as_sets()
+    if cls is list or cls is tuple:
+        return [report(v) for v in value]
+    if cls is dict:
+        return {k: report(v) for k, v in value.items()}
+    own, steps, derived = _plan(cls)
+    if own is not None:
+        return own(value)
+    if steps is None:
+        return str(value)
+    out = {}
+    for f, key, mask, optional in steps:
+        v = getattr(value, f)
+        if v is None and optional:
+            continue
+        out[key] = element_lists(v) if mask else v if type(v) in _PLAIN else report(v)
+    for key, fn, optional in derived:
+        v = fn(value)
+        if v is not None or not optional:
+            out[key] = v
+    return out
+
+
+@lru_cache(maxsize=256)
+def _plan(cls: type) -> tuple:
+    """How ``report`` reports a ``cls``: (its own method or None, each
+    reported field as (field, key, is a mask, left out when None) or None
+    for a value reported by ``str``, each derived key as (key, function,
+    left out when None))."""
+    own = getattr(cls, "as_report", report)
+    if own is not report:
+        return own, None, ()
+    fields = getattr(cls, "_fields", None) or getattr(cls, "__dataclass_fields__", None)
+    if fields is None:
+        return None, None, ()
+    keys = getattr(cls, "_report_keys", {})
+    masks = getattr(cls, "_report_masks", ())
+    omit = getattr(cls, "_report_omit", ())
+    optional = getattr(cls, "_report_optional", ())
+    derived = getattr(cls, "_report_derived", {})
+    steps = tuple((f, keys.get(f, f), f in masks, f in optional) for f in fields
+                  if f not in omit and keys.get(f, f) not in derived)
+    return None, steps, tuple((key, fn, key in optional) for key, fn in derived.items())
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,10 @@ from .family import (
     _link_counts,
     bit_subsets,
     canonical,
+    element_lists,
     elements_of,
     family_minus,
+    report,
     shadow,
     trace_cover,
 )
@@ -145,17 +147,6 @@ class BoundRecord(NamedTuple):
     verdict: str
     hypotheses_met: bool = True
     note: str = ""
-
-    def as_report(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": str(self.lhs),
-            "rhs_lo": str(self.rhs_lo),
-            "rhs_hi": str(self.rhs_hi),
-            "verdict": self.verdict,
-            "hypotheses_met": self.hypotheses_met,
-            "note": self.note,
-        }
 
 
 def _record(
@@ -348,6 +339,7 @@ class ExtractionThreshold:
                 return False
         return True
 
+    # its own: no record, it reports the bracket it computes
     def as_report(self) -> dict:
         lo, hi = self.bracket()
         return {
@@ -368,8 +360,7 @@ class DecompositionPart(NamedTuple):
     core: int
     family: SetFamily
 
-    def as_report(self) -> dict:
-        return {"core": list(elements_of(self.core)), "family": self.family.as_sets()}
+    _report_masks = ("core",)
 
 
 @dataclass(frozen=True)
@@ -392,6 +383,11 @@ class Decomposition:
     measure_floor: Optional[Fraction] = None
     records: tuple[BoundRecord, ...] = ()
     trace: tuple[dict, ...] = ()
+
+    _report_omit = ("source", "domain")
+    _report_optional = ("tau", "spread_r", "measure_floor")
+    _report_derived = {"q": lambda d: str(d.q)}
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
     def __post_init__(self) -> None:
         self.verify()
@@ -456,22 +452,6 @@ class Decomposition:
                         measure=str(mu),
                         floor=str(self.measure_floor),
                     )
-
-    def as_report(self) -> dict:
-        out = {
-            "parts": [p.as_report() for p in self.parts],
-            "remainder": self.remainder.as_sets(),
-            "q": str(self.q),
-            "records": [r.as_report() for r in self.records],
-            "trace": list(self.trace),
-        }
-        if self.tau is not None:
-            out["tau"] = str(self.tau)
-        if self.spread_r is not None:
-            out["spread_r"] = str(self.spread_r)
-        if self.measure_floor is not None:
-            out["measure_floor"] = str(self.measure_floor)
-        return out
 
 
 def spread_approximation(
@@ -587,12 +567,8 @@ class ExtractionStep(NamedTuple):
     core: int
     family: SetFamily
 
-    def as_report(self) -> dict:
-        return {
-            "round": self.round_index,
-            "core": list(elements_of(self.core)),
-            "link": self.family.as_sets(),
-        }
+    _report_keys = {"round_index": "round", "family": "link"}
+    _report_masks = ("core",)
 
 
 class SimplifyResult(NamedTuple):
@@ -612,16 +588,7 @@ class SimplifyResult(NamedTuple):
     eps: Fraction
     records: tuple[BoundRecord, ...] = ()
 
-    def as_report(self) -> dict:
-        return {
-            "core_family": self.core_family.as_sets(),
-            "layers": [w.as_sets() for w in self.layers],
-            "stages": [s.as_sets() for s in self.stages],
-            "extractions": [e.as_report() for e in self.extractions],
-            "threshold": self.threshold,
-            "eps": str(self.eps),
-            "records": [r.as_report() for r in self.records],
-        }
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def _layer_round(
@@ -687,7 +654,7 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
             layers=(),
             stages=(S,),
             extractions=(),
-            threshold=ExtractionThreshold(s, max(t, 1), t).as_report(),
+            threshold=report(ExtractionThreshold(s, max(t, 1), t)),
             eps=eps,
         )
     q = max(m.bit_count() for m in S.members)
@@ -699,7 +666,7 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
     if pre is not None:
         raise PreconditionError(
             "input family carries an s-sunflower with a small core",
-            witness=pre.as_report(),
+            witness=report(pre),
         )
     return _simplify(S, A, s, t, eps, q)[0]
 
@@ -752,7 +719,7 @@ def _simplify(
             raise VerificationError(
                 "a working stage lost sunflower-freeness",
                 stage=f"round-{i}",
-                witness=w.as_report(),
+                witness=report(w),
             )
 
     core = cur
@@ -785,7 +752,7 @@ def _simplify(
         layers=tuple(layers),
         stages=tuple(stages),
         extractions=tuple(extractions),
-        threshold=thr.as_report(),
+        threshold=report(thr),
         eps=eps,
         records=tuple(records),
     ), uncovered
@@ -812,19 +779,10 @@ class CoverResult:
     records: tuple[BoundRecord, ...] = ()
     trace: tuple[dict, ...] = ()
 
-    def as_report(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "core_family": self.core_family.as_sets(),
-            "residue_size": len(self.residue.members),
-            "records": [r.as_report() for r in self.records],
-            "trace": list(self.trace),
-        }
-        if self.decomposition is not None:
-            out["decomposition"] = self.decomposition.as_report()
-        if self.reduction is not None:
-            out["reduction"] = self.reduction.as_report()
-        return out
+    _report_omit = ("source", "residue")
+    _report_optional = ("decomposition", "reduction")
+    _report_derived = {"residue_size": lambda c: len(c.residue)}
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult:
@@ -858,7 +816,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
     pre = _small_core_sunflower(F, s, t)
     if pre is not None:
         raise PreconditionError(
-            "family carries an s-sunflower with a small core", witness=pre.as_report()
+            "family carries an s-sunflower with a small core", witness=report(pre)
         )
     r = _nominal_spread(A)
     eps = Fraction(1, 2)
@@ -1008,6 +966,9 @@ class SystemSST:
     parts: tuple[DecompositionPart, ...]
     records: tuple[BoundRecord, ...] = ()
 
+    _report_omit = ("domain",)
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
+
     def __post_init__(self) -> None:
         self.verify()
 
@@ -1041,7 +1002,7 @@ class SystemSST:
         if wit is not None:
             raise VerificationError(
                 "cores form a sunflower at the forbidden size",
-                witness=wit.as_report(),
+                witness=report(wit),
             )
         if self.t < 2 or len(cores) < self.s:
             return
@@ -1067,14 +1028,6 @@ class SystemSST:
                     members=[list(elements_of(m)) for m in hit],
                     allowance=cap,
                 )
-
-    def as_report(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "parts": [p.as_report() for p in self.parts],
-            "records": [r.as_report() for r in self.records],
-        }
 
 
 def _deep_intersection(
@@ -1146,7 +1099,7 @@ def reduce_intersections(
     if D.domain.family.members != A.family.members:
         raise PreconditionError("decomposition was built over a different domain")
     k = A.k
-    if not 0 < alpha <= Fraction(1, 4 * k):
+    if not (0 < alpha and 4 * k * alpha <= 1):  # no 1/(4k) for k = 0
         raise PreconditionError(
             "alpha must lie in (0, 1/(4k)]", alpha=str(alpha), k=k
         )
@@ -1154,7 +1107,7 @@ def reduce_intersections(
     if wit is not None:
         raise PreconditionError(
             "source family has an s-sunflower at the forbidden core size",
-            witness=wit.as_report(),
+            witness=report(wit),
         )
 
     shrink = 1 - 2 * alpha * k
@@ -1223,12 +1176,7 @@ class ClusterRound(NamedTuple):
     captured: SetFamily
     reduction: SimplifyResult
 
-    def as_report(self) -> dict:
-        return {
-            "point": list(elements_of(self.point)),
-            "captured": self.captured.as_sets(),
-            "reduction": self.reduction.as_report(),
-        }
+    _report_masks = ("point",)
 
 
 class ClusterResult(NamedTuple):
@@ -1239,15 +1187,8 @@ class ClusterResult(NamedTuple):
     eps: Fraction
     records: tuple[BoundRecord, ...] = ()
 
-    def as_report(self) -> dict:
-        return {
-            "core_family": self.core_family.as_sets(),
-            "rounds": [r.as_report() for r in self.rounds],
-            "final_cores": self.final_cores.as_sets(),
-            "lambda": str(self.lam),
-            "eps": str(self.eps),
-            "records": [r.as_report() for r in self.records],
-        }
+    _report_keys = {"lam": "lambda"}
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def _phi_interval(s: int, t: int) -> tuple[int, int, int]:
@@ -1420,16 +1361,7 @@ class PeelResult(NamedTuple):
     cover_counts: tuple[int, ...]
     records: tuple[BoundRecord, ...] = ()
 
-    def as_report(self) -> dict:
-        return {
-            "core_family": self.core_family.as_sets(),
-            "t_layers": [f.as_sets() for f in self.t_layers],
-            "u_layers": [f.as_sets() for f in self.u_layers],
-            "w_layers": [f.as_sets() for f in self.w_layers],
-            "extractions": [e.as_report() for e in self.extractions],
-            "cover_counts": list(self.cover_counts),
-            "records": [r.as_report() for r in self.records],
-        }
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
@@ -1459,7 +1391,7 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
     if wit is not None:
         raise PreconditionError(
             "family carries an s-sunflower at the forbidden core size",
-            witness=wit.as_report(),
+            witness=report(wit),
         )
     alpha = s * k
 
@@ -1509,7 +1441,7 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
     if stray is not None:
         raise VerificationError(
             "a stage or set-aside core recreated a forbidden sunflower",
-            witness=stray.as_report(),
+            witness=report(stray),
         )
     cover_counts = tuple(
         len(trace_cover(t_layers[i], u_layers[i]).members)
@@ -1544,16 +1476,9 @@ class DeltaFilterResult(NamedTuple):
     removed: SetFamily
     rounds: int
 
-    def as_report(self) -> dict:
-        return {
-            "family": self.family.as_sets(),
-            "chosen": [
-                {"member": list(elements_of(m)), "anchor": list(elements_of(T))}
-                for m, T in self.chosen
-            ],
-            "removed": self.removed.as_sets(),
-            "rounds": self.rounds,
-        }
+    _report_derived = {"chosen": lambda r: [
+        dict(zip(("member", "anchor"), element_lists(pair))) for pair in r.chosen]}
+    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def _delta_anchor(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import importlib
 import json
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import ParseError, SforgeError, VerificationError
@@ -42,6 +42,7 @@ from .family import (
     family_to_hex,
     family_to_json_obj,
     read_source,
+    report,
     shadow,
     transversal_number,
     upper_closure,
@@ -184,16 +185,16 @@ class Op(NamedTuple):
 
     ``run`` is a function or the ``"module:attr"`` name of one, imported
     when the operation runs.  ``report`` reads the report off the result
-    (None: the result is the report); ``bind`` picks the value a step's
-    ``name`` binds, which ``named`` makes mandatory; ``csv`` renders the
-    report for ``--format csv``.
+    (by default ``family.report``; None: the result is the report);
+    ``bind`` picks the value a step's ``name`` binds, which ``named`` makes
+    mandatory; ``csv`` renders the report for ``--format csv``.
     """
 
     op: str | None
     cmd: str | None
     params: tuple[Param, ...]
     run: Callable | str
-    report: Callable | None = methodcaller("as_report")
+    report: Callable | None = report
     bind: Callable | None = None
     named: bool = False
     csv: Callable | None = None
@@ -246,20 +247,20 @@ def _find(F: SetFamily, s, mode, bound, degenerate) -> dict:
     from .sunflowers import find_sunflower
     pred = _pred(s, mode, bound, degenerate)
     wit = find_sunflower(F, pred)
-    report = {"pred": pred.describe(), "found": wit is not None}
+    out = {"pred": pred.describe(), "found": wit is not None}
     if wit is not None:
-        report["witness"] = wit.as_report()
-    return report
+        out["witness"] = report(wit)
+    return out
 
 
 def _assert_free(*args) -> dict:
-    report = _find(*args)
-    if report["found"]:
+    out = _find(*args)
+    if out["found"]:
         raise VerificationError(
             "family contains a forbidden sunflower",
-            pred=report["pred"], witness=report["witness"],
+            pred=out["pred"], witness=out["witness"],
         )
-    return report
+    return out
 
 
 def _max_free(F: SetFamily, s, mode, bound, degenerate, budget, symmetry):
@@ -268,12 +269,7 @@ def _max_free(F: SetFamily, s, mode, bound, degenerate, budget, symmetry):
 
 
 def _bracket(bracket) -> dict:
-    lo, hi, vacuous = bracket
-    return {
-        "low": None if lo is None else str(lo),
-        "high": None if hi is None else str(hi),
-        "vacuous": vacuous,
-    }
+    return report(dict(zip(("low", "high", "vacuous"), bracket)))
 
 
 def _domain_summary(A) -> dict:
@@ -288,7 +284,7 @@ def _domain_build(A) -> dict:
         "domain": A.as_json_obj(),
         "k": A.k,
         "size": len(A.family.members),
-        "nominal": {k: str(v) for k, v in sorted(A.nominal_parameters().items())},
+        "nominal": report(A.nominal_parameters()),
     }
 
 
@@ -308,9 +304,9 @@ def _chain(F, A, tau, q, s, t, alpha, lam=None) -> dict:
     from .pipelines import cluster_system, reduce_intersections, spread_approximation
     D = spread_approximation(F, A, tau, q)
     U = reduce_intersections(D, A, s, t, alpha)
-    out = {"decomposition": D.as_report(), "system": U.as_report()}
+    out = {"decomposition": report(D), "system": report(U)}
     if lam is not None:
-        out["clusters"] = cluster_system(U, A, lam).as_report()
+        out["clusters"] = report(cluster_system(U, A, lam))
     return out
 
 

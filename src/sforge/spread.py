@@ -31,11 +31,8 @@ class SpreadVerdict(NamedTuple):
     violation: Optional[int] = None  # mask X with |F(X)| > R^-|X| |F|
     family_size: int = 0
 
-    def as_report(self) -> dict:
-        out = {"R": str(self.R), "ok": self.ok, "family_size": self.family_size}
-        if self.violation is not None:
-            out["violation"] = list(elements_of(self.violation))
-        return out
+    _report_masks = ("violation",)
+    _report_optional = ("violation",)
 
 
 def check_spread(F: SetFamily, R) -> SpreadVerdict:
@@ -77,13 +74,8 @@ class RemovalCertificate(NamedTuple):
     size_floor: Fraction
     covering_floor: int
 
-    def as_report(self) -> dict:
-        return {
-            "size": len(self.family),
-            "parameter": str(self.parameter),
-            "size_floor": str(self.size_floor),
-            "covering_floor": self.covering_floor,
-        }
+    _report_omit = ("family",)
+    _report_derived = {"size": lambda r: len(r.family)}
 
 
 def remove_elements_spread(F: SetFamily, R, X: int) -> RemovalCertificate:
@@ -235,6 +227,7 @@ class SpreadLemmaEstimate:
     violation: bool
     exact_probability: Optional[Fraction] = None
 
+    # its own: the rates and bounds are reported as six-decimal floats
     def as_report(self) -> dict:
         out = {
             "R": str(self.R),

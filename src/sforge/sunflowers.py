@@ -22,6 +22,7 @@ from .family import (
     bit_subsets,
     block_product,
     canonical,
+    element_lists,
     elements_of,
     holders,
     member_index,
@@ -60,7 +61,7 @@ class CorePredicate(_PredicateFields):
         if self.mode is not CoreMode.ANY:
             if self.bound is None or self.bound < 0:
                 raise PreconditionError("core-size bound must be a nonnegative int")
-        if self.degenerate_small_sets and self.mode is CoreMode.EXACT:
+        if self.degenerate_small_sets and self.mode is not CoreMode.AT_MOST:
             raise PreconditionError(
                 "degenerate small-set convention applies to AT_MOST predicates"
             )
@@ -98,15 +99,15 @@ class SunflowerWitness(NamedTuple("SunflowerWitness", [("petals", tuple), ("core
                 )
         return tuple.__new__(cls, (tuple(canonical(petals)), core))
 
+    # the core comes first: a witness report is an error detail, which
+    # keeps its key order
+    _report_masks = ("core",)
+    _report_omit = ("petals",)
+    _report_derived = {"sets": lambda w: element_lists(w.petals)}
+
     @property
     def s(self) -> int:
         return len(self.petals)
-
-    def as_report(self) -> dict:
-        return {
-            "core": list(elements_of(self.core)),
-            "sets": [list(elements_of(p)) for p in self.petals],
-        }
 
 
 class DegenerateWitness(NamedTuple):
@@ -115,8 +116,8 @@ class DegenerateWitness(NamedTuple):
     member: int
     s: int
 
-    def as_report(self) -> dict:
-        return {"small_set": list(elements_of(self.member)), "copies": self.s}
+    _report_keys = {"member": "small_set", "s": "copies"}
+    _report_masks = ("member",)
 
 
 def is_sunflower(sets: Sequence[int]) -> int | None:
@@ -234,14 +235,6 @@ class SearchResult(NamedTuple):
     witness: SetFamily
     nodes: int
     certified: bool
-
-    def as_report(self) -> dict:
-        return {
-            "optimum": self.optimum,
-            "witness": self.witness.as_sets(),
-            "nodes": self.nodes,
-            "certified": self.certified,
-        }
 
 
 def _third_petals(members: Sequence[int], admits: list[bool]):
@@ -460,18 +453,7 @@ class PhiResult(NamedTuple):
     certified: bool
     unconditional: bool
 
-    def as_report(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "support_bound": self.support_bound,
-            "value": self.value,
-            "witness": self.witness.as_sets(),
-            "nodes": self.nodes,
-            "certified": self.certified,
-            "unconditional": self.unconditional,
-            "support_restricted": not self.unconditional,
-        }
+    _report_derived = {"support_restricted": lambda r: not r.unconditional}
 
 
 def phi_exact(s: int, t: int, support_bound: int, budget: int = 50_000_000) -> PhiResult:

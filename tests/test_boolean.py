@@ -24,7 +24,9 @@ from sforge.boolean import (
     verify_sharp_threshold,
 )
 from sforge.errors import CapacityError, PreconditionError, VerificationError
-from sforge.family import GroundSet, SetFamily, canon_key, is_upward_closed, upper_closure
+from sforge.family import (
+    GroundSet, SetFamily, canon_key, is_upward_closed, report, upper_closure,
+)
 
 from support import (
     binom_family,
@@ -290,7 +292,7 @@ class TestCheckGlobal:
             check_global(fam(17, [[1]]), F8, 100)
 
     def test_report_shape(self):
-        rep = check_global(fam(1, [[1]]), F2, F2, exhaustive=True).as_report()
+        rep = report(check_global(fam(1, [[1]]), F2, F2, exhaustive=True))
         assert rep["ok"] is False
         assert rep["violation"] == {"A": (1,), "B": (1,)}
 
@@ -671,8 +673,8 @@ class TestSharpThreshold:
 
     def test_upgraded_report_carries_tau(self):
         rep = verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4, tau=2)
-        assert rep.as_report()["tau"] == "2"
-        assert "tau" not in verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4).as_report()
+        assert report(rep)["tau"] == "2"
+        assert "tau" not in report(verify_sharp_threshold(full_cube(3), Fraction(1, 512), F4))
 
     def test_not_monotone_rejected(self):
         with pytest.raises(PreconditionError):
@@ -785,7 +787,7 @@ class TestHypercontractivity:
             q = rng.randint(3, 5)
             got = hypercontractivity_check(F, p, tau, rho, q)
             want = reference_hypercontractivity_check(F, p, tau, rho, q)
-            assert got == want and got.as_report() == want.as_report()
+            assert got == want and report(got) == report(want)
 
 
 class TestUniformBiasedFloor:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import sforge
-from sforge.family import SetFamily, family_from_hex, load_family
+from sforge.family import SetFamily, family_from_hex, load_family, report
 from sforge.scenario import OPERATIONS, canonical_report_bytes, resolve, run_scenario
 from sforge.sunflowers import CoreMode, CorePredicate, max_sunflower_free
 from support import run_cli
@@ -796,7 +796,7 @@ def test_a_deep_search_reports_the_same_from_the_api_the_command_and_a_run(tmp_p
     sets = [[1, a, b] for a, b in combinations(range(2, 65), 2)][:891]
     res = max_sunflower_free(SetFamily.from_sets(64, sets), CorePredicate(2, CoreMode.AT_MOST, 0))
     assert (res.optimum, res.certified) == (891, True)
-    want = canonical_report_bytes(res.as_report())
+    want = canonical_report_bytes(report(res))
     deep = json.dumps({"n": 64, "sets": sets})
     got = invoke("sunflower", "max-free", deep, "--petals", 2, "--mode", "at-most",
                  "--core-bound", 0)

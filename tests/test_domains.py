@@ -15,6 +15,7 @@ from sforge.family import (
     block_product,
     canonical,
     elements_of,
+    report,
     restrict,
     trace_cover,
 )
@@ -256,7 +257,7 @@ class TestRtSpread:
 
     def test_report_shape(self):
         rep = check_rt_spread(Domain.binomial(4, 2), 3, 1)
-        d = rep.as_report()
+        d = report(rep)
         assert d["ok"] is False and "violation" in d
 
     @pytest.mark.parametrize(
@@ -349,7 +350,7 @@ class TestAssumptions:
         rep = check_assumptions(Domain.binomial(8, 2), 2, 2, 4, 2)
         assert rep.nominal["n_ge_4q"] is True
         assert rep.nominal["n_gt_8k"] is False
-        d = rep.as_report()
+        d = report(rep)
         assert d["all_ok"] is True
 
     def test_float_rejected(self):
@@ -360,12 +361,12 @@ class TestAssumptions:
         faces = SetFamily.from_sets(4, [[1, 2, 3], [3, 4]])
         rep = check_assumptions(Domain.complex_layer(faces, 2), 2, 1, 1, 1)
         assert not rep.regularity_ok and not rep.all_ok
-        assert rep.as_report()["regularity_witness"] == {"S": [], "h": 1, "subfamily_size": 1}
+        assert report(rep)["regularity_witness"] == {"S": [], "h": 1, "subfamily_size": 1}
 
     def test_spread_violation_is_reported(self):
         rep = check_assumptions(Domain.binomial(6, 2), 1, 1, 1, 4)
         assert not rep.spread_ok and not rep.all_ok
-        assert rep.as_report()["spread_violation"] == {"T": [], "S": [1]}
+        assert report(rep)["spread_violation"] == {"T": [], "S": [1]}
 
     def test_oversized_regularity_battery_refused_at_once(self):
         # about 10M units of link-shadow work against the 5M cap
@@ -535,7 +536,7 @@ class TestRemoveElementsHomogeneous:
         assert res.parameter == 2
         assert res.size_floor == 10
         assert len(res.family) == 10
-        assert res.as_report() == {"size": 10, "parameter": "2", "size_floor": "10"}
+        assert report(res) == {"size": 10, "parameter": "2", "size_floor": "10"}
 
     def test_too_many_elements(self):
         A = Domain.binomial(6, 3)

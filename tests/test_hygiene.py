@@ -42,7 +42,9 @@ carry ``@dataclass``, and no code calls ``._replace`` or ``._make``, which
 build a tuple past a validating subclass's ``__new__``.  No module-level
 import loads a package module for names read only in annotations: such an
 import goes under ``if TYPE_CHECKING:``, so no command compiles a module it
-never runs.
+never runs.  Reports come from one encoder, ``family.report``: only the
+classes in ``OWN_REPORTS`` define ``as_report``, each with a one-line
+comment above it giving its reason.
 """
 
 import ast
@@ -862,3 +864,60 @@ def test_annotation_import_checker_flags_the_type_only_modules():
         "    return x\n"
     )
     assert annotation_only_imports(src) == ["line 3: domains", "line 5: spread"]
+
+
+# the classes whose report has a shape the encoder does not build
+OWN_REPORTS = {
+    "errors.py": {"SforgeError"},
+    "pipelines.py": {"ExtractionThreshold"},
+    "spread.py": {"SpreadLemmaEstimate"},
+}
+
+
+def own_reports(source: str) -> tuple[set[str], list[str]]:
+    """The classes that define ``as_report``, and those of them with no
+    comment on the line above the method, as ``line N: Class``."""
+    lines = source.splitlines()
+    classes, bare = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "as_report":
+                classes.add(node.name)
+                first = min([item.lineno, *(d.lineno for d in item.decorator_list)])
+                if not lines[first - 2].strip().startswith("#"):
+                    bare.append(f"line {item.lineno}: {node.name}")
+    return classes, bare
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_named_classes_build_their_own_report(path):
+    classes, bare = own_reports(path.read_text(encoding="utf-8"))
+    assert classes == OWN_REPORTS.get(path.name, set())
+    assert bare == []
+
+
+def test_own_report_checker_flags_a_hand_built_record_report():
+    # sunflowers.SearchResult before the encoder, and a commented method
+    src = (
+        "class SearchResult(NamedTuple):\n"
+        "    optimum: int\n"
+        "    witness: SetFamily\n"
+        "    nodes: int\n"
+        "    certified: bool\n"
+        "\n"
+        "    def as_report(self) -> dict:\n"
+        "        return {\n"
+        "            \"optimum\": self.optimum,\n"
+        "            \"witness\": self.witness.as_sets(),\n"
+        "            \"nodes\": self.nodes,\n"
+        "            \"certified\": self.certified,\n"
+        "        }\n"
+        "class Odd:\n"
+        "    # its own: the reason\n"
+        "    def as_report(self) -> dict:\n"
+        "        return {}\n"
+        "    as_report_too = as_report\n"
+    )
+    assert own_reports(src) == ({"SearchResult", "Odd"}, ["line 7: SearchResult"])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sforge import pipelines
 from sforge.domains import Domain, check_tau_homogeneous
 from sforge.errors import CapacityError, PreconditionError, VerificationError
-from sforge.family import GroundSet, SetFamily, family_minus, trace_cover
+from sforge.family import GroundSet, SetFamily, family_minus, report, trace_cover
 from sforge.pipelines import (
     DecompositionPart,
     Decomposition,
@@ -1160,7 +1160,7 @@ class TestIntegerBrackets:
         got = _record("r", lhs, _bracket(rhs), hypotheses_met=met, note="n")
         want = reference_record("r", lhs, rhs, hypotheses_met=met, note="n")
         assert got == want
-        assert got.as_report() == want.as_report()
+        assert report(got) == report(want)
 
     def test_record_at_the_ends(self):
         rhs = (Fraction(1, 3), Fraction(1, 2))

@@ -136,13 +136,9 @@ def _weight_vector(F: SetFamily, a: int, b: int) -> list[int]:
 _BLOCK_DIGITS = 8
 
 
-def _repeat(unit: int, bits: int, count: int) -> int:
-    """``count`` copies of the ``bits``-wide pattern ``unit``, by doubling shifts."""
-    x, have = unit, 1
-    while have < count:
-        x |= x << have * bits
-        have <<= 1
-    return x & ((1 << count * bits) - 1)
+def _repeat(unit: int, width: int, count: int) -> int:
+    """``count`` copies of the ``width``-byte pattern ``unit``."""
+    return int.from_bytes(unit.to_bytes(width, "little") * count, "little")
 
 
 @lru_cache(maxsize=4)
@@ -156,9 +152,9 @@ def _leaf_masks(
     w = 8 * width
 
     def runs(run: int, i: int) -> int:
-        return _repeat((1 << w * run) - 1, w * radix ** (i + 1), radix ** (low - i - 1))
+        return _repeat((1 << w * run) - 1, width * radix ** (i + 1), radix ** (low - i - 1))
 
-    ones = _repeat(1, w, radix**low)
+    ones = _repeat(1, width, radix**low)
     binary = tuple(runs(2**i, i) for i in range(low))
     ternary = tuple(runs(3**i, i) for i in range(low)) if radix == 3 else ()
     return ones, ones << w - 1, binary, ternary

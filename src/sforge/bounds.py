@@ -74,7 +74,6 @@ class BoundFormula(NamedTuple):
     note: str = ""
 
     _report_derived = {"params": lambda b: {k: str(v) for k, v in b.params.items()}}
-    as_report = report  # a method too: the pinned bound digest reads rows by it
 
     @property
     def comparable(self) -> bool:

@@ -159,7 +159,7 @@ def _dispatch(args: list[str]) -> tuple[bytes, int, str | None]:
     except _Help:
         return _help(cmd, node).encode(), 0, None
     result = resolve(node.run)(*values)
-    report = node.report(result) if node.report else result
+    report = node.report(result)
     if isinstance(report, str):  # hex text, or a scenario run's report
         return report.encode(), getattr(result, "exit_code", 0), out
     if fmt == "csv" and node.csv is None:

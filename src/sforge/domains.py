@@ -38,6 +38,7 @@ from .family import (
     MEMBER_CAP,
     GroundSet,
     SetFamily,
+    _ENUM_CAP,
     _link_counts,
     bit_subsets,
     block_product,
@@ -126,14 +127,17 @@ class Domain:
         k = _int(k, "k")
         if k < 0:
             raise PreconditionError("layer index must be nonnegative", k=k)
+        widest = max((face.bit_count() for face in maximal_faces.members), default=0)
+        if comb(widest, k) > MEMBER_CAP:
+            raise CapacityError("complex layer too large", widest=widest, k=k, cap=MEMBER_CAP)
         out = set()
         for face in maximal_faces.members:
             if face.bit_count() >= k:
                 out.update(bit_subsets(face, k))
+                if len(out) > MEMBER_CAP:
+                    raise CapacityError("complex layer too large", k=k, cap=MEMBER_CAP)
         if not out:
             raise PreconditionError("complex has no faces of the requested size", k=k)
-        if len(out) > MEMBER_CAP:
-            raise CapacityError("complex layer too large", size=len(out))
         fam = SetFamily(maximal_faces.ground, tuple(out))
         return Domain(
             "complex_layer", fam, k,
@@ -151,6 +155,8 @@ class Domain:
 
     @cached_property
     def table(self) -> dict[int, int]:
+        if 1 << self.k > _ENUM_CAP:
+            raise CapacityError("domain table capped", k=self.k, cap=_ENUM_CAP)
         return _link_counts(self.family.members)
 
     @cached_property
@@ -403,6 +409,7 @@ def _require_subfamily(F: SetFamily, A: Domain):
             raise PreconditionError(
                 "family member outside the domain", member=list(elements_of(m))
             )
+    A.table  # its subset cap on A's members bounds every count of F's
 
 
 def _homogeneity_tau(F: SetFamily, A: Domain, tau) -> Fraction:

@@ -12,6 +12,7 @@ import json
 import sys
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress, count, product
+from math import comb
 from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -21,6 +22,7 @@ MAX_GROUND = 64
 MEMBER_CAP = 200_000  # members a built domain or construction may hold
 UPPER_CLOSURE_CAP = 24
 _TRANSVERSAL_CAP = 100_000  # search nodes of one transversal_number call
+_ENUM_CAP = 8_000_000  # distinct subsets one count of submasks may hold
 
 
 def mask_of(elements: Iterable[int], n: int | None = None) -> int:
@@ -216,6 +218,9 @@ def member_index(members: Sequence[int]) -> dict[int, int]:
 def _link_counts(masks: Iterable[int]) -> dict[int, int]:
     """How many of ``masks`` contain X, for every X below one of them.
 
+    No cap is checked here: a caller refuses a mask with more than
+    ``_ENUM_CAP`` submasks before it counts.
+
     Keys are in first-visit order: the masks in turn, each mask's submasks
     in descending numeric order (the mask first, 0 last).  A root domain's
     ``table`` is this dict, so it has the same order; a link domain's table
@@ -284,10 +289,14 @@ def shadow(F: SetFamily, h: int) -> SetFamily:
     top = max(m.bit_count() for m in F.members)
     if not (0 <= h <= top):
         raise PreconditionError(f"shadow order {h} outside 0..{top}")
+    if comb(top, h) > MEMBER_CAP:
+        raise CapacityError("shadow too large", widest=top, depth=h, cap=MEMBER_CAP)
     out = set()
     for m in F.members:
         if m.bit_count() >= h:
             out.update(bit_subsets(m, h))
+            if len(out) > MEMBER_CAP:
+                raise CapacityError("shadow too large", depth=h, cap=MEMBER_CAP)
     return F.replace_members(out)
 
 
@@ -411,14 +420,13 @@ _PLAIN = (type(None), bool, int, str)  # reported as they are
 def report(value):
     """The canonical report of a record or of a value inside one.
 
-    A class with its own ``as_report`` builds its report there; a class
-    attribute ``as_report = report`` only lends the encoder a method name.
-    A record (a ``NamedTuple`` or a dataclass) becomes a dict of its fields
-    in field order.  None, bools, ints and strings stay as they are; a
-    ``SetFamily`` becomes its element lists, a record its report, a list or
-    tuple a list and a dict keeps its keys, their values converted; anything
-    else, a ``Fraction`` say, becomes its ``str``.  A record declares only
-    its exceptions, as class attributes:
+    A class with its own ``as_report`` builds its report there.  A record
+    (a ``NamedTuple`` or a dataclass) becomes a dict of its fields in field
+    order.  None, bools, ints and strings stay as they are; a ``SetFamily``
+    becomes its element lists, a record its report, a list or tuple a list
+    and a dict keeps its keys, their values converted; anything else, a
+    ``Fraction`` say, becomes its ``str``.  A record declares only its
+    exceptions, as class attributes:
 
     * ``_report_keys``: field -> the key it is reported under;
     * ``_report_masks``: fields holding a mask, or a sequence of masks,
@@ -462,8 +470,8 @@ def _plan(cls: type) -> tuple:
     reported field as (field, key, is a mask, left out when None) or None
     for a value reported by ``str``, each derived key as (key, function,
     left out when None))."""
-    own = getattr(cls, "as_report", report)
-    if own is not report:
+    own = getattr(cls, "as_report", None)
+    if own is not None:
         return own, None, ()
     fields = getattr(cls, "_fields", None) or getattr(cls, "__dataclass_fields__", None)
     if fields is None:
@@ -498,8 +506,6 @@ def family_from_json_obj(obj) -> SetFamily:
         raise ParseError("family JSON key 'n' must be an integer")
     if not isinstance(sets, list) or any(not isinstance(s, list) for s in sets):
         raise ParseError("family JSON key 'sets' must be a list of lists")
-    if not (1 <= n <= MAX_GROUND):
-        raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {n}")
     return SetFamily(GroundSet(n), tuple(mask_of(s, n) for s in sets))
 
 
@@ -526,16 +532,14 @@ def family_from_hex(text: str) -> SetFamily:
         n = int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad ground size in header {lines[0]!r}")
-    if not (1 <= n <= MAX_GROUND):
-        raise CapacityError(f"ground set size must be in 1..{MAX_GROUND}, got {n}")
+    ground = GroundSet(n)
     masks = []
     for ln in lines[1:]:
         try:
             masks.append(int(ln, 16))
         except ValueError:
             raise ParseError(f"bad hex mask line {ln!r}")
-    fam = SetFamily(GroundSet(n), tuple(masks))
-    return fam
+    return SetFamily(ground, tuple(masks))
 
 
 def read_source(source, what: str) -> str:

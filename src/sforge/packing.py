@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapacityError
-from .family import canonical, elements_of, hitting_set
+from .family import canonical, hitting_set, member_index
 
 _PACKING_CAP = 1_000_000  # search nodes one max_disjoint call may take
 
@@ -32,16 +32,14 @@ def max_disjoint(masks: Sequence[int], stop_at: int | None = None) -> list[int]:
     """
     ms = canonical(set(masks))
     goal = len(ms) + 1 if stop_at is None else stop_at
-    elems = [elements_of(m) for m in ms]
-    holders: dict[int, int] = {}  # element -> indices of the masks holding it
-    for i, es in enumerate(elems):
-        for e in es:
-            holders[e] = holders.get(e, 0) | (1 << i)
+    index = member_index(ms)
     clash = []  # clash[i]: indices of the masks that meet ms[i]
-    for es in elems:
+    for m in ms:
         c = 0
-        for e in es:
-            c |= holders[e]
+        while m:
+            low = m & -m
+            c |= index[low]
+            m ^= low
         clash.append(c)
     best: list[list[int]] = [[]]
     nodes = 0

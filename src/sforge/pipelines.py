@@ -26,6 +26,7 @@ is below t.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -44,6 +45,7 @@ from .errors import CapacityError, PreconditionError, VerificationError
 from .exact import _LN2_HI, _LN2_LO, _as_fraction, frac_log2_bracket
 from .family import (
     SetFamily,
+    _ENUM_CAP,
     _link_counts,
     bit_subsets,
     canonical,
@@ -387,7 +389,6 @@ class Decomposition:
     _report_omit = ("source", "domain")
     _report_optional = ("tau", "spread_r", "measure_floor")
     _report_derived = {"q": lambda d: str(d.q)}
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
     def __post_init__(self) -> None:
         self.verify()
@@ -588,8 +589,6 @@ class SimplifyResult(NamedTuple):
     eps: Fraction
     records: tuple[BoundRecord, ...] = ()
 
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
-
 
 def _layer_round(
     cur: SetFamily, top_size: int, i: int, dense: Callable[[int, int, tuple[int, ...]], bool]
@@ -616,6 +615,12 @@ def _layer_round(
     return tuple(steps), W, [m for m in cur.members if m.bit_count() < top_size]
 
 
+def _check_st(s: int, t: int) -> None:
+    """Refuse a petal count below 2 or a core size below 1."""
+    if s < 2 or t < 1:
+        raise PreconditionError("need s >= 2 and t >= 1", s=s, t=t)
+
+
 def _small_core_sunflower(F: SetFamily, s: int, t: int):
     """An s-sunflower of F with a core below t, members below t counting as
     degenerate ones, or None."""
@@ -638,8 +643,7 @@ def simplify(S: SetFamily, A: Domain, s: int, t: int, eps) -> SimplifyResult:
     eps = _as_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie strictly between 0 and 1", eps=str(eps))
-    if s < 2 or t < 1:
-        raise PreconditionError("need s >= 2 and t >= 1", s=s, t=t)
+    _check_st(s, t)
     if S.ground.n != A.family.ground.n:
         raise PreconditionError("family and domain live on different ground sets")
     table = A.table
@@ -782,7 +786,6 @@ class CoverResult:
     _report_omit = ("source", "residue")
     _report_optional = ("decomposition", "reduction")
     _report_derived = {"residue_size": lambda c: len(c.residue)}
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult:
@@ -801,8 +804,7 @@ def down_closed_cover(F: SetFamily, A: Domain, s: int, t: int, w) -> CoverResult
     w = _as_fraction(w, "w")
     if w <= 0:
         raise PreconditionError("depth budget must be positive", w=str(w))
-    if s < 2 or t < 1:
-        raise PreconditionError("need s >= 2 and t >= 1", s=s, t=t)
+    _check_st(s, t)
     _require_subfamily(F, A)
     k = A.k
     if t > k:
@@ -967,14 +969,12 @@ class SystemSST:
     records: tuple[BoundRecord, ...] = ()
 
     _report_omit = ("domain",)
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
     def __post_init__(self) -> None:
         self.verify()
 
     def verify(self) -> None:
-        if self.s < 2 or self.t < 1:
-            raise PreconditionError("need s >= 2 and t >= 1", s=self.s, t=self.t)
+        _check_st(self.s, self.t)
         amembers = self.domain.family._member_set
         seen = set()
         for core, family in self.parts:
@@ -1056,14 +1056,6 @@ def _deep_intersection(
     return rec(0, start, [])
 
 
-def _widths(counts: dict[int, int], k: int) -> list[int]:
-    """How many keys of ``counts`` have each size 0..k."""
-    out = [0] * (k + 1)
-    for x in counts:
-        out[x.bit_count()] += 1
-    return out
-
-
 def reduce_intersections(
     D: Decomposition, A: Domain, s: int, t: int, alpha
 ) -> SystemSST:
@@ -1103,6 +1095,7 @@ def reduce_intersections(
         raise PreconditionError(
             "alpha must lie in (0, 1/(4k)]", alpha=str(alpha), k=k
         )
+    _check_st(s, t)
     wit = find_sunflower(D.source, CorePredicate(s, CoreMode.EXACT, t - 1))
     if wit is not None:
         raise PreconditionError(
@@ -1145,7 +1138,8 @@ def reduce_intersections(
             )
         # verify_shadow_bound at every depth h: |shadow_h U| tau_hat^h >=
         # |shadow_h A(core)|, each shadow the size-h keys of a count
-        ushadow, ashadow = _widths(ucounts, sub.k), _widths(sub.table, sub.k)
+        ushadow = Counter(map(int.bit_count, ucounts))
+        ashadow = Counter(map(int.bit_count, sub.table))
         for h in range(1, sub.k + 1):
             if ushadow[h] * tau_hat.numerator**h < ashadow[h] * tau_hat.denominator**h:
                 raise VerificationError(
@@ -1188,7 +1182,6 @@ class ClusterResult(NamedTuple):
     records: tuple[BoundRecord, ...] = ()
 
     _report_keys = {"lam": "lambda"}
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def _phi_interval(s: int, t: int) -> tuple[int, int, int]:
@@ -1361,8 +1354,6 @@ class PeelResult(NamedTuple):
     cover_counts: tuple[int, ...]
     records: tuple[BoundRecord, ...] = ()
 
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
-
 
 def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
     """Peel a k-uniform family with no s-sunflower at core size t-1 down to
@@ -1375,8 +1366,7 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
     cores is verified free of s-sunflowers at core size t-1, which is what
     makes the peeled family usable in place of the original.
     """
-    if s < 2 or t < 1:
-        raise PreconditionError("need s >= 2 and t >= 1", s=s, t=t)
+    _check_st(s, t)
     if not F.members:
         raise PreconditionError("peeling needs a nonempty family")
     sizes = {m.bit_count() for m in F.members}
@@ -1387,6 +1377,8 @@ def peel_high_uniformity(F: SetFamily, s: int, t: int) -> PeelResult:
         raise PreconditionError(
             "uniformity must be at least 2t+1", k=k, t=t
         )
+    if k > 2 * t + 1 and 1 << k > _ENUM_CAP:  # a round counts every submask of the top layer
+        raise CapacityError("peeling counts too many subsets", k=k, cap=_ENUM_CAP)
     wit = find_sunflower(F, CorePredicate(s, CoreMode.EXACT, t - 1))
     if wit is not None:
         raise PreconditionError(
@@ -1478,7 +1470,6 @@ class DeltaFilterResult(NamedTuple):
 
     _report_derived = {"chosen": lambda r: [
         dict(zip(("member", "anchor"), element_lists(pair))) for pair in r.chosen]}
-    as_report = report  # a method too: the pinned pipeline digest reads results by it
 
 
 def _delta_anchor(

@@ -185,16 +185,16 @@ class Op(NamedTuple):
 
     ``run`` is a function or the ``"module:attr"`` name of one, imported
     when the operation runs.  ``report`` reads the report off the result
-    (by default ``family.report``; None: the result is the report);
-    ``bind`` picks the value a step's ``name`` binds, which ``named`` makes
-    mandatory; ``csv`` renders the report for ``--format csv``.
+    (by default ``family.report``); ``bind`` picks the value a step's
+    ``name`` binds, which ``named`` makes mandatory; ``csv`` renders the
+    report for ``--format csv``.
     """
 
     op: str | None
     cmd: str | None
     params: tuple[Param, ...]
     run: Callable | str
-    report: Callable | None = report
+    report: Callable = report
     bind: Callable | None = None
     named: bool = False
     csv: Callable | None = None
@@ -280,22 +280,18 @@ def _domain_summary(A) -> dict:
 
 
 def _domain_build(A) -> dict:
-    return {
-        "domain": A.as_json_obj(),
-        "k": A.k,
-        "size": len(A.family.members),
-        "nominal": report(A.nominal_parameters()),
-    }
+    return {"domain": A.as_json_obj(), "k": A.k, "size": len(A.family.members),
+            "nominal": A.nominal_parameters()}
 
 
 def _measure(F: SetFamily, p) -> dict:
     from .boolean import biased_measure
-    return {"p": str(p), "value": str(biased_measure(F, p))}
+    return {"p": p, "value": biased_measure(F, p)}
 
 
 def _stability(F: SetFamily, p, rho) -> dict:
     from .boolean import stability
-    return {"p": str(p), "rho": str(rho), "value": str(stability(F, p, rho))}
+    return {"p": p, "rho": rho, "value": stability(F, p, rho)}
 
 
 def _chain(F, A, tau, q, s, t, alpha, lam=None) -> dict:
@@ -304,9 +300,9 @@ def _chain(F, A, tau, q, s, t, alpha, lam=None) -> dict:
     from .pipelines import cluster_system, reduce_intersections, spread_approximation
     D = spread_approximation(F, A, tau, q)
     U = reduce_intersections(D, A, s, t, alpha)
-    out = {"decomposition": report(D), "system": report(U)}
+    out = {"decomposition": D, "system": U}
     if lam is not None:
-        out["clusters"] = report(cluster_system(U, A, lam))
+        out["clusters"] = cluster_system(U, A, lam)
     return out
 
 
@@ -343,12 +339,11 @@ CHAIN = (FAMILY, DOMAIN, TAU, Param("q"), PETALS, CORE, Param("alpha", "frac"))
 
 OPERATIONS: tuple[Op, ...] = (
     # families
-    Op(None, "family info", (FAMILY,), _info, report=None),
-    Op(None, "family show", (FAMILY, Param("to", {"json": "json", "hex": "hex"}, "json")), _show,
-       report=None),
+    Op(None, "family info", (FAMILY,), _info),
+    Op(None, "family show", (FAMILY, Param("to", {"json": "json", "hex": "hex"}, "json")), _show),
     Op(None, "family shadow", (FAMILY, Param("depth")), shadow, report=family_to_json_obj),
-    Op(None, "family closure", (FAMILY,), _closure, report=None),
-    Op(None, "family transversal", (FAMILY,), _transversal, report=None),
+    Op(None, "family closure", (FAMILY,), _closure),
+    Op(None, "family transversal", (FAMILY,), _transversal),
     Op("family", None,
        (Param("domain", "domains:Domain", None), Param("n", "raw", None),
         Param("sets", "raw", None)),
@@ -358,8 +353,8 @@ OPERATIONS: tuple[Op, ...] = (
     Op("fstar", None, (DOMAIN, SKELETON, PETALS), "bounds:fstar_family", report=_summary,
        bind=_same),
     # sunflowers
-    Op("find", "sunflower find", (FAMILY, *PRED), _find, report=None),
-    Op("assert-free", None, (FAMILY, *PRED), _assert_free, report=None),
+    Op("find", "sunflower find", (FAMILY, *PRED), _find),
+    Op("assert-free", None, (FAMILY, *PRED), _assert_free),
     Op("max-free", "sunflower max-free",
        (FAMILY, *PRED, BUDGET, Param("symmetry", {"full": "full"}, None)), _max_free),
     Op("phi", "sunflower phi",
@@ -383,7 +378,7 @@ OPERATIONS: tuple[Op, ...] = (
     # domains
     Op("domain", None, (Param("spec", "spec"),), "domains:domain_from_json_obj",
        report=_domain_summary, bind=_same, named=True),
-    Op(None, "domains build", (SPEC,), _domain_build, report=None),
+    Op(None, "domains build", (SPEC,), _domain_build),
     Op("rt-spread", "domains check", (SPEC, DOMAIN_R, CORE), "domains:check_rt_spread"),
     Op("homogeneous", "domains homogeneous", (FAMILY, DOMAIN, TAU),
        "domains:check_tau_homogeneous"),
@@ -398,12 +393,12 @@ OPERATIONS: tuple[Op, ...] = (
        (SPEC, Param("q"), Param("eta", "frac"), Param("mu", "frac"), DOMAIN_R),
        "domains:check_assumptions"),
     # biased measures
-    Op("measure", "boolean measure", (FAMILY, P), _measure, report=None),
+    Op("measure", "boolean measure", (FAMILY, P), _measure),
     Op("global", "boolean global", (FAMILY, P, TAU), "boolean:check_global"),
     Op("max-global", None, (FAMILY, P, TAU), "boolean:max_global_restriction"),
     Op("global-remove", "boolean remove", (FAMILY, P, TAU, EXCLUDE),
        "boolean:remove_elements_global", bind=_surviving),
-    Op("stability", "boolean stab", (FAMILY, P, RHO), _stability, report=None),
+    Op("stability", "boolean stab", (FAMILY, P, RHO), _stability),
     Op("threshold", "boolean threshold",
        (FAMILY, P, Param("p-tilde", "frac"), Param("tau", "frac", None)),
        "boolean:verify_sharp_threshold"),
@@ -424,10 +419,10 @@ OPERATIONS: tuple[Op, ...] = (
        (Param("decomposition", "pipelines:Decomposition"), DOMAIN, PETALS, CORE,
         Param("alpha", "frac")),
        "pipelines:reduce_intersections", bind=_same),
-    Op(None, "pipeline reduce", CHAIN, _chain, report=None),
+    Op(None, "pipeline reduce", CHAIN, _chain),
     Op("cluster", None, (Param("system", "pipelines:SystemSST"), DOMAIN, Param("lam", "frac")),
        "pipelines:cluster_system"),
-    Op(None, "pipeline cluster", (*CHAIN, Param("lam", "frac")), _chain, report=None),
+    Op(None, "pipeline cluster", (*CHAIN, Param("lam", "frac")), _chain),
     Op("peel", "pipeline peel", (FAMILY, PETALS, CORE), "pipelines:peel_high_uniformity"),
     Op("delta", "pipeline delta", (FAMILY, PETALS, CORE), "pipelines:delta_filter",
        bind=_surviving),
@@ -439,7 +434,7 @@ OPERATIONS: tuple[Op, ...] = (
     Op("verify-instance", "verify",
        (DOMAIN, PETALS, CORE, Param("mode", _MODES, None), Param("core-bound", "int", None),
         Param("degenerate-small", "flag", False, cli=""), BUDGET),
-       _verify, report=None, csv=_verify_csv),
+       _verify, csv=_verify_csv),
 )
 
 
@@ -492,8 +487,7 @@ def _run_step(entry: Op, step: dict, handles: dict, seed: int):
         exc.details.setdefault("op", step.get("op"))
         raise
     result = resolve(entry.run)(*args)
-    report = entry.report(result) if entry.report else result
-    return report, name, entry.bind(result) if entry.bind else None
+    return entry.report(result), name, entry.bind(result) if entry.bind else None
 
 
 _OPS = {e.op: functools.partial(_run_step, e) for e in OPERATIONS if e.op}

@@ -18,9 +18,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CapacityError, PreconditionError, VerificationError
 from .exact import _as_fraction, frac_log2_bracket
-from .family import SetFamily, _link_counts, canon_key, elements_of, restrict
-
-_ENUM_CAP = 8_000_000
+from .family import SetFamily, _ENUM_CAP, _link_counts, canon_key, elements_of, restrict
 
 
 class SpreadVerdict(NamedTuple):
@@ -51,10 +49,12 @@ def check_spread(F: SetFamily, R) -> SpreadVerdict:
         raise PreconditionError("spreadness parameter must be positive", R=str(R))
     size = len(F)
     num, den = R.numerator, R.denominator
+    width = max(m.bit_count() for m in F.members)
+    if 1 << width > _ENUM_CAP:
+        raise CapacityError("too many distinct subsets", widest=width, cap=_ENUM_CAP)
     counts = _link_counts(F.members)
     if len(counts) > _ENUM_CAP:
         raise CapacityError("too many distinct subsets", count=len(counts))
-    width = max(m.bit_count() for m in F.members)
     cap = [size * den**i // num**i for i in range(width + 1)]
     bad = (x for x, c in counts.items() if c > cap[x.bit_count()])
     first = min(bad, key=canon_key, default=None)

@@ -19,6 +19,7 @@ from itertools import product
 from sforge.bounds import bound_names, bound_rhs, verify_instance
 from sforge.domains import Domain
 from sforge.errors import SforgeError
+from sforge.family import report
 from sforge.scenario import canonical_report_bytes
 
 GRID_N = (0, 1, 2, 3, 5, 8, 16)
@@ -55,7 +56,7 @@ def bound_digest() -> str:
         for p in _bound_params():
             if name == "erdos-matching" and p.get("s", 0) - 1 > p.get("n", 0) >= p.get("k", 0) >= 1:
                 continue
-            h.update(_report(lambda: bound_rhs(name, p).as_report()))
+            h.update(_report(lambda: report(bound_rhs(name, p))))
     return h.hexdigest()
 
 

@@ -15,7 +15,7 @@ from sforge.bounds import (
 )
 from sforge.domains import Domain
 from sforge.errors import PreconditionError, VerificationError
-from sforge.family import SetFamily, trace_cover
+from sforge.family import SetFamily, report, trace_cover
 from sforge.scenario import canonical_report_bytes
 from sforge.spread import frac_log2_bracket
 from sforge.sunflowers import (
@@ -442,7 +442,7 @@ class TestSharedTermsOncePerCall:
             for t in range(1, k + 1):
                 out.append(canonical_report_bytes(verify_instance(Domain.binomial(n, k), s, t)))
                 p = {"n": n, "k": k, "s": s, "t": t}
-                out += [canonical_report_bytes(bound_rhs(name, p).as_report())
+                out += [canonical_report_bytes(report(bound_rhs(name, p)))
                         for name in bound_names()]
             return out
 
@@ -459,7 +459,7 @@ class TestSharedTermsOncePerCall:
             rows = {row.pop("name"): row for row in rep["bounds"]}
             assert sorted(rows) == bound_names()
             for name in bound_names():
-                alone = bound_rhs(name, {"n": n, "k": k, "s": s, "t": t}).as_report()
+                alone = report(bound_rhs(name, {"n": n, "k": k, "s": s, "t": t}))
                 assert alone.pop("name") == name
                 row = rows[name]
                 row.pop("applicable")

@@ -949,3 +949,112 @@ def test_a_cover_of_a_family_with_a_small_core_sunflower_is_refused():
         '{"details":{"witness":"{\'core\': [], \'sets\': [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}"},'
         '"error":"PreconditionError","message":"family carries an s-sunflower with a small core"}\n'
     )
+
+
+# one member or face whose subsets alone pass a counting cap: 2^28 subsets
+# against _ENUM_CAP, or C(30, 15) of size 15 against MEMBER_CAP
+ONE_28 = json.dumps({"n": 28, "sets": [list(range(1, 29))]})
+ONE_30 = json.dumps({"n": 30, "sets": [list(range(1, 31))]})
+FACE_30 = {"kind": "complex_layer", "maximal_faces": [list(range(1, 31))], "n": 30}
+ALL_28 = '{"kind":"binomial","n":28,"k":28}'
+OVERSIZED = {
+    "spread-check": ("spread", "check", ONE_28, "-R", 2),
+    "spread-remove": ("spread", "remove", ONE_28, "-R", 2, "--exclude", "[1]"),
+    "peel": ("pipeline", "peel", ONE_28, "--petals", 2, "--core-size", 1),
+    "shadow": ("family", "shadow", ONE_30, "--depth", 15),
+    "complex-layer": ("domains", "build", json.dumps({**FACE_30, "k": 15})),
+    "rt-spread": ("domains", "check", '{"kind":"binomial","n":25,"k":24}', "-r", 2,
+                  "--core-size", 1),
+    # a subfamily of binomial(28, 28), counted only once the domain's table may be
+    "homogeneous": ("domains", "homogeneous", ONE_28, "--domain", ALL_28, "--tau", 2),
+    "shadow-bound": ("domains", "shadow-bound", ONE_28, "--domain", ALL_28, "--tau", 2,
+                     "--h", 14),
+    "cover": ("pipeline", "cover", ONE_28, "--domain", ALL_28, "--petals", 2, "--core-size", 1,
+              "--w", 1),
+}
+
+
+def run_capped_child(args):
+    """``sforge`` in a child process whose address space is capped at 1 GB,
+    stopped after 10 s: (the finished process, its wall time)."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(sforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sforge.cli", *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=10, preexec_fn=cap)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_a_member_with_too_many_subsets_exits_3_at_once(case):
+    proc, seconds = run_capped_child(OVERSIZED[case])
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert seconds < 2
+    assert proc.stdout == ""
+    assert error_of(proc)["error"] == "CapacityError"
+
+
+@pytest.mark.parametrize("args, key", [
+    (("spread", "check", json.dumps({"n": 16, "sets": [list(range(1, 17))]}), "-R", 1), "ok"),
+    (("pipeline", "peel", json.dumps({"n": 12, "sets": [list(range(1, 13))]}),
+      "--petals", 2, "--core-size", 1), "core_family"),
+    (("family", "shadow", ONE_30, "--depth", 3), "sets"),
+    (("domains", "build", json.dumps({**FACE_30, "k": 3})), "size"),
+    (("domains", "check", '{"kind":"binomial","n":12,"k":11}', "-r", 2, "--core-size", 1),
+     "ok"),
+], ids=["spread-check", "peel", "shadow", "complex-layer", "rt-spread"])
+def test_a_wide_member_inside_the_caps_gets_an_answer(args, key):
+    assert key in report_of(invoke(*args))
+
+
+FULL_STAR = json.dumps({"n": 6, "sets": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6]]})
+
+
+@pytest.mark.parametrize("extra", [(), ("--lam", "1/2")], ids=["reduce", "cluster"])
+def test_a_chain_at_core_size_0_refuses_the_users_t(extra):
+    # not the "core-size bound" of the t - 1 predicate built after the check
+    result = invoke("pipeline", "cluster" if extra else "reduce", FULL_STAR,
+                    "--domain", '{"kind":"binomial","n":6,"k":2}', "--tau", 2, "--q", 1,
+                    "--petals", 3, "--core-size", 0, "--alpha", "1/8", *extra, expect=1)
+    assert error_of(result) == {"details": {"s": "3", "t": "0"}, "error": "PreconditionError",
+                                "message": "need s >= 2 and t >= 1"}
+
+
+def test_a_family_step_given_a_domain_binds_its_members():
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "domain", "name": "A", "kind": "binomial", "n": 4, "k": 2},
+        {"op": "family", "name": "F", "domain": "A"},
+        {"op": "find", "family": "F", "petals": 3},
+    ]})
+    assert result.exit_code == 0
+    assert result.report["steps"][1] == {
+        "step": 1, "op": "family", "handle": "F",
+        "report": {"size": 6, "ground": 4, "uniformity": 2}}
+    assert result.report["steps"][2]["report"]["found"] is True
+
+
+def test_an_asserted_find_that_finds_a_sunflower_stops_the_run():
+    result = run_scenario({"schema": 1, "steps": [
+        {"op": "family", "name": "F", "n": 6, "sets": [[1, 2], [3, 4], [5, 6]]},
+        {"op": "find", "family": "F", "petals": 3, "assert": True},
+        {"op": "find", "family": "F", "petals": 2},
+    ]})
+    assert result.exit_code == 1
+    assert result.report["steps"][1:] == [{"step": 1, "op": "find", "error": {
+        "error": "VerificationError", "message": "asserted check failed",
+        "details": {"op": "'find'", "step": "1"}}}]
+
+
+def test_a_double_dash_ends_the_options(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-f.json").write_text(TRIPLES)
+    assert "no such option -f.json" in error_of(invoke("family", "info", "-f.json",
+                                                       expect=2))["message"]
+    rep = report_of(invoke("family", "info", "--", "-f.json"))
+    assert rep == {"size": 3, "ground": 6, "support": 6, "uniformity": 3}

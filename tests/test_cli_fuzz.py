@@ -213,3 +213,14 @@ def test_the_inputs_that_raised_exit_cleanly(args, code):
     # and 1/(4k), and the shadow-ratio floor divide by mu k
     assert run_cli(args).exit_code == code
     check(args)
+
+
+def test_the_core_size_0_chain_the_fuzz_found_refuses_the_users_t():
+    # it named the "core-size bound" of the t - 1 predicate built before any check
+    args = ["pipeline", "cluster", '{"n":1,"sets":[[1]]}', "--domain",
+            '{"kind":"binomial","n":1,"k":1}', "--tau", "1", "--q", "0", "--petals", "2",
+            "--core-size", "0", "--alpha", "1/4", "--lam", "1"]
+    res = run_cli(args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["message"] == "need s >= 2 and t >= 1"
+    check(args)

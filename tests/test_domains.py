@@ -779,3 +779,25 @@ def test_subset_enumerators_and_product_domains_match_their_definitions(data):
     assert T.members == tuple(canonical(
         sum(1 << (j * (s - 1) + i) for j, i in enumerate(pick))
         for pick in product(range(s - 1), repeat=t)))
+
+
+def test_a_domain_table_past_the_subset_cap_is_refused_before_counting(monkeypatch):
+    monkeypatch.setattr(domains_module, "_ENUM_CAP", 1 << 10)
+    assert len(Domain.binomial(10, 10).table) == 1 << 10
+    monkeypatch.setattr(domains_module, "_link_counts", lambda masks: 1 / 0)
+    with pytest.raises(CapacityError, match="domain table capped") as exc:
+        Domain.binomial(11, 11).table
+    assert exc.value.details == {"k": 11, "cap": 1 << 10}
+
+
+def test_a_complex_layer_past_the_member_cap_is_refused_at_once(monkeypatch):
+    monkeypatch.setattr(domains_module, "MEMBER_CAP", 10)
+    assert len(Domain.complex_layer(SetFamily.from_sets(6, [range(1, 6)]), 2)) == 10
+    with pytest.raises(CapacityError, match="complex layer too large") as exc:
+        Domain.complex_layer(SetFamily.from_sets(6, [[1, 2], range(1, 7)]), 2)
+    assert exc.value.details == {"widest": 6, "k": 2, "cap": 10}
+    pairs = [[2 * i + 1, 2 * i + 2] for i in range(11)]
+    assert len(Domain.complex_layer(SetFamily.from_sets(22, pairs[:10]), 2)) == 10
+    with pytest.raises(CapacityError, match="complex layer too large") as exc:
+        Domain.complex_layer(SetFamily.from_sets(22, pairs), 2)
+    assert exc.value.details == {"k": 2, "cap": 10}

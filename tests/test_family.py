@@ -407,3 +407,30 @@ def test_family_minus():
     f = binomial_family(4, 2)
     g = SetFamily.from_sets(4, [[1, 2], [3, 4]])
     assert len(family_minus(f, g)) == 4
+
+
+def test_shadow_refuses_a_member_with_too_many_h_subsets_at_once(monkeypatch):
+    monkeypatch.setattr(family, "MEMBER_CAP", 10)
+    assert len(shadow(SetFamily.from_sets(6, [range(1, 6)]), 2)) == 10  # C(5, 2)
+    with pytest.raises(CapacityError, match="shadow too large") as exc:
+        shadow(SetFamily.from_sets(6, [[1], range(1, 7)]), 2)  # C(6, 2) = 15
+    assert exc.value.details == {"widest": 6, "depth": 2, "cap": 10}
+
+
+def test_shadow_stops_when_the_union_passes_the_cap(monkeypatch):
+    monkeypatch.setattr(family, "MEMBER_CAP", 10)
+    pairs = [[2 * i + 1, 2 * i + 2] for i in range(11)]
+    assert len(shadow(SetFamily.from_sets(22, pairs[:10]), 2)) == 10
+    with pytest.raises(CapacityError, match="shadow too large") as exc:
+        shadow(SetFamily.from_sets(22, pairs), 2)
+    assert exc.value.details == {"depth": 2, "cap": 10}
+
+
+def test_both_readers_refuse_the_ground_size_before_reading_a_member():
+    message = "ground set size must be in 1..64, got 65"
+    with pytest.raises(CapacityError, match=message):
+        family_from_hex("n=65\nzz")
+    with pytest.raises(CapacityError, match=message):
+        family_from_json(json.dumps({"n": 65, "sets": [[1, True]]}))
+    with pytest.raises(CapacityError, match="got 0"):
+        family_from_hex("n=0\n")

@@ -43,8 +43,9 @@ build a tuple past a validating subclass's ``__new__``.  No module-level
 import loads a package module for names read only in annotations: such an
 import goes under ``if TYPE_CHECKING:``, so no command compiles a module it
 never runs.  Reports come from one encoder, ``family.report``: only the
-classes in ``OWN_REPORTS`` define ``as_report``, each with a one-line
-comment above it giving its reason.
+classes in ``OWN_REPORTS`` define ``as_report``, by a method or by a
+class-level assignment, each with a one-line comment above it giving its
+reason, and every operation reads its report with a function.
 """
 
 import ast
@@ -875,8 +876,9 @@ OWN_REPORTS = {
 
 
 def own_reports(source: str) -> tuple[set[str], list[str]]:
-    """The classes that define ``as_report``, and those of them with no
-    comment on the line above the method, as ``line N: Class``."""
+    """The classes that define ``as_report``, by a method or by a class-level
+    assignment such as the alias ``as_report = report``, and those of them
+    with no comment on the line above the definition, as ``line N: Class``."""
     lines = source.splitlines()
     classes, bare = set(), []
     for node in ast.walk(ast.parse(source)):
@@ -884,10 +886,15 @@ def own_reports(source: str) -> tuple[set[str], list[str]]:
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and item.name == "as_report":
-                classes.add(node.name)
                 first = min([item.lineno, *(d.lineno for d in item.decorator_list)])
-                if not lines[first - 2].strip().startswith("#"):
-                    bare.append(f"line {item.lineno}: {node.name}")
+            elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "as_report" for t in item.targets):
+                first = item.lineno
+            else:
+                continue
+            classes.add(node.name)
+            if not lines[first - 2].strip().startswith("#"):
+                bare.append(f"line {item.lineno}: {node.name}")
     return classes, bare
 
 
@@ -921,3 +928,25 @@ def test_own_report_checker_flags_a_hand_built_record_report():
         "    as_report_too = as_report\n"
     )
     assert own_reports(src) == ({"SearchResult", "Odd"}, ["line 7: SearchResult"])
+
+
+def test_own_report_checker_flags_an_alias_of_the_encoder():
+    # pipelines.SimplifyResult when the pinned digest read results by a method
+    src = (
+        "class SimplifyResult(NamedTuple):\n"
+        "    core_family: SetFamily\n"
+        "    eps: Fraction\n"
+        "    records: tuple[BoundRecord, ...] = ()\n"
+        "\n"
+        "    as_report = report  # a method too: the pinned pipeline digest reads results by it\n"
+    )
+    classes, bare = own_reports(src)
+    assert classes == {"SimplifyResult"}
+    assert classes - OWN_REPORTS["pipelines.py"]
+    assert bare == ["line 6: SimplifyResult"]
+
+
+def test_every_operation_reads_its_report_with_a_function():
+    from sforge.scenario import OPERATIONS
+
+    assert all(callable(entry.report) for entry in OPERATIONS)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from sforge.domains import Domain
 from sforge.errors import SforgeError
-from sforge.family import SetFamily
+from sforge.family import SetFamily, report
 from sforge.pipelines import (
     DecompositionPart,
     SystemSST,
@@ -51,7 +51,7 @@ def star_of(A, *cores):
 
 def _report(fn) -> bytes:
     try:
-        return canonical_report_bytes(fn().as_report())
+        return canonical_report_bytes(report(fn()))
     except SforgeError as exc:
         return canonical_report_bytes(exc.as_report())
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -1211,3 +1212,77 @@ class TestThresholdOffTheExactPath:
         assert thr.exceeds(count, j, total + 1) == reference_threshold_exceeds(
             s, 5, t, count, j, total + 1
         )
+
+
+def test_peeling_refuses_a_layer_past_the_subset_cap_before_counting(monkeypatch):
+    monkeypatch.setattr(pipelines, "_ENUM_CAP", 1 << 10)
+    one = lambda k: SetFamily.from_sets(k, [range(1, k + 1)])  # noqa: E731
+    assert peel_high_uniformity(one(10), 2, 1).core_family.members == ()
+    # at k = 2t + 1 no round runs, so nothing is counted
+    assert peel_high_uniformity(one(11), 2, 5).core_family == one(11)
+    monkeypatch.setattr(pipelines, "_link_counts", lambda masks: 1 / 0)
+    with pytest.raises(CapacityError, match="peeling counts too many subsets") as exc:
+        peel_high_uniformity(one(11), 2, 1)
+    assert exc.value.details == {"k": 11, "cap": 1 << 10}
+
+
+def test_a_depth_stop_on_a_domain_that_is_not_rt_spread_records_an_uncertified_cap():
+    # the triangle stars of binomial(16, 4) as their own "binomial" domain:
+    # its nominal r = 4 is not a depth-2 spreadness of that family
+    B = Domain.binomial(16, 4)
+    F = B.family.replace_members(
+        m for m in B.family if any(m & S == S for S in (mask(1, 2), mask(1, 3), mask(2, 3))))
+    A = Domain("binomial", F, 4, {"n": 16, "k": 4})
+    cov = down_closed_cover(F, A, 3, 2, Fraction(5, 2))
+    assert cov.trace[-1] == {"action": "stop", "reason": "depth", "core": [2, 3, 4]}
+    assert report(cov.records[0]) == {
+        "name": "residue-chain", "lhs": "78", "rhs_lo": "78", "rhs_hi": "78",
+        "verdict": "holds", "hypotheses_met": False,
+        "note": "domain is not (r,t)-spread; chain cap not certified",
+    }
+
+
+def test_clustering_at_two_petals_and_t_2_counts_with_phi_1():
+    # phi(2, t) = 1: no two distinct t-sets are free of a 2-sunflower
+    A = Domain.binomial(8, 3)
+    U = SystemSST(domain=A, s=2, t=2, parts=(
+        DecompositionPart(mask(1, 2), fam(8, [[3], [4], [5], [6], [7], [8]])),))
+    res = cluster_system(U, A, Fraction(1, 2))
+    assert res.core_family.members == (mask(1, 2),) and res.rounds == ()
+    count = res.records[0]
+    assert count.name == "cluster-count"
+    # 1/lambda (1 + 2 phi ln(lambda |shadow_<=2|)) with |shadow_<=2| = 1 + 8 + 28
+    assert count.rhs_lo < Fraction(2 * (1 + 2 * math.log(37 / 2))) < count.rhs_hi
+    assert count.rhs_hi - count.rhs_lo < Fraction(1, 10 ** 4)
+
+
+def test_sweeps_that_capture_every_core_leave_an_empty_final_cover():
+    # the 0-shadow of each block is the empty set, so one sweep takes both cores
+    A = Domain.binomial(8, 3)
+    U = SystemSST(domain=A, s=2, t=1, parts=(
+        DecompositionPart(mask(1, 2), fam(8, [[4], [5]])),
+        DecompositionPart(mask(1, 3), fam(8, [[4], [5]]))))
+    res = cluster_system(U, A, Fraction(1))
+    assert [(r.point, r.captured.members) for r in res.rounds] == [
+        (0, (mask(1, 2), mask(1, 3)))]
+    assert res.final_cores.members == ()
+    assert _smallest_cover([], 1, A) == A.family.replace_members(())
+
+
+@pytest.mark.parametrize("s, t", [(1, 1), (3, 0)])
+def test_every_pipeline_refuses_the_same_s_and_t(s, t):
+    # reduce_intersections at t = 0 once named the "core-size bound" of the
+    # t - 1 predicate it built before any check
+    A = Domain.binomial(6, 2)
+    D = spread_approximation(star(A, mask(1)), A, 2, 1)
+    calls = {
+        "simplify": lambda: simplify(A.family, A, s, t, Fraction(1, 2)),
+        "cover": lambda: down_closed_cover(A.family, A, s, t, Fraction(2)),
+        "reduce": lambda: reduce_intersections(D, A, s, t, Fraction(1, 8)),
+        "system": lambda: SystemSST(domain=A, s=s, t=t, parts=()),
+        "peel": lambda: peel_high_uniformity(A.family, s, t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(PreconditionError, match="need s >= 2 and t >= 1") as exc:
+            call()
+        assert exc.value.details == {"s": s, "t": t}, name

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sforge import spread
 from sforge.errors import CapacityError, PreconditionError
-from sforge.family import SetFamily, elements_of, transversal_number
+from sforge.family import SetFamily, elements_of, report, transversal_number
 from sforge.spread import (
     check_spread,
     exact_hit_probability,
@@ -505,3 +505,29 @@ def test_hits_match_reference_across_slice_boundaries(trials):
     F = binom_family(9, 2)
     est = spread_lemma_mc(F, Fraction(9, 2), 2, Fraction(1, 8), trials, seed=trials)
     assert est.hits == reference_mc_hits(F, Fraction(1, 4), trials, trials)
+
+
+def _no_count(masks):
+    raise AssertionError("submasks counted past the cap")
+
+
+def test_check_spread_refuses_a_member_past_the_subset_cap_before_counting(monkeypatch):
+    monkeypatch.setattr(spread, "_ENUM_CAP", 1 << 10)
+    assert check_spread(SetFamily.from_sets(11, [range(1, 11)]), 1).ok  # 2^10 subsets
+    monkeypatch.setattr(spread, "_link_counts", _no_count)
+    with pytest.raises(CapacityError, match="too many distinct subsets") as exc:
+        check_spread(SetFamily.from_sets(11, [[1], range(1, 12)]), 1)
+    assert exc.value.details == {"widest": 11, "cap": 1 << 10}
+
+
+def test_an_estimate_reports_its_covering_bracket_and_exact_probability():
+    # R delta = 2 > 1, so the bracket 1 - (5/log2 2)^1 = -4 is reported
+    F = SetFamily.from_sets(4, [[1], [2], [3], [4]])
+    got = report(spread_lemma_mc(F, 4, 1, Fraction(1, 2), 64, seed=0, with_exact=True))
+    assert got == {
+        "R": "4", "m": 1, "delta": "1/2", "trials": 64, "hits": 63,
+        "hit_rate": "0.984375", "wilson_low": "0.879579", "wilson_high": "0.998163",
+        "vacuous": True, "violation": False,
+        "covering_bound_low": "-4.000000", "covering_bound_high": "-4.000000",
+        "exact_probability": "15/16",
+    }

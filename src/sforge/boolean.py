@@ -8,8 +8,9 @@ both sides of an inequality to a common integer power.
 
 A family that stands for an upward-closed function must already be
 materialized as one (see :func:`sforge.family.upper_closure`); measures sum
-over the listed members only.  The noise operator and stability both run
-their coordinate passes on integers and divide once at the end.
+over the listed members only.  The noise operator runs its coordinate passes
+on integers and divides once at the end; stability is <f, T_rho f>, read
+from the same integer pass.
 
 Both globalness engines run on packed integers: every restriction cell is a
 fixed-width field of one Python int, wide enough that even the largest
@@ -57,6 +58,19 @@ def _probability(value, name: str) -> Fraction:
     return p
 
 
+def _rho(rho) -> Fraction:
+    rf = _as_fraction(rho, "rho")
+    if not 0 <= rf <= 1:
+        raise PreconditionError("rho must lie in [0, 1]", rho=str(rf))
+    return rf
+
+
+def _weights(p: Fraction, n: int) -> list[int]:
+    """c^n mu_p of one point of size j, at index j: a^j (c-a)^(n-j) for p = a/c."""
+    a, c = p.numerator, p.denominator
+    return [a**j * (c - a) ** (n - j) for j in range(n + 1)]
+
+
 def biased_measure(F: SetFamily, p) -> Fraction:
     """mu_p(F): each member S contributes p^|S| (1-p)^(n-|S|).
 
@@ -67,14 +81,8 @@ def biased_measure(F: SetFamily, p) -> Fraction:
     n = F.ground.n
     if n > MEASURE_CAP:
         raise CapacityError(f"biased measure capped at n={MEASURE_CAP}, got n={n}")
-    a = pf.numerator
-    c = pf.denominator
-    b = c - a
-    by_size = [0] * (n + 1)
-    for m in F.members:
-        by_size[m.bit_count()] += 1
-    num = sum(cnt * a**j * b ** (n - j) for j, cnt in enumerate(by_size) if cnt)
-    return Fraction(num, c**n)
+    weight = _weights(pf, n)
+    return Fraction(sum(weight[m.bit_count()] for m in F.members), pf.denominator**n)
 
 
 def drop_coordinates(F: SetFamily, X: int) -> SetFamily:
@@ -119,14 +127,6 @@ class GlobalnessVerdict(NamedTuple):
     _report_optional = ("violation",)
     _report_derived = {"violation": lambda v: v.violation and dict(
         zip("AB", map(elements_of, v.violation)))}
-
-
-def _weight_vector(F: SetFamily, a: int, b: int) -> list[int]:
-    n = F.ground.n
-    v = [0] * (1 << n)
-    for m in F.members:
-        v[m] = a ** m.bit_count() * b ** (n - m.bit_count())
-    return v
 
 
 # Coordinates are split into the top ones, fixed one at a time, and the low
@@ -467,75 +467,58 @@ def _certified_restriction(
 # noise operator and stability
 
 
-def noise_operator(F: SetFamily, p, rho) -> tuple[Fraction, ...]:
-    """Pointwise values of T_rho f over all 2^n inputs, indexed by mask.
+def _noise_pass(F: SetFamily, p: Fraction, rho: Fraction) -> list[int]:
+    """d^n T_rho f at every mask, as integers, with d = den(rho) den(p).
 
-    The kernel factorizes per coordinate: y_i copies x_i with probability
-    rho and is resampled from the p-biased bit otherwise.  The coordinate
-    passes run on integers over the common denominator d = den(rho) den(p),
-    and each point becomes one Fraction over d^n at the end.
+    Per coordinate, y_i copies x_i with probability rho and is resampled
+    from the p-biased bit otherwise: a pass takes each pair (lo, hi) to
+    d lo + q (hi - lo), q being d P(y_i = 1 | x_i) at each end.
     """
-    pf = _probability(p, "p")
-    rf = _as_fraction(rho, "rho")
-    if not 0 <= rf <= 1:
-        raise PreconditionError("rho must lie in [0, 1]", rho=str(rf))
     n = F.ground.n
-    if n > POINTWISE_CAP:
-        raise CapacityError(f"pointwise operator capped at n={POINTWISE_CAP}, got n={n}")
-    d = rf.denominator * pf.denominator
-    q0 = (rf.denominator - rf.numerator) * pf.numerator  # d P(y_i = 1 | x_i = 0)
-    q1 = rf.numerator * pf.denominator + q0              # d P(y_i = 1 | x_i = 1)
-    vals = _weight_vector(F, 1, 1)  # f itself; after the loop, d^n T_rho f
+    d = rho.denominator * p.denominator
+    q0 = (rho.denominator - rho.numerator) * p.numerator  # d P(y_i = 1 | x_i = 0)
+    q1 = rho.numerator * p.denominator + q0              # d P(y_i = 1 | x_i = 1)
+    vals = [0] * (1 << n)  # f itself; after the loop, d^n T_rho f
+    for m in F.members:
+        vals[m] = 1
     for i in range(n):
         bit = 1 << i
         for x in range(1 << n):
             if x & bit:
                 continue
-            lo, hi = vals[x], vals[x | bit]
-            vals[x] = (d - q0) * lo + q0 * hi
-            vals[x | bit] = (d - q1) * lo + q1 * hi
-    dn = d**n
-    return tuple(Fraction(v, dn) for v in vals)
+            lo = vals[x]
+            step, lo = vals[x | bit] - lo, d * lo
+            vals[x], vals[x | bit] = lo + q0 * step, lo + q1 * step
+    return vals
+
+
+def noise_operator(F: SetFamily, p, rho) -> tuple[Fraction, ...]:
+    """Pointwise values of T_rho f over all 2^n inputs, indexed by mask:
+    each the integer of :func:`_noise_pass` over d^n."""
+    pf = _probability(p, "p")
+    rf = _rho(rho)
+    n = F.ground.n
+    if n > POINTWISE_CAP:
+        raise CapacityError(f"pointwise operator capped at n={POINTWISE_CAP}, got n={n}")
+    dn = (rf.denominator * pf.denominator) ** n
+    return tuple(Fraction(v, dn) for v in _noise_pass(F, pf, rf))
 
 
 def stability(F: SetFamily, p, rho) -> Fraction:
     """Stab_rho(f) = <f, T_rho f> under mu_p, exactly.
 
-    Computed through the p-biased character sums
-    c(S) = sum_x mu_p(x) f(x) prod_{i in S} (x_i - p), which a coordinate
-    butterfly produces as integers; then
-    Stab = sum_S rho^|S| c(S)^2 / (p(1-p))^|S|.
+    With p = a/c, a point x weighs a^|x| (c-a)^(n-|x|) over c^n, and T_rho f
+    at x is :func:`_noise_pass`'s integer over d^n; so the inner product is
+    one integer sum over the members of F, divided once by (c d)^n.
     """
     pf = _probability(p, "p")
-    rf = _as_fraction(rho, "rho")
-    if not 0 <= rf <= 1:
-        raise PreconditionError("rho must lie in [0, 1]", rho=str(rf))
+    rf = _rho(rho)
     n = F.ground.n
     if n > DIAGONAL_CAP:
         raise CapacityError(f"stability capped at n={DIAGONAL_CAP}, got n={n}")
-    a = pf.numerator
-    c = pf.denominator
-    b = c - a
-    v = _weight_vector(F, a, b)
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            lo, hi = v[mask], v[mask | bit]
-            v[mask] = c * (lo + hi)
-            v[mask | bit] = b * hi - a * lo
-    # v[S] = c(S) * c^(2n)
-    buckets = [0] * (n + 1)
-    for s, coeff in enumerate(v):
-        if coeff:
-            buckets[s.bit_count()] += coeff * coeff
-    c4n = c ** (4 * n)
-    total = Fraction(0)
-    for j, t in enumerate(buckets):
-        if t:
-            total += rf**j * Fraction(t * c ** (2 * j), (a * b) ** j * c4n)
-    return total
+    weight, vals = _weights(pf, n), _noise_pass(F, pf, rf)
+    total = sum(weight[x.bit_count()] * vals[x] for x in F.members)
+    return Fraction(total, (pf.denominator**2 * rf.denominator) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +745,10 @@ def hypercontractivity_check(F: SetFamily, p, tau, rho, q: int) -> Hypercontract
     # each value of T_rho f is some v / d^n, d = den(rho) den(p); under p = a/c
     # the moment is the integer sum of a^|x| (c-a)^(n-|x|) v^q over c^n d^(nq)
     dn = (rf.denominator * pf.denominator) ** n
-    a, c = pf.numerator, pf.denominator
-    weight = [a**j * (c - a) ** (n - j) for j in range(n + 1)]
+    weight = _weights(pf, n)
     total = sum(weight[x.bit_count()] * (val.numerator * (dn // val.denominator)) ** q
                 for x, val in enumerate(noise_operator(F, pf, rf)))
-    lhs = Fraction(total, c**n * dn**q)
+    lhs = Fraction(total, pf.denominator**n * dn**q)
     if lhs * lhs > mu**q:
         raise VerificationError(
             "hypercontractive inequality failed",

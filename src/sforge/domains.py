@@ -49,7 +49,6 @@ from .family import (
     member_index,
     restrict,
     select,
-    shadow,
 )
 
 _PERMUTATION_CAP = 7
@@ -489,17 +488,16 @@ def homogeneous_subfamily(
     an F(P) that is alpha (tau/alpha)^t homogeneous in A(P); both facts are
     re-verified exactly.
     """
-    return _homogeneous_subfamily(F, _link_counts(F.members), A, tau, alpha, t)
+    return _homogeneous_subfamily(F, A, tau, alpha, t)[0]
 
 
 def _homogeneous_subfamily(
-    F: SetFamily, fcounts: dict[int, int], A: Domain, tau, alpha, t: Optional[int]
-) -> HomogeneousSubfamily:
-    """``homogeneous_subfamily`` of F given by its ``_link_counts``.
-
-    F is counted once: the pre-check, the sparse test and every F(P) check
-    read ``fcounts``, F(P)'s counts being ``_counts_above(fcounts, P)``.
-    """
+    F: SetFamily, A: Domain, tau, alpha, t: Optional[int]
+) -> tuple[HomogeneousSubfamily, dict[int, int]]:
+    """``homogeneous_subfamily`` of F, and F's ``_link_counts``: counted once,
+    after every check (A's capped table refuses a too-wide member first), and
+    read by the pre-check, the sparse test and every F(P) check, F(P)'s
+    counts being ``_counts_above(fcounts, P)``."""
     tau = _as_fraction(tau, "tau")
     alpha = _as_fraction(alpha, "alpha")
     k = A.k
@@ -512,6 +510,7 @@ def _homogeneous_subfamily(
     if t < 1:
         raise PreconditionError("prefix depth t must be at least 1", t=t)
     tau = _homogeneity_tau(F, A, tau)
+    fcounts = _link_counts(F.members)
     pre = _tau_homogeneity(fcounts, A, tau)
     if not pre.ok:
         raise PreconditionError(
@@ -556,7 +555,7 @@ def _homogeneous_subfamily(
             )
     return HomogeneousSubfamily(
         family=G, removed=fsize - len(G), sparse_prefixes=tuple(sparse), tau_out=tau_out,
-    )
+    ), fcounts
 
 
 class HomogeneousRemoval(NamedTuple):
@@ -571,12 +570,10 @@ class HomogeneousRemoval(NamedTuple):
 def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> HomogeneousRemoval:
     """Exclude the elements of X from a tau-homogeneous family.
 
-    Needs |X| < r/tau with A r-spread.  Certifies the surviving family is
-    tau / (1 - |X| tau / r) homogeneous and at least a (1 - |X| tau / r)
-    fraction of G, both by exact re-check.
+    Needs |X| < r/tau with A r-spread (read off A's table at depth 0).
+    Certifies the surviving family is tau / (1 - |X| tau / r) homogeneous
+    and at least a (1 - |X| tau / r) fraction of G, both by exact re-check.
     """
-    from .spread import check_spread  # here: no other domains command loads spread.py
-
     tau = _as_fraction(tau, "tau")
     r = _as_fraction(r, "r")
     if X & ~G.ground.full_mask:
@@ -591,11 +588,11 @@ def remove_elements_homogeneous(G: SetFamily, A: Domain, tau, r, X: int) -> Homo
         raise PreconditionError(
             "family is not tau-homogeneous", worst=elements_of(pre.worst_x)
         )
-    amb = check_spread(A.family, r)
+    amb = check_rt_spread(A, r, 0)
     if not amb.ok:
         raise PreconditionError(
             "ambient domain is not r-spread", r=str(r),
-            violation=elements_of(amb.violation),
+            violation=elements_of(amb.violation[1]),
         )
     H = restrict(G, 0, X)
     shrink = 1 - Fraction(xsize) * tau / r
@@ -795,15 +792,17 @@ def check_assumptions(A: Domain, q: int, eta, mu, r) -> AssumptionsReport:
 
 
 def verify_shadow_bound(F: SetFamily, A: Domain, tau, h: int) -> bool:
-    """|shadow_h F| / |shadow_h A| >= tau^(-h) for a tau-homogeneous F."""
+    """|shadow_h F| / |shadow_h A| >= tau^(-h) for a tau-homogeneous F; F is
+    counted once, shadow_h F being the keys of size h of its ``_link_counts``."""
     if h < 0:
         raise PreconditionError("shadow depth must be nonnegative", h=h)
-    tau = _as_fraction(tau, "tau")
-    pre = check_tau_homogeneous(F, A, tau)
-    if not pre.ok:
+    tau = _homogeneity_tau(F, A, tau)
+    fcounts = _link_counts(F.members)
+    if not _tau_homogeneity(fcounts, A, tau).ok:
         raise PreconditionError("family is not tau-homogeneous")
     ash = A.shadow_layer(h)
     if not ash:
         raise PreconditionError("empty domain shadow at this depth", h=h)
     # |shadow_h F| * tau^h >= |shadow_h A|
-    return len(shadow(F, h)) * tau.numerator**h >= len(ash) * tau.denominator**h
+    fshadow = sum(x.bit_count() == h for x in fcounts)
+    return fshadow * tau.numerator**h >= len(ash) * tau.denominator**h

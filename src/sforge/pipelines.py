@@ -1072,8 +1072,8 @@ def reduce_intersections(
     three facts are asserted.  Building the result verifies its system
     properties exhaustively.
 
-    Each block F is counted once (``_link_counts``), and the count serves
-    the pruning (``homogeneous_subfamily``'s checks) and the bound tau'.
+    Each block F is counted once, by the pruning (``homogeneous_subfamily``'s
+    checks), which hands its count on to the bound tau'.
     The pruned block U reuses it when nothing was pruned and is counted
     once otherwise.  U's homogeneity is checked from its count, and its
     h-shadow is read as the count's keys of size h, so the floor that
@@ -1113,8 +1113,7 @@ def reduce_intersections(
                 "a block core exhausts the domain uniformity; nothing to prune",
                 core=list(elements_of(part.core)),
             )
-        fcounts = _link_counts(part.family.members)
-        pruned = _homogeneous_subfamily(part.family, fcounts, sub, D.tau, alpha, t)
+        pruned, fcounts = _homogeneous_subfamily(part.family, sub, D.tau, alpha, t)
         U = pruned.family
         # a lower bound on the kept size, so the floor goes on the left
         records.append(

@@ -762,6 +762,33 @@ def reference_noise_operator(F, p, rho):
     return tuple(vals)
 
 
+def reference_stability(F, p, rho):
+    """Stab_rho(f) through the p-biased Fourier expansion: a coordinate
+    butterfly gives the character sums c(S) = sum_x mu_p(x) f(x)
+    prod_{i in S} (x_i - p) as integers over c^(2n), and
+    Stab = sum_S rho^|S| c(S)^2 / (p(1-p))^|S|."""
+    p, rho = Fraction(p), Fraction(rho)
+    n = F.ground.n
+    a, c = p.numerator, p.denominator
+    b = c - a
+    v = [0] * (1 << n)
+    for m in F.members:
+        v[m] = a ** m.bit_count() * b ** (n - m.bit_count())
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            lo, hi = v[mask], v[mask | bit]
+            v[mask] = c * (lo + hi)
+            v[mask | bit] = b * hi - a * lo
+    buckets = [0] * (n + 1)  # the sum of c(S)^2 c^(4n) over the S of each size
+    for s, coeff in enumerate(v):
+        buckets[s.bit_count()] += coeff * coeff
+    return sum((rho**j * Fraction(t * c ** (2 * j), (a * b) ** j * c ** (4 * n))
+                for j, t in enumerate(buckets)), Fraction(0))
+
+
 def reference_hypercontractivity_check(F, p, tau, rho, q):
     """hypercontractivity_check's report, its moment summed one Fraction per
     point over reference_noise_operator's values; no preconditions checked."""

@@ -34,6 +34,7 @@ from support import (
     reference_hypercontractivity_check,
     reference_max_global_restriction,
     reference_noise_operator,
+    reference_stability,
     reference_superset_sums,
 )
 
@@ -608,6 +609,19 @@ class TestStability:
         if F.ground.n > 4:
             F = SetFamily(binom_family(4, 1).ground, tuple(m & 0b1111 for m in F.members))
         assert stability(F, p, rho) == naive_stability(F, p, rho)
+
+    @given(
+        st.integers(1, 10).flatmap(lambda n: st.builds(
+            lambda ms: SetFamily(GroundSet(n), tuple(ms)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=40),
+        )),
+        st.fractions(0, 1, max_denominator=9).filter(lambda p: 0 < p < 1),
+        st.fractions(0, 1, max_denominator=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_fourier_reference(self, F, p, rho):
+        # <f, T_rho f> from the noise pass against the p-biased Fourier sum
+        assert stability(F, p, rho) == reference_stability(F, p, rho)
 
     def test_kernel_against_simulation(self):
         # seeded spot-check of the per-coordinate resampling kernel

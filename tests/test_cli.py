@@ -971,6 +971,7 @@ OVERSIZED = {
                      "--h", 14),
     "cover": ("pipeline", "cover", ONE_28, "--domain", ALL_28, "--petals", 2, "--core-size", 1,
               "--w", 1),
+    "prune": ("domains", "prune", ONE_28, "--domain", ALL_28, "--tau", 2, "--alpha", "1/200"),
 }
 
 
@@ -1008,7 +1009,9 @@ def test_a_member_with_too_many_subsets_exits_3_at_once(case):
     (("domains", "build", json.dumps({**FACE_30, "k": 3})), "size"),
     (("domains", "check", '{"kind":"binomial","n":12,"k":11}', "-r", 2, "--core-size", 1),
      "ok"),
-], ids=["spread-check", "peel", "shadow", "complex-layer", "rt-spread"])
+    (("domains", "prune", json.dumps({"n": 12, "sets": [list(range(1, 13))]}), "--domain",
+      '{"kind":"binomial","n":12,"k":12}', "--tau", 2, "--alpha", "1/24", "--t", 2), "size"),
+], ids=["spread-check", "peel", "shadow", "complex-layer", "rt-spread", "prune"])
 def test_a_wide_member_inside_the_caps_gets_an_answer(args, key):
     assert key in report_of(invoke(*args))
 

@@ -17,6 +17,7 @@ from sforge.family import (
     elements_of,
     report,
     restrict,
+    shadow,
     trace_cover,
 )
 from sforge.domains import (
@@ -33,7 +34,7 @@ from sforge.domains import (
     verify_shadow_bound,
 )
 from sforge.pipelines import _min_homogeneity_upper
-from sforge.spread import _link_counts
+from sforge.spread import _link_counts, check_spread
 from sforge.sunflowers import product_kernel
 from support import (
     reference_check_rt_spread,
@@ -801,3 +802,49 @@ def test_a_complex_layer_past_the_member_cap_is_refused_at_once(monkeypatch):
     with pytest.raises(CapacityError, match="complex layer too large") as exc:
         Domain.complex_layer(SetFamily.from_sets(22, pairs), 2)
     assert exc.value.details == {"k": 2, "cap": 10}
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_shadow_bound_matches_the_shadow_family_at_every_depth(kind, data):
+    # the formula it replaced: |shadow(F, h)| tau^h >= |shadow_h A|
+    A = data.draw(DOMAIN_KINDS[kind])
+    F = data.draw(st.just(A.family) | st.randoms(use_true_random=False).map(
+        lambda rnd: random_subfamily(A, rnd)))
+    tau = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4), Fraction(100)]))
+    ok = check_tau_homogeneous(F, A, tau).ok
+    for h in range(A.k + 1):
+        if not ok:
+            with pytest.raises(PreconditionError, match="not tau-homogeneous"):
+                verify_shadow_bound(F, A, tau, h)
+            continue
+        floor = len(A.shadow_layer(h)) * tau.denominator**h
+        assert verify_shadow_bound(F, A, tau, h) == \
+            (len(shadow(F, h)) * tau.numerator**h >= floor), h
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_KINDS))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_homogeneous_removal_refuses_what_check_spread_refuses(kind, data):
+    # A is 1-homogeneous in itself and an empty X passes |X| < r / tau, so
+    # only the domain's spreadness decides
+    A = data.draw(DOMAIN_KINDS[kind])
+    r = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
+                                   Fraction(5)]))
+    amb = check_spread(A.family, r)
+    if amb.ok:
+        assert remove_elements_homogeneous(A.family, A, 1, r, 0).family == A.family
+        return
+    with pytest.raises(PreconditionError, match="ambient domain is not r-spread") as exc:
+        remove_elements_homogeneous(A.family, A, 1, r, 0)
+    assert exc.value.details == {"r": str(r), "violation": elements_of(amb.violation)}
+
+
+def test_prune_refuses_a_member_past_the_subset_cap_before_counting(monkeypatch):
+    monkeypatch.setattr(domains_module, "_ENUM_CAP", 1 << 10)
+    A = Domain.binomial(11, 11)
+    monkeypatch.setattr(domains_module, "_link_counts", lambda masks: 1 / 0)
+    with pytest.raises(CapacityError, match="domain table capped"):
+        homogeneous_subfamily(A.family, A, 2, Fraction(1, 22))

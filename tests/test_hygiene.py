@@ -46,6 +46,9 @@ never runs.  Reports come from one encoder, ``family.report``: only the
 classes in ``OWN_REPORTS`` define ``as_report``, by a method or by a
 class-level assignment, each with a one-line comment above it giving its
 reason, and every operation reads its report with a function.
+``domains.py`` imports nothing from ``spread.py``, at load time or inside a
+function: the homogeneous removal reads its domain's spreadness off the
+domain's own table.
 """
 
 import ast
@@ -301,6 +304,28 @@ def test_import_checker_names_the_loaded_modules():
     assert imported_modules(tree.body) == {
         "click.testing", "json", "boolean", "spread", "bounds", "domains"}
     assert "pipelines" in imported_modules(ast.walk(tree))
+
+
+def spread_imports(source: str) -> list[str]:
+    """The lines of the import statements, at any depth, that load ``spread``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if "spread" in imported_modules([node])]
+
+
+def test_domains_imports_nothing_from_spread():
+    assert spread_imports((SRC / "domains.py").read_text(encoding="utf-8")) == []
+
+
+def test_spread_import_checker_flags_the_lazy_and_module_imports():
+    src = (
+        "import sforge.spread\n"
+        "from .family import shadow\n"
+        "def remove_elements_homogeneous(G, A, tau, r, X):\n"
+        "    from .spread import check_spread  # here: no other domains command loads spread.py\n"
+        "    from . import spread\n"
+        "    return check_spread(A.family, r)\n"
+    )
+    assert spread_imports(src) == ["line 1", "line 4", "line 5"]
 
 
 def canon_key_sorts(source: str) -> list[str]:
